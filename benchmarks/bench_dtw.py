@@ -1,10 +1,20 @@
-"""Compare the compiled and pure-Python warping-distance kernels.
+"""Time the DTW kernels in ns per cell, checking every result bit for bit.
 
 Usage:
-    python3 benchmarks/bench_dtw.py [--lengths 100,400,1000] [--repeat 3]
+    PYTHONPATH=src python3 benchmarks/bench_dtw.py [--lengths 625,1875]
+        [--pairs 16,66] [--repeat 3] [--seed 0]
 
-Prints a table of per-pair runtimes for both kernels plus the speedup,
-and verifies that both return bit-identical results on every input.
+For each series length n and batch size P, P random Poisson(3) pairs of
+n samples each (n * n cells per pair) go through:
+
+* numpy: the batched wavefront kernel, ``_dtw_np.dtw_many``, one call;
+* compiled: ``_dtwc.dtw_pair`` once per pair, when the extension is built;
+* python: the scalar oracle ``_dtw_py.dtw_pair`` once per pair.
+
+Raw cost and path length of every pair must equal the oracle's, or the
+script exits non-zero. The fast kernels keep the best of --repeat
+passes; the oracle runs once, and its pass dominates the run time
+(about four minutes at the defaults on a 2-core x86 host).
 """
 
 import argparse
@@ -12,7 +22,7 @@ import time
 
 import numpy as np
 
-from dualq.stats import _dtw_py
+from dualq.stats import _dtw_np, _dtw_py
 from dualq.stats.dtw import IMPLEMENTATION
 
 try:
@@ -21,52 +31,69 @@ except ImportError:
     _dtwc = None
 
 
-def time_kernel(fn, pairs, repeat):
+def best_of(repeat, fn):
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for x, y in pairs:
-            fn(x, y)
-        best = min(best, (time.perf_counter() - t0) / len(pairs))
-    return best
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def compiled_many(xs, ys):
+    return [_dtwc.dtw_pair(x, y) for x, y in zip(xs, ys)]
+
+
+def check(name, got, expected, n, p):
+    got = [(float(r), int(k)) for r, k in got]
+    if got != expected:
+        bad = sum(a != b for a, b in zip(got, expected))
+        raise SystemExit(f"{name} kernel differs from the oracle on {bad} of "
+                         f"{p} pairs at n={n}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--lengths", default="100,400,1000",
+    parser.add_argument("--lengths", default="625,1875",
                         help="comma-separated series lengths")
-    parser.add_argument("--pairs", type=int, default=8,
-                        help="random pairs per length")
+    parser.add_argument("--pairs", default="16,66",
+                        help="comma-separated batch sizes P")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="timing repetitions, best is kept")
+                        help="timing passes of the fast kernels, best is kept")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     lengths = [int(s) for s in args.lengths.split(",") if s.strip()]
+    batch_sizes = [int(s) for s in args.pairs.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
-    print(f"active kernel: {IMPLEMENTATION}")
+    print(f"live kernel: {IMPLEMENTATION}")
     if _dtwc is None:
-        print("compiled kernel unavailable; timing the fallback only")
-    print(f"{'length':>8} {'python (ms)':>12} {'compiled (ms)':>14} {'speedup':>8}")
+        print("compiled kernel not built; timing numpy and python only")
+    print(f"{'n':>6} {'P':>4} {'python':>8} {'numpy':>8} {'compiled':>9} "
+          f"{'py/np':>6} {'np/comp':>8}   (ns per cell)")
 
     for n in lengths:
-        pairs = [
-            (rng.poisson(3.0, n).astype(np.float64),
-             rng.poisson(3.0, n).astype(np.float64))
-            for _ in range(args.pairs)
-        ]
-        t_py = time_kernel(_dtw_py.dtw_pair, pairs, args.repeat)
-        if _dtwc is None:
-            print(f"{n:>8} {t_py * 1e3:>12.3f} {'-':>14} {'-':>8}")
-            continue
-        for x, y in pairs:
-            a = _dtw_py.dtw_pair(x, y)
-            b = _dtwc.dtw_pair(x, y)
-            if a != b:
-                raise SystemExit(f"kernel mismatch at n={n}: {a} != {b}")
-        t_c = time_kernel(_dtwc.dtw_pair, pairs, args.repeat)
-        print(f"{n:>8} {t_py * 1e3:>12.3f} {t_c * 1e3:>14.3f} {t_py / t_c:>8.1f}")
+        for p in batch_sizes:
+            xs = rng.poisson(3.0, (p, n)).astype(np.float64)
+            ys = rng.poisson(3.0, (p, n)).astype(np.float64)
+            cells = p * n * n
+            t0 = time.perf_counter()
+            expected = [_dtw_py.dtw_pair(x, y) for x, y in zip(xs, ys)]
+            t_py = time.perf_counter() - t0
+            t_np, (raw, plen) = best_of(args.repeat,
+                                        lambda: _dtw_np.dtw_many(xs, ys))
+            check("numpy", zip(raw, plen), expected, n, p)
+            comp = "-"
+            ratio = "-"
+            if _dtwc is not None:
+                t_c, out = best_of(args.repeat, lambda: compiled_many(xs, ys))
+                check("compiled", out, expected, n, p)
+                comp = f"{t_c * 1e9 / cells:.1f}"
+                ratio = f"{t_np / t_c:.1f}"
+            print(f"{n:>6} {p:>4} {t_py * 1e9 / cells:>8.1f} "
+                  f"{t_np * 1e9 / cells:>8.1f} {comp:>9} "
+                  f"{t_py / t_np:>6.1f} {ratio:>8}")
 
 
 if __name__ == "__main__":

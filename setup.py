@@ -1,6 +1,6 @@
 """Build script for the optional compiled DTW kernel.
 
-The package works without the extension (a pure-Python fallback is
+The package works without the extension (the batched numpy kernel is
 selected at import time), so any compiler failure downgrades to a
 source-only install instead of aborting.
 """
@@ -30,7 +30,7 @@ class OptionalBuildExt(build_ext):
     def _warn(exc):
         print(
             f"warning: compiled DTW kernel unavailable ({exc!r}); "
-            "falling back to the pure-Python implementation",
+            "falling back to the batched numpy implementation",
             file=sys.stderr,
         )
 

@@ -1,13 +1,14 @@
-"""Pure-Python DTW kernel, the fallback when the extension is absent.
+"""Scalar pure-Python DTW kernel: the reference the live kernels are
+tested against, never selected at run time.
 
-Must stay arithmetic-identical to the compiled kernel in _dtwc.pyx:
-same cost, same cell order, same tie-breaking, both in IEEE double,
-so the two implementations are interchangeable bit for bit.
+It fills the full n x m cost matrix row by row and recovers the path
+length by backtracking, the textbook way. The batched numpy kernel
+(_dtw_np) and the compiled one (_dtwc.pyx) must equal it bit for bit:
+same |x_i - y_j| cost, same min over the three predecessors, same
+diagonal > vertical > horizontal tie-break, all in IEEE double.
 """
 
 from __future__ import annotations
-
-IMPLEMENTATION = "pure-python"
 
 _INF = float("inf")
 

@@ -54,7 +54,7 @@ def write_test_results(
             ("within_k", ds.within_k),
             ("cross", ds.cross),
         ):
-            rows.extend(f"{metric},{label},{v!r}" for v in values)
+            rows.extend(f"{metric},{label},{float(v)!r}" for v in values)
     with open(os.path.join(out_dir, DISTANCES_NAME), "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
     return [TEST_RESULT_NAME, DISTANCES_NAME]

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtw import dtw_norm
+# dtw_norm stays importable from here: perfbench/tracing.py wraps it by
+# this name. The matrices below use the batched dtw_norm_pairs.
+from .dtw import dtw_norm, dtw_norm_pairs  # noqa: F401
 
 QUANTILE_LEVEL = 0.95
 DECISION_THRESHOLD = 0.05
@@ -106,12 +108,10 @@ def within_matrix(obs, kind: str, band: int | None = None) -> np.ndarray:
         arr = np.asarray(obs, dtype=np.float64)
         return np.abs(arr[:, None] - arr[None, :])
     D = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        xi = obs[i]
-        for j in range(i + 1, n):
-            d = dtw_norm(xi, obs[j], band)
-            D[i, j] = d
-            D[j, i] = d
+    iu, ju = np.triu_indices(n, 1)
+    d = dtw_norm_pairs([obs[i] for i in iu], [obs[j] for j in ju], band)
+    D[iu, ju] = d
+    D[ju, iu] = d
     return D
 
 
@@ -122,12 +122,8 @@ def cross_matrix(obs_m, obs_k, kind: str, band: int | None = None) -> np.ndarray
         a = np.asarray(obs_m, dtype=np.float64)
         b = np.asarray(obs_k, dtype=np.float64)
         return np.abs(a[:, None] - b[None, :])
-    D = np.empty((n, m), dtype=np.float64)
-    for i in range(n):
-        xi = obs_m[i]
-        for j in range(m):
-            D[i, j] = dtw_norm(xi, obs_k[j], band)
-    return D
+    d = dtw_norm_pairs([x for x in obs_m for _ in range(m)], list(obs_k) * n, band)
+    return d.reshape(n, m)
 
 
 def _upper(D: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from dualq.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_UNDEFINED, main
 from dualq.runner import load_corpus, verify_corpus
+from dualq.stats import METRICS, build_distances, extract_observations
 
 
 def run_cli(*argv):
@@ -215,7 +216,17 @@ class TestValidate:
             assert r["n_m"] == 4 and r["n_k"] == 4
         lines = (rep / "distances.csv").read_text().splitlines()
         assert lines[0] == "metric,label,value"
-        assert any(line.startswith("throughput,cross,") for line in lines)
+        written = {}
+        for line in lines[1:]:
+            metric, label, value = line.split(",")
+            written.setdefault((metric, label), []).append(float(value))
+        records_m, records_k = load_corpus(str(m)), load_corpus(str(k))
+        for metric in ("throughput", "queue_occupancy"):
+            ds = build_distances(extract_observations(records_m, metric),
+                                 extract_observations(records_k, metric),
+                                 METRICS[metric].kind)
+            for label in ("within_m", "within_k", "cross"):
+                assert written[(metric, label)] == getattr(ds, label).tolist()
         out_text = capsys.readouterr().out
         assert "throughput:" in out_text
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualq.stats import dtw
-from dualq.stats import _dtw_py
+from dualq.stats import _dtw_np, _dtw_py
 
 from _oracles import dtw_oracle
 
@@ -93,29 +93,54 @@ class TestOracleAgreement:
             assert plen == oplen, (x, y)
 
 
-class TestKernelParity:
-    """Compiled and pure-Python kernels must agree bit for bit."""
+@st.composite
+def batches(draw):
+    """P >= 2 pairs of one (n, m), integer-with-ties or float values, and
+    a band of none, |n - m|, |n - m| + 2 or at least max(n, m)."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    p = draw(st.integers(2, 5))
+    values = draw(st.sampled_from([
+        st.integers(0, 3).map(float),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ]))
+    xs = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(p)]
+    ys = [draw(st.lists(values, min_size=m, max_size=m)) for _ in range(p)]
+    gap = abs(n - m)
+    band = draw(st.sampled_from([-1, gap, gap + 2, max(n, m), max(n, m) + 3]))
+    return np.array(xs), np.array(ys), band
 
-    @given(
-        x=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
-        y=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_same_results(self, x, y):
-        xa = np.asarray(x, dtype=np.float64)
-        ya = np.asarray(y, dtype=np.float64)
-        active = dtw._kernel.dtw_pair(xa, ya, -1)
-        fallback = _dtw_py.dtw_pair(xa, ya, -1)
-        assert active == fallback
+
+# every kernel that can be live: the numpy wavefront always, the compiled
+# one (looped by dtw.dtw_many) when the extension is built
+KERNELS = [_dtw_np.dtw_many]
+if dtw.IMPLEMENTATION != _dtw_np.IMPLEMENTATION:
+    KERNELS.append(dtw.dtw_many)
+
+
+def assert_matches_oracle(xs, ys, band):
+    expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
+    for kernel in KERNELS:
+        raw, plen = kernel(xs, ys, band)
+        got = [(float(r), int(k)) for r, k in zip(raw, plen)]
+        assert got == expected, (kernel.__module__, band)
+
+
+class TestKernelParity:
+    """Every live kernel equals the scalar _dtw_py oracle bit for bit,
+    raw cost and path length, on whole batches of pairs."""
+
+    @given(batch=batches())
+    @settings(max_examples=200, deadline=None)
+    def test_same_results(self, batch):
+        assert_matches_oracle(*batch)
 
     def test_banded_parity(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=60)
-        y = rng.normal(size=50)
-        for band in (10, 20, 59):
-            a = dtw._kernel.dtw_pair(x, y, band)
-            b = _dtw_py.dtw_pair(x, y, band)
-            assert a == b
+        xs = rng.normal(size=(4, 60))
+        ys = rng.normal(size=(4, 50))
+        for band in (-1, 10, 20, 59):
+            assert_matches_oracle(xs, ys, band)
 
 
 class TestBand:

@@ -19,6 +19,7 @@ from dualq.stats.testing import (
     scalar_distance,
     within_matrix,
 )
+from dualq.stats import _dtw_py, dtw
 
 from _oracles import quantile_oracle
 
@@ -89,6 +90,60 @@ class TestDistances:
             build_distances([1.0], [1.0, 2.0], "scalar")
         with pytest.raises(DegenerateGroupsError):
             build_distances([1.0, 2.0], [], "scalar")
+
+
+def _oracle_norm(x, y, band):
+    raw, plen = _dtw_py.dtw_pair(x, y, -1 if band is None else band)
+    return raw / plen
+
+
+class TestBatchedMatrices:
+    """Time-series matrices equal a per-pair loop over the _dtw_py oracle
+    bit for bit. Lengths are mixed so that several (n, m) groups run, and
+    the 24 length-6 series of corpus M give one group of more than
+    CHUNK_PAIRS pairs, which runs in more than one chunk."""
+
+    @staticmethod
+    def corpora():
+        rng = np.random.default_rng(12)
+        obs_m = [rng.poisson(2.0, 9 if i in (4, 17) else 6).astype(np.float64)
+                 for i in range(26)]
+        obs_k = [rng.poisson(2.0, 6 + i % 2).astype(np.float64) for i in range(12)]
+        return obs_m, obs_k
+
+    @pytest.mark.parametrize("band", [None, 3])
+    def test_within_matrix_equals_oracle_loop(self, band):
+        obs_m, _ = self.corpora()
+        n = len(obs_m)
+        six = sum(x.size == 6 for x in obs_m)
+        assert six * (six - 1) // 2 > dtw.CHUNK_PAIRS
+        D = within_matrix(obs_m, "timeseries", band)
+        for i in range(n):
+            assert D[i, i] == 0.0
+            for j in range(i + 1, n):
+                expected = _oracle_norm(obs_m[i], obs_m[j], band)
+                assert D[i, j] == expected and D[j, i] == expected, (i, j)
+
+    @pytest.mark.parametrize("band", [None, 3])
+    def test_cross_matrix_equals_oracle_loop(self, band):
+        obs_m, obs_k = self.corpora()
+        D = cross_matrix(obs_m, obs_k, "timeseries", band)
+        assert D.shape == (len(obs_m), len(obs_k))
+        for i, x in enumerate(obs_m):
+            for j, y in enumerate(obs_k):
+                assert D[i, j] == _oracle_norm(x, y, band), (i, j)
+
+    @pytest.mark.parametrize("bad, band", [
+        (np.array([1.0, np.nan, 2.0]), None),
+        (np.array([]), None),
+        (np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]), 1),
+    ])
+    def test_bad_input_raises_through_matrices(self, bad, band):
+        good = [np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 1.0])]
+        with pytest.raises(ValueError):
+            within_matrix(good + [bad], "timeseries", band)
+        with pytest.raises(ValueError):
+            cross_matrix(good, [bad, good[0]], "timeseries", band)
 
 
 class TestExceedance:
