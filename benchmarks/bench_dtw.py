@@ -8,11 +8,10 @@ For each series length n and batch size P, P random Poisson(3) pairs of
 n samples each (n * n cells per pair) go through:
 
 * numpy: the batched wavefront kernel, ``_dtw_np.dtw_many``, one call;
-* compiled: ``_dtwc.dtw_pair`` once per pair, when the extension is built;
 * python: the scalar oracle ``_dtw_py.dtw_pair`` once per pair.
 
 Raw cost and path length of every pair must equal the oracle's, or the
-script exits non-zero. The fast kernels keep the best of --repeat
+script exits non-zero. The numpy kernel keeps the best of --repeat
 passes; the oracle runs once, and its pass dominates the run time
 (about four minutes at the defaults on a 2-core x86 host).
 """
@@ -23,12 +22,6 @@ import time
 import numpy as np
 
 from dualq.stats import _dtw_np, _dtw_py
-from dualq.stats.dtw import IMPLEMENTATION
-
-try:
-    from dualq.stats import _dtwc
-except ImportError:
-    _dtwc = None
 
 
 def best_of(repeat, fn):
@@ -38,10 +31,6 @@ def best_of(repeat, fn):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def compiled_many(xs, ys):
-    return [_dtwc.dtw_pair(x, y) for x, y in zip(xs, ys)]
 
 
 def check(name, got, expected, n, p):
@@ -59,7 +48,7 @@ def main():
     parser.add_argument("--pairs", default="16,66",
                         help="comma-separated batch sizes P")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="timing passes of the fast kernels, best is kept")
+                        help="timing passes of the numpy kernel, best is kept")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -67,11 +56,8 @@ def main():
     batch_sizes = [int(s) for s in args.pairs.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
-    print(f"live kernel: {IMPLEMENTATION}")
-    if _dtwc is None:
-        print("compiled kernel not built; timing numpy and python only")
-    print(f"{'n':>6} {'P':>4} {'python':>8} {'numpy':>8} {'compiled':>9} "
-          f"{'py/np':>6} {'np/comp':>8}   (ns per cell)")
+    print(f"{'n':>6} {'P':>4} {'python':>8} {'numpy':>8} {'py/np':>6}"
+          "   (ns per cell)")
 
     for n in lengths:
         for p in batch_sizes:
@@ -84,16 +70,8 @@ def main():
             t_np, (raw, plen) = best_of(args.repeat,
                                         lambda: _dtw_np.dtw_many(xs, ys))
             check("numpy", zip(raw, plen), expected, n, p)
-            comp = "-"
-            ratio = "-"
-            if _dtwc is not None:
-                t_c, out = best_of(args.repeat, lambda: compiled_many(xs, ys))
-                check("compiled", out, expected, n, p)
-                comp = f"{t_c * 1e9 / cells:.1f}"
-                ratio = f"{t_np / t_c:.1f}"
             print(f"{n:>6} {p:>4} {t_py * 1e9 / cells:>8.1f} "
-                  f"{t_np * 1e9 / cells:>8.1f} {comp:>9} "
-                  f"{t_py / t_np:>6.1f} {ratio:>8}")
+                  f"{t_np * 1e9 / cells:>8.1f} {t_py / t_np:>6.1f}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
-"""Scalar pure-Python DTW kernel: the reference the live kernels are
-tested against, never selected at run time.
+"""Scalar pure-Python DTW kernel: the reference the batched kernel is
+tested against, never called at run time.
 
 It fills the full n x m cost matrix row by row and recovers the path
 length by backtracking, the textbook way. The batched numpy kernel
-(_dtw_np) and the compiled one (_dtwc.pyx) must equal it bit for bit:
+(_dtw_np) must equal it bit for bit:
 same |x_i - y_j| cost, same min over the three predecessors, same
 diagonal > vertical > horizontal tie-break, all in IEEE double.
 """

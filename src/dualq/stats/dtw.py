@@ -1,25 +1,16 @@
-"""Public DTW interface with kernel selection.
+"""Public DTW interface over the batched numpy kernel.
 
-Two kernels compute the same (raw cost, path length) bit for bit:
-
-* ``compiled``: the Cython extension ``_dtwc``, live when it was built;
-  ``dtw_many`` then loops its ``dtw_pair`` over the pairs;
-* ``numpy``: the batched anti-diagonal wavefront of ``_dtw_np``, which
-  runs every pair of a batch at once; live when the extension is absent
-  or when the environment variable DUALQ_PURE_PYTHON is set (to any
-  non-empty value) before import.
-
-``_dtw_py`` is the scalar reference both are tested against; it is
-never selected. ``IMPLEMENTATION`` names the live kernel.
+Every distance goes through ``_dtw_np.dtw_many``, the anti-diagonal
+wavefront that runs a whole batch of pairs at once; single pairs are a
+batch of one. ``_dtw_py`` is the scalar reference it is tested against
+bit for bit, never called here. ``IMPLEMENTATION`` names the kernel.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _dtw_np
+from ._dtw_np import IMPLEMENTATION, dtw_many
 
 # Pairs per kernel call in dtw_norm_pairs; bounds the working set at
 # O(chunk * (n + m)) doubles, about 45 MB for 1875-sample series. Chunks
@@ -27,24 +18,6 @@ from . import _dtw_np
 # samples; the largest keeps the per-diagonal overhead of short series
 # smallest.
 CHUNK_PAIRS = 256
-
-_dtwc = None
-if not os.environ.get("DUALQ_PURE_PYTHON"):
-    try:
-        from . import _dtwc  # type: ignore[attr-defined, no-redef]
-    except ImportError:
-        pass
-
-if _dtwc is None:
-    IMPLEMENTATION: str = _dtw_np.IMPLEMENTATION
-    dtw_many = _dtw_np.dtw_many
-else:
-    IMPLEMENTATION = _dtwc.IMPLEMENTATION
-
-    def dtw_many(xs, ys, band: int = -1) -> tuple[np.ndarray, np.ndarray]:
-        """(raw, plen) of pairs (xs[p], ys[p]), one compiled call each."""
-        raw, plen = zip(*(_dtwc.dtw_pair(x, y, band) for x, y in zip(xs, ys)))
-        return np.array(raw, dtype=np.float64), np.array(plen, dtype=np.int64)
 
 
 def _prepare(x, y, band: int | None):
@@ -102,11 +75,14 @@ def dtw_norm_pairs(xs, ys, band: int | None = None) -> np.ndarray:
     dtw_norm(xs[p], ys[p], band) bit for bit.
     """
     prepared = [_prepare(x, y, band) for x, y in zip(xs, ys, strict=True)]
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for p, (xa, ya, b) in enumerate(prepared):
-        groups.setdefault((xa.size, ya.size, b), []).append(p)
+    b = -1 if band is None else int(band)
+    # CLI corpora come from one scenario, so they form a single group;
+    # mixed lengths arise only from library callers
+    groups: dict[tuple[int, int], list[int]] = {}
+    for p, (xa, ya, _) in enumerate(prepared):
+        groups.setdefault((xa.size, ya.size), []).append(p)
     out = np.empty(len(prepared), dtype=np.float64)
-    for (_, _, b), members in groups.items():
+    for members in groups.values():
         for start in range(0, len(members), CHUNK_PAIRS):
             chunk = members[start:start + CHUNK_PAIRS]
             raw, plen = dtw_many(
