@@ -1,5 +1,8 @@
 """Event loop: ordering, stop rule, conservation, determinism."""
 
+import hashlib
+import os
+
 import pytest
 
 from dualq.config import apply_overrides, build_scenario, preset_sections
@@ -11,6 +14,8 @@ from dualq.engine import (
     PRIO_UPDATE,
     run_scenario,
 )
+from dualq.metrics import write_run_dir
+from dualq.runner import run_one
 
 
 def scenario(preset="low", flows=("cubic",), duration_s=5.0, params="default",
@@ -154,3 +159,94 @@ class TestLossPath:
         st = out.receiver.flows["cubic0"]
         # still delivers a sizable share of the link
         assert st.bytes * 8 / 10.0 / 1e6 > 6.0
+
+
+# Run directories pinned by sha256. The digests were taken from the heap
+# engine this suite was written against, so any change to event order,
+# sampling or sender state shows up here as a changed file.
+# name: (preset, flows, duration_s, mode, overrides, seed, digests of
+# meta.json, series.csv, flows.csv)
+_SC = ("scalable", "cubic")
+GOLDEN = {
+    "low-bursty": (
+        "low", _SC, 10.0, "bursty", (), 1,
+        "2ac8ed081be14dd86987913c954a10dafa9529bb01fd9ded67032ae4ee0ecf2d",
+        "b0afe2b9204bf0593c4ec3ccc0c716f174d31e6c50f3fab0c5c037d17b78d9f5",
+        "37d4b657e048cef967e5baec5e055ab1333c3c627441fb00c53921c5a9ddf5e5",
+    ),
+    "low-smooth": (
+        "low", _SC, 10.0, "smooth", (), 2,
+        "db6e651b81ac7d0b16f8594040758effc21af699429dcf28e8b2f33995949e60",
+        "9a62a5ce1dffced3e1dbd58d6f0f823f412aef8e00f47cd09f75eb2d985083b5",
+        "52e987046af43f90e730e8a439eb0022e212a3356acd6485cf892b3f17875dff",
+    ),
+    "medium-bursty": (
+        "medium", _SC, 10.0, "bursty", (), 3,
+        "d45ca1e2e92af63335e39362ac8bcdce86be29ffd7d9de6ef3a1263ba8f37486",
+        "e65ed3a224851399faa7279ae218a40baab8ed2ce18cfce5351feab774153893",
+        "9dfb8dff70e918ba683a2f858a99bb55a9c6b7b34a5f24cfb3dbc77ef7c94f94",
+    ),
+    "medium-smooth": (
+        "medium", _SC, 10.0, "smooth", (), 4,
+        "5eb3a01c2675df2d583170a461409de9d34599d0a45b5ef2fbc9397002d15334",
+        "45078ffaa6a0c2fa4515e5dd1bb58e553beebd9876490c6fd701f29b7c69ebdc",
+        "3a99ed85654fc26335adb39aae57428b1c56b786e49fa3980d80b7756cc72e4a",
+    ),
+    "high-bursty": (
+        "high", _SC, 10.0, "bursty", (), 5,
+        "fa8314845021c2b4f75dbb164356cafb8550f3d175d08378196dbca24efeed3e",
+        "3535c1b8dd423cd02c8cf869cb6b5e8375b67312e35c22c8b190cf9a3a1a3499",
+        "aa23521ea465791932871ac641cdb587f46e96692830319fd99f7fbb5b375f5e",
+    ),
+    "high-smooth": (
+        "high", _SC, 10.0, "smooth", (), 6,
+        "5ad1f82ea010ea454be3fa6799c2769f50401baaf6e1b1464e683d3ab7f2b0d6",
+        "ac637bf8b027c0d24a5062123ce0346d9a85c6be2c26d507ebed71c6a16e3b92",
+        "2d518cc4c108a874771f345dfe67c65a399cc661cbcbe0513dc5cd2d6188accd",
+    ),
+    # PI2 drops (no classic ECN) and a flow that starts late and stops early
+    "medium-smooth-cubic+reno-noecn-start-stop": (
+        "medium", ("cubic", "reno"), 8.0, "smooth",
+        ("aqm.ecn_classic=false", "flow.reno1.start_s=2.5", "flow.reno1.stop_s=7"),
+        7,
+        "d5abe70c403c254afaa4e5a088cc925897166b7b2bc63b60ddd0d84f4af7025f",
+        "bf88881ca8e422e48f424ae548678acdd81095297f0279bbcbd595ee8a88f299",
+        "ba206a4d41b28f5e3b7a17fe5d1a8a57729cb2fe6faf46f27585015c340177fa",
+    ),
+    # tail drops on a full buffer; 1 s is not a multiple of tupdate (16 ms)
+    "low-bursty-overflow-1s": (
+        "low", _SC, 1.0, "bursty", ("aqm.limit_bytes=20000",), 8,
+        "0515f9ff18822dba8f5050cfcd574e8000425d24dc3f925b319c8713dafbfa7c",
+        "7ff7c939907622b73a70c06283aa6a3ce674bacd08e1b642ab1d30a8f0360217",
+        "921e3787edac2bbd09fe05df6ef26d4a0485e9444a99c4a6cef89086089b127c",
+    ),
+}
+
+
+def golden_scenario(name):
+    """(ScenarioConfig, seed) of one GOLDEN case."""
+    preset, flows, duration_s, mode, sets, seed = GOLDEN[name][:6]
+    return scenario(preset, flows, duration_s, mode=mode, sets=sets), seed
+
+
+def golden_digests(name):
+    meta, series, flows = GOLDEN[name][6:]
+    return {"meta.json": meta, "series.csv": series, "flows.csv": flows}
+
+
+def run_dir_digests(record, path):
+    """Write one run record as a run directory; return {file name: sha256}."""
+    names = write_run_dir(record, str(path))
+    digests = {}
+    for name in names:
+        with open(os.path.join(path, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_run_dir_digests(self, name, tmp_path):
+        cfg, seed = golden_scenario(name)
+        record = run_one(cfg, seed, "run-00000")
+        assert run_dir_digests(record, tmp_path) == golden_digests(name)
