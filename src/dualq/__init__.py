@@ -12,8 +12,8 @@ Everything is driven by explicit integer-nanosecond time and explicit
 seeds, so identical inputs reproduce byte-identical outputs.
 """
 
-from .core import Ecn, Packet, Rng, SimClock
-from .aqm import AqmConfig, DualPi2, Verdict
+from .core import Ecn, Packet, Rng
+from .aqm import AqmConfig, DualPi2
 
 __all__ = [
     "AqmConfig",
@@ -21,8 +21,6 @@ __all__ = [
     "Ecn",
     "Packet",
     "Rng",
-    "SimClock",
-    "Verdict",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Shared primitives: simulation clock, ECN codepoints, packets, seeded RNG.
+"""Shared primitives: time units, ECN codepoints, packets, seeded RNG.
 
 Time is integer nanoseconds everywhere. Floats appear only inside the
 controller arithmetic and in reported summaries, never in the clock, so
@@ -27,28 +27,6 @@ def s_to_ns(s: float) -> int:
 
 def ns_to_s(ns: int) -> float:
     return ns * 1e-9
-
-
-class SimClock:
-    """Monotone integer-nanosecond clock.
-
-    Python integers are unbounded, so the clock cannot wrap; what it
-    guards against is *going backwards*, which would silently corrupt
-    every sojourn-time computation downstream.
-    """
-
-    __slots__ = ("now",)
-
-    def __init__(self, start_ns: int = 0):
-        if start_ns < 0:
-            raise ValueError(f"clock cannot start at negative time {start_ns}")
-        self.now = start_ns
-
-    def advance(self, delta_ns: int) -> int:
-        if delta_ns < 0:
-            raise ValueError(f"clock cannot move backwards (delta {delta_ns} ns)")
-        self.now += delta_ns
-        return self.now
 
 
 class Ecn(enum.IntEnum):
@@ -116,6 +94,3 @@ class Rng:
     def bernoulli(self, p: float) -> bool:
         """One trial; consumes exactly one draw regardless of p."""
         return self.random() < p
-
-    def uniform(self) -> float:
-        return self.random()

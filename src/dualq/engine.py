@@ -6,28 +6,41 @@ Topology (one direction of interest):
        ^                                                 |
        +------------------rev delay----------(ack)-------+
 
-Events live in a binary heap keyed by (time_ns, priority, seq). The
-priority resolves simultaneous events in a fixed order:
+Every event source is already in time order, so the loop merges them
+instead of keeping one priority queue:
 
-    0 link delivery < 1 controller update < 2 packet arrival < 3 ack
-    < 4 flow wake-up
+* packet arrivals are send time + the constant forward delay, and sends
+  happen at the current time, so the arrivals FIFO fills in time order;
+* acks are delivery time + the constant reverse delay: a second FIFO;
+* the link and the controller each have at most one pending event, a
+  scalar next time (``inf`` when none is pending);
+* flow wake-ups, one per flow at its start time, sit in a small heap.
 
-so a delivery opportunity at time t serves the queue as it stood
-before any packet arriving at t, the controller samples the queue
-before the same-instant arrivals, and acks are handled last. The seq
-counter makes every key unique, so heap order never falls back to
-comparing payloads.
+Simultaneous events run in a fixed order:
 
-The run stops after the last event with key <= (duration, update
-priority): the controller update and measurement sample scheduled
-exactly at the horizon are processed, later same-instant arrivals and
-acks are not, so the final sample is the frozen end state of the run.
+    link delivery < controller update < packet arrival < ack < flow wake-up
+
+so a delivery opportunity at time t serves the queue as it stood before
+any packet arriving at t, the controller samples the queue before the
+same-instant arrivals, and acks are handled last. Within one FIFO,
+events at the same instant keep the order they were created in.
+
+The run stops at the first event later than the horizon, or at the
+horizon itself when it is an arrival, an ack or a wake-up: a link
+delivery and a controller update at exactly the horizon still run.
+Samples are taken only at controller updates, i.e. at multiples of
+tupdate. So when the duration is a multiple of tupdate, the final
+sample sits at the horizon and is the frozen end state of the run.
+Otherwise the final sample is the last update before the horizon, and
+the arrivals and deliveries after it are in the AQM counters but in no
+sample.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop
 
 from .aqm import DualPi2
 from .core import NS_PER_MS, Rng
@@ -35,11 +48,7 @@ from .link import LinkMode, SmoothPacer
 from .metrics import SampleCollector
 from .traffic import FLOW_ID_SHIFT, Receiver, make_sender
 
-PRIO_LINK = 0
-PRIO_UPDATE = 1
-PRIO_ARRIVAL = 2
-PRIO_ACK = 3
-PRIO_WAKE = 4
+_NONE = float("inf")
 
 
 @dataclass
@@ -80,78 +89,69 @@ def run_scenario(cfg, seed: int, *, record_deliveries: bool = False) -> RunOutpu
     dequeue = aqm.dequeue
     deliveries: list | None = [] if record_deliveries else None
 
-    heap: list = []
-    push = heappush
-    pop = heappop
-    evseq = 0
-
-    # the link self-arms only while the queue is backlogged
-    link_armed = False
+    arrivals: deque = deque()  # (t, pkt)
+    acks: deque = deque()  # (t, sender index, seq, ce, lost)
+    push_arrival = arrivals.append
+    push_ack = acks.append
+    wakes = [(sender.start_ns, i) for i, sender in enumerate(senders)]
+    heapify(wakes)
+    wake_t = wakes[0][0] if wakes else _NONE
+    # the link has a pending event only while the queue is backlogged
+    link_t = _NONE
+    upd_t = tupdate if tupdate <= duration else _NONE
     # SMOOTH: earliest instant the link may serve the next packet
     next_free_ns = 0
 
-    for sender in senders:
-        push(heap, (sender.start_ns, PRIO_WAKE, evseq, sender))
-        evseq += 1
-    if tupdate <= duration:
-        push(heap, (tupdate, PRIO_UPDATE, evseq, None))
-        evseq += 1
-
-    def emit(sender, now: int) -> None:
-        nonlocal evseq
-        for pkt in sender.pump(now):
-            push(heap, (now + fwd, PRIO_ARRIVAL, evseq, pkt))
-            evseq += 1
-
-    while heap:
-        t, prio, _, payload = pop(heap)
-        if t > duration or (t == duration and prio > PRIO_UPDATE):
+    while True:
+        # earliest event; a later source wins a tie only if strictly earlier
+        t = link_t
+        src = 0
+        if upd_t < t:
+            t = upd_t
+            src = 1
+        if arrivals and arrivals[0][0] < t:
+            t = arrivals[0][0]
+            src = 2
+        if acks and acks[0][0] < t:
+            t = acks[0][0]
+            src = 3
+        if wake_t < t:
+            t = wake_t
+            src = 4
+        if t > duration or (t == duration and src > 1):
             break
 
-        if prio == PRIO_ARRIVAL:
-            enqueue(payload, t)
-            if not link_armed and aqm.backlog_pkts:
-                link_armed = True
+        if src == 2:
+            enqueue(arrivals.popleft()[1], t)
+            if link_t == _NONE and aqm.backlog_pkts:
                 if smooth:
-                    at = next_free_ns if next_free_ns > t else t
+                    link_t = next_free_ns if next_free_ns > t else t
                 else:
-                    at = (t // NS_PER_MS + 1) * NS_PER_MS
-                push(heap, (at, PRIO_LINK, evseq, None))
-                evseq += 1
+                    link_t = (t // NS_PER_MS + 1) * NS_PER_MS
 
-        elif prio == PRIO_ACK:
-            sender_idx, seq, ce, lost = payload
+        elif src == 3:
+            _, sender_idx, seq, ce, lost = acks.popleft()
             sender = senders[sender_idx]
             for missing in lost:
                 sender.on_loss(missing, t)
             sender.on_ack(seq, ce, t)
-            emit(sender, t)
+            at = t + fwd
+            for pkt in sender.pump(t):
+                push_arrival((at, pkt))
 
-        elif prio == PRIO_LINK:
+        elif src == 0:
+            at = t + rev
             if smooth:
                 pkt = dequeue(t)
                 if pkt is None:
-                    link_armed = False
+                    link_t = _NONE
                 else:
                     ce, lost = on_deliver(pkt)
                     if deliveries is not None:
                         deliveries.append((t, pkt.flow, pkt.seq, pkt.ecn))
-                    push(
-                        heap,
-                        (
-                            t + rev,
-                            PRIO_ACK,
-                            evseq,
-                            (pkt.id >> FLOW_ID_SHIFT, pkt.seq, ce, lost),
-                        ),
-                    )
-                    evseq += 1
+                    push_ack((at, pkt.id >> FLOW_ID_SHIFT, pkt.seq, ce, lost))
                     next_free_ns = t + pacer.next_interval_ns()
-                    if aqm.backlog_pkts:
-                        push(heap, (next_free_ns, PRIO_LINK, evseq, None))
-                        evseq += 1
-                    else:
-                        link_armed = False
+                    link_t = next_free_ns if aqm.backlog_pkts else _NONE
             else:
                 budget = opportunities(t // NS_PER_MS)
                 while budget > 0:
@@ -162,32 +162,22 @@ def run_scenario(cfg, seed: int, *, record_deliveries: bool = False) -> RunOutpu
                     ce, lost = on_deliver(pkt)
                     if deliveries is not None:
                         deliveries.append((t, pkt.flow, pkt.seq, pkt.ecn))
-                    push(
-                        heap,
-                        (
-                            t + rev,
-                            PRIO_ACK,
-                            evseq,
-                            (pkt.id >> FLOW_ID_SHIFT, pkt.seq, ce, lost),
-                        ),
-                    )
-                    evseq += 1
-                if aqm.backlog_pkts:
-                    push(heap, (t + NS_PER_MS, PRIO_LINK, evseq, None))
-                    evseq += 1
-                else:
-                    link_armed = False
+                    push_ack((at, pkt.id >> FLOW_ID_SHIFT, pkt.seq, ce, lost))
+                link_t = t + NS_PER_MS if aqm.backlog_pkts else _NONE
 
-        elif prio == PRIO_UPDATE:
+        elif src == 1:
             aqm.pi2_update(t)
             collector.take(t, aqm)
-            nxt = t + tupdate
-            if nxt <= duration:
-                push(heap, (nxt, PRIO_UPDATE, evseq, None))
-                evseq += 1
+            upd_t = t + tupdate
+            if upd_t > duration:
+                upd_t = _NONE
 
-        else:  # PRIO_WAKE
-            emit(payload, t)
+        else:
+            sender = senders[heappop(wakes)[1]]
+            wake_t = wakes[0][0] if wakes else _NONE
+            at = t + fwd
+            for pkt in sender.pump(t):
+                push_arrival((at, pkt))
 
     return RunOutput(
         duration_ns=duration,

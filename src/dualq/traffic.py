@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 from .core import Ecn, Packet
 
+# enum member lookups cost several times a global load on the per-packet path
+_CE = Ecn.CE
 SCALABLE_EWMA_GAIN = 1.0 / 16.0
 CUBIC_C = 0.4
 CUBIC_BETA = 0.7
@@ -94,22 +96,27 @@ class _SenderBase:
         self.acked_total = 0
         self.signals_total = 0
 
-    def active(self, now: int) -> bool:
-        return now >= self.start_ns and (self.stop_ns is None or now < self.stop_ns)
-
     def pump(self, now: int) -> list[Packet]:
-        """Emit packets until the window is full."""
+        """Emit packets until the window is full; none outside [start, stop)."""
         out: list[Packet] = []
-        if not self.active(now):
+        stop = self.stop_ns
+        if now < self.start_ns or (stop is not None and now >= stop):
             return out
-        base = self.index * _FLOW_ID_STRIDE
+        outstanding = self.outstanding
         limit = self.cwnd
-        while len(self.outstanding) < limit:
-            seq = self.next_seq
-            self.next_seq = seq + 1
-            self.outstanding[seq] = now
-            self.sent_total += 1
-            out.append(Packet(base + seq, self.flow, self.mtu, self.ecn, now, seq))
+        if len(outstanding) >= limit:
+            return out
+        first = seq = self.next_seq
+        base = self.index * _FLOW_ID_STRIDE
+        flow = self.flow
+        mtu = self.mtu
+        ecn = self.ecn
+        while len(outstanding) < limit:
+            outstanding[seq] = now
+            out.append(Packet(base + seq, flow, mtu, ecn, now, seq))
+            seq += 1
+        self.next_seq = seq
+        self.sent_total += seq - first
         return out
 
     def _take_rtt_sample(self, sent_at: int, now: int) -> None:
@@ -304,12 +311,6 @@ class Receiver:
     def __init__(self):
         self.flows: dict[str, FlowStats] = {}
 
-    def stats(self, flow: str) -> FlowStats:
-        st = self.flows.get(flow)
-        if st is None:
-            st = self.flows[flow] = FlowStats()
-        return st
-
     def on_deliver(self, pkt: Packet) -> tuple[bool, tuple[int, ...]]:
         """Account one delivery; return (ce_echo, sequences now lost)."""
         st = self.flows.get(pkt.flow)
@@ -317,20 +318,22 @@ class Receiver:
             st = self.flows[pkt.flow] = FlowStats()
         st.packets += 1
         st.bytes += pkt.size
-        st.arrivals += 1
-        ce = pkt.ecn == Ecn.CE
+        arrivals = st.arrivals = st.arrivals + 1
+        ce = pkt.ecn == _CE
         if ce:
             st.ce_packets += 1
-        if pkt.seq > st.highest_seq:
-            if pkt.seq > st.highest_seq + 1:
-                deadline = st.arrivals + 2
-                for missing in range(st.highest_seq + 1, pkt.seq):
-                    st.gaps.append((missing, deadline))
-            st.highest_seq = pkt.seq
-        lost: tuple[int, ...] = ()
-        if st.gaps and st.gaps[0][1] <= st.arrivals:
+        seq = pkt.seq
+        highest = st.highest_seq
+        gaps = st.gaps
+        if seq > highest:
+            if seq > highest + 1:
+                deadline = arrivals + 2
+                for missing in range(highest + 1, seq):
+                    gaps.append((missing, deadline))
+            st.highest_seq = seq
+        if gaps and gaps[0][1] <= arrivals:
             found: list[int] = []
-            while st.gaps and st.gaps[0][1] <= st.arrivals:
-                found.append(st.gaps.popleft()[0])
-            lost = tuple(found)
-        return ce, lost
+            while gaps and gaps[0][1] <= arrivals:
+                found.append(gaps.popleft()[0])
+            return ce, tuple(found)
+        return ce, ()

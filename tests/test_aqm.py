@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualq.aqm import AqmConfig, DualPi2, Verdict, classify
+from dualq.aqm import AqmConfig, DualPi2
 from dualq.core import NS_PER_MS, Ecn, Packet, Rng, ms_to_ns
 
 
@@ -55,41 +55,58 @@ class TestConfig:
 class TestClassifier:
     def test_codepoint_routing(self):
         # ECT(1) and CE go to L, Not-ECT and ECT(0) to C
-        assert classify(Ecn.ECT1) is True
-        assert classify(Ecn.CE) is True
-        assert classify(Ecn.NOT_ECT) is False
-        assert classify(Ecn.ECT0) is False
+        for ecn, to_l in [(Ecn.ECT1, True), (Ecn.CE, True),
+                          (Ecn.NOT_ECT, False), (Ecn.ECT0, False)]:
+            a = mkaqm()
+            assert a.enqueue(mkpkt(0, ecn), 0) is None
+            assert (a.l_bytes, a.c_bytes) == ((1500, 0) if to_l else (0, 1500)), ecn
+            assert a.drops_overflow == 0
 
     def test_enqueue_routes_by_codepoint(self):
         a = mkaqm()
-        assert a.enqueue(mkpkt(0, Ecn.ECT1), 0) is Verdict.ENQUEUED_L
-        assert a.enqueue(mkpkt(1, Ecn.CE), 0) is Verdict.ENQUEUED_L
-        assert a.enqueue(mkpkt(2, Ecn.NOT_ECT), 0) is Verdict.ENQUEUED_C
-        assert a.enqueue(mkpkt(3, Ecn.ECT0), 0) is Verdict.ENQUEUED_C
+        a.enqueue(mkpkt(0, Ecn.ECT1), 0)
+        a.enqueue(mkpkt(1, Ecn.CE, size=1000), 0)
+        a.enqueue(mkpkt(2, Ecn.NOT_ECT, size=500), 0)
+        a.enqueue(mkpkt(3, Ecn.ECT0), 0)
+        assert a.l_bytes == 2500
+        assert a.c_bytes == 2000
         assert a.backlog_pkts == 4
+        assert a.enq_total == 4
+        assert a.drops_overflow == 0
 
 
 class TestOverflow:
     def test_drop_when_limit_exceeded(self):
         a = mkaqm(limit_bytes=3000)
-        assert a.enqueue(mkpkt(0), 0) is Verdict.ENQUEUED_C
-        assert a.enqueue(mkpkt(1), 0) is Verdict.ENQUEUED_C
+        a.enqueue(mkpkt(0), 0)
+        a.enqueue(mkpkt(1), 0)
+        assert (a.c_bytes, a.backlog_pkts, a.drops_overflow) == (3000, 2, 0)
         # third 1500-byte packet would make 4500 > 3000
-        assert a.enqueue(mkpkt(2), 0) is Verdict.DROPPED_OVERFLOW
+        a.enqueue(mkpkt(2), 0)
         assert a.drops_overflow == 1
+        assert a.drops_total == 1
+        assert a.enq_total == 3
+        assert a.backlog_pkts == 2
         assert a.backlog_bytes == 3000
 
     def test_limit_shared_between_queues(self):
         a = mkaqm(limit_bytes=3000)
         a.enqueue(mkpkt(0, Ecn.ECT0), 0)
         a.enqueue(mkpkt(1, Ecn.ECT1), 0)
-        assert a.enqueue(mkpkt(2, Ecn.ECT1), 0) is Verdict.DROPPED_OVERFLOW
-        assert a.enqueue(mkpkt(3, Ecn.ECT0), 0) is Verdict.DROPPED_OVERFLOW
+        a.enqueue(mkpkt(2, Ecn.ECT1), 0)
+        a.enqueue(mkpkt(3, Ecn.ECT0), 0)
+        # both late packets are dropped, whichever queue they were headed for
+        assert (a.l_bytes, a.c_bytes) == (1500, 1500)
+        assert a.backlog_pkts == 2
+        assert a.drops_overflow == 2
 
     def test_exactly_at_limit_accepted(self):
         a = mkaqm(limit_bytes=3000)
         a.enqueue(mkpkt(0, size=1500), 0)
-        assert a.enqueue(mkpkt(1, size=1500), 0) is Verdict.ENQUEUED_C
+        a.enqueue(mkpkt(1, size=1500), 0)
+        assert a.c_bytes == 3000
+        assert a.backlog_pkts == 2
+        assert a.drops_overflow == 0
 
 
 class TestController:

@@ -7,15 +7,11 @@ import pytest
 
 from dualq.config import apply_overrides, build_scenario, preset_sections
 from dualq.core import NS_PER_SEC
-from dualq.engine import (
-    PRIO_ACK,
-    PRIO_ARRIVAL,
-    PRIO_LINK,
-    PRIO_UPDATE,
-    run_scenario,
-)
+from dualq.aqm import DualPi2
+from dualq.engine import run_scenario
 from dualq.metrics import write_run_dir
 from dualq.runner import run_one
+from dualq.traffic import ClassicSender, ScalableSender
 
 
 def scenario(preset="low", flows=("cubic",), duration_s=5.0, params="default",
@@ -27,10 +23,79 @@ def scenario(preset="low", flows=("cubic",), duration_s=5.0, params="default",
     return build_scenario(sections)
 
 
-class TestPriorities:
-    def test_tie_break_order(self):
-        # delivery first, then controller, then arrivals, then acks
-        assert PRIO_LINK < PRIO_UPDATE < PRIO_ARRIVAL < PRIO_ACK
+def event_log(monkeypatch, cfg, seed=1):
+    """Run cfg and return the (time, kind) of every engine callback in
+    the order they ran: "arr" enqueue, "deq" dequeue, "upd" controller
+    update, "ack" sender ack."""
+    log = []
+
+    def logged(owner, name, kind, t_arg):
+        fn = getattr(owner, name)
+
+        def wrapper(self, *args):
+            log.append((args[t_arg], kind))
+            return fn(self, *args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    logged(DualPi2, "enqueue", "arr", 1)
+    logged(DualPi2, "dequeue", "deq", 0)
+    logged(DualPi2, "pi2_update", "upd", 0)
+    logged(ScalableSender, "on_ack", "ack", 2)
+    logged(ClassicSender, "on_ack", "ack", 2)
+    run_scenario(cfg, seed)
+    return log
+
+
+def kinds_by_time(log):
+    by_t = {}
+    for t, kind in log:
+        by_t.setdefault(t, []).append(kind)
+    return by_t
+
+
+class TestTieOrder:
+    # low preset, bursty: deliveries fall on millisecond boundaries, and
+    # with 10 ms one-way delays so do acks, sends and arrivals, so
+    # same-instant events are common
+
+    def test_arrival_not_served_by_same_instant_link_event(self, monkeypatch):
+        log = event_log(monkeypatch, scenario(flows=("scalable", "cubic"), duration_s=2.0))
+        ties = 0
+        for t, kinds in kinds_by_time(log).items():
+            if "arr" in kinds and "deq" in kinds:
+                ties += 1
+                # every dequeue at t comes before the first arrival at t
+                assert "deq" not in kinds[kinds.index("arr"):], t
+        assert ties > 0
+
+    def test_controller_samples_before_same_instant_arrivals(self, monkeypatch):
+        log = event_log(monkeypatch, scenario(flows=("scalable", "cubic"), duration_s=2.0))
+        ties = 0
+        for t, kinds in kinds_by_time(log).items():
+            if "upd" in kinds and "arr" in kinds:
+                ties += 1
+                assert kinds.index("upd") < kinds.index("arr"), t
+        assert ties > 0
+
+    def test_acks_after_same_instant_arrivals(self, monkeypatch):
+        log = event_log(monkeypatch, scenario(flows=("scalable", "cubic"), duration_s=2.0))
+        ties = 0
+        for t, kinds in kinds_by_time(log).items():
+            if "ack" in kinds and "arr" in kinds:
+                ties += 1
+                # arrivals made by an ack land fwd later, so none follow one
+                assert "arr" not in kinds[kinds.index("ack"):], t
+        assert ties > 0
+
+    def test_nothing_runs_past_horizon(self, monkeypatch):
+        horizon = int(0.8 * NS_PER_SEC)
+        log = event_log(monkeypatch, scenario(flows=("scalable", "cubic"), duration_s=0.8))
+        assert max(t for t, _ in log) == horizon
+        at_horizon = set(kinds_by_time(log)[horizon])
+        # the update at the horizon runs; arrivals and acks there do not
+        assert "upd" in at_horizon
+        assert not at_horizon & {"arr", "ack"}
 
 
 class TestSampling:
