@@ -103,7 +103,7 @@ def run_scenario(cfg, seed: int, *, record_deliveries: bool = False) -> RunOutpu
     next_free_ns = 0
 
     while True:
-        # earliest event; a later source wins a tie only if strictly earlier
+        # the earliest pending event; on a tie the source tested first wins
         t = link_t
         src = 0
         if upd_t < t:

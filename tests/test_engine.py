@@ -5,9 +5,9 @@ import os
 
 import pytest
 
+from dualq.aqm import DualPi2
 from dualq.config import apply_overrides, build_scenario, preset_sections
 from dualq.core import NS_PER_SEC
-from dualq.aqm import DualPi2
 from dualq.engine import run_scenario
 from dualq.metrics import write_run_dir
 from dualq.runner import run_one
