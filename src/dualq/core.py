@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import random
 
-NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
@@ -23,10 +22,6 @@ def ms_to_ns(ms: float) -> int:
 def s_to_ns(s: float) -> int:
     """Convert seconds to integer nanoseconds (rounded to nearest)."""
     return round(s * NS_PER_SEC)
-
-
-def ns_to_s(ns: int) -> float:
-    return ns * 1e-9
 
 
 class Ecn(enum.IntEnum):
@@ -43,32 +38,23 @@ class Packet:
 
     A plain slotted class rather than a dataclass: packets are created
     and destroyed millions of times per run and attribute access is on
-    the hot path.
+    the hot path. ``flow`` is the sending flow's index in the
+    scenario's flow list and ``seq`` its flow-local sequence number.
     """
 
-    __slots__ = ("id", "flow", "size", "ecn", "created_at", "enqueued_at", "seq")
+    __slots__ = ("flow", "seq", "size", "ecn", "enqueued_at")
 
-    def __init__(
-        self,
-        id: int,
-        flow: str,
-        size: int,
-        ecn: Ecn,
-        created_at: int,
-        seq: int = 0,
-    ):
-        self.id = id
+    def __init__(self, flow: int, seq: int, size: int, ecn: Ecn):
         self.flow = flow
+        self.seq = seq
         self.size = size
         self.ecn = ecn
-        self.created_at = created_at
         self.enqueued_at = -1
-        self.seq = seq
 
     def __repr__(self):
         return (
-            f"Packet(id={self.id}, flow={self.flow!r}, size={self.size}, "
-            f"ecn={self.ecn.name}, seq={self.seq})"
+            f"Packet(flow={self.flow}, seq={self.seq}, size={self.size}, "
+            f"ecn={self.ecn.name})"
         )
 
 

@@ -11,7 +11,9 @@ instead of keeping one priority queue:
 
 * packet arrivals are send time + the constant forward delay, and sends
   happen at the current time, so the arrivals FIFO fills in time order;
-* acks are delivery time + the constant reverse delay: a second FIFO;
+* acks are delivery time + the constant reverse delay: a second FIFO.
+  An ack carries the packet's flow index (``Packet.flow``), which is
+  also the sender's index in the run's sender list;
 * the link and the controller each have at most one pending event, a
   scalar next time (``inf`` when none is pending);
 * flow wake-ups, one per flow at its start time, sit in a small heap.
@@ -46,7 +48,7 @@ from .aqm import DualPi2
 from .core import NS_PER_MS, Rng
 from .link import LinkMode, SmoothPacer
 from .metrics import SampleCollector
-from .traffic import FLOW_ID_SHIFT, Receiver, make_sender
+from .traffic import Receiver, make_sender
 
 _NONE = float("inf")
 
@@ -60,10 +62,9 @@ class RunOutput:
     aqm: DualPi2
     receiver: Receiver
     senders: list
-    deliveries: list | None = None
 
 
-def run_scenario(cfg, seed: int, *, record_deliveries: bool = False) -> RunOutput:
+def run_scenario(cfg, seed: int) -> RunOutput:
     """Execute one seeded run of a scenario and return its artifacts.
 
     ``cfg`` is a ScenarioConfig (see config module). The same (cfg,
@@ -72,8 +73,8 @@ def run_scenario(cfg, seed: int, *, record_deliveries: bool = False) -> RunOutpu
     """
     rng = Rng(seed)
     aqm = DualPi2(cfg.aqm, rng)
-    receiver = Receiver()
     senders = [make_sender(fc, i, cfg.link.mtu) for i, fc in enumerate(cfg.flows)]
+    receiver = Receiver(len(senders))
     collector = SampleCollector()
     trace = cfg.link.make_trace()
     smooth = cfg.link.mode is LinkMode.SMOOTH
@@ -87,10 +88,9 @@ def run_scenario(cfg, seed: int, *, record_deliveries: bool = False) -> RunOutpu
     on_deliver = receiver.on_deliver
     enqueue = aqm.enqueue
     dequeue = aqm.dequeue
-    deliveries: list | None = [] if record_deliveries else None
 
     arrivals: deque = deque()  # (t, pkt)
-    acks: deque = deque()  # (t, sender index, seq, ce, lost)
+    acks: deque = deque()  # (t, flow index, seq, ce, lost)
     push_arrival = arrivals.append
     push_ack = acks.append
     wakes = [(sender.start_ns, i) for i, sender in enumerate(senders)]
@@ -141,29 +141,20 @@ def run_scenario(cfg, seed: int, *, record_deliveries: bool = False) -> RunOutpu
 
         elif src == 0:
             at = t + rev
-            if smooth:
+            budget = 1 if smooth else opportunities(t // NS_PER_MS)
+            while budget > 0:
                 pkt = dequeue(t)
                 if pkt is None:
-                    link_t = _NONE
-                else:
-                    ce, lost = on_deliver(pkt)
-                    if deliveries is not None:
-                        deliveries.append((t, pkt.flow, pkt.seq, pkt.ecn))
-                    push_ack((at, pkt.id >> FLOW_ID_SHIFT, pkt.seq, ce, lost))
+                    break
+                budget -= 1
+                ce, lost = on_deliver(pkt)
+                push_ack((at, pkt.flow, pkt.seq, ce, lost))
+                if smooth:
                     next_free_ns = t + pacer.next_interval_ns()
-                    link_t = next_free_ns if aqm.backlog_pkts else _NONE
+            if aqm.backlog_pkts:
+                link_t = next_free_ns if smooth else t + NS_PER_MS
             else:
-                budget = opportunities(t // NS_PER_MS)
-                while budget > 0:
-                    pkt = dequeue(t)
-                    if pkt is None:
-                        break
-                    budget -= 1
-                    ce, lost = on_deliver(pkt)
-                    if deliveries is not None:
-                        deliveries.append((t, pkt.flow, pkt.seq, pkt.ecn))
-                    push_ack((at, pkt.id >> FLOW_ID_SHIFT, pkt.seq, ce, lost))
-                link_t = t + NS_PER_MS if aqm.backlog_pkts else _NONE
+                link_t = _NONE
 
         elif src == 1:
             aqm.pi2_update(t)
@@ -185,5 +176,4 @@ def run_scenario(cfg, seed: int, *, record_deliveries: bool = False) -> RunOutpu
         aqm=aqm,
         receiver=receiver,
         senders=senders,
-        deliveries=deliveries,
     )

@@ -146,10 +146,6 @@ class DelayConfig:
     fwd_ns: int
     rev_ns: int
 
-    @property
-    def base_rtt_ns(self) -> int:
-        return self.fwd_ns + self.rev_ns
-
     def validate(self) -> None:
         if self.fwd_ns < 0 or self.rev_ns < 0:
             raise ValueError(

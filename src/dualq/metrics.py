@@ -104,15 +104,13 @@ def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
     """Condense a RunOutput into a RunRecord."""
     dur_s = output.duration_ns * 1e-9
     flows = []
-    for sender in output.senders:
-        st = output.receiver.flows.get(sender.flow)
-        delivered = st.bytes if st is not None else 0
+    for sender, st in zip(output.senders, output.receiver.flows):
         flows.append(
             FlowSummary(
                 flow=sender.flow,
                 kind=sender.kind,
-                bytes=delivered,
-                mbps=delivered * 8.0 / dur_s / 1e6,
+                bytes=st.bytes,
+                mbps=st.bytes * 8.0 / dur_s / 1e6,
             )
         )
     return RunRecord(

@@ -8,6 +8,7 @@ corpus can never masquerade as a complete one.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -135,8 +136,6 @@ def verify_corpus(corpus_dir: str) -> dict:
     """Check every manifest hash; raises RunnerError on any mismatch."""
     manifest_path = os.path.join(corpus_dir, MANIFEST_NAME)
     try:
-        import json
-
         with open(manifest_path, "r", encoding="ascii") as fh:
             manifest = json.load(fh)
     except OSError as exc:
@@ -157,16 +156,40 @@ def verify_corpus(corpus_dir: str) -> dict:
     return manifest
 
 
-def load_corpus(corpus_dir: str, verify: bool = True) -> list[RunRecord]:
-    """Load all runs of a corpus in run-id order."""
+def load_corpus(corpus_dir: str) -> list[RunRecord]:
+    """Load exactly the runs the verified manifest lists, in run-id order.
+
+    A run directory the manifest does not list, a run count other than
+    the manifest's, or a run whose fingerprint is not the manifest's
+    raises RunnerError.
+    """
     corpus_dir = resolve_out(corpus_dir)
-    if verify:
-        verify_corpus(corpus_dir)
-    records = []
-    for name in sorted(os.listdir(corpus_dir)):
-        path = os.path.join(corpus_dir, name)
-        if os.path.isdir(path):
-            records.append(load_run_dir(path))
-    if not records:
+    manifest = verify_corpus(corpus_dir)
+    run_ids = sorted({rel.split("/", 1)[0] for rel in manifest.get("files", {})})
+    unlisted = sorted(
+        name
+        for name in os.listdir(corpus_dir)
+        if name not in run_ids and os.path.isdir(os.path.join(corpus_dir, name))
+    )
+    if unlisted:
+        raise RunnerError(
+            f"corpus {corpus_dir} holds run directories its manifest does not "
+            f"list: {', '.join(unlisted)}"
+        )
+    if not run_ids:
         raise RunnerError(f"corpus {corpus_dir} contains no runs")
+    if len(run_ids) != manifest.get("runs"):
+        raise RunnerError(
+            f"corpus {corpus_dir} lists {len(run_ids)} run directories, but its "
+            f"manifest declares runs={manifest.get('runs')}"
+        )
+    records = []
+    for run_id in run_ids:
+        record = load_run_dir(os.path.join(corpus_dir, run_id))
+        if record.fingerprint != manifest.get("fingerprint"):
+            raise RunnerError(
+                f"corpus {corpus_dir}: {run_id} has fingerprint "
+                f"{record.fingerprint}, the manifest {manifest.get('fingerprint')}"
+            )
+        records.append(record)
     return records

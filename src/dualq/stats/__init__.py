@@ -8,7 +8,7 @@ Bootstrap resampling of whole runs yields confidence intervals on the
 exceedance proportion.
 """
 
-from .dtw import IMPLEMENTATION, dtw_alignment, dtw_norm, dtw_raw
+from .dtw import IMPLEMENTATION, dtw_alignment, dtw_norm
 from .testing import (
     DegenerateGroupsError,
     DistanceSets,
@@ -23,14 +23,12 @@ from .testing import (
     improvement_check,
     percentile_ci,
     quantile,
-    scalar_distance,
 )
 
 __all__ = [
     "IMPLEMENTATION",
     "dtw_alignment",
     "dtw_norm",
-    "dtw_raw",
     "DegenerateGroupsError",
     "DistanceSets",
     "TestResult",
@@ -44,5 +42,4 @@ __all__ = [
     "improvement_check",
     "percentile_ci",
     "quantile",
-    "scalar_distance",
 ]

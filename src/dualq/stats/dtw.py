@@ -58,10 +58,6 @@ def dtw_alignment(x, y, band: int | None = None) -> tuple[float, int, float]:
     return raw, plen, raw / plen
 
 
-def dtw_raw(x, y, band: int | None = None) -> float:
-    return _pair(x, y, band)[0]
-
-
 def dtw_norm(x, y, band: int | None = None) -> float:
     raw, plen = _pair(x, y, band)
     return raw / plen

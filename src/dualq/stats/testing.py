@@ -52,10 +52,6 @@ def quantile(values, q: float) -> float:
     return float(np.quantile(arr, q, method="linear"))
 
 
-def scalar_distance(a: float, b: float) -> float:
-    return abs(a - b)
-
-
 # ----------------------------------------------------------------------
 # metric extraction from run records
 
@@ -151,9 +147,14 @@ def build_distances(obs_m, obs_k, kind: str, band: int | None = None) -> Distanc
             f"need at least 2 runs per corpus for within-group distances, "
             f"got {n} and {m}"
         )
-    Dmm = within_matrix(obs_m, kind, band)
-    Dkk = within_matrix(obs_k, kind, band)
-    Dmk = cross_matrix(obs_m, obs_k, kind, band)
+    return _distance_sets(
+        within_matrix(obs_m, kind, band),
+        within_matrix(obs_k, kind, band),
+        cross_matrix(obs_m, obs_k, kind, band),
+    )
+
+
+def _distance_sets(Dmm, Dkk, Dmk) -> DistanceSets:
     return DistanceSets(
         within_m=_upper(Dmm),
         within_k=_upper(Dkk),
@@ -166,6 +167,15 @@ def build_distances(obs_m, obs_k, kind: str, band: int | None = None) -> Distanc
 
 # ----------------------------------------------------------------------
 # exceedance test
+
+def _exceedance(within_m, within_k, cross) -> tuple[float, float, float]:
+    """(eps_m, eps_k, p_hat): each group's within-distance 95th
+    percentile, and the share of cross distances strictly above the
+    larger of the two."""
+    eps_m = quantile(within_m, QUANTILE_LEVEL)
+    eps_k = quantile(within_k, QUANTILE_LEVEL)
+    return eps_m, eps_k, float(np.mean(cross > max(eps_m, eps_k)))
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -189,10 +199,7 @@ def exceedance_test(ds: DistanceSets, metric: str = "", kind: str = "") -> TestR
     only when the exceedance proportion is strictly below the decision
     threshold; a proportion of exactly 0.05 fails to reject.
     """
-    eps_m = quantile(ds.within_m, QUANTILE_LEVEL)
-    eps_k = quantile(ds.within_k, QUANTILE_LEVEL)
-    eps_max = max(eps_m, eps_k)
-    p_hat = float(np.mean(ds.cross > eps_max))
+    eps_m, eps_k, p_hat = _exceedance(ds.within_m, ds.within_k, ds.cross)
     return TestResult(
         metric=metric,
         kind=kind,
@@ -200,7 +207,7 @@ def exceedance_test(ds: DistanceSets, metric: str = "", kind: str = "") -> TestR
         n_k=ds.matrix_kk.shape[0],
         eps_within_m=eps_m,
         eps_within_k=eps_k,
-        eps_max=eps_max,
+        eps_max=max(eps_m, eps_k),
         p_hat_max=p_hat,
         reject_h0=bool(p_hat < DECISION_THRESHOLD),
     )
@@ -233,13 +240,6 @@ class BootstrapResult:
     replicates_mean: float
 
 
-def _exceedance_from_matrices(Dmm, Dkk, Dmk) -> float:
-    w_m = _upper(Dmm)
-    w_k = _upper(Dkk)
-    eps = max(quantile(w_m, QUANTILE_LEVEL), quantile(w_k, QUANTILE_LEVEL))
-    return float(np.mean(Dmk > eps))
-
-
 def bootstrap_exceedance(
     ds: DistanceSets,
     B: int = DEFAULT_B,
@@ -266,20 +266,18 @@ def bootstrap_exceedance(
     for b in range(B):
         im = rng.integers(0, n, size=n)
         ik = rng.integers(0, m, size=m)
-        dmm = ds.matrix_mm[np.ix_(im, im)][iu_n]
-        dkk = ds.matrix_kk[np.ix_(ik, ik)][iu_m]
-        cross = ds.matrix_mk[np.ix_(im, ik)]
-        eps = max(quantile(dmm, QUANTILE_LEVEL), quantile(dkk, QUANTILE_LEVEL))
-        reps[b] = np.mean(cross > eps)
+        reps[b] = _exceedance(
+            ds.matrix_mm[np.ix_(im, im)][iu_n],
+            ds.matrix_kk[np.ix_(ik, ik)][iu_m],
+            ds.matrix_mk[np.ix_(im, ik)],
+        )[2]
     ci_lo, ci_hi = percentile_ci(reps)
     return BootstrapResult(
         metric=metric,
         B=B,
         seed=seed,
         algorithm=BOOTSTRAP_ALGORITHM,
-        p_hat_point=_exceedance_from_matrices(
-            ds.matrix_mm, ds.matrix_kk, ds.matrix_mk
-        ),
+        p_hat_point=_exceedance(ds.within_m, ds.within_k, ds.cross)[2],
         ci_lo=ci_lo,
         ci_hi=ci_hi,
         significant=bool(ci_hi < DECISION_THRESHOLD),
@@ -317,13 +315,10 @@ def ci_width_curve(
             raise ValueError(
                 f"corpus slice {size} exceeds available runs ({n}, {m})"
             )
-        sub = DistanceSets(
-            within_m=np.empty(0),
-            within_k=np.empty(0),
-            cross=np.empty(0),
-            matrix_mm=ds.matrix_mm[:size, :size],
-            matrix_kk=ds.matrix_kk[:size, :size],
-            matrix_mk=ds.matrix_mk[:size, :size],
+        sub = _distance_sets(
+            ds.matrix_mm[:size, :size],
+            ds.matrix_kk[:size, :size],
+            ds.matrix_mk[:size, :size],
         )
         res = bootstrap_exceedance(sub, B=B, seed=seed, metric=metric, rng=rng)
         rows.append(

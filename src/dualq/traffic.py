@@ -31,10 +31,6 @@ SCALABLE_EWMA_GAIN = 1.0 / 16.0
 CUBIC_C = 0.4
 CUBIC_BETA = 0.7
 INIT_CWND = 10.0
-# flow-local sequence numbers are folded into globally unique packet ids:
-# id = (flow index << FLOW_ID_SHIFT) | seq
-FLOW_ID_SHIFT = 40
-_FLOW_ID_STRIDE = 1 << FLOW_ID_SHIFT
 
 SENDER_KINDS = ("scalable", "reno", "cubic")
 
@@ -66,6 +62,7 @@ class _SenderBase:
 
     __slots__ = (
         "flow",
+        "kind",
         "index",
         "mtu",
         "start_ns",
@@ -82,6 +79,7 @@ class _SenderBase:
 
     def __init__(self, cfg: FlowConfig, index: int, mtu: int):
         self.flow = cfg.name
+        self.kind = cfg.kind
         self.index = index
         self.mtu = mtu
         self.start_ns = cfg.start_ns
@@ -107,13 +105,12 @@ class _SenderBase:
         if len(outstanding) >= limit:
             return out
         first = seq = self.next_seq
-        base = self.index * _FLOW_ID_STRIDE
-        flow = self.flow
+        flow = self.index
         mtu = self.mtu
         ecn = self.ecn
         while len(outstanding) < limit:
             outstanding[seq] = now
-            out.append(Packet(base + seq, flow, mtu, ecn, now, seq))
+            out.append(Packet(flow, seq, mtu, ecn))
             seq += 1
         self.next_seq = seq
         self.sent_total += seq - first
@@ -141,7 +138,6 @@ class ScalableSender(_SenderBase):
 
     __slots__ = ("mark_ewma", "round_last_seq", "round_acked", "round_marked")
 
-    kind = "scalable"
     ecn = Ecn.ECT1
 
     def __init__(self, cfg: FlowConfig, index: int, mtu: int):
@@ -206,7 +202,7 @@ class ClassicSender(_SenderBase):
     cannot trigger another one.
     """
 
-    __slots__ = ("variant", "ssthresh", "w_max", "epoch_start_ns", "k_s", "recover_seq")
+    __slots__ = ("ssthresh", "w_max", "epoch_start_ns", "k_s", "recover_seq")
 
     ecn = Ecn.ECT0
 
@@ -214,16 +210,11 @@ class ClassicSender(_SenderBase):
         super().__init__(cfg, index, mtu)
         if cfg.kind not in ("reno", "cubic"):
             raise ValueError(f"not a classic sender kind: {cfg.kind!r}")
-        self.variant = cfg.kind
         self.ssthresh = float("inf")
         self.w_max = 0.0
         self.epoch_start_ns: int | None = None
         self.k_s = 0.0
         self.recover_seq = -1
-
-    @property
-    def kind(self) -> str:
-        return self.variant
 
     def on_ack(self, seq: int, ce: bool, now: int) -> None:
         sent_at = self.outstanding.pop(seq, None)
@@ -241,7 +232,7 @@ class ClassicSender(_SenderBase):
             if self.cwnd >= self.ssthresh:
                 self.slow_start = False
             return
-        if self.variant == "reno":
+        if self.kind == "reno":
             self.cwnd += 1.0 / self.cwnd
         else:
             self._cubic_growth(now)
@@ -256,7 +247,7 @@ class ClassicSender(_SenderBase):
         self.signals_total += 1
         self.slow_start = False
         w = self.cwnd
-        if self.variant == "cubic":
+        if self.kind == "cubic":
             self.w_max = w
             self.cwnd = max(1.0, w * CUBIC_BETA)
             self.epoch_start_ns = now
@@ -289,7 +280,6 @@ def make_sender(cfg: FlowConfig, index: int, mtu: int) -> _SenderBase:
 class FlowStats:
     """Per-flow delivery accounting at the receiver."""
 
-    packets: int = 0
     bytes: int = 0
     ce_packets: int = 0
     highest_seq: int = -1
@@ -308,15 +298,13 @@ class Receiver:
 
     __slots__ = ("flows",)
 
-    def __init__(self):
-        self.flows: dict[str, FlowStats] = {}
+    def __init__(self, n_flows: int):
+        # indexed by Packet.flow, i.e. by sender index
+        self.flows = [FlowStats() for _ in range(n_flows)]
 
     def on_deliver(self, pkt: Packet) -> tuple[bool, tuple[int, ...]]:
         """Account one delivery; return (ce_echo, sequences now lost)."""
-        st = self.flows.get(pkt.flow)
-        if st is None:
-            st = self.flows[pkt.flow] = FlowStats()
-        st.packets += 1
+        st = self.flows[pkt.flow]
         st.bytes += pkt.size
         arrivals = st.arrivals = st.arrivals + 1
         ce = pkt.ecn == _CE

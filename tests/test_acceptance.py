@@ -87,7 +87,7 @@ def test_criterion_02_pi2_fixed_point_and_clamping():
     a = DualPi2(AqmConfig(), Rng(1))
     a.p_prime = 0.25
     a.prev_qdelay_ns = a.cfg.target_ns
-    probe = Packet(0, "f", 1500, Ecn.ECT0, 0, seq=0)
+    probe = Packet(0, 0, 1500, Ecn.ECT0)
     now = a.cfg.tupdate_ns
     drift = 0
     for _ in range(10_000):
@@ -232,7 +232,7 @@ def test_criterion_07_wrr_byte_share():
     rng = random.Random(1)
 
     def feed(ecn, i):
-        aqm.enqueue(Packet(i, "f", rng.randint(200, 1500), ecn, 0, seq=i), 0)
+        aqm.enqueue(Packet(0, i, rng.randint(200, 1500), ecn), 0)
 
     feed(Ecn.NOT_ECT, 0)
     feed(Ecn.ECT1, 1)

@@ -9,8 +9,8 @@ from dualq.aqm import AqmConfig, DualPi2
 from dualq.core import NS_PER_MS, Ecn, Packet, Rng, ms_to_ns
 
 
-def mkpkt(i=0, ecn=Ecn.ECT0, size=1500, flow="f"):
-    return Packet(i, flow, size, ecn, 0, seq=i)
+def mkpkt(i=0, ecn=Ecn.ECT0, size=1500):
+    return Packet(0, i, size, ecn)
 
 
 def mkaqm(rng_seed=1, **kw):

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
 from dualq.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_UNDEFINED, main
-from dualq.runner import load_corpus, verify_corpus
+from dualq.runner import RunnerError, load_corpus, verify_corpus
 from dualq.stats import METRICS, build_distances, extract_observations
 
 
@@ -21,13 +22,13 @@ def emulate(out, *extra):
     )
 
 
-def batch(out, runs, *extra):
+def batch(out, runs, *extra, flows="scalable+cubic"):
     return run_cli(
         "batch",
         "--preset",
         "low",
         "--flows",
-        "scalable+cubic",
+        flows,
         "--duration",
         "0.5",
         "--runs",
@@ -106,6 +107,20 @@ class TestEmulate:
         )
         assert code == EXIT_OK
         assert (out / "meta.json").is_file()
+
+    def test_flow_starting_after_horizon_gets_zero_row(self, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli(
+            "emulate", "--preset", "low", "--flows", "scalable+cubic",
+            "--duration", "1", "--set", "flow.cubic1.start_s=5",
+            "--out", str(out),
+        )
+        assert code == EXIT_OK
+        rows = (out / "flows.csv").read_text().splitlines()
+        assert rows[0] == "flow_id,kind,bytes,mbps"
+        assert rows[1].startswith("scalable0,scalable,")
+        assert rows[1] != "scalable0,scalable,0,0.0"
+        assert rows[2:] == ["cubic1,cubic,0,0.0"]
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DUALQ_OUTPUT_ROOT", str(tmp_path))
@@ -189,6 +204,50 @@ class TestBatch:
         )
         assert code == EXIT_RUNTIME
         assert "hash mismatch" in capsys.readouterr().err
+
+
+class TestCorpusRuns:
+    """load_corpus reads exactly the runs its manifest lists."""
+
+    def test_unlisted_run_dir_is_rejected(self, tmp_path, capsys):
+        corpus, other = tmp_path / "corpus", tmp_path / "other"
+        assert batch(corpus, 3, flows="scalable") == EXIT_OK
+        assert batch(other, 1, flows="cubic") == EXIT_OK
+        shutil.copytree(other / "run-00000", corpus / "run-00099")
+        with pytest.raises(RunnerError, match="run-00099"):
+            load_corpus(str(corpus))
+        code = run_cli(
+            "validate", str(corpus), str(corpus), "--out", str(tmp_path / "rep")
+        )
+        assert code == EXIT_RUNTIME
+        assert "run-00099" in capsys.readouterr().err
+
+    def test_run_count_must_match_manifest(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 3) == EXIT_OK
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["runs"] = 4
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(RunnerError, match="runs"):
+            load_corpus(str(corpus))
+
+    def test_run_fingerprint_must_match_manifest(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["fingerprint"] = "0" * len(manifest["fingerprint"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(RunnerError, match="fingerprint"):
+            load_corpus(str(corpus))
+
+    def test_runs_load_in_run_id_order(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 3, "--seed-base", "7") == EXIT_OK
+        records = load_corpus(str(corpus))
+        assert [r.run_id for r in records] == ["run-00000", "run-00001", "run-00002"]
+        assert [r.seed for r in records] == [7, 8, 9]
 
 
 class TestValidate:

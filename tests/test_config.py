@@ -125,7 +125,7 @@ class TestBuildScenario:
         )
         assert cfg.delay.fwd_ns == 12_500_000
         assert cfg.delay.rev_ns == 12_500_000
-        assert cfg.delay.base_rtt_ns == 25_000_000
+        assert cfg.delay.fwd_ns + cfg.delay.rev_ns == 25_000_000
 
     def test_rtt_and_oneway_conflict(self):
         with pytest.raises(ConfigError):

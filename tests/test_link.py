@@ -101,7 +101,6 @@ class TestConfigs:
         DelayConfig(0, 0).validate()
         with pytest.raises(ValueError):
             DelayConfig(-1, 0).validate()
-        assert DelayConfig(10, 15).base_rtt_ns == 25
 
     def test_link_make_trace(self):
         link = LinkConfig(rate_bps=12_000_000, mode=LinkMode.BURSTY)

@@ -16,7 +16,6 @@ from dualq.stats.testing import (
     improvement_check,
     percentile_ci,
     quantile,
-    scalar_distance,
     within_matrix,
 )
 from dualq.stats import _dtw_py, dtw
@@ -54,10 +53,6 @@ class TestQuantile:
 
 
 class TestDistances:
-    def test_scalar_distance(self):
-        assert scalar_distance(3.0, 5.5) == 2.5
-        assert scalar_distance(5.5, 3.0) == 2.5
-
     def test_within_matrix_scalar(self):
         D = within_matrix([1.0, 3.0, 6.0], "scalar")
         assert D[0, 1] == 2.0
@@ -283,6 +278,36 @@ class TestBootstrap:
         ds = self.make_ds(rng, n=30, shift=2.0)
         res = bootstrap_exceedance(ds, B=400, seed=0)
         assert res.ci_lo - 0.1 <= res.p_hat_point <= res.ci_hi + 0.1
+
+
+class TestPinnedOutputs:
+    """Exact bootstrap and ci-width figures on fixed-seed scalar corpora.
+
+    Any change to the exceedance rule, the resampling order or the
+    slicing of the matrices changes these floats."""
+
+    @pytest.fixture()
+    def ds(self):
+        rng = np.random.default_rng(2024)
+        a = rng.normal(0, 1, size=12)
+        b = rng.normal(2.0, 1, size=15)
+        return build_distances(a, b, "scalar")
+
+    def test_bootstrap_b500(self, ds):
+        res = bootstrap_exceedance(ds, B=500, seed=7, metric="throughput")
+        assert res.p_hat_point == 0.16666666666666666
+        assert res.ci_lo == 0.05
+        assert res.ci_hi == 0.34444444444444444
+        assert res.replicates_mean == 0.15635555555555555
+
+    def test_ci_width_curve(self, ds):
+        rows = ci_width_curve(ds, [4, 8, 12], B=200, seed=3, metric="throughput")
+        assert [(r["n"], r["ci_lo"], r["ci_hi"], r["width"]) for r in rows] == [
+            (4, 0.0, 1.0, 1.0),
+            (8, 0.015625, 0.375, 0.359375),
+            (12, 0.041666666666666664, 0.3611111111111111, 0.3194444444444444),
+        ]
+        assert all(r["B"] == 200 and r["metric"] == "throughput" for r in rows)
 
 
 class TestImprovement:

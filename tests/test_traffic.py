@@ -35,10 +35,10 @@ class TestPump:
         assert s.pump(0) == []
 
     def test_sequences_and_ids(self):
-        s = scalable()
+        s = make_sender(FlowConfig("s", "scalable"), 3, 1500)
         pkts = s.pump(0)
         assert [p.seq for p in pkts] == list(range(10))
-        assert len({p.id for p in pkts}) == 10
+        assert all(p.flow == s.index == 3 for p in pkts)
         assert all(p.ecn is Ecn.ECT1 for p in pkts)
 
     def test_respects_start_and_stop(self):
@@ -250,22 +250,21 @@ class TestCubicLaw:
 
 
 class TestReceiver:
-    def pkt(self, seq, flow="f", ecn=Ecn.ECT1):
-        p = Packet(seq, flow, 1500, ecn, 0, seq=seq)
-        return p
+    def pkt(self, seq, flow=0, ecn=Ecn.ECT1):
+        return Packet(flow, seq, 1500, ecn)
 
     def test_counts_bytes_and_ce(self):
-        r = Receiver()
+        r = Receiver(1)
         r.on_deliver(self.pkt(0))
         ce, lost = r.on_deliver(self.pkt(1, ecn=Ecn.CE))
         assert ce is True
         assert lost == ()
-        st = r.flows["f"]
+        st = r.flows[0]
         assert st.bytes == 3000
         assert st.ce_packets == 1
 
     def test_gap_declared_after_three_later_arrivals(self):
-        r = Receiver()
+        r = Receiver(1)
         r.on_deliver(self.pkt(0))
         # seq 1 missing
         _, lost = r.on_deliver(self.pkt(2))
@@ -276,7 +275,7 @@ class TestReceiver:
         assert lost == (1,)
 
     def test_burst_gap_reported_together(self):
-        r = Receiver()
+        r = Receiver(1)
         r.on_deliver(self.pkt(0))
         r.on_deliver(self.pkt(5))  # 1-4 missing
         r.on_deliver(self.pkt(6))
@@ -284,17 +283,17 @@ class TestReceiver:
         assert lost == (1, 2, 3, 4)
 
     def test_flows_independent(self):
-        r = Receiver()
-        r.on_deliver(self.pkt(0, flow="a"))
-        r.on_deliver(self.pkt(2, flow="a"))
+        r = Receiver(2)
+        r.on_deliver(self.pkt(0, flow=0))
+        r.on_deliver(self.pkt(2, flow=0))
         for seq in (0, 1, 2, 3):
-            _, lost = r.on_deliver(self.pkt(seq, flow="b"))
+            _, lost = r.on_deliver(self.pkt(seq, flow=1))
             assert lost == ()
-        assert r.flows["a"].bytes == 3000
-        assert r.flows["b"].bytes == 6000
+        assert r.flows[0].bytes == 3000
+        assert r.flows[1].bytes == 6000
 
     def test_no_false_loss_without_gap(self):
-        r = Receiver()
+        r = Receiver(1)
         for seq in range(100):
             _, lost = r.on_deliver(self.pkt(seq))
             assert lost == ()
