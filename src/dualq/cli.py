@@ -20,17 +20,22 @@ import argparse
 import os
 import sys
 
+from .aqm import AqmConfig
 from .config import (
+    AQM_KEYS,
     PARAM_SETS,
     PRESETS,
+    REFINED,
     ConfigError,
     ScenarioConfig,
     apply_overrides,
     build_scenario,
     parse_flow_shorthand,
+    parse_ms,
     preset_sections,
     sections_from_ini,
 )
+from .core import NS_PER_MS
 from .metrics import write_run_dir
 from .runner import (
     RunnerError,
@@ -57,38 +62,26 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_UNDEFINED = 3
 
-SWEEP_PARAMS = {
-    "step_thresh_ms": ("aqm", "step_thresh_ms"),
-    "target_ms": ("aqm", "target_ms"),
-    "tupdate_ms": ("aqm", "tupdate_ms"),
-    "alpha": ("aqm", "alpha"),
-    "beta": ("aqm", "beta"),
-    "coupling_k": ("aqm", "coupling_k"),
-    "classic_protection": ("aqm", "classic_protection"),
-}
+# the [aqm] keys that take any real number
+SWEEP_PARAMS = tuple(
+    key for key, (_, parse) in AQM_KEYS.items() if parse in (float, parse_ms)
+)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="scenario INI file")
     p.add_argument("--preset", choices=sorted(PRESETS), help="operating point")
     p.add_argument(
-        "--params",
-        choices=PARAM_SETS,
-        default="default",
-        help="AQM parameter set for presets",
+        "--params", choices=PARAM_SETS, help="AQM parameter set for presets"
     )
     p.add_argument(
-        "--flows",
-        default="scalable",
-        help="flow kinds for presets, e.g. scalable or scalable+cubic",
+        "--flows", help="flow kinds for presets, e.g. scalable or scalable+cubic"
     )
     p.add_argument(
-        "--mode", choices=["bursty", "smooth"], default="bursty",
+        "--mode", choices=["bursty", "smooth"],
         help="link service discipline for presets",
     )
-    p.add_argument(
-        "--duration", type=float, default=30.0, help="run length in seconds"
-    )
+    p.add_argument("--duration", type=float, help="run length in seconds")
     p.add_argument(
         "--set",
         action="append",
@@ -102,17 +95,21 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 def _scenario_from_args(args) -> ScenarioConfig:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
+    given = {
+        k: getattr(args, k) for k in ("params", "flows", "mode")
+        if getattr(args, k) is not None
+    }
     if args.config:
+        if given:
+            flags = ", ".join(f"--{k}" for k in given)
+            raise ConfigError(f"{flags}: for --preset only; set it in the config file")
         sections = sections_from_ini(args.config)
-        sections.setdefault("run", {}).setdefault("duration_s", repr(args.duration))
+        if args.duration is not None:
+            sections.setdefault("run", {}).setdefault("duration_s", repr(args.duration))
     elif args.preset:
-        sections = preset_sections(
-            args.preset,
-            params=args.params,
-            flows=parse_flow_shorthand(args.flows),
-            mode=args.mode,
-            duration_s=args.duration,
-        )
+        if "flows" in given:
+            given["flows"] = parse_flow_shorthand(given["flows"])
+        sections = preset_sections(args.preset, duration_s=args.duration, **given)
     else:
         raise ConfigError("choose a scenario with --preset or --config")
     apply_overrides(sections, args.overrides)
@@ -237,11 +234,6 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.param not in SWEEP_PARAMS:
-        raise ConfigError(
-            f"unknown sweep parameter {args.param!r}, "
-            f"expected one of {sorted(SWEEP_PARAMS)}"
-        )
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep value list")
@@ -251,11 +243,10 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise ConfigError(f"sweep value {v!r} is not a number") from None
     out_dir = prepare_out_dir(args.out, args.force)
-    section, key = SWEEP_PARAMS[args.param]
     summary = ["param,value,runs,mean_mbps,p2_5_mbps,p97_5_mbps"]
     for v in values:
         sweep_args = argparse.Namespace(**vars(args))
-        sweep_args.overrides = list(args.overrides) + [f"{section}.{key}={v}"]
+        sweep_args.overrides = list(args.overrides) + [f"aqm.{args.param}={v}"]
         cfg = _scenario_from_args(sweep_args)
         sub = os.path.join(out_dir, f"{args.param}-{v}")
         run_batch(
@@ -281,14 +272,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_presets(args) -> int:
     print("operating points:")
-    for name in ("low", "medium", "high"):
-        p = PRESETS[name]
+    for name, p in PRESETS.items():
         print(
             f"  {name:<8} {p.rate_bps / 1e6:6.0f} Mbps  base RTT {p.rtt_ms:5.1f} ms"
         )
-    print("parameter sets:")
-    print("  default  step threshold 1 ms, target 15 ms")
-    print("  refined  step 5 ms / target 30 ms (low, medium); 10 ms / 45 ms (high)")
+    aqm = AqmConfig()
+    print("parameter sets (step threshold / target):")
+    print(
+        f"  default  {aqm.step_thresh_ns / NS_PER_MS:g} ms"
+        f" / {aqm.target_ns / NS_PER_MS:g} ms"
+    )
+    refined = ", ".join(f"{n} {s:g} ms / {t:g} ms" for n, (s, t) in REFINED.items())
+    print(f"  refined  {refined}")
     return EXIT_OK
 
 

@@ -5,14 +5,11 @@ fingerprint hashes the canonical scenario dictionary, so two runs are
 comparable exactly when their fingerprints match, and seeds remain
 free to vary within a corpus.
 
-Config files are INI with the sections::
-
-    [run]    duration_s
-    [link]   rate_mbps | rate_bps, mode, mtu, trace_file
-    [delay]  rtt_ms | fwd_ms + rev_ms
-    [aqm]    target_ms, tupdate_ms, alpha, beta, step_thresh_ms,
-             coupling_k, limit_bytes, classic_protection, ecn_classic
-    [flow.<name>]  kind, start_s, stop_s
+Config files are INI with the sections ``[run]``, ``[link]``,
+``[delay]``, ``[aqm]`` and ``[flow.<name>]``. The tables RUN_KEYS,
+LINK_KEYS, DELAY_KEYS, AQM_KEYS and FLOW_KEYS are the one schema: each
+maps a key to the dataclass field it sets and the parser that reads it.
+An absent key keeps its field's default; an unknown key is an error.
 
 Any value can be overridden on the command line with
 ``--set section.key=value``; overrides are applied textually before
@@ -24,7 +21,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .aqm import AqmConfig
 from .core import NS_PER_SEC, ms_to_ns, s_to_ns
@@ -56,7 +53,7 @@ PRESETS = {
 # step threshold / target pairs: "default" is the shallow shipping
 # configuration, "refined" widens both with the operating point
 PARAM_SETS = ("default", "refined")
-_REFINED = {
+REFINED = {
     "low": (5.0, 30.0),
     "medium": (5.0, 30.0),
     "high": (10.0, 45.0),
@@ -91,36 +88,10 @@ class ScenarioConfig:
             f.validate()
 
     def to_dict(self) -> dict:
-        return {
-            "duration_ns": self.duration_ns,
-            "link": {
-                "rate_bps": self.link.rate_bps,
-                "mode": self.link.mode.value,
-                "mtu": self.link.mtu,
-                "trace_file": self.link.trace_file,
-            },
-            "delay": {"fwd_ns": self.delay.fwd_ns, "rev_ns": self.delay.rev_ns},
-            "aqm": {
-                "target_ns": self.aqm.target_ns,
-                "tupdate_ns": self.aqm.tupdate_ns,
-                "alpha": self.aqm.alpha,
-                "beta": self.aqm.beta,
-                "step_thresh_ns": self.aqm.step_thresh_ns,
-                "coupling_k": self.aqm.coupling_k,
-                "limit_bytes": self.aqm.limit_bytes,
-                "classic_protection": self.aqm.classic_protection,
-                "ecn_classic_enabled": self.aqm.ecn_classic_enabled,
-            },
-            "flows": [
-                {
-                    "name": f.name,
-                    "kind": f.kind,
-                    "start_ns": f.start_ns,
-                    "stop_ns": f.stop_ns,
-                }
-                for f in self.flows
-            ],
-        }
+        d = asdict(self)
+        d["link"]["mode"] = self.link.mode.value
+        d["flows"] = list(d["flows"])
+        return d
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("ascii")
@@ -137,10 +108,14 @@ def preset_sections(
     preset: str,
     params: str = "default",
     flows: tuple[str, ...] = ("scalable",),
-    mode: str = "bursty",
-    duration_s: float = 30.0,
+    mode: str | None = None,
+    duration_s: float | None = None,
 ) -> Sections:
-    """Expand a preset into override-ready section dictionaries."""
+    """Expand a preset into override-ready section dictionaries.
+
+    Only what the preset sets is written; every other key keeps its
+    dataclass default, as do mode and duration when they are None.
+    """
     try:
         p = PRESETS[preset]
     except KeyError:
@@ -151,26 +126,19 @@ def preset_sections(
         raise ConfigError(
             f"unknown parameter set {params!r}, expected one of {PARAM_SETS}"
         )
-    if params == "refined":
-        step_ms, target_ms = _REFINED[p.name]
-    else:
-        step_ms, target_ms = 1.0, 15.0
     sections: Sections = {
-        "run": {"duration_s": repr(duration_s)},
-        "link": {"rate_bps": str(p.rate_bps), "mode": mode, "mtu": "1500"},
+        "link": {"rate_bps": str(p.rate_bps)},
         "delay": {"rtt_ms": repr(p.rtt_ms)},
-        "aqm": {
-            "target_ms": repr(target_ms),
-            "tupdate_ms": "16",
-            "alpha": "0.16",
-            "beta": "3.2",
-            "step_thresh_ms": repr(step_ms),
-            "coupling_k": "2",
-            "limit_bytes": str(default_limit_bytes(p.rate_bps)),
-            "classic_protection": "0.1",
-            "ecn_classic": "true",
-        },
+        # written out so that a --set of the rate keeps the preset's buffer
+        "aqm": {"limit_bytes": str(default_limit_bytes(p.rate_bps))},
     }
+    if duration_s is not None:
+        sections["run"] = {"duration_s": repr(duration_s)}
+    if mode is not None:
+        sections["link"]["mode"] = mode
+    if params == "refined":
+        step_ms, target_ms = REFINED[p.name]
+        sections["aqm"].update(step_thresh_ms=repr(step_ms), target_ms=repr(target_ms))
     for i, kind in enumerate(flows):
         sections[f"flow.{kind}{i}"] = {"kind": kind, "start_s": "0"}
     return sections
@@ -204,16 +172,17 @@ def apply_overrides(sections: Sections, assignments: list[str]) -> None:
         sections.setdefault(section.strip(), {})[key.strip()] = value.strip()
 
 
-def _get(section: dict[str, str], key: str, parse, default):
-    raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return parse(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+# ----------------------------------------------------------------------
+# the schema: per section, INI key -> (dataclass field, parser)
+
+
+def parse_ms(raw: str) -> int:
+    """Milliseconds to integer nanoseconds."""
+    return ms_to_ns(float(raw))
+
+
+def _parse_s(raw: str) -> int:
+    return s_to_ns(float(raw))
 
 
 def _parse_bool(raw: str) -> bool:
@@ -225,95 +194,101 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_limit(raw: str) -> int | None:
+    """Bytes, or None for ``auto``: BUFFER_MS of the link rate."""
+    return None if raw.strip().lower() == "auto" else int(raw)
+
+
+RUN_KEYS = {"duration_s": ("duration_ns", _parse_s)}
+LINK_KEYS = {
+    "rate_bps": ("rate_bps", int),
+    "rate_mbps": ("rate_bps", lambda raw: round(float(raw) * 1e6)),
+    "mode": ("mode", lambda raw: LinkMode(raw.strip().lower())),
+    "mtu": ("mtu", int),
+    "trace_file": ("trace_file", str),
+}
+# rtt_ms is split into fwd_ns and rev_ns by build_scenario
+DELAY_KEYS = {
+    "rtt_ms": ("rtt_ns", parse_ms),
+    "fwd_ms": ("fwd_ns", parse_ms),
+    "rev_ms": ("rev_ns", parse_ms),
+}
+AQM_KEYS = {
+    "target_ms": ("target_ns", parse_ms),
+    "tupdate_ms": ("tupdate_ns", parse_ms),
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+    "step_thresh_ms": ("step_thresh_ns", parse_ms),
+    "coupling_k": ("coupling_k", float),
+    "limit_bytes": ("limit_bytes", _parse_limit),
+    "classic_protection": ("classic_protection", float),
+    "ecn_classic": ("ecn_classic_enabled", _parse_bool),
+}
+FLOW_KEYS = {
+    "kind": ("kind", str),
+    "start_s": ("start_ns", _parse_s),
+    "stop_s": ("stop_ns", _parse_s),
+}
+
+
+def _fields(sections: Sections, name: str, table: dict) -> dict:
+    """Parse the keys present in section ``name`` into field values."""
+    fields = {}
+    for key, raw in sections.get(name, {}).items():
+        if key not in table:
+            raise ConfigError(
+                f"unknown key {key!r} in [{name}], expected one of {sorted(table)}"
+            )
+        field, parse = table[key]
+        if field in fields:
+            same = sorted(k for k, (f, _) in table.items() if f == field)
+            raise ConfigError(f"give only one of {same} in [{name}]")
+        try:
+            fields[field] = parse(raw)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"bad value for {name}.{key}: {raw!r} ({exc})") from exc
+    return fields
+
+
 def build_scenario(sections: Sections) -> ScenarioConfig:
     """Turn section dictionaries into a validated ScenarioConfig."""
-    known = {"run", "link", "delay", "aqm"}
     for name in sections:
-        if name not in known and not name.startswith("flow."):
+        if name not in ("run", "link", "delay", "aqm") and not name.startswith("flow."):
             raise ConfigError(f"unknown config section [{name}]")
 
-    run = sections.get("run", {})
-    duration_ns = s_to_ns(_get(run, "duration_s", float, 30.0))
+    link = LinkConfig(**_fields(sections, "link", LINK_KEYS))
 
-    link_sec = sections.get("link", {})
-    if "rate_bps" in link_sec and "rate_mbps" in link_sec:
-        raise ConfigError("give either link.rate_bps or link.rate_mbps, not both")
-    if "rate_mbps" in link_sec:
-        rate_bps = round(_get(link_sec, "rate_mbps", float, None) * 1e6)
-    else:
-        rate_bps = _get(link_sec, "rate_bps", int, 12_000_000)
-    mode_raw = link_sec.get("mode", "bursty").strip().lower()
-    try:
-        mode = LinkMode(mode_raw)
-    except ValueError:
-        raise ConfigError(
-            f"unknown link mode {mode_raw!r}, expected bursty or smooth"
-        ) from None
-    link = LinkConfig(
-        rate_bps=rate_bps,
-        mode=mode,
-        mtu=_get(link_sec, "mtu", int, 1500),
-        trace_file=link_sec.get("trace_file"),
-    )
-
-    delay_sec = sections.get("delay", {})
-    if "rtt_ms" in delay_sec:
-        if "fwd_ms" in delay_sec or "rev_ms" in delay_sec:
+    delay = _fields(sections, "delay", DELAY_KEYS)
+    if "rtt_ns" in delay:
+        rtt_ns = delay.pop("rtt_ns")
+        if delay:
             raise ConfigError("give either delay.rtt_ms or fwd_ms/rev_ms, not both")
-        rtt_ns = ms_to_ns(_get(delay_sec, "rtt_ms", float, None))
-        fwd_ns = rtt_ns // 2
-        rev_ns = rtt_ns - fwd_ns
-    else:
-        fwd_ns = ms_to_ns(_get(delay_sec, "fwd_ms", float, 10.0))
-        rev_ns = ms_to_ns(_get(delay_sec, "rev_ms", float, 10.0))
-    delay = DelayConfig(fwd_ns=fwd_ns, rev_ns=rev_ns)
+        delay = {"fwd_ns": rtt_ns // 2, "rev_ns": rtt_ns - rtt_ns // 2}
 
-    aqm_sec = sections.get("aqm", {})
-    limit_raw = aqm_sec.get("limit_bytes", "auto").strip().lower()
-    if limit_raw == "auto":
-        limit_bytes = default_limit_bytes(rate_bps)
-    else:
-        limit_bytes = _get(aqm_sec, "limit_bytes", int, None)
-    aqm = AqmConfig(
-        target_ns=ms_to_ns(_get(aqm_sec, "target_ms", float, 15.0)),
-        tupdate_ns=ms_to_ns(_get(aqm_sec, "tupdate_ms", float, 16.0)),
-        alpha=_get(aqm_sec, "alpha", float, 0.16),
-        beta=_get(aqm_sec, "beta", float, 3.2),
-        step_thresh_ns=ms_to_ns(_get(aqm_sec, "step_thresh_ms", float, 1.0)),
-        coupling_k=_get(aqm_sec, "coupling_k", float, 2.0),
-        limit_bytes=limit_bytes,
-        classic_protection=_get(aqm_sec, "classic_protection", float, 0.1),
-        ecn_classic_enabled=_get(aqm_sec, "ecn_classic", _parse_bool, True),
-    )
+    aqm = _fields(sections, "aqm", AQM_KEYS)
+    if aqm.get("limit_bytes") is None:
+        aqm["limit_bytes"] = default_limit_bytes(link.rate_bps)
 
     flows = []
     for name in sections:
         if not name.startswith("flow."):
             continue
         fname = name[len("flow."):]
-        fsec = sections[name]
-        kind = fsec.get("kind")
+        fields = _fields(sections, name, FLOW_KEYS)
+        kind = fields.get("kind")
         if kind not in SENDER_KINDS:
             raise ConfigError(
                 f"flow {fname!r}: kind must be one of {SENDER_KINDS}, got {kind!r}"
             )
-        stop_raw = fsec.get("stop_s")
-        flows.append(
-            FlowConfig(
-                name=fname,
-                kind=kind,
-                start_ns=s_to_ns(_get(fsec, "start_s", float, 0.0)),
-                stop_ns=s_to_ns(float(stop_raw)) if stop_raw is not None else None,
-            )
-        )
+        flows.append(FlowConfig(name=fname, **fields))
     flows.sort(key=lambda f: (f.start_ns, f.name))
 
     cfg = ScenarioConfig(
         link=link,
-        delay=delay,
-        aqm=aqm,
+        delay=DelayConfig(**delay),
+        aqm=AqmConfig(**aqm),
         flows=tuple(flows),
-        duration_ns=duration_ns,
+        **_fields(sections, "run", RUN_KEYS),
     )
     try:
         cfg.validate()

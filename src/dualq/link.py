@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import NS_PER_SEC
+from .core import NS_PER_MS, NS_PER_SEC
 
 
 class LinkMode(enum.Enum):
@@ -98,7 +98,7 @@ class DeliveryTrace:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    rate_bps: int
+    rate_bps: int = 12_000_000
     mode: LinkMode = LinkMode.BURSTY
     mtu: int = 1500
     trace_file: str | None = None
@@ -143,8 +143,8 @@ class SmoothPacer:
 class DelayConfig:
     """One-way propagation delays, nanoseconds."""
 
-    fwd_ns: int
-    rev_ns: int
+    fwd_ns: int = 10 * NS_PER_MS
+    rev_ns: int = 10 * NS_PER_MS
 
     def validate(self) -> None:
         if self.fwd_ns < 0 or self.rev_ns < 0:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import os
 
 from ..metrics import canonical_json
-from .testing import BootstrapResult, DistanceSets, TestResult
+from .testing import (
+    DECISION_THRESHOLD, QUANTILE_LEVEL, BootstrapResult, DistanceSets, TestResult,
+)
 
 TEST_RESULT_NAME = "test_result.json"
 DISTANCES_NAME = "distances.csv"
@@ -28,8 +30,8 @@ def write_test_results(
 ) -> list[str]:
     payload = {
         "corpora": corpora,
-        "quantile_level": results[0].quantile_level if results else 0.95,
-        "decision_threshold": results[0].decision_threshold if results else 0.05,
+        "quantile_level": QUANTILE_LEVEL,
+        "decision_threshold": DECISION_THRESHOLD,
         "metrics": {
             r.metric: {
                 "kind": r.kind,

@@ -188,8 +188,6 @@ class TestResult:
     eps_max: float
     p_hat_max: float
     reject_h0: bool
-    quantile_level: float = QUANTILE_LEVEL
-    decision_threshold: float = DECISION_THRESHOLD
 
 
 def exceedance_test(ds: DistanceSets, metric: str = "", kind: str = "") -> TestResult:

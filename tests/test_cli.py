@@ -7,7 +7,9 @@ import shutil
 
 import pytest
 
-from dualq.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_UNDEFINED, main
+from dualq.cli import (
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_UNDEFINED, SWEEP_PARAMS, main,
+)
 from dualq.runner import RunnerError, load_corpus, verify_corpus
 from dualq.stats import METRICS, build_distances, extract_observations
 
@@ -94,6 +96,14 @@ class TestEmulate:
         assert meta_a["fingerprint"] != meta_b["fingerprint"]
         assert meta_b["config"]["aqm"]["coupling_k"] == 4.0
 
+    def test_preset_flag_defaults_keep_fingerprint(self, tmp_path):
+        # taken when --params, --flows and --mode had argparse defaults
+        assert emulate(tmp_path / "run") == EXIT_OK
+        meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+        assert meta["fingerprint"] == (
+            "edf3a4e09fe47e9d98d8d1cce7e7db0d57fc5b1b9e7e93a65ba4134a9a685d0c"
+        )
+
     def test_config_file_scenario(self, tmp_path):
         ini = tmp_path / "s.ini"
         ini.write_text(
@@ -146,6 +156,52 @@ class TestExitCodes:
     def test_bad_override_is_config_error(self, tmp_path):
         code = emulate(tmp_path / "x", "--set", "aqm.alpha=-1")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "run.duraton_s=9",
+            "link.moed=smooth",
+            "delay.rtt=30",
+            "aqm.alfa=0.5",
+            "flow.scalable0.stop_ms=5",
+        ],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, override):
+        code = emulate(tmp_path / "x", "--set", override)
+        assert code == EXIT_CONFIG
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_typo_in_config_file_is_config_error(self, tmp_path):
+        ini = tmp_path / "s.ini"
+        ini.write_text("[link]\nmoed = smooth\n[flow.a]\nkind = scalable\n")
+        code = run_cli(
+            "emulate", "--config", str(ini), "--duration", "0.5",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "override", ["flow.scalable0.stop_s=abc", "run.duration_s=inf"]
+    )
+    def test_unparsable_value_is_config_error(self, tmp_path, capsys, override):
+        code = emulate(tmp_path / "x", "--set", override)
+        assert code == EXIT_CONFIG
+        assert "bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--mode", "smooth"], ["--flows", "cubic"], ["--params", "refined"]]
+    )
+    def test_preset_flag_with_config_is_config_error(self, tmp_path, capsys, flag):
+        ini = tmp_path / "s.ini"
+        ini.write_text("[flow.a]\nkind = scalable\n")
+        code = run_cli(
+            "emulate", "--config", str(ini), "--duration", "0.5", *flag,
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == EXIT_CONFIG
+        assert flag[0] in capsys.readouterr().err
 
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(
@@ -352,6 +408,12 @@ class TestSweep:
         assert (out / "step_thresh_ms-5" / "manifest.json").is_file()
         assert "step_thresh_ms=1" in capsys.readouterr().out
 
+    def test_sweepable_params(self):
+        assert sorted(SWEEP_PARAMS) == [
+            "alpha", "beta", "classic_protection", "coupling_k",
+            "step_thresh_ms", "target_ms", "tupdate_ms",
+        ]
+
     def test_non_numeric_value_is_config_error(self, tmp_path):
         code = run_cli(
             "sweep", "--preset", "low", "--param", "alpha",
@@ -366,4 +428,5 @@ class TestPresets:
         out = capsys.readouterr().out
         assert "low" in out and "medium" in out and "high" in out
         assert "12 Mbps" in out
-        assert "refined" in out
+        assert "default  1 ms / 15 ms" in out
+        assert "high 10 ms / 45 ms" in out

@@ -1,5 +1,8 @@
 """Scenario assembly: presets, INI sections, overrides, fingerprints."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from dualq.config import (
@@ -197,6 +200,33 @@ class TestBuildScenario:
         )
         assert [f.name for f in cfg.flows] == ["a", "b", "z", "late"]
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("run", "duraton_s"),
+            ("link", "moed"),
+            ("delay", "rtt"),
+            ("aqm", "alfa"),
+            ("flow.a", "stop_ms"),
+        ],
+    )
+    def test_unknown_key_rejected(self, section, key):
+        sections = {"flow.a": {"kind": "scalable"}}
+        sections.setdefault(section, {})[key] = "5"
+        pattern = rf"unknown key '{key}' in \[{section}\]"
+        with pytest.raises(ConfigError, match=pattern):
+            build_scenario(sections)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("flow.a", "stop_s", "abc"), ("run", "duration_s", "inf")],
+    )
+    def test_unparsable_value_is_config_error(self, section, key, value):
+        sections = {"flow.a": {"kind": "scalable"}}
+        sections.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"bad value for {section}.{key}"):
+            build_scenario(sections)
+
     def test_stop_time(self):
         cfg = build_scenario(
             {"flow.a": {"kind": "scalable", "start_s": "1", "stop_s": "9"}}
@@ -224,6 +254,56 @@ class TestFingerprint:
         assert "seed" not in d["link"]
 
 
+class TestPinnedFingerprints:
+    """Fingerprints of the INI input forms, taken before the scenario
+    schema was declared as one table per section."""
+
+    PINNED = {
+        "rate_mbps": (
+            {"link": {"rate_mbps": "50"}},
+            "46e56855d737672bee468bc4a10e8b401fecd0df5b81e16bf3b06fac2c9aa34a",
+        ),
+        "fwd_rev_ms": (
+            {"delay": {"fwd_ms": "5", "rev_ms": "15"}},
+            "da65dd6e0cf754a9335ebdd835b526ff861446b2e203ddf76ee1a2eff4509cdd",
+        ),
+        "rtt_ms": (
+            {"delay": {"rtt_ms": "25"}},
+            "f36d6401c9b7e20f8633e50a6563ccd4076792292509e0fb6d57eaa8b58c61ca",
+        ),
+        "limit_bytes": (
+            {"aqm": {"limit_bytes": "123456"}},
+            "87d45841fe62071c0a95cb323051e9f8c4cb6d0fa9743f7ca667953f3787a3f6",
+        ),
+        "limit_auto": (
+            {"link": {"rate_bps": "80000000"}, "aqm": {"limit_bytes": "auto"}},
+            "c77480dbff40aa711b013df49e3f16ca540f0ad5d8dae2e347563d80a29375f1",
+        ),
+        "stop_s": (
+            {"flow.a": {"kind": "scalable", "start_s": "1", "stop_s": "9"}},
+            "e04f4b641a04a34a9da57a06c91e478ca99ef078174559fb3f1ab9f080ddad0c",
+        ),
+        "ecn_classic_false": (
+            {"aqm": {"ecn_classic": "false"}},
+            "66e95c825ec97c901e08e7548e088e1aea871f482bea52923c1d51a313fccb7c",
+        ),
+        "trace_file": (
+            {"link": {"trace_file": "traces/x.trace"}},
+            "b1ffc7a548cf21d5403285480a8107bbf9498bdca36d31e181f87f84f5636628",
+        ),
+        "defaults_only": (
+            {},
+            "49ddee6e6026ae87892260c659b15b19d29ecf47aac1512ac95bfbec90ec070f",
+        ),
+    }
+
+    @pytest.mark.parametrize("form", sorted(PINNED))
+    def test_ini_form(self, form):
+        sections, digest = self.PINNED[form]
+        cfg = build_scenario({"flow.a": {"kind": "scalable"}, **sections})
+        assert cfg.fingerprint() == digest
+
+
 class TestIniFiles:
     def test_round_trip(self, tmp_path):
         ini = tmp_path / "scenario.ini"
@@ -241,6 +321,21 @@ class TestIniFiles:
         assert cfg.link.mode is LinkMode.SMOOTH
         assert cfg.aqm.step_thresh_ns == 5 * NS_PER_MS
         assert [f.name for f in cfg.flows] == ["fast", "slow"]
+
+    def test_readme_sample_builds(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S)
+        ini = tmp_path / "readme.ini"
+        ini.write_text(block.group(1))
+        cfg = build_scenario(sections_from_ini(str(ini)))
+        assert cfg.link.rate_bps == 50_000_000
+        assert [f.name for f in cfg.flows] == ["a"]
+
+    def test_typo_in_file_rejected(self, tmp_path):
+        ini = tmp_path / "typo.ini"
+        ini.write_text("[aqm]\nalfa = 0.5\n[flow.a]\nkind = scalable\n")
+        with pytest.raises(ConfigError, match="unknown key 'alfa'"):
+            build_scenario(sections_from_ini(str(ini)))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
