@@ -1,0 +1,80 @@
+"""Time the bootstrap at B=2000 in replicates/s, checking every replicate.
+
+Usage:
+    PYTHONPATH=src python3 benchmarks/bench_bootstrap.py [--sizes 30,100]
+        [--repeat 5] [--seed 0]
+
+For each corpus size n, two fixed-seed scalar corpora of n runs each
+(normal throughputs, the second shifted by half a standard deviation so
+that the replicates spread) go through ``bootstrap_exceedance``
+--repeat times. The script reports the median wall time of one call and
+replicates/s at that median.
+
+The replicate array of the timed generator seed (``testing._replicates``)
+must equal the one-at-a-time oracle
+``tests/_oracles.bootstrap_replicates_oracle`` element for element, and
+every timed call's CI and replicate mean must equal the oracle's, or the
+script exits non-zero.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from dualq.stats import testing
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "tests"))
+from _oracles import bootstrap_replicates_oracle  # noqa: E402
+
+
+def corpora(n, seed):
+    gen = np.random.default_rng(seed)
+    return testing.build_distances(gen.normal(10.0, 1.0, n),
+                                   gen.normal(10.5, 1.0, n), "scalar")
+
+
+def pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="30,100",
+                        help="comma-separated corpus sizes n (runs per corpus)")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="timed calls per size; the median is reported")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    B = testing.DEFAULT_B
+    print(f"{'n':>5} {'B':>6} {'wall_s':>8} {'replicates/s':>13}")
+    mismatched = []
+    for n in (int(s) for s in args.sizes.split(",") if s.strip()):
+        ds = corpora(n, args.seed + n)
+        expected = bootstrap_replicates_oracle(ds, B, pcg(args.seed))
+        if not np.array_equal(testing._replicates(ds, B, pcg(args.seed)), expected):
+            mismatched.append(f"n={n}: replicates")
+        lo, hi = testing.percentile_ci(expected)
+        walls = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            res = testing.bootstrap_exceedance(ds, B=B, seed=args.seed)
+            walls.append(time.perf_counter() - t0)
+            if (res.ci_lo, res.ci_hi, res.replicates_mean) != (
+                lo, hi, float(expected.mean())
+            ):
+                mismatched.append(f"n={n}: CI or replicate mean")
+        wall = statistics.median(walls)
+        print(f"{n:>5} {B:>6} {wall:>8.4f} {B / wall:>13.0f}")
+    if mismatched:
+        raise SystemExit("bootstrap differs from the oracle: "
+                         + ", ".join(sorted(set(mismatched))))
+
+
+if __name__ == "__main__":
+    main()

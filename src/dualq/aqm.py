@@ -16,6 +16,7 @@ guaranteeing the C queue a configurable minimum share of link bytes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -45,6 +46,9 @@ class AqmConfig:
     ecn_classic_enabled: bool = True
 
     def validate(self) -> None:
+        for name in ("alpha", "beta", "coupling_k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.target_ns <= 0:
             raise ValueError(f"target_ns must be positive, got {self.target_ns}")
         if self.tupdate_ns <= 0:

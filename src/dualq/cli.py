@@ -31,6 +31,7 @@ from .config import (
     apply_overrides,
     build_scenario,
     parse_flow_shorthand,
+    parse_float,
     parse_ms,
     preset_sections,
     sections_from_ini,
@@ -38,6 +39,7 @@ from .config import (
 from .core import NS_PER_MS
 from .metrics import write_run_dir
 from .runner import (
+    SWEEP_SUMMARY_NAME,
     RunnerError,
     load_corpus,
     prepare_out_dir,
@@ -64,7 +66,7 @@ EXIT_UNDEFINED = 3
 
 # the [aqm] keys that take any real number
 SWEEP_PARAMS = tuple(
-    key for key, (_, parse) in AQM_KEYS.items() if parse in (float, parse_ms)
+    key for key, (_, parse) in AQM_KEYS.items() if parse in (parse_float, parse_ms)
 )
 
 
@@ -105,7 +107,12 @@ def _scenario_from_args(args) -> ScenarioConfig:
             raise ConfigError(f"{flags}: for --preset only; set it in the config file")
         sections = sections_from_ini(args.config)
         if args.duration is not None:
-            sections.setdefault("run", {}).setdefault("duration_s", repr(args.duration))
+            run = sections.setdefault("run", {})
+            if "duration_s" in run:
+                raise ConfigError(
+                    "--duration: the config file sets run.duration_s already"
+                )
+            run["duration_s"] = repr(args.duration)
     elif args.preset:
         if "flows" in given:
             given["flows"] = parse_flow_shorthand(given["flows"])
@@ -237,17 +244,15 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep value list")
-    for v in values:
-        try:
-            float(v)
-        except ValueError:
-            raise ConfigError(f"sweep value {v!r} is not a number") from None
-    out_dir = prepare_out_dir(args.out, args.force)
-    summary = ["param,value,runs,mean_mbps,p2_5_mbps,p97_5_mbps"]
+    # every value is parsed and its scenario checked before anything is written
+    cfgs = []
     for v in values:
         sweep_args = argparse.Namespace(**vars(args))
         sweep_args.overrides = list(args.overrides) + [f"aqm.{args.param}={v}"]
-        cfg = _scenario_from_args(sweep_args)
+        cfgs.append(_scenario_from_args(sweep_args))
+    out_dir = prepare_out_dir(args.out, args.force)
+    summary = ["param,value,runs,mean_mbps,p2_5_mbps,p97_5_mbps"]
+    for v, cfg in zip(values, cfgs):
         sub = os.path.join(out_dir, f"{args.param}-{v}")
         run_batch(
             cfg,
@@ -264,7 +269,7 @@ def cmd_sweep(args) -> int:
         hi = quantile(rates, 0.975) if len(rates) > 1 else rates[0]
         summary.append(f"{args.param},{v},{len(rates)},{mean!r},{lo!r},{hi!r}")
         print(f"{args.param}={v}: mean {mean:.3f} Mbps  [{lo:.3f}, {hi:.3f}]")
-    with open(os.path.join(out_dir, "sweep_summary.csv"), "w", encoding="ascii") as fh:
+    with open(os.path.join(out_dir, SWEEP_SUMMARY_NAME), "w", encoding="ascii") as fh:
         fh.write("\n".join(summary) + "\n")
     print(f"sweep written to {out_dir}")
     return EXIT_OK

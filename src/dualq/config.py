@@ -21,6 +21,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .aqm import AqmConfig
@@ -176,13 +177,21 @@ def apply_overrides(sections: Sections, assignments: list[str]) -> None:
 # the schema: per section, INI key -> (dataclass field, parser)
 
 
+def parse_float(raw: str) -> float:
+    """A finite real number: NaN and infinities are bad values."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def parse_ms(raw: str) -> int:
     """Milliseconds to integer nanoseconds."""
-    return ms_to_ns(float(raw))
+    return ms_to_ns(parse_float(raw))
 
 
 def _parse_s(raw: str) -> int:
-    return s_to_ns(float(raw))
+    return s_to_ns(parse_float(raw))
 
 
 def _parse_bool(raw: str) -> bool:
@@ -202,7 +211,7 @@ def _parse_limit(raw: str) -> int | None:
 RUN_KEYS = {"duration_s": ("duration_ns", _parse_s)}
 LINK_KEYS = {
     "rate_bps": ("rate_bps", int),
-    "rate_mbps": ("rate_bps", lambda raw: round(float(raw) * 1e6)),
+    "rate_mbps": ("rate_bps", lambda raw: round(parse_float(raw) * 1e6)),
     "mode": ("mode", lambda raw: LinkMode(raw.strip().lower())),
     "mtu": ("mtu", int),
     "trace_file": ("trace_file", str),
@@ -216,12 +225,12 @@ DELAY_KEYS = {
 AQM_KEYS = {
     "target_ms": ("target_ns", parse_ms),
     "tupdate_ms": ("tupdate_ns", parse_ms),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
+    "alpha": ("alpha", parse_float),
+    "beta": ("beta", parse_float),
     "step_thresh_ms": ("step_thresh_ns", parse_ms),
-    "coupling_k": ("coupling_k", float),
+    "coupling_k": ("coupling_k", parse_float),
     "limit_bytes": ("limit_bytes", _parse_limit),
-    "classic_protection": ("classic_protection", float),
+    "classic_protection": ("classic_protection", parse_float),
     "ecn_classic": ("ecn_classic_enabled", _parse_bool),
 }
 FLOW_KEYS = {

@@ -16,7 +16,9 @@ from concurrent.futures import ProcessPoolExecutor
 from .config import ScenarioConfig
 from .core import Rng
 from .engine import run_scenario
+from .stats.report import BOOTSTRAP_NAME, TEST_RESULT_NAME
 from .metrics import (
+    META_NAME,
     RunRecord,
     canonical_json,
     load_run_dir,
@@ -26,6 +28,12 @@ from .metrics import (
 )
 
 MANIFEST_NAME = "manifest.json"
+SWEEP_SUMMARY_NAME = "sweep_summary.csv"
+# --force replaces a non-empty directory only if one of these files, which
+# dualq writes at the root of its outputs, shows it is an earlier output
+OUTPUT_MARKERS = (
+    MANIFEST_NAME, META_NAME, TEST_RESULT_NAME, BOOTSTRAP_NAME, SWEEP_SUMMARY_NAME,
+)
 
 
 class RunnerError(Exception):
@@ -44,15 +52,25 @@ def resolve_out(path: str) -> str:
 
 
 def prepare_out_dir(path: str, force: bool) -> str:
-    """Create an output directory, refusing to clobber prior results."""
+    """Create an output directory, refusing to clobber prior results.
+
+    With force, an earlier dualq output (a directory holding one of
+    OUTPUT_MARKERS) or an empty directory is replaced; any other
+    non-empty directory is left untouched.
+    """
     path = resolve_out(path)
     if os.path.exists(path):
-        if not force and os.listdir(path):
+        names = os.listdir(path)
+        if names and not force:
             raise RunnerError(
                 f"output directory {path} is not empty; pass --force to replace it"
             )
-        if force:
-            shutil.rmtree(path)
+        if names and not any(name in OUTPUT_MARKERS for name in names):
+            raise RunnerError(
+                f"output directory {path} holds no dualq output "
+                f"({', '.join(OUTPUT_MARKERS)}); --force will not delete it"
+            )
+        shutil.rmtree(path)
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -111,7 +129,7 @@ def run_batch(
             with ProcessPoolExecutor(max_workers=parallel) as pool:
                 for result in pool.map(_batch_entry, jobs):
                     files.update(result)
-    except Exception:
+    except BaseException:  # an interrupt must not leave a partial corpus either
         shutil.rmtree(corpus_dir, ignore_errors=True)
         raise
     manifest = {

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def dtw_oracle(x, y):
     """Exhaustive DTW: minimum path cost over all monotone paths.
@@ -75,3 +77,27 @@ def quantile_oracle(values, q: float) -> float:
         return s[lo]
     frac = pos - lo
     return s[lo] * (1 - frac) + s[hi] * frac
+
+
+def bootstrap_replicates_oracle(ds, B: int, rng) -> np.ndarray:
+    """Bootstrap replicates evaluated one at a time.
+
+    Per replicate: draw n runs of corpus M, then m runs of corpus K,
+    gather the resampled matrices with ``np.ix_``, take each corpus's
+    0.95 linear quantile of its upper-triangle distances, and return the
+    share of cross distances strictly above the larger one.
+    """
+    n = ds.matrix_mm.shape[0]
+    m = ds.matrix_kk.shape[0]
+    iu_n = np.triu_indices(n, 1)
+    iu_m = np.triu_indices(m, 1)
+    reps = np.empty(B, dtype=np.float64)
+    for b in range(B):
+        im = rng.integers(0, n, size=n)
+        ik = rng.integers(0, m, size=m)
+        eps_m = float(np.quantile(ds.matrix_mm[np.ix_(im, im)][iu_n], 0.95,
+                                  method="linear"))
+        eps_k = float(np.quantile(ds.matrix_kk[np.ix_(ik, ik)][iu_m], 0.95,
+                                  method="linear"))
+        reps[b] = np.mean(ds.matrix_mk[np.ix_(im, ik)] > max(eps_m, eps_k))
+    return reps

@@ -45,10 +45,16 @@ class TestConfig:
             ("limit_bytes", 0),
             ("classic_protection", 1.0),
             ("classic_protection", -0.1),
+            ("alpha", float("nan")),
+            ("alpha", float("inf")),
+            ("beta", float("nan")),
+            ("beta", float("inf")),
+            ("coupling_k", float("nan")),
+            ("coupling_k", float("inf")),
         ],
     )
     def test_validation_rejects(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             AqmConfig(**{field: value}).validate()
 
 

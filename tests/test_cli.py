@@ -116,7 +116,8 @@ class TestEmulate:
             "--out", str(out),
         )
         assert code == EXIT_OK
-        assert (out / "meta.json").is_file()
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config"]["duration_ns"] == 500_000_000
 
     def test_flow_starting_after_horizon_gets_zero_row(self, tmp_path):
         out = tmp_path / "run"
@@ -131,6 +132,21 @@ class TestEmulate:
         assert rows[1].startswith("scalable0,scalable,")
         assert rows[1] != "scalable0,scalable,0,0.0"
         assert rows[2:] == ["cubic1,cubic,0,0.0"]
+
+    def test_force_refuses_directory_without_dualq_output(self, tmp_path, capsys):
+        out = tmp_path / "precious"
+        out.mkdir()
+        (out / "a.txt").write_text("keep me")
+        assert emulate(out, "--force") == EXIT_RUNTIME
+        assert "--force" in capsys.readouterr().err
+        assert os.listdir(out) == ["a.txt"]
+        assert (out / "a.txt").read_text() == "keep me"
+
+    def test_force_on_empty_directory(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert emulate(out, "--force") == EXIT_OK
+        assert (out / "meta.json").is_file()
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DUALQ_OUTPUT_ROOT", str(tmp_path))
@@ -183,12 +199,22 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "override", ["flow.scalable0.stop_s=abc", "run.duration_s=inf"]
+        "override",
+        [
+            "flow.scalable0.stop_s=abc",
+            "run.duration_s=inf",
+            "aqm.alpha=nan",
+            "aqm.beta=nan",
+            "aqm.coupling_k=nan",
+            "aqm.alpha=inf",
+        ],
     )
     def test_unparsable_value_is_config_error(self, tmp_path, capsys, override):
         code = emulate(tmp_path / "x", "--set", override)
         assert code == EXIT_CONFIG
-        assert "bad value" in capsys.readouterr().err
+        key = override.partition("=")[0]
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "flag", [["--mode", "smooth"], ["--flows", "cubic"], ["--params", "refined"]]
@@ -202,6 +228,17 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
         assert flag[0] in capsys.readouterr().err
+
+    def test_duration_with_config_duration_is_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text("[run]\nduration_s = 2\n[flow.a]\nkind = scalable\n")
+        code = run_cli(
+            "emulate", "--config", str(ini), "--duration", "0.5",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == EXIT_CONFIG
+        assert "--duration" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(
@@ -260,6 +297,24 @@ class TestBatch:
         )
         assert code == EXIT_RUNTIME
         assert "hash mismatch" in capsys.readouterr().err
+
+    def test_interrupted_batch_leaves_nothing(self, tmp_path, monkeypatch):
+        import dualq.runner as runner
+
+        real = runner._run_and_write
+        calls = []
+
+        def interrupt_second(*job):
+            calls.append(job)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(*job)
+
+        monkeypatch.setattr(runner, "_run_and_write", interrupt_second)
+        out = tmp_path / "corpus"
+        with pytest.raises(KeyboardInterrupt):
+            batch(out, 3)
+        assert not out.exists()
 
 
 class TestCorpusRuns:
@@ -386,6 +441,19 @@ class TestBootstrap:
         assert lines[0] == "metric,n,B,ci_lo,ci_hi,width"
         assert len(lines) == 3
 
+    def test_force_replaces_earlier_report(self, tmp_path):
+        m, k = tmp_path / "m", tmp_path / "k"
+        assert batch(m, 3) == EXIT_OK
+        assert batch(k, 3, "--seed-base", "100") == EXIT_OK
+        rep = tmp_path / "rep"
+        args = ("bootstrap", str(m), str(k), "--out", str(rep))
+        assert run_cli(*args, "-B", "50", "--ci-width", "2") == EXIT_OK
+        assert run_cli(*args, "-B", "60") == EXIT_RUNTIME
+        assert run_cli(*args, "-B", "60", "--force") == EXIT_OK
+        payload = json.loads((rep / "bootstrap.json").read_text())
+        assert payload["metrics"]["throughput"]["B"] == 60
+        assert sorted(os.listdir(rep)) == ["bootstrap.json"]
+
 
 class TestSweep:
     def test_summary_csv(self, tmp_path, capsys):
@@ -420,6 +488,16 @@ class TestSweep:
             "--values", "fast", "--out", str(tmp_path / "x"),
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("bad", ["nan", "-1"])
+    def test_bad_later_value_writes_nothing(self, tmp_path, bad):
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--preset", "low", "--duration", "0.2", "--runs", "1",
+            "--param", "alpha", "--values", f"0.1,{bad}", "--out", str(out),
+        )
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestPresets:

@@ -219,7 +219,16 @@ class TestBuildScenario:
 
     @pytest.mark.parametrize(
         "section,key,value",
-        [("flow.a", "stop_s", "abc"), ("run", "duration_s", "inf")],
+        [
+            ("flow.a", "stop_s", "abc"),
+            ("run", "duration_s", "inf"),
+            ("aqm", "alpha", "nan"),
+            ("aqm", "alpha", "inf"),
+            ("aqm", "beta", "nan"),
+            ("aqm", "beta", "inf"),
+            ("aqm", "coupling_k", "nan"),
+            ("aqm", "coupling_k", "inf"),
+        ],
     )
     def test_unparsable_value_is_config_error(self, section, key, value):
         sections = {"flow.a": {"kind": "scalable"}}

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dualq.stats import testing
 from dualq.stats.testing import (
+    REPLICATE_CHUNK,
     DegenerateGroupsError,
     METRICS,
     bootstrap_exceedance,
@@ -20,7 +22,7 @@ from dualq.stats.testing import (
 )
 from dualq.stats import _dtw_py, dtw
 
-from _oracles import quantile_oracle
+from _oracles import bootstrap_replicates_oracle, quantile_oracle
 
 
 class TestQuantile:
@@ -278,6 +280,95 @@ class TestBootstrap:
         ds = self.make_ds(rng, n=30, shift=2.0)
         res = bootstrap_exceedance(ds, B=400, seed=0)
         assert res.ci_lo - 0.1 <= res.p_hat_point <= res.ci_hi + 0.1
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+# one short chunk, a chunk less one, an exact chunk, a chunk plus one, a
+# short last chunk, each at this chunk size and at twice it
+CHUNK_B = st.sampled_from(sorted({
+    B for c in (REPLICATE_CHUNK, 2 * REPLICATE_CHUNK)
+    for B in (2, c - 1, c, c + 1, 2 * c + 2)
+}))
+
+
+class TestChunkedReplicates:
+    """The chunked replicates equal the one-at-a-time oracle bit for bit,
+    and leave the generator where the oracle leaves it."""
+
+    @staticmethod
+    def check(ds, B, seed):
+        rng, oracle_rng = _pcg(seed), _pcg(seed)
+        got = testing._replicates(ds, B, rng)
+        assert np.array_equal(got, bootstrap_replicates_oracle(ds, B, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(
+        n=st.integers(2, 40),
+        m=st.integers(2, 40),
+        B=CHUNK_B,
+        integers=st.booleans(),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_matches_oracle(self, n, m, B, integers, data_seed, seed):
+        assume(n != m)
+        gen = np.random.default_rng(data_seed)
+        if integers:
+            # few distinct values: tied observations and tied distances
+            a = gen.integers(0, 4, n).astype(np.float64)
+            b = gen.integers(1, 5, m).astype(np.float64)
+        else:
+            a = gen.normal(0, 1, n)
+            b = gen.normal(0.5, 1, m)
+        self.check(build_distances(a, b, "scalar"), B, seed)
+
+    @given(
+        n=st.integers(2, 9),
+        m=st.integers(2, 9),
+        B=CHUNK_B,
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_timeseries_matches_oracle(self, n, m, B, data_seed, seed):
+        gen = np.random.default_rng(data_seed)
+        obs_m = [gen.poisson(2.0, gen.integers(3, 8)).astype(np.float64)
+                 for _ in range(n)]
+        obs_k = [gen.poisson(2.0, gen.integers(3, 8)).astype(np.float64)
+                 for _ in range(m)]
+        self.check(build_distances(obs_m, obs_k, "timeseries"), B, seed)
+
+    def test_ci_width_curve_consumes_oracle_draws(self, monkeypatch):
+        gen = np.random.default_rng(31)
+        ds = build_distances(gen.integers(0, 6, 30).astype(np.float64),
+                             gen.integers(1, 7, 24).astype(np.float64), "scalar")
+        sizes, B, seed = [3, 10, 24], REPLICATE_CHUNK + 1, 5
+        used = []
+        inner = testing.bootstrap_exceedance
+
+        def spy(ds, **kwargs):
+            used.append(kwargs["rng"])
+            return inner(ds, **kwargs)
+
+        # ci_width_curve resolves bootstrap_exceedance through the module
+        monkeypatch.setattr(testing, "bootstrap_exceedance", spy)
+        rows = ci_width_curve(ds, sizes, B=B, seed=seed)
+        assert len(used) == len(sizes) and all(r is used[0] for r in used)
+
+        oracle_rng = _pcg(seed)
+        expected = []
+        for size in sizes:
+            sub = testing._distance_sets(ds.matrix_mm[:size, :size],
+                                         ds.matrix_kk[:size, :size],
+                                         ds.matrix_mk[:size, :size])
+            lo, hi = percentile_ci(bootstrap_replicates_oracle(sub, B, oracle_rng))
+            expected.append((size, lo, hi, hi - lo))
+        assert [(r["n"], r["ci_lo"], r["ci_hi"], r["width"]) for r in rows] == expected
+        assert used[0].bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestPinnedOutputs:
