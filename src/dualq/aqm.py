@@ -93,7 +93,6 @@ class DualPi2:
         "l_bytes",
         "enq_total",
         "deq_total",
-        "drops_total",
         "drops_overflow",
         "drops_aqm",
         "ecn_marks_l",
@@ -115,7 +114,6 @@ class DualPi2:
         self.l_bytes = 0
         self.enq_total = 0
         self.deq_total = 0
-        self.drops_total = 0
         self.drops_overflow = 0
         self.drops_aqm = 0
         self.ecn_marks_l = 0
@@ -131,6 +129,10 @@ class DualPi2:
     @property
     def backlog_bytes(self) -> int:
         return self.c_bytes + self.l_bytes
+
+    @property
+    def drops_total(self) -> int:
+        return self.drops_overflow + self.drops_aqm
 
     def qdelay_ns(self, now: int) -> int:
         """Sojourn time of the C-queue head, 0 when the queue is empty."""
@@ -164,7 +166,6 @@ class DualPi2:
         self.enq_total += 1
         size = pkt.size
         if self.c_bytes + self.l_bytes + size > self.cfg.limit_bytes:
-            self.drops_total += 1
             self.drops_overflow += 1
             return
         pkt.enqueued_at = now
@@ -192,7 +193,7 @@ class DualPi2:
             raise ValueError(
                 f"pi2_update at {now} ns before schedule {self.next_update_ns} ns"
             )
-        qdelay_ns = (now - self._c[0].enqueued_at) if self._c else 0
+        qdelay_ns = self.qdelay_ns(now)
         qdelay = qdelay_ns * 1e-9
         cfg = self.cfg
         p = (
@@ -262,7 +263,6 @@ class DualPi2:
                     pkt.ecn = _CE
                     self.ecn_marks_c += 1
                 else:
-                    self.drops_total += 1
                     self.drops_aqm += 1
                     continue
             self.deq_total += 1

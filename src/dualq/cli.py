@@ -123,8 +123,14 @@ def _scenario_from_args(args) -> ScenarioConfig:
     return build_scenario(sections)
 
 
-def _parse_metrics(raw: str) -> list[str]:
-    names = [m.strip() for m in raw.split(",") if m.strip()]
+def _parse_stats_flags(args) -> list[str]:
+    """Check the flags validate and bootstrap share; return the metric names.
+
+    Runs before any corpus is loaded, so a bad flag costs nothing.
+    """
+    if args.band is not None and args.band < 0:
+        raise ConfigError(f"--band must be >= 0, got {args.band}")
+    names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not names:
         raise ConfigError("empty metric list")
     for name in names:
@@ -133,6 +139,17 @@ def _parse_metrics(raw: str) -> list[str]:
                 f"unknown metric {name!r}, expected one of {sorted(METRICS)}"
             )
     return names
+
+
+def _parse_sizes(raw: str) -> list[int]:
+    """The --ci-width corpus sizes: integers >= 2."""
+    try:
+        sizes = [int(s) for s in raw.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--ci-width: not a list of integers: {raw!r}") from None
+    if not sizes or min(sizes) < 2:
+        raise ConfigError(f"--ci-width: give corpus sizes >= 2, got {raw!r}")
+    return sizes
 
 
 def _load_two_corpora(args):
@@ -171,8 +188,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    metrics = _parse_stats_flags(args)
     records_m, records_k = _load_two_corpora(args)
-    metrics = _parse_metrics(args.metrics)
     out_dir = prepare_out_dir(args.out, args.force)
     results = []
     distances = {}
@@ -200,14 +217,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    metrics = _parse_stats_flags(args)
+    if args.replicates < 2:
+        raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
+    sizes = None if args.ci_width is None else _parse_sizes(args.ci_width)
     records_m, records_k = _load_two_corpora(args)
-    metrics = _parse_metrics(args.metrics)
+    if sizes and max(sizes) > min(len(records_m), len(records_k)):
+        raise ConfigError(
+            f"--ci-width: size {max(sizes)} exceeds the corpora's run counts "
+            f"({len(records_m)}, {len(records_k)})"
+        )
     out_dir = prepare_out_dir(args.out, args.force)
     results = []
     width_rows = []
-    sizes = None
-    if args.ci_width:
-        sizes = [int(s) for s in args.ci_width.split(",") if s.strip()]
     for name in metrics:
         obs_m = extract_observations(records_m, name)
         obs_k = extract_observations(records_k, name)

@@ -1,9 +1,10 @@
 """Scenario assembly: presets, INI files, and override handling.
 
 A scenario is everything that defines a run except the seed. The
-fingerprint hashes the canonical scenario dictionary, so two runs are
-comparable exactly when their fingerprints match, and seeds remain
-free to vary within a corpus.
+fingerprint hashes the canonical scenario dictionary, with a trace file
+named by the sha256 of its content, so two runs are comparable exactly
+when their fingerprints match, and seeds remain free to vary within a
+corpus.
 
 Config files are INI with the sections ``[run]``, ``[link]``,
 ``[delay]``, ``[aqm]`` and ``[flow.<name>]``. The tables RUN_KEYS,
@@ -22,11 +23,13 @@ import configparser
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 from .aqm import AqmConfig
 from .core import NS_PER_SEC, ms_to_ns, s_to_ns
 from .link import DelayConfig, LinkConfig, LinkMode
+from .metrics import sha256_file
 from .traffic import SENDER_KINDS, FlowConfig
 
 BUFFER_MS = 250
@@ -95,7 +98,16 @@ class ScenarioConfig:
         return d
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("ascii")
+        """sha256 of the scenario; a trace file counts by its content.
+
+        A missing trace keeps its path here: the run fails on it (exit 2)
+        before any output records a fingerprint.
+        """
+        d = self.to_dict()
+        trace = self.link.trace_file
+        if trace is not None and os.path.exists(trace):
+            d["link"]["trace_file"] = "sha256:" + sha256_file(trace)
+        blob = json.dumps(d, sort_keys=True).encode("ascii")
         return hashlib.sha256(blob).hexdigest()
 
 

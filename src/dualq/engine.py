@@ -30,12 +30,10 @@ events at the same instant keep the order they were created in.
 The run stops at the first event later than the horizon, or at the
 horizon itself when it is an arrival, an ack or a wake-up: a link
 delivery and a controller update at exactly the horizon still run.
-Samples are taken only at controller updates, i.e. at multiples of
-tupdate. So when the duration is a multiple of tupdate, the final
-sample sits at the horizon and is the frozen end state of the run.
-Otherwise the final sample is the last update before the horizon, and
-the arrivals and deliveries after it are in the AQM counters but in no
-sample.
+Samples are taken at every controller update, and the final sample is
+always taken at the horizon, so it is the frozen end state of the run:
+when the duration is not a multiple of tupdate, one more sample is taken
+at the horizon after the loop, without a controller update.
 """
 
 from __future__ import annotations
@@ -170,6 +168,8 @@ def run_scenario(cfg, seed: int) -> RunOutput:
             for pkt in sender.pump(t):
                 push_arrival((at, pkt))
 
+    if duration % tupdate:
+        collector.take(duration, aqm)
     return RunOutput(
         duration_ns=duration,
         samples=collector.samples,

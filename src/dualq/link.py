@@ -36,7 +36,7 @@ class DeliveryTrace:
     traces repeat with a period equal to their last timestamp.
     """
 
-    __slots__ = ("rate_bps", "mtu", "_num", "_den", "_counts", "_period_ms")
+    __slots__ = ("rate_bps", "_den", "_counts", "_period_ms")
 
     def __init__(self, rate_bps: int, mtu: int):
         if rate_bps <= 0:
@@ -44,9 +44,7 @@ class DeliveryTrace:
         if mtu <= 0:
             raise ValueError(f"mtu must be positive, got {mtu}")
         self.rate_bps = rate_bps
-        self.mtu = mtu
-        # opportunities in ms t = floor((t+1)*num/den) - floor(t*num/den)
-        self._num = rate_bps
+        # opportunities in ms t = floor((t+1)*rate/den) - floor(t*rate/den)
         self._den = mtu * 8 * 1000
         self._counts: list[int] | None = None
         self._period_ms = 0
@@ -91,9 +89,9 @@ class DeliveryTrace:
         """Number of MTU-sized delivery opportunities in millisecond ms."""
         if self._counts is not None:
             return self._counts[ms % self._period_ms]
-        num = self._num
+        rate = self.rate_bps
         den = self._den
-        return (ms + 1) * num // den - ms * num // den
+        return (ms + 1) * rate // den - ms * rate // den
 
 
 @dataclass(frozen=True)
@@ -113,6 +111,9 @@ class LinkConfig:
             raise ValueError(f"rate_bps must be positive, got {self.rate_bps}")
         if self.mtu <= 0:
             raise ValueError(f"mtu must be positive, got {self.mtu}")
+        if self.trace_file is not None and self.mode is LinkMode.SMOOTH:
+            # SmoothPacer paces at rate_bps; it has no use for a trace
+            raise ValueError("trace_file is for bursty links only, not mode = smooth")
 
 
 class SmoothPacer:

@@ -127,7 +127,7 @@ def run_batch(
                 files.update(_run_and_write(*job))
         else:
             with ProcessPoolExecutor(max_workers=parallel) as pool:
-                for result in pool.map(_batch_entry, jobs):
+                for result in pool.map(_run_and_write, *zip(*jobs)):
                     files.update(result)
     except BaseException:  # an interrupt must not leave a partial corpus either
         shutil.rmtree(corpus_dir, ignore_errors=True)
@@ -144,10 +144,6 @@ def run_batch(
     with open(os.path.join(corpus_dir, MANIFEST_NAME), "w", encoding="ascii") as fh:
         fh.write(canonical_json(manifest))
     return corpus_dir
-
-
-def _batch_entry(job):
-    return _run_and_write(*job)
 
 
 def verify_corpus(corpus_dir: str) -> dict:

@@ -29,6 +29,8 @@ import numpy as np
 from .dtw import dtw_norm, dtw_norm_pairs  # noqa: F401
 
 QUANTILE_LEVEL = 0.95
+CI_LO_Q = 0.025
+CI_HI_Q = 0.975
 DECISION_THRESHOLD = 0.05
 DEFAULT_B = 2000
 BOOTSTRAP_ALGORITHM = "pcg64"
@@ -125,20 +127,26 @@ def cross_matrix(obs_m, obs_k, kind: str, band: int | None = None) -> np.ndarray
     return d.reshape(n, m)
 
 
-def _upper(D: np.ndarray) -> np.ndarray:
-    return D[np.triu_indices(D.shape[0], 1)]
-
-
 @dataclass(frozen=True)
 class DistanceSets:
-    """Condensed distance collections plus the matrices they came from."""
+    """The three distance matrices of two corpora; the condensed
+    collections are views derived from them."""
 
-    within_m: np.ndarray
-    within_k: np.ndarray
-    cross: np.ndarray
     matrix_mm: np.ndarray
     matrix_kk: np.ndarray
     matrix_mk: np.ndarray
+
+    @property
+    def within_m(self) -> np.ndarray:
+        return self.matrix_mm[np.triu_indices(self.matrix_mm.shape[0], 1)]
+
+    @property
+    def within_k(self) -> np.ndarray:
+        return self.matrix_kk[np.triu_indices(self.matrix_kk.shape[0], 1)]
+
+    @property
+    def cross(self) -> np.ndarray:
+        return self.matrix_mk.ravel()
 
 
 def build_distances(obs_m, obs_k, kind: str, band: int | None = None) -> DistanceSets:
@@ -150,21 +158,10 @@ def build_distances(obs_m, obs_k, kind: str, band: int | None = None) -> Distanc
             f"need at least 2 runs per corpus for within-group distances, "
             f"got {n} and {m}"
         )
-    return _distance_sets(
+    return DistanceSets(
         within_matrix(obs_m, kind, band),
         within_matrix(obs_k, kind, band),
         cross_matrix(obs_m, obs_k, kind, band),
-    )
-
-
-def _distance_sets(Dmm, Dkk, Dmk) -> DistanceSets:
-    return DistanceSets(
-        within_m=_upper(Dmm),
-        within_k=_upper(Dkk),
-        cross=Dmk.ravel(),
-        matrix_mm=Dmm,
-        matrix_kk=Dkk,
-        matrix_mk=Dmk,
     )
 
 
@@ -221,14 +218,14 @@ def exceedance_test(ds: DistanceSets, metric: str = "", kind: str = "") -> TestR
 # ----------------------------------------------------------------------
 # bootstrap
 
-def percentile_ci(replicates, lo_q: float = 0.025, hi_q: float = 0.975):
-    """CI from 1-indexed order statistics ceil(lo_q*B), floor(hi_q*B)."""
+def percentile_ci(replicates):
+    """CI from 1-indexed order statistics ceil(CI_LO_Q*B), floor(CI_HI_Q*B)."""
     s = np.sort(np.asarray(replicates, dtype=np.float64))
     B = s.size
     if B < 2:
         raise ValueError(f"need at least 2 replicates, got {B}")
-    lo_rank = max(math.ceil(lo_q * B), 1)
-    hi_rank = max(math.floor(hi_q * B), 1)
+    lo_rank = max(math.ceil(CI_LO_Q * B), 1)
+    hi_rank = max(math.floor(CI_HI_Q * B), 1)
     return float(s[lo_rank - 1]), float(s[hi_rank - 1])
 
 
@@ -343,7 +340,7 @@ def ci_width_curve(
             raise ValueError(
                 f"corpus slice {size} exceeds available runs ({n}, {m})"
             )
-        sub = _distance_sets(
+        sub = DistanceSets(
             ds.matrix_mm[:size, :size],
             ds.matrix_kk[:size, :size],
             ds.matrix_mk[:size, :size],

@@ -72,7 +72,6 @@ class _SenderBase:
         "outstanding",
         "slow_start",
         "srtt_ns",
-        "sent_total",
         "acked_total",
         "signals_total",
     )
@@ -90,7 +89,6 @@ class _SenderBase:
         self.outstanding: dict[int, int] = {}
         self.slow_start = True
         self.srtt_ns = 0
-        self.sent_total = 0
         self.acked_total = 0
         self.signals_total = 0
 
@@ -104,7 +102,7 @@ class _SenderBase:
         limit = self.cwnd
         if len(outstanding) >= limit:
             return out
-        first = seq = self.next_seq
+        seq = self.next_seq
         flow = self.index
         mtu = self.mtu
         ecn = self.ecn
@@ -113,7 +111,6 @@ class _SenderBase:
             out.append(Packet(flow, seq, mtu, ecn))
             seq += 1
         self.next_seq = seq
-        self.sent_total += seq - first
         return out
 
     def _take_rtt_sample(self, sent_at: int, now: int) -> None:
@@ -281,7 +278,6 @@ class FlowStats:
     """Per-flow delivery accounting at the receiver."""
 
     bytes: int = 0
-    ce_packets: int = 0
     highest_seq: int = -1
     arrivals: int = 0
     # (missing seq, arrival count at which it is declared lost)
@@ -308,8 +304,6 @@ class Receiver:
         st.bytes += pkt.size
         arrivals = st.arrivals = st.arrivals + 1
         ce = pkt.ecn == _CE
-        if ce:
-            st.ce_packets += 1
         seq = pkt.seq
         highest = st.highest_seq
         gaps = st.gaps

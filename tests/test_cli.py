@@ -10,6 +10,7 @@ import pytest
 from dualq.cli import (
     EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_UNDEFINED, SWEEP_PARAMS, main,
 )
+from dualq.metrics import canonical_json
 from dualq.runner import RunnerError, load_corpus, verify_corpus
 from dualq.stats import METRICS, build_distances, extract_observations
 
@@ -240,6 +241,44 @@ class TestExitCodes:
         assert "--duration" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_smooth_link_with_trace_file_is_config_error(self, tmp_path, capsys):
+        # SmoothPacer paces at link.rate_bps; a trace would be ignored
+        trace = tmp_path / "t.trace"
+        trace.write_text("4\n")
+        code = emulate(tmp_path / "x", "--mode", "smooth",
+                       "--set", f"link.trace_file={trace}")
+        assert code == EXIT_CONFIG
+        assert "trace_file" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_trace_file_is_runtime_error(self, tmp_path, capsys):
+        code = emulate(tmp_path / "x", "--set",
+                       f"link.trace_file={tmp_path / 'missing.trace'}")
+        assert code == EXIT_RUNTIME
+        assert "missing.trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bootstrap", "--ci-width", "10,x"],
+            ["bootstrap", "--ci-width", "1"],
+            ["bootstrap", "--ci-width", ","],
+            ["bootstrap", "-B", "1"],
+            ["bootstrap", "--band", "-1"],
+            ["bootstrap", "--metrics", "latency"],
+            ["validate", "--band", "-3", "--metrics", "queue_occupancy"],
+            ["validate", "--metrics", "latency"],
+        ],
+    )
+    def test_bad_stats_flag_is_config_error_before_loading(self, tmp_path, capsys,
+                                                            argv):
+        # the corpora do not exist: a flag error must be found first
+        code = run_cli(argv[0], str(tmp_path / "no_m"), str(tmp_path / "no_k"),
+                       *argv[1:], "--out", str(tmp_path / "rep"))
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(
             "validate", str(tmp_path / "no_m"), str(tmp_path / "no_k"),
@@ -441,6 +480,23 @@ class TestBootstrap:
         assert lines[0] == "metric,n,B,ci_lo,ci_hi,width"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("sizes", ["5", "2,4"])
+    def test_ci_width_above_run_count_is_config_error(self, tmp_path, capsys,
+                                                      sizes):
+        m, k = tmp_path / "m", tmp_path / "k"
+        assert batch(m, 3) == EXIT_OK
+        assert batch(k, 3, "--seed-base", "100") == EXIT_OK
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        code = run_cli("bootstrap", str(m), str(k), "-B", "50",
+                       "--ci-width", sizes, "--out", str(rep))
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "--ci-width" in err
+        # rejected before the bootstrap runs and before the report exists
+        assert "p_hat" not in out
+        assert not rep.exists()
+
     def test_force_replaces_earlier_report(self, tmp_path):
         m, k = tmp_path / "m", tmp_path / "k"
         assert batch(m, 3) == EXIT_OK
@@ -453,6 +509,53 @@ class TestBootstrap:
         payload = json.loads((rep / "bootstrap.json").read_text())
         assert payload["metrics"]["throughput"]["B"] == 60
         assert sorted(os.listdir(rep)) == ["bootstrap.json"]
+
+
+class TestReportPins:
+    """Exact report bytes on two fixed-seed 3-run corpora.
+
+    The duration is a multiple of tupdate, so the final sample sits at
+    the horizon either way. The ``corpora`` key of the JSON reports holds
+    absolute paths, so only their ``metrics`` objects are pinned."""
+
+    PINNED = {
+        "distances.csv":
+            "e1b4819694f2d33a3250219c749e56ce20dc9b81d3558254acae812633dea478",
+        "ci_width.csv":
+            "eb94051420c85c128955df5055d2013aa2c487d56e9d25eafb2e8dacc9b4375b",
+        "test_result.json":
+            "995cba4133eaf6e0ad56c4e0ef4481b0baaf4aa041fcbf4279119cd2c9c2e2b7",
+        "bootstrap.json":
+            "b30962d49f99a9ff26371254ba379a53ffeef86d0c46eaec8dd01178a7e8aaaa",
+    }
+
+    def test_report_digests(self, tmp_path):
+        m, k = tmp_path / "m", tmp_path / "k"
+        for out, seed_base in ((m, "0"), (k, "100")):
+            assert run_cli(
+                "batch", "--preset", "low", "--flows", "scalable+cubic",
+                "--duration", "0.8", "--runs", "3", "--seed-base", seed_base,
+                "--out", str(out),
+            ) == EXIT_OK
+        metrics = ("--metrics", "throughput,queue_occupancy")
+        assert run_cli("validate", str(m), str(k), *metrics,
+                       "--out", str(tmp_path / "v")) == EXIT_OK
+        assert run_cli("bootstrap", str(m), str(k), *metrics, "-B", "200",
+                       "--ci-width", "2,3", "--out", str(tmp_path / "b")) == EXIT_OK
+
+        def file_digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def metrics_digest(path):
+            payload = json.loads(path.read_text())["metrics"]
+            return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+        assert {
+            "distances.csv": file_digest(tmp_path / "v" / "distances.csv"),
+            "ci_width.csv": file_digest(tmp_path / "b" / "ci_width.csv"),
+            "test_result.json": metrics_digest(tmp_path / "v" / "test_result.json"),
+            "bootstrap.json": metrics_digest(tmp_path / "b" / "bootstrap.json"),
+        } == self.PINNED
 
 
 class TestSweep:

@@ -256,6 +256,25 @@ class TestFingerprint:
         other = build_scenario(preset_sections("low", params="refined"))
         assert base.fingerprint() != other.fingerprint()
 
+    @staticmethod
+    def _trace_fingerprint(path):
+        return build_scenario(
+            {"link": {"trace_file": str(path)}, "flow.a": {"kind": "scalable"}}
+        ).fingerprint()
+
+    def test_trace_content_not_name(self, tmp_path):
+        a, b = tmp_path / "a.trace", tmp_path / "b.trace"
+        a.write_text("1\n1\n3\n4\n")
+        b.write_text("1\n1\n3\n4\n")
+        assert self._trace_fingerprint(a) == self._trace_fingerprint(b)
+
+    def test_edited_trace_changes_fingerprint(self, tmp_path):
+        p = tmp_path / "t.trace"
+        p.write_text("1\n1\n3\n4\n")
+        before = self._trace_fingerprint(p)
+        p.write_text("1\n2\n3\n4\n")
+        assert self._trace_fingerprint(p) != before
+
     def test_seed_not_part_of_fingerprint(self):
         cfg = build_scenario(preset_sections("low"))
         d = cfg.to_dict()

@@ -124,15 +124,15 @@ class TestSampling:
         assert len(out.samples) == 1875
 
     def test_sample_count_short(self):
-        # 1 s / 16 ms -> 62 full intervals (the 63rd lands past 1 s)
+        # 1 s / 16 ms -> 62 controller updates plus the sample at 1 s
         out = run_scenario(scenario(duration_s=1.0), seed=1)
-        assert len(out.samples) == 62
+        assert len(out.samples) == 63
 
     def test_sample_timestamps(self):
         out = run_scenario(scenario(duration_s=1.0), seed=1)
         assert [s.t_ns for s in out.samples] == [
             16_000_000 * (i + 1) for i in range(62)
-        ]
+        ] + [NS_PER_SEC]
 
     def test_exact_horizon_sample_included(self):
         # 0.8 s is exactly 50 update intervals: the final sample sits
@@ -143,6 +143,15 @@ class TestSampling:
 
 
 class TestConservation:
+    def test_final_sample_is_end_state(self):
+        # 3 s is not a multiple of tupdate: the final sample must still
+        # hold every packet enqueued and neither dequeued nor dropped
+        cfg = scenario("medium", ("scalable", "cubic"), duration_s=3.0)
+        out = run_scenario(cfg, seed=1000)
+        a = out.aqm
+        assert out.samples[-1].t_ns == 3 * NS_PER_SEC
+        assert a.enq_total == a.deq_total + a.drops_total + out.samples[-1].qocc_pkts
+
     @pytest.mark.parametrize("flows", [("cubic",), ("scalable",), ("scalable", "cubic")])
     @pytest.mark.parametrize("mode", ["bursty", "smooth"])
     def test_packet_conservation(self, flows, mode):
@@ -161,7 +170,7 @@ class TestConservation:
     def test_delivered_never_exceeds_sent(self):
         out = run_scenario(scenario(flows=("scalable", "cubic")), seed=3)
         for sender, st in zip(out.senders, out.receiver.flows):
-            assert st.arrivals <= sender.sent_total
+            assert st.arrivals <= sender.next_seq
 
 
 class TestDeterminism:
@@ -293,11 +302,12 @@ GOLDEN = {
         "bf88881ca8e422e48f424ae548678acdd81095297f0279bbcbd595ee8a88f299",
         "ba206a4d41b28f5e3b7a17fe5d1a8a57729cb2fe6faf46f27585015c340177fa",
     ),
-    # tail drops on a full buffer; 1 s is not a multiple of tupdate (16 ms)
+    # tail drops on a full buffer; 1 s is not a multiple of tupdate (16 ms),
+    # so the run ends with an extra sample at the horizon
     "low-bursty-overflow-1s": (
         "low", _SC, 1.0, "bursty", ("aqm.limit_bytes=20000",), 8,
-        "0515f9ff18822dba8f5050cfcd574e8000425d24dc3f925b319c8713dafbfa7c",
-        "7ff7c939907622b73a70c06283aa6a3ce674bacd08e1b642ab1d30a8f0360217",
+        "76400c2107c7d4227803957d3b1e2034bb852cf40f7f933a0db209d55e73bb83",
+        "cf86ab15e053750d6edec5cfe6b78cb5933ccaf9df94ef2a1ae6ca6bce7d795e",
         "921e3787edac2bbd09fe05df6ef26d4a0485e9444a99c4a6cef89086089b127c",
     ),
 }

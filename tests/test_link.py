@@ -111,3 +111,6 @@ class TestConfigs:
             LinkConfig(rate_bps=0).validate()
         with pytest.raises(ValueError):
             LinkConfig(rate_bps=10**6, mtu=0).validate()
+        LinkConfig(mode=LinkMode.BURSTY, trace_file="t.trace").validate()
+        with pytest.raises(ValueError, match="trace_file"):
+            LinkConfig(mode=LinkMode.SMOOTH, trace_file="t.trace").validate()

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dualq.stats import testing
 from dualq.stats.testing import (
     REPLICATE_CHUNK,
+    DistanceSets,
     DegenerateGroupsError,
     METRICS,
     bootstrap_exceedance,
@@ -362,9 +363,9 @@ class TestChunkedReplicates:
         oracle_rng = _pcg(seed)
         expected = []
         for size in sizes:
-            sub = testing._distance_sets(ds.matrix_mm[:size, :size],
-                                         ds.matrix_kk[:size, :size],
-                                         ds.matrix_mk[:size, :size])
+            sub = DistanceSets(ds.matrix_mm[:size, :size],
+                               ds.matrix_kk[:size, :size],
+                               ds.matrix_mk[:size, :size])
             lo, hi = percentile_ci(bootstrap_replicates_oracle(sub, B, oracle_rng))
             expected.append((size, lo, hi, hi - lo))
         assert [(r["n"], r["ci_lo"], r["ci_hi"], r["width"]) for r in rows] == expected
