@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 
 from .aqm import AqmConfig
@@ -152,17 +153,15 @@ def _parse_sizes(raw: str) -> list[int]:
     return sizes
 
 
-def _load_two_corpora(args):
-    records_m = load_corpus(args.corpus_m)
-    records_k = load_corpus(args.corpus_k)
-    return records_m, records_k
-
-
 def cmd_emulate(args) -> int:
     cfg = _scenario_from_args(args)
     out_dir = prepare_out_dir(args.out, args.force)
-    record = run_one(cfg, args.seed, run_id=os.path.basename(out_dir.rstrip("/")))
-    write_run_dir(record, out_dir)
+    try:
+        record = run_one(cfg, args.seed, run_id=os.path.basename(out_dir.rstrip("/")))
+        write_run_dir(record, out_dir)
+    except BaseException:  # a failed or interrupted run leaves no directory
+        shutil.rmtree(out_dir, ignore_errors=True)
+        raise
     print(f"run written to {out_dir}")
     print(f"  seed {args.seed}  fingerprint {record.fingerprint[:16]}")
     print(f"  avg throughput {record.avg_throughput_mbps:.3f} Mbps")
@@ -189,7 +188,7 @@ def cmd_batch(args) -> int:
 
 def cmd_validate(args) -> int:
     metrics = _parse_stats_flags(args)
-    records_m, records_k = _load_two_corpora(args)
+    records_m, records_k = load_corpus(args.corpus_m), load_corpus(args.corpus_k)
     out_dir = prepare_out_dir(args.out, args.force)
     results = []
     distances = {}
@@ -221,7 +220,7 @@ def cmd_bootstrap(args) -> int:
     if args.replicates < 2:
         raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
     sizes = None if args.ci_width is None else _parse_sizes(args.ci_width)
-    records_m, records_k = _load_two_corpora(args)
+    records_m, records_k = load_corpus(args.corpus_m), load_corpus(args.corpus_k)
     if sizes and max(sizes) > min(len(records_m), len(records_k)):
         raise ConfigError(
             f"--ci-width: size {max(sizes)} exceeds the corpora's run counts "

@@ -17,6 +17,7 @@ function, computed in exact integer arithmetic.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 
 from .core import NS_PER_MS, NS_PER_SEC
@@ -114,6 +115,9 @@ class LinkConfig:
         if self.trace_file is not None and self.mode is LinkMode.SMOOTH:
             # SmoothPacer paces at rate_bps; it has no use for a trace
             raise ValueError("trace_file is for bursty links only, not mode = smooth")
+        if self.trace_file is not None and os.path.exists(self.trace_file):
+            # malformed is a config error; missing fails when the run starts
+            DeliveryTrace.from_file(self.trace_file, self.mtu)
 
 
 class SmoothPacer:

@@ -6,7 +6,8 @@ A run directory contains exactly three files:
   and the scalar summary (throughput, counters).
 * ``series.csv``: one row per controller interval with the queue
   occupancy at the sample instant and the mark/drop deltas since the
-  previous sample.
+  previous sample; in memory, ``RunRecord.samples``, an int64 array
+  with one column per TraceSample field.
 * ``flows.csv``: per-flow delivered bytes and average throughput.
 
 Serialization is canonical (sorted keys, repr floats, newline-free
@@ -18,13 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class TraceSample:
+class TraceSample(NamedTuple):
     """Queue state at one controller tick plus deltas since the last."""
 
     t_ns: int
@@ -49,20 +50,18 @@ class SampleCollector:
         self._marks_prev = 0
         self._drops_prev = 0
 
-    def take(self, t_ns: int, aqm) -> TraceSample:
+    def take(self, t_ns: int, aqm) -> None:
         marks = aqm.ecn_marks_l + aqm.ecn_marks_c
         drops = aqm.drops_total
-        sample = TraceSample(
+        self.samples.append(TraceSample(
             t_ns=t_ns,
             qocc_pkts=aqm.backlog_pkts,
             qocc_bytes=aqm.backlog_bytes,
             ecn_marks=marks - self._marks_prev,
             drops=drops - self._drops_prev,
-        )
+        ))
         self._marks_prev = marks
         self._drops_prev = drops
-        self.samples.append(sample)
-        return sample
 
 
 @dataclass
@@ -75,7 +74,9 @@ class FlowSummary:
 
 @dataclass
 class RunRecord:
-    """One run's results in memory; mirrors the on-disk format."""
+    """One run's results in memory; mirrors the on-disk format.
+
+    ``samples`` is series.csv as an int64 (samples, 5) array."""
 
     run_id: str
     seed: int
@@ -85,7 +86,7 @@ class RunRecord:
     config: dict
     flows: list[FlowSummary]
     counters: dict
-    samples: list[TraceSample] = field(default_factory=list)
+    samples: np.ndarray
 
     @property
     def avg_throughput_mbps(self) -> float:
@@ -94,9 +95,8 @@ class RunRecord:
 
     def series(self, column: str) -> np.ndarray:
         """One sample column as a float array, in time order."""
-        return np.asarray(
-            [getattr(s, column) for s in self.samples], dtype=np.float64
-        )
+        col = TraceSample._fields.index(column)
+        return self.samples[:, col].astype(np.float64)
 
 
 def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
@@ -122,7 +122,7 @@ def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
         config=config,
         flows=flows,
         counters=output.aqm.counters(),
-        samples=output.samples,
+        samples=np.array(output.samples, dtype=np.int64),
     )
 
 
@@ -133,7 +133,7 @@ META_NAME = "meta.json"
 SERIES_NAME = "series.csv"
 FLOWS_NAME = "flows.csv"
 
-_SERIES_HEADER = "t_ns,qocc_pkts,qocc_bytes,ecn_marks,drops"
+_SERIES_HEADER = ",".join(TraceSample._fields)
 _FLOWS_HEADER = "flow_id,kind,bytes,mbps"
 
 
@@ -161,10 +161,8 @@ def write_run_dir(record: RunRecord, path: str) -> list[str]:
     with open(os.path.join(path, META_NAME), "w", encoding="ascii") as fh:
         fh.write(canonical_json(meta))
     rows = [_SERIES_HEADER]
-    rows.extend(
-        f"{s.t_ns},{s.qocc_pkts},{s.qocc_bytes},{s.ecn_marks},{s.drops}"
-        for s in record.samples
-    )
+    rows.extend(f"{t},{qp},{qb},{marks},{drops}"
+                for t, qp, qb, marks, drops in record.samples.tolist())
     with open(os.path.join(path, SERIES_NAME), "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
     rows = [_FLOWS_HEADER]
@@ -177,16 +175,17 @@ def write_run_dir(record: RunRecord, path: str) -> list[str]:
 def load_run_dir(path: str) -> RunRecord:
     with open(os.path.join(path, META_NAME), "r", encoding="ascii") as fh:
         meta = json.load(fh)
-    samples = []
     with open(os.path.join(path, SERIES_NAME), "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != _SERIES_HEADER:
             raise ValueError(f"{path}: unexpected series header {header!r}")
-        for line in fh:
-            t, qp, qb, marks, drops = line.strip().split(",")
-            samples.append(
-                TraceSample(int(t), int(qp), int(qb), int(marks), int(drops))
-            )
+        # comments=None: a '#' line is malformed input, not a comment
+        samples = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
+                             comments=None)
+    declared = (meta["summary"]["samples"], len(TraceSample._fields))
+    if samples.shape != declared:
+        raise ValueError(f"{path}: {SERIES_NAME} holds {samples.shape} rows x "
+                         f"columns, meta.json declares {declared}")
     flows = []
     with open(os.path.join(path, FLOWS_NAME), "r", encoding="ascii") as fh:
         header = fh.readline().strip()

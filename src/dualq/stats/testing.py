@@ -256,7 +256,7 @@ def bootstrap_exceedance(
     contribute zero within-distances. Distances are gathered from the
     precomputed matrices, so no DTW is recomputed. Replicates are
     evaluated REPLICATE_CHUNK at a time; the draws keep the
-    per-replicate order, and every replicate is bit-identical to
+    per-replicate stream, and every replicate is bit-identical to
     evaluating it alone.
     """
     if B < 2:
@@ -281,28 +281,25 @@ def bootstrap_exceedance(
 def _replicates(ds: DistanceSets, B: int, rng: np.random.Generator) -> np.ndarray:
     """The B replicate p_hat values, REPLICATE_CHUNK replicates per numpy pass.
 
-    Each replicate draws ``rng.integers(0, n, n)`` then ``rng.integers(0,
-    m, m)``, in the order of a one-at-a-time loop, into buffers reused
-    from chunk to chunk. A chunk's within distances are gathered through
-    the upper-triangle index pairs and its cross block by broadcast
-    indexing, one block after the other, so that a single gathered block
-    is alive at a time.
+    A chunk's runs are one ``rng.integers(0, high, (size, n + m))``, where
+    ``high`` is n n times, then m m times: each element is one bounded draw
+    from PCG64's buffered 32-bit stream, so values and generator state equal
+    ``rng.integers(0, n, n)`` then ``rng.integers(0, m, m)`` per replicate,
+    n == m or not. Within distances are gathered through the upper-triangle
+    index pairs and the cross block by broadcast indexing, one block after
+    the other, so that a single gathered block is alive at a time.
     """
     Dmm, Dkk, Dmk = ds.matrix_mm, ds.matrix_kk, ds.matrix_mk
     n = Dmm.shape[0]
     m = Dkk.shape[0]
     iu_n, ju_n = np.triu_indices(n, 1)
     iu_m, ju_m = np.triu_indices(m, 1)
-    draw_m = np.empty((REPLICATE_CHUNK, n), dtype=np.intp)
-    draw_k = np.empty((REPLICATE_CHUNK, m), dtype=np.intp)
+    high = np.repeat([n, m], [n, m])
     reps = np.empty(B, dtype=np.float64)
     for start in range(0, B, REPLICATE_CHUNK):
         size = min(REPLICATE_CHUNK, B - start)
-        for r in range(size):
-            draw_m[r] = rng.integers(0, n, size=n)
-            draw_k[r] = rng.integers(0, m, size=m)
-        im = draw_m[:size]
-        ik = draw_k[:size]
+        draw = rng.integers(0, high, size=(size, n + m))
+        im, ik = draw[:, :n], draw[:, n:]
         eps = np.maximum(_epsilon(Dmm[im[:, iu_n], im[:, ju_n]]),
                          _epsilon(Dkk[ik[:, iu_m], ik[:, ju_m]]))
         cross = Dmk[im[:, :, None], ik[:, None, :]].reshape(size, n * m)

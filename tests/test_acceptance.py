@@ -174,8 +174,8 @@ def test_criterion_04_conservation():
         if c["enqueued"] != c["dequeued"] + c["drops"] + out.aqm.backlog_pkts:
             failures.append(f"run{i}: packet ledger")
         rec = run_one(cfg, 3, run_id=f"m{i}")
-        marks = sum(s.ecn_marks for s in rec.samples)
-        drops = sum(s.drops for s in rec.samples)
+        marks = rec.series("ecn_marks").sum()
+        drops = rec.series("drops").sum()
         if marks != rec.counters["ecn_marks_l"] + rec.counters["ecn_marks_c"]:
             failures.append(f"run{i}: mark deltas")
         if drops != rec.counters["drops"]:

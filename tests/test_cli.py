@@ -256,6 +256,20 @@ class TestExitCodes:
                        f"link.trace_file={tmp_path / 'missing.trace'}")
         assert code == EXIT_RUNTIME
         assert "missing.trace" in capsys.readouterr().err
+        # the failed run takes its output directory with it
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "command", [emulate, lambda out, *extra: batch(out, 2, *extra)],
+        ids=["emulate", "batch"],
+    )
+    def test_malformed_trace_file_is_config_error(self, tmp_path, capsys, command):
+        trace = tmp_path / "bad.trace"
+        trace.write_text("1\nabc\n4\n")
+        code = command(tmp_path / "x", "--set", f"link.trace_file={trace}")
+        assert code == EXIT_CONFIG
+        assert "not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -391,6 +405,26 @@ class TestCorpusRuns:
         path.write_text(json.dumps(manifest))
         with pytest.raises(RunnerError, match="fingerprint"):
             load_corpus(str(corpus))
+
+    def test_series_row_count_must_match_meta(self, tmp_path, capsys):
+        # a row removed by hand, the manifest re-hashed to match
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        series = corpus / "run-00001" / "series.csv"
+        rows = series.read_text().splitlines(keepends=True)
+        series.write_text("".join(rows[:-1]))
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["files"]["run-00001/series.csv"] = hashlib.sha256(
+            series.read_bytes()).hexdigest()
+        path.write_text(canonical_json(manifest))
+        with pytest.raises(ValueError, match=r"declares \(32, 5\)"):
+            load_corpus(str(corpus))
+        code = run_cli(
+            "validate", str(corpus), str(corpus), "--out", str(tmp_path / "rep")
+        )
+        assert code == EXIT_RUNTIME
+        assert "series.csv holds (31, 5)" in capsys.readouterr().err
 
     def test_runs_load_in_run_id_order(self, tmp_path):
         corpus = tmp_path / "corpus"

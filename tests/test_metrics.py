@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dualq.config import build_scenario, preset_sections
@@ -10,7 +11,6 @@ from dualq.core import Rng
 from dualq.metrics import (
     FlowSummary,
     RunRecord,
-    TraceSample,
     canonical_json,
     load_run_dir,
     summarize,
@@ -30,10 +30,10 @@ def small_record(**kw):
         counters={"enqueued": 10, "dequeued": 10, "drops": 0,
                   "drops_overflow": 0, "drops_aqm": 0,
                   "ecn_marks_l": 0, "ecn_marks_c": 0},
-        samples=[
-            TraceSample(16_000_000, 1, 1500, 0, 0),
-            TraceSample(32_000_000, 2, 3000, 3, 1),
-        ],
+        samples=np.array([
+            [16_000_000, 1, 1500, 0, 0],
+            [32_000_000, 2, 3000, 3, 1],
+        ], dtype=np.int64),
     )
     defaults.update(kw)
     return RunRecord(**defaults)
@@ -68,7 +68,8 @@ class TestSummarize:
                         cfg.to_dict(), out)
         assert rec.seed == 4
         assert rec.rng_algorithm == "mt19937"
-        assert len(rec.samples) == len(out.samples)
+        assert rec.samples.dtype == np.int64
+        assert rec.samples.tolist() == [list(s) for s in out.samples]
         assert rec.counters == out.aqm.counters()
         total = sum(f.bytes for f in rec.flows)
         assert rec.avg_throughput_mbps == pytest.approx(
@@ -86,7 +87,8 @@ class TestRoundTrip:
         assert back.run_id == rec.run_id
         assert back.seed == rec.seed
         assert back.fingerprint == rec.fingerprint
-        assert back.samples == rec.samples
+        assert back.samples.dtype == np.int64
+        assert np.array_equal(back.samples, rec.samples)
         assert back.flows == rec.flows
         assert back.counters == rec.counters
         assert back.config == rec.config
@@ -125,6 +127,16 @@ class TestRoundTrip:
         write_run_dir(rec, str(d))
         series = d / "series.csv"
         series.write_text("time,stuff\n1,2\n")
+        with pytest.raises(ValueError):
+            load_run_dir(str(d))
+
+    def test_load_rejects_comment_line(self, tmp_path):
+        # series.csv has no comments: a '#' line is malformed, not skipped
+        rec = small_record()
+        d = tmp_path / "run"
+        write_run_dir(rec, str(d))
+        series = d / "series.csv"
+        series.write_text(series.read_text() + "# 48000000,0,0,0,0\n")
         with pytest.raises(ValueError):
             load_run_dir(str(d))
 
