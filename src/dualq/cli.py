@@ -65,6 +65,13 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_UNDEFINED = 3
 
+# the least value of each integer flag, checked before any command runs; a
+# seed must not be negative, as random.Random would take -1 for 1
+INT_FLAG_MIN = {
+    "seed": 0, "seed_base": 0, "resample_seed": 0, "runs": 1, "parallel": 1,
+    "replicates": 2, "band": 0,
+}
+
 # the [aqm] keys that take any real number
 SWEEP_PARAMS = tuple(
     key for key, (_, parse) in AQM_KEYS.items() if parse in (parse_float, parse_ms)
@@ -129,8 +136,6 @@ def _parse_stats_flags(args) -> list[str]:
 
     Runs before any corpus is loaded, so a bad flag costs nothing.
     """
-    if args.band is not None and args.band < 0:
-        raise ConfigError(f"--band must be >= 0, got {args.band}")
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not names:
         raise ConfigError("empty metric list")
@@ -217,8 +222,6 @@ def cmd_validate(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     metrics = _parse_stats_flags(args)
-    if args.replicates < 2:
-        raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
     sizes = None if args.ci_width is None else _parse_sizes(args.ci_width)
     records_m, records_k = load_corpus(args.corpus_m), load_corpus(args.corpus_k)
     if sizes and max(sizes) > min(len(records_m), len(records_k)):
@@ -380,6 +383,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, least in INT_FLAG_MIN.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"{flag} must be >= {least}, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

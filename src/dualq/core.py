@@ -72,6 +72,9 @@ class Rng:
     algorithm = "mt19937"
 
     def __init__(self, seed: int):
+        # random.Random seeds from abs(seed): -1 would replay seed 1
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self._random = random.Random(seed)
         # bound method cached for hot-path callers

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -122,7 +123,10 @@ def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
         config=config,
         flows=flows,
         counters=output.aqm.counters(),
-        samples=np.array(output.samples, dtype=np.int64),
+        samples=np.fromiter(
+            chain.from_iterable(output.samples), np.int64,
+            count=len(TraceSample._fields) * len(output.samples),
+        ).reshape(-1, len(TraceSample._fields)),
     )
 
 

@@ -49,12 +49,34 @@ def quantile(values, q: float) -> float:
     The epsilon threshold uses the same rule: for [1, 2, 3, 4] and
     q = 0.95 the result is 3.85.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _finite(values).ravel()
     if arr.size == 0:
         raise ValueError("quantile of empty collection")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
-    return float(np.quantile(arr, q, method="linear"))
+    return float(_quantile_last(arr, q))
+
+
+def _quantile_last(x, q: float):
+    """``np.quantile(x, q, axis=-1, method="linear")`` of finite values, bit
+    for bit, from one partition at rank lo: the next order statistic is the
+    least value after it. The interpolation is numpy's ``_lerp``."""
+    v = (x.shape[-1] - 1) * q
+    lo = int(v)
+    g = v - lo
+    part = np.partition(x, lo, axis=-1)
+    a = part[..., lo]
+    b = part[..., lo + 1:].min(axis=-1) if lo < x.shape[-1] - 1 else a
+    if g >= 0.5:
+        return b - (b - a) * (1 - g)
+    return a + (b - a) * g
+
+
+def _finite(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("observations and quantile inputs must be finite")
+    return arr
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +128,7 @@ def within_matrix(obs, kind: str, band: int | None = None) -> np.ndarray:
     """Symmetric n x n distance matrix with a zero diagonal."""
     n = len(obs)
     if kind == "scalar":
-        arr = np.asarray(obs, dtype=np.float64)
+        arr = _finite(obs)
         return np.abs(arr[:, None] - arr[None, :])
     D = np.zeros((n, n), dtype=np.float64)
     iu, ju = np.triu_indices(n, 1)
@@ -120,8 +142,8 @@ def cross_matrix(obs_m, obs_k, kind: str, band: int | None = None) -> np.ndarray
     n = len(obs_m)
     m = len(obs_k)
     if kind == "scalar":
-        a = np.asarray(obs_m, dtype=np.float64)
-        b = np.asarray(obs_k, dtype=np.float64)
+        a = _finite(obs_m)
+        b = _finite(obs_k)
         return np.abs(a[:, None] - b[None, :])
     d = dtw_norm_pairs([x for x in obs_m for _ in range(m)], list(obs_k) * n, band)
     return d.reshape(n, m)
@@ -168,15 +190,10 @@ def build_distances(obs_m, obs_k, kind: str, band: int | None = None) -> Distanc
 # ----------------------------------------------------------------------
 # exceedance test
 
-def _epsilon(within) -> np.ndarray:
-    """Within-distance 95th percentile along the last axis (linear, as
-    ``quantile``); eps is the larger of the two groups' values."""
-    return np.quantile(within, QUANTILE_LEVEL, axis=-1, method="linear")
-
-
 def _p_hat(cross, eps) -> np.ndarray:
     """Share of cross distances strictly above eps, along the last axis."""
-    return np.mean(cross > np.expand_dims(eps, -1), axis=-1)
+    above = np.count_nonzero(cross > np.expand_dims(eps, -1), axis=-1)
+    return above / cross.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -199,8 +216,8 @@ def exceedance_test(ds: DistanceSets, metric: str = "", kind: str = "") -> TestR
     only when the exceedance proportion is strictly below the decision
     threshold; a proportion of exactly 0.05 fails to reject.
     """
-    eps_m = float(_epsilon(ds.within_m))
-    eps_k = float(_epsilon(ds.within_k))
+    eps_m = float(_quantile_last(ds.within_m, QUANTILE_LEVEL))
+    eps_k = float(_quantile_last(ds.within_k, QUANTILE_LEVEL))
     p_hat = float(_p_hat(ds.cross, max(eps_m, eps_k)))
     return TestResult(
         metric=metric,
@@ -285,13 +302,14 @@ def _replicates(ds: DistanceSets, B: int, rng: np.random.Generator) -> np.ndarra
     ``high`` is n n times, then m m times: each element is one bounded draw
     from PCG64's buffered 32-bit stream, so values and generator state equal
     ``rng.integers(0, n, n)`` then ``rng.integers(0, m, m)`` per replicate,
-    n == m or not. Within distances are gathered through the upper-triangle
-    index pairs and the cross block by broadcast indexing, one block after
-    the other, so that a single gathered block is alive at a time.
+    n == m or not. Within distances are gathered from the raveled matrices
+    through the flat indices of the upper-triangle pairs, and the cross
+    block through broadcast flat indices, one block after the other, so
+    that a single gathered block is alive at a time.
     """
-    Dmm, Dkk, Dmk = ds.matrix_mm, ds.matrix_kk, ds.matrix_mk
-    n = Dmm.shape[0]
-    m = Dkk.shape[0]
+    Dmm, Dkk, Dmk = (d.ravel() for d in (ds.matrix_mm, ds.matrix_kk, ds.matrix_mk))
+    n = ds.matrix_mm.shape[0]
+    m = ds.matrix_kk.shape[0]
     iu_n, ju_n = np.triu_indices(n, 1)
     iu_m, ju_m = np.triu_indices(m, 1)
     high = np.repeat([n, m], [n, m])
@@ -300,10 +318,11 @@ def _replicates(ds: DistanceSets, B: int, rng: np.random.Generator) -> np.ndarra
         size = min(REPLICATE_CHUNK, B - start)
         draw = rng.integers(0, high, size=(size, n + m))
         im, ik = draw[:, :n], draw[:, n:]
-        eps = np.maximum(_epsilon(Dmm[im[:, iu_n], im[:, ju_n]]),
-                         _epsilon(Dkk[ik[:, iu_m], ik[:, ju_m]]))
-        cross = Dmk[im[:, :, None], ik[:, None, :]].reshape(size, n * m)
-        reps[start:start + size] = _p_hat(cross, eps)
+        eps = np.maximum(
+            _quantile_last(Dmm.take(im[:, iu_n] * n + im[:, ju_n]), QUANTILE_LEVEL),
+            _quantile_last(Dkk.take(ik[:, iu_m] * m + ik[:, ju_m]), QUANTILE_LEVEL))
+        cross = Dmk.take((im * m)[:, :, None] + ik[:, None, :])
+        reps[start:start + size] = _p_hat(cross.reshape(size, n * m), eps)
     return reps
 
 

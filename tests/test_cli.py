@@ -282,6 +282,7 @@ class TestExitCodes:
             ["bootstrap", "--metrics", "latency"],
             ["validate", "--band", "-3", "--metrics", "queue_occupancy"],
             ["validate", "--metrics", "latency"],
+            ["bootstrap", "--resample-seed", "-1"],
         ],
     )
     def test_bad_stats_flag_is_config_error_before_loading(self, tmp_path, capsys,
@@ -292,6 +293,28 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["emulate", "--seed", "-1"],
+            ["batch", "--runs", "2", "--seed-base", "-1"],
+            ["batch", "--runs", "0"],
+            ["batch", "--runs", "2", "--parallel", "0"],
+            ["sweep", "--param", "alpha", "--values", "0.1", "--runs", "0"],
+            ["sweep", "--param", "alpha", "--values", "0.1", "--parallel", "0"],
+            ["sweep", "--param", "alpha", "--values", "0.1", "--seed-base", "-1"],
+        ],
+    )
+    def test_bad_count_or_seed_is_config_error_before_writing(self, tmp_path,
+                                                              capsys, argv):
+        # random.Random seeds from abs(seed), so seed -1 would replay seed 1
+        out = tmp_path / "out"
+        code = run_cli(argv[0], "--preset", "low", "--duration", "0.2",
+                       *argv[1:], "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(

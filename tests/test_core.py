@@ -66,6 +66,11 @@ class TestRng:
         assert Rng.algorithm == "mt19937"
         assert Rng(0).seed == 0
 
+    def test_rejects_negative_seed(self):
+        # random.Random seeds from abs(seed): -1 would replay seed 1
+        with pytest.raises(ValueError, match="seed"):
+            Rng(-1)
+
     def test_bernoulli_consumes_one_draw(self):
         a = Rng(7)
         b = Rng(7)

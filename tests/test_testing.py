@@ -44,6 +44,11 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            quantile([1.0, bad, 2.0], 0.5)
+
     @given(
         vals=st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=60),
         q=st.floats(0, 1),
@@ -53,6 +58,54 @@ class TestQuantile:
         assert quantile(vals, q) == pytest.approx(
             quantile_oracle(vals, q), rel=1e-9, abs=1e-9
         )
+
+
+class TestOneRankQuantile:
+    """The one-partition quantile equals
+    ``np.quantile(x, q, axis=-1, method="linear")`` element for element."""
+
+    LEVELS = (testing.QUANTILE_LEVEL, 0.0, 0.025, 0.975, 1.0)
+
+    @staticmethod
+    def check(x, q):
+        got = testing._quantile_last(x, q)
+        want = np.quantile(x, q, axis=-1, method="linear")
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want), (x.shape, q)
+
+    def test_every_width_to_500(self):
+        gen = np.random.default_rng(17)
+        levels = self.LEVELS + tuple(gen.random(3))
+        branches = set()
+        for k in range(1, 501):
+            x = gen.exponential(1.0, (3, k))
+            for q in levels:
+                self.check(x, q)
+                self.check(x[1], q)
+                assert quantile(x[1], q) == float(np.quantile(x[1], q))
+            v = (k - 1) * testing.QUANTILE_LEVEL
+            branches.add("exact" if v == int(v) else v - int(v) >= 0.5)
+        # both interpolation branches, and a rank with no fraction: at
+        # k = 21 the rank is 19.0 and the lower order statistic is the result
+        assert branches == {"exact", True, False}
+        assert 20 * testing.QUANTILE_LEVEL == 19.0
+
+    @pytest.mark.parametrize("k", [2, 5, 21, 45, 435, 500])
+    def test_tied_values(self, k):
+        gen = np.random.default_rng(k)
+        x = gen.integers(0, 3, (8, k)).astype(np.float64)
+        x[0] = 1.0  # every value tied
+        for q in self.LEVELS:
+            self.check(x, q)
+
+    @pytest.mark.parametrize("size", [2, 3, 8, 29])
+    def test_non_contiguous_slices(self, size):
+        gen = np.random.default_rng(size)
+        ds = build_distances(gen.normal(size=30), gen.normal(size=30), "scalar")
+        for view in (ds.matrix_mm[:size, :size], ds.matrix_mk[:size, :size].T):
+            assert not view.flags.c_contiguous
+            for q in self.LEVELS:
+                self.check(view, q)
 
 
 class TestDistances:
@@ -82,6 +135,15 @@ class TestDistances:
         assert ds.within_k.shape == (3,)
         assert ds.cross.shape == (12,)
         assert ds.matrix_mk.shape == (4, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_observations_raise(self, bad):
+        # a NaN throughput gave eps = nan and p_hat = 0: "equivalent"
+        with pytest.raises(ValueError, match="finite"):
+            build_distances(np.array([bad, 10.0, 10.1, 10.2]),
+                            np.array([50.0, 51.0, 52.0, 53.0]), "scalar")
+        with pytest.raises(ValueError, match="finite"):
+            cross_matrix([1.0, 2.0], [bad, 3.0], "scalar")
 
     def test_degenerate_groups_raise(self):
         with pytest.raises(DegenerateGroupsError):
