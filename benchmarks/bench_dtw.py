@@ -2,7 +2,7 @@
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_dtw.py [--lengths 625,1875]
-        [--pairs 16,66] [--repeat 3] [--seed 0]
+        [--pairs 16,66] [--band N] [--repeat 3] [--seed 0]
 
 For each series length n and batch size P, P random Poisson(3) pairs of
 n samples each (n * n cells per pair) go through:
@@ -10,10 +10,14 @@ n samples each (n * n cells per pair) go through:
 * numpy: the batched wavefront kernel, ``_dtw_np.dtw_many``, one call;
 * python: the scalar oracle ``_dtw_py.dtw_pair`` once per pair.
 
+With --band N every case runs a second time under a Sakoe-Chiba band of
+N (N >= 0), on the same pairs; its cells are those inside the band.
+
 Raw cost and path length of every pair must equal the oracle's, or the
 script exits non-zero. The numpy kernel keeps the best of --repeat
-passes; the oracle runs once, and its pass dominates the run time
-(about four minutes at the defaults on a 2-core x86 host).
+passes (its seconds are printed beside ns per cell); the oracle runs
+once, and its pass dominates the run time (under a minute at the
+defaults, with or without --band 40, on a 2-core x86 host).
 """
 
 import argparse
@@ -33,12 +37,19 @@ def best_of(repeat, fn):
     return best, out
 
 
-def check(name, got, expected, n, p):
+def check(name, got, expected, n, p, band):
     got = [(float(r), int(k)) for r, k in got]
     if got != expected:
         bad = sum(a != b for a, b in zip(got, expected))
         raise SystemExit(f"{name} kernel differs from the oracle on {bad} of "
-                         f"{p} pairs at n={n}")
+                         f"{p} pairs at n={n}, band {band}")
+
+
+def cells_per_pair(n, band):
+    """Cells (i, j) of an n x n matrix with |i - j| <= band (all if band < 0)."""
+    if band < 0 or band >= n - 1:
+        return n * n
+    return n * (2 * band + 1) - band * (band + 1)
 
 
 def main():
@@ -49,29 +60,37 @@ def main():
                         help="comma-separated batch sizes P")
     parser.add_argument("--repeat", type=int, default=3,
                         help="timing passes of the numpy kernel, best is kept")
+    parser.add_argument("--band", type=int, default=None,
+                        help="also time every case under this Sakoe-Chiba band")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.band is not None and args.band < 0:
+        parser.error("--band must be >= 0")
+    bands = [-1] if args.band is None else [-1, args.band]
 
     lengths = [int(s) for s in args.lengths.split(",") if s.strip()]
     batch_sizes = [int(s) for s in args.pairs.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
-    print(f"{'n':>6} {'P':>4} {'python':>8} {'numpy':>8} {'py/np':>6}"
-          "   (ns per cell)")
+    print(f"{'n':>6} {'P':>4} {'band':>5} {'python':>8} {'numpy':>8} "
+          f"{'py/np':>6} {'numpy_s':>8}   (ns per cell; best numpy pass)")
 
     for n in lengths:
         for p in batch_sizes:
             xs = rng.poisson(3.0, (p, n)).astype(np.float64)
             ys = rng.poisson(3.0, (p, n)).astype(np.float64)
-            cells = p * n * n
-            t0 = time.perf_counter()
-            expected = [_dtw_py.dtw_pair(x, y) for x, y in zip(xs, ys)]
-            t_py = time.perf_counter() - t0
-            t_np, (raw, plen) = best_of(args.repeat,
-                                        lambda: _dtw_np.dtw_many(xs, ys))
-            check("numpy", zip(raw, plen), expected, n, p)
-            print(f"{n:>6} {p:>4} {t_py * 1e9 / cells:>8.1f} "
-                  f"{t_np * 1e9 / cells:>8.1f} {t_py / t_np:>6.1f}")
+            for band in bands:
+                cells = p * cells_per_pair(n, band)
+                t0 = time.perf_counter()
+                expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
+                t_py = time.perf_counter() - t0
+                t_np, (raw, plen) = best_of(
+                    args.repeat, lambda: _dtw_np.dtw_many(xs, ys, band))
+                check("numpy", zip(raw, plen), expected, n, p, band)
+                label = "full" if band < 0 else str(band)
+                print(f"{n:>6} {p:>4} {label:>5} {t_py * 1e9 / cells:>8.1f} "
+                      f"{t_np * 1e9 / cells:>8.1f} {t_py / t_np:>6.1f} "
+                      f"{t_np:>8.4f}")
 
 
 if __name__ == "__main__":

@@ -144,6 +144,10 @@ def _parse_stats_flags(args) -> list[str]:
             raise ConfigError(
                 f"unknown metric {name!r}, expected one of {sorted(METRICS)}"
             )
+    if args.band is not None and all(METRICS[n].kind == "scalar" for n in names):
+        raise ConfigError(
+            "--band: applies to time-series metrics only, and none is chosen"
+        )
     return names
 
 

@@ -294,6 +294,31 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("metrics", [None, "throughput"])
+    def test_band_without_series_metric_is_config_error(self, tmp_path, capsys,
+                                                        command, metrics):
+        # the band shapes time-series distances only; with scalar metrics
+        # alone it would be ignored. The corpora do not exist, so the flag
+        # must be rejected before anything is loaded.
+        extra = [] if metrics is None else ["--metrics", metrics]
+        code = run_cli(command, str(tmp_path / "no_m"), str(tmp_path / "no_k"),
+                       *extra, "--band", "5", "--out", str(tmp_path / "rep"))
+        assert code == EXIT_CONFIG
+        assert "--band" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    def test_band_with_one_series_metric_passes_flag_checks(self, tmp_path,
+                                                            capsys, command):
+        # one time-series metric among scalar ones is enough: the flags are
+        # accepted and the missing corpus is what fails
+        code = run_cli(command, str(tmp_path / "no_m"), str(tmp_path / "no_k"),
+                       "--metrics", "throughput,queue_occupancy", "--band", "5",
+                       "--out", str(tmp_path / "rep"))
+        assert code == EXIT_RUNTIME
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "argv",
         [

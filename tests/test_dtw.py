@@ -133,6 +133,28 @@ class TestKernelParity:
         for band in (-1, 10, 20, 59):
             assert_matches_oracle(xs, ys, band)
 
+    @pytest.mark.parametrize("n, m", [(9, 9), (16, 16), (17, 11), (11, 17),
+                                      (30, 24)])
+    def test_tie_heavy_path_choice(self, n, m):
+        # 0/1 values make most cells tie between two or three predecessors,
+        # so any change to the diagonal > vertical > horizontal choice, or to
+        # the predecessor a tie is tested against, changes a path length.
+        # The band of gap + 3 is narrower than the matrix mid-way, so the
+        # diagonals there start and end next to cells left from earlier ones.
+        rng = np.random.default_rng(1000 * n + m)
+        xs = rng.integers(0, 2, (6, n)).astype(np.float64)
+        ys = rng.integers(0, 2, (6, m)).astype(np.float64)
+        xs[0] = 0.0  # one pair of constant, equal series: every cell ties
+        ys[0] = 0.0
+        xs[1] = np.arange(n) % 2  # alternating against constant
+        ys[1] = 1.0
+        gap = abs(n - m)
+        for band in (-1, gap, gap + 1, gap + 3):
+            raw, plen = _dtw_np.dtw_many(xs, ys, band)
+            assert raw.dtype == np.float64 and plen.dtype == np.int64
+            expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
+            assert list(zip(raw.tolist(), plen.tolist())) == expected, band
+
 
 class TestBand:
     def test_wide_band_equals_unconstrained(self):
