@@ -12,15 +12,4 @@ Everything is driven by explicit integer-nanosecond time and explicit
 seeds, so identical inputs reproduce byte-identical outputs.
 """
 
-from .core import Ecn, Packet, Rng
-from .aqm import AqmConfig, DualPi2
-
-__all__ = [
-    "AqmConfig",
-    "DualPi2",
-    "Ecn",
-    "Packet",
-    "Rng",
-]
-
 __version__ = "0.1.0"

@@ -50,6 +50,7 @@ from .runner import (
 )
 from .stats.report import write_bootstrap_results, write_ci_width, write_test_results
 from .stats.testing import (
+    DEFAULT_B,
     DegenerateGroupsError,
     METRICS,
     bootstrap_exceedance,
@@ -139,11 +140,13 @@ def _parse_stats_flags(args) -> list[str]:
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not names:
         raise ConfigError("empty metric list")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in METRICS:
             raise ConfigError(
                 f"unknown metric {name!r}, expected one of {sorted(METRICS)}"
             )
+        if name in names[:i]:
+            raise ConfigError(f"--metrics: {name!r} given twice")
     if args.band is not None and all(METRICS[n].kind == "scalar" for n in names):
         raise ConfigError(
             "--band: applies to time-series metrics only, and none is chosen"
@@ -272,6 +275,9 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep value list")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"--values: {v!r} given twice")
     # every value is parsed and its scenario checked before anything is written
     cfgs = []
     for v in values:
@@ -293,8 +299,8 @@ def cmd_sweep(args) -> int:
         records = load_corpus(sub)
         rates = [r.avg_throughput_mbps for r in records]
         mean = sum(rates) / len(rates)
-        lo = quantile(rates, 0.025) if len(rates) > 1 else rates[0]
-        hi = quantile(rates, 0.975) if len(rates) > 1 else rates[0]
+        lo = quantile(rates, 0.025)
+        hi = quantile(rates, 0.975)
         summary.append(f"{args.param},{v},{len(rates)},{mean!r},{lo!r},{hi!r}")
         print(f"{args.param}={v}: mean {mean:.3f} Mbps  [{lo:.3f}, {hi:.3f}]")
     with open(os.path.join(out_dir, SWEEP_SUMMARY_NAME), "w", encoding="ascii") as fh:
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_m")
     p.add_argument("corpus_k")
     p.add_argument("--metrics", default="throughput")
-    p.add_argument("--replicates", "-B", type=int, default=2000)
+    p.add_argument("--replicates", "-B", type=int, default=DEFAULT_B)
     p.add_argument("--resample-seed", type=int, default=0)
     p.add_argument("--ci-width", default=None, metavar="N1,N2,...",
                    help="also compute CI width at these corpus sizes")

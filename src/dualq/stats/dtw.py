@@ -30,53 +30,33 @@ def _prepare(x, y, band: int | None):
         raise ValueError("series must be non-empty")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise ValueError("series must be finite")
-    if band is None:
-        b = -1
-    else:
-        b = int(band)
-        if b < abs(xa.size - ya.size):
-            raise ValueError(
-                f"band {b} cannot align lengths {xa.size} and {ya.size}; "
-                f"need at least {abs(xa.size - ya.size)}"
-            )
-    return xa, ya, b
-
-
-def _pair(x, y, band: int | None) -> tuple[float, int]:
-    xa, ya, b = _prepare(x, y, band)
-    raw, plen = dtw_many(xa[None], ya[None], b)
-    return float(raw[0]), int(plen[0])
-
-
-def dtw_alignment(x, y, band: int | None = None) -> tuple[float, int, float]:
-    """Full result: (raw_cost, path_len, normalized_cost).
-
-    The normalized cost divides the raw cost by the number of cells on
-    the backtracked optimal path, making series of different lengths
-    comparable on one scale.
-    """
-    raw, plen = _pair(x, y, band)
-    return raw, plen, raw / plen
+    if band is not None and int(band) < abs(xa.size - ya.size):
+        raise ValueError(
+            f"band {band} cannot align lengths {xa.size} and {ya.size}; "
+            f"need at least {abs(xa.size - ya.size)}"
+        )
+    return xa, ya
 
 
 def dtw_norm(x, y, band: int | None = None) -> float:
-    raw, plen = _pair(x, y, band)
-    return raw / plen
+    """Normalized DTW of one pair: a batch of one through dtw_norm_pairs."""
+    return float(dtw_norm_pairs([x], [y], band)[0])
 
 
 def dtw_norm_pairs(xs, ys, band: int | None = None) -> np.ndarray:
     """Normalized DTW of every pair (xs[p], ys[p]), as a float64 array.
 
-    Each pair is validated like dtw_norm; pairs of equal lengths then go
-    through the kernel together, CHUNK_PAIRS at a time. Element p equals
-    dtw_norm(xs[p], ys[p], band) bit for bit.
+    The raw cost is divided by the number of cells on the optimal path,
+    so series of different lengths compare on one scale. Every pair is
+    checked by _prepare; pairs of equal lengths then go through the
+    kernel together, CHUNK_PAIRS at a time.
     """
     prepared = [_prepare(x, y, band) for x, y in zip(xs, ys, strict=True)]
     b = -1 if band is None else int(band)
     # CLI corpora come from one scenario, so they form a single group;
     # mixed lengths arise only from library callers
     groups: dict[tuple[int, int], list[int]] = {}
-    for p, (xa, ya, _) in enumerate(prepared):
+    for p, (xa, ya) in enumerate(prepared):
         groups.setdefault((xa.size, ya.size), []).append(p)
     out = np.empty(len(prepared), dtype=np.float64)
     for members in groups.values():

