@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 
 from .aqm import AqmConfig
@@ -43,7 +42,7 @@ from .runner import (
     SWEEP_SUMMARY_NAME,
     RunnerError,
     load_corpus,
-    prepare_out_dir,
+    output_dir,
     resolve_out,
     run_batch,
     run_one,
@@ -162,18 +161,26 @@ def _parse_sizes(raw: str) -> list[int]:
         raise ConfigError(f"--ci-width: not a list of integers: {raw!r}") from None
     if not sizes or min(sizes) < 2:
         raise ConfigError(f"--ci-width: give corpus sizes >= 2, got {raw!r}")
+    for i, size in enumerate(sizes):
+        if size in sizes[:i]:
+            raise ConfigError(f"--ci-width: {size} given twice")
     return sizes
+
+
+def _distance_sets(args, records_m, records_k, metrics):
+    """Yield (metric, kind, DistanceSets) for each chosen metric in turn."""
+    for name in metrics:
+        kind = METRICS[name].kind
+        obs_m = extract_observations(records_m, name)
+        obs_k = extract_observations(records_k, name)
+        yield name, kind, build_distances(obs_m, obs_k, kind, band=args.band)
 
 
 def cmd_emulate(args) -> int:
     cfg = _scenario_from_args(args)
-    out_dir = prepare_out_dir(args.out, args.force)
-    try:
+    with output_dir(args.out, args.force) as out_dir:
         record = run_one(cfg, args.seed, run_id=os.path.basename(out_dir.rstrip("/")))
         write_run_dir(record, out_dir)
-    except BaseException:  # a failed or interrupted run leaves no directory
-        shutil.rmtree(out_dir, ignore_errors=True)
-        raise
     print(f"run written to {out_dir}")
     print(f"  seed {args.seed}  fingerprint {record.fingerprint[:16]}")
     print(f"  avg throughput {record.avg_throughput_mbps:.3f} Mbps")
@@ -200,29 +207,21 @@ def cmd_batch(args) -> int:
 
 def cmd_validate(args) -> int:
     metrics = _parse_stats_flags(args)
-    records_m, records_k = load_corpus(args.corpus_m), load_corpus(args.corpus_k)
-    out_dir = prepare_out_dir(args.out, args.force)
-    results = []
-    distances = {}
-    for name in metrics:
-        obs_m = extract_observations(records_m, name)
-        obs_k = extract_observations(records_k, name)
-        kind = METRICS[name].kind
-        ds = build_distances(obs_m, obs_k, kind, band=args.band)
-        res = exceedance_test(ds, metric=name, kind=kind)
-        results.append(res)
-        distances[name] = ds
-        verdict = "equivalent" if res.reject_h0 else "not equivalent"
-        print(
-            f"{name}: eps_max={res.eps_max:.6g} p_hat={res.p_hat_max:.6g} "
-            f"-> {verdict}"
-        )
-    write_test_results(
-        out_dir,
-        results,
-        distances,
-        corpora={"m": resolve_out(args.corpus_m), "k": resolve_out(args.corpus_k)},
-    )
+    corpora = {"m": resolve_out(args.corpus_m), "k": resolve_out(args.corpus_k)}
+    records_m, records_k = load_corpus(corpora["m"]), load_corpus(corpora["k"])
+    with output_dir(args.out, args.force) as out_dir:
+        results = []
+        distances = {}
+        for name, kind, ds in _distance_sets(args, records_m, records_k, metrics):
+            res = exceedance_test(ds, metric=name, kind=kind)
+            results.append(res)
+            distances[name] = ds
+            verdict = "equivalent" if res.reject_h0 else "not equivalent"
+            print(
+                f"{name}: eps_max={res.eps_max:.6g} p_hat={res.p_hat_max:.6g} "
+                f"-> {verdict}"
+            )
+        write_test_results(out_dir, results, distances, corpora)
     print(f"report written to {out_dir}")
     return EXIT_OK
 
@@ -230,43 +229,36 @@ def cmd_validate(args) -> int:
 def cmd_bootstrap(args) -> int:
     metrics = _parse_stats_flags(args)
     sizes = None if args.ci_width is None else _parse_sizes(args.ci_width)
-    records_m, records_k = load_corpus(args.corpus_m), load_corpus(args.corpus_k)
+    corpora = {"m": resolve_out(args.corpus_m), "k": resolve_out(args.corpus_k)}
+    records_m, records_k = load_corpus(corpora["m"]), load_corpus(corpora["k"])
     if sizes and max(sizes) > min(len(records_m), len(records_k)):
         raise ConfigError(
             f"--ci-width: size {max(sizes)} exceeds the corpora's run counts "
             f"({len(records_m)}, {len(records_k)})"
         )
-    out_dir = prepare_out_dir(args.out, args.force)
-    results = []
-    width_rows = []
-    for name in metrics:
-        obs_m = extract_observations(records_m, name)
-        obs_k = extract_observations(records_k, name)
-        kind = METRICS[name].kind
-        ds = build_distances(obs_m, obs_k, kind, band=args.band)
-        res = bootstrap_exceedance(
-            ds, B=args.replicates, seed=args.resample_seed, metric=name
-        )
-        results.append(res)
-        print(
-            f"{name}: p_hat={res.p_hat_point:.6g} "
-            f"ci=[{res.ci_lo:.6g}, {res.ci_hi:.6g}] "
-            f"significant={'yes' if res.significant else 'no'}"
-        )
-        if sizes:
-            width_rows.extend(
-                ci_width_curve(
-                    ds, sizes, B=args.replicates, seed=args.resample_seed,
-                    metric=name,
-                )
+    with output_dir(args.out, args.force) as out_dir:
+        results = []
+        width_rows = []
+        for name, _, ds in _distance_sets(args, records_m, records_k, metrics):
+            res = bootstrap_exceedance(
+                ds, B=args.replicates, seed=args.resample_seed, metric=name
             )
-    files = write_bootstrap_results(
-        out_dir,
-        results,
-        corpora={"m": resolve_out(args.corpus_m), "k": resolve_out(args.corpus_k)},
-    )
-    if width_rows:
-        files += write_ci_width(out_dir, width_rows)
+            results.append(res)
+            print(
+                f"{name}: p_hat={res.p_hat_point:.6g} "
+                f"ci=[{res.ci_lo:.6g}, {res.ci_hi:.6g}] "
+                f"significant={'yes' if res.significant else 'no'}"
+            )
+            if sizes:
+                width_rows.extend(
+                    ci_width_curve(
+                        ds, sizes, B=args.replicates, seed=args.resample_seed,
+                        metric=name,
+                    )
+                )
+        files = write_bootstrap_results(out_dir, results, corpora)
+        if width_rows:
+            files += write_ci_width(out_dir, width_rows)
     print(f"report written to {out_dir} ({', '.join(files)})")
     return EXIT_OK
 
@@ -275,36 +267,40 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep value list")
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ConfigError(f"--values: {v!r} given twice")
-    # every value is parsed and its scenario checked before anything is written
-    cfgs = []
+    # every value is parsed and its scenario checked before anything is
+    # written; two values that build one scenario would run it twice
+    scenarios = {}
     for v in values:
         sweep_args = argparse.Namespace(**vars(args))
         sweep_args.overrides = list(args.overrides) + [f"aqm.{args.param}={v}"]
-        cfgs.append(_scenario_from_args(sweep_args))
-    out_dir = prepare_out_dir(args.out, args.force)
-    summary = ["param,value,runs,mean_mbps,p2_5_mbps,p97_5_mbps"]
-    for v, cfg in zip(values, cfgs):
-        sub = os.path.join(out_dir, f"{args.param}-{v}")
-        run_batch(
-            cfg,
-            runs=args.runs,
-            seed_base=args.seed_base,
-            out_dir=sub,
-            parallel=args.parallel,
-            force=True,
-        )
-        records = load_corpus(sub)
-        rates = [r.avg_throughput_mbps for r in records]
-        mean = sum(rates) / len(rates)
-        lo = quantile(rates, 0.025)
-        hi = quantile(rates, 0.975)
-        summary.append(f"{args.param},{v},{len(rates)},{mean!r},{lo!r},{hi!r}")
-        print(f"{args.param}={v}: mean {mean:.3f} Mbps  [{lo:.3f}, {hi:.3f}]")
-    with open(os.path.join(out_dir, SWEEP_SUMMARY_NAME), "w", encoding="ascii") as fh:
-        fh.write("\n".join(summary) + "\n")
+        cfg = _scenario_from_args(sweep_args)
+        fp = cfg.fingerprint()
+        if fp in scenarios:
+            raise ConfigError(
+                f"--values: {v!r} gives the scenario of {scenarios[fp][0]!r}"
+            )
+        scenarios[fp] = (v, cfg)
+    with output_dir(args.out, args.force) as out_dir:
+        summary = ["param,value,runs,mean_mbps,p2_5_mbps,p97_5_mbps"]
+        for v, cfg in scenarios.values():
+            sub = os.path.join(out_dir, f"{args.param}-{v}")
+            run_batch(
+                cfg,
+                runs=args.runs,
+                seed_base=args.seed_base,
+                out_dir=sub,
+                parallel=args.parallel,
+            )
+            records = load_corpus(sub)
+            rates = [r.avg_throughput_mbps for r in records]
+            mean = sum(rates) / len(rates)
+            lo = quantile(rates, 0.025)
+            hi = quantile(rates, 0.975)
+            summary.append(f"{args.param},{v},{len(rates)},{mean!r},{lo!r},{hi!r}")
+            print(f"{args.param}={v}: mean {mean:.3f} Mbps  [{lo:.3f}, {hi:.3f}]")
+        path = os.path.join(out_dir, SWEEP_SUMMARY_NAME)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(summary) + "\n")
     print(f"sweep written to {out_dir}")
     return EXIT_OK
 

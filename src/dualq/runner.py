@@ -1,9 +1,10 @@
 """Run orchestration: output layout, batches, manifests, corpus loading.
 
 A corpus directory holds one subdirectory per run plus a manifest
-listing the sha256 of every emitted file. Batches are transactional:
-if any run fails, the whole output directory is removed so a partial
-corpus can never masquerade as a complete one.
+listing the sha256 of every emitted file. Every command that writes
+does so inside output_dir, one transaction: if it fails or is
+interrupted, its whole output directory is removed, so a partial
+corpus or report can never masquerade as a complete one.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from .config import ScenarioConfig
 from .core import Rng
@@ -51,12 +54,15 @@ def resolve_out(path: str) -> str:
     return os.path.join(output_root(), path)
 
 
-def prepare_out_dir(path: str, force: bool) -> str:
-    """Create an output directory, refusing to clobber prior results.
+@contextmanager
+def output_dir(path: str, force: bool) -> Iterator[str]:
+    """Create an output directory, refusing to clobber prior results, and
+    yield it; remove it if the body raises anything, an interrupt included.
 
     With force, an earlier dualq output (a directory holding one of
     OUTPUT_MARKERS) or an empty directory is replaced; any other
-    non-empty directory is left untouched.
+    non-empty directory is left untouched. The earlier output is gone
+    before the body runs, so a failed command leaves no directory at all.
     """
     path = resolve_out(path)
     if os.path.exists(path):
@@ -72,7 +78,11 @@ def prepare_out_dir(path: str, force: bool) -> str:
             )
         shutil.rmtree(path)
     os.makedirs(path, exist_ok=True)
-    return path
+    try:
+        yield path
+    except BaseException:
+        shutil.rmtree(path, ignore_errors=True)
+        raise
 
 
 def run_one(cfg: ScenarioConfig, seed: int, run_id: str) -> RunRecord:
@@ -118,10 +128,9 @@ def run_batch(
         raise RunnerError(f"runs must be >= 1, got {runs}")
     if parallel < 1:
         raise RunnerError(f"parallel must be >= 1, got {parallel}")
-    corpus_dir = prepare_out_dir(out_dir, force)
-    jobs = [(cfg, seed_base + i, f"run-{i:05d}", corpus_dir) for i in range(runs)]
-    files: dict[str, str] = {}
-    try:
+    with output_dir(out_dir, force) as corpus_dir:
+        jobs = [(cfg, seed_base + i, f"run-{i:05d}", corpus_dir) for i in range(runs)]
+        files: dict[str, str] = {}
         if parallel == 1:
             for job in jobs:
                 files.update(_run_and_write(*job))
@@ -129,20 +138,17 @@ def run_batch(
             with ProcessPoolExecutor(max_workers=parallel) as pool:
                 for result in pool.map(_run_and_write, *zip(*jobs)):
                     files.update(result)
-    except BaseException:  # an interrupt must not leave a partial corpus either
-        shutil.rmtree(corpus_dir, ignore_errors=True)
-        raise
-    manifest = {
-        "kind": "corpus",
-        "fingerprint": cfg.fingerprint(),
-        "runs": runs,
-        "seed_base": seed_base,
-        "seeds": list(range(seed_base, seed_base + runs)),
-        "rng": {"algorithm": Rng.algorithm},
-        "files": dict(sorted(files.items())),
-    }
-    with open(os.path.join(corpus_dir, MANIFEST_NAME), "w", encoding="ascii") as fh:
-        fh.write(canonical_json(manifest))
+        manifest = {
+            "kind": "corpus",
+            "fingerprint": cfg.fingerprint(),
+            "runs": runs,
+            "seed_base": seed_base,
+            "seeds": list(range(seed_base, seed_base + runs)),
+            "rng": {"algorithm": Rng.algorithm},
+            "files": dict(sorted(files.items())),
+        }
+        with open(os.path.join(corpus_dir, MANIFEST_NAME), "w", encoding="ascii") as fh:
+            fh.write(canonical_json(manifest))
     return corpus_dir
 
 

@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 
 from ..metrics import canonical_json
 from .testing import (
@@ -22,6 +23,12 @@ BOOTSTRAP_NAME = "bootstrap.json"
 CI_WIDTH_NAME = "ci_width.csv"
 
 
+def _by_metric(results: list[TestResult] | list[BootstrapResult]) -> dict:
+    """Every field of each result but its metric name, keyed by that name."""
+    fields = [asdict(r) for r in results]
+    return {f.pop("metric"): f for f in fields}
+
+
 def write_test_results(
     out_dir: str,
     results: list[TestResult],
@@ -32,19 +39,7 @@ def write_test_results(
         "corpora": corpora,
         "quantile_level": QUANTILE_LEVEL,
         "decision_threshold": DECISION_THRESHOLD,
-        "metrics": {
-            r.metric: {
-                "kind": r.kind,
-                "n_m": r.n_m,
-                "n_k": r.n_k,
-                "eps_within_m": r.eps_within_m,
-                "eps_within_k": r.eps_within_k,
-                "eps_max": r.eps_max,
-                "p_hat_max": r.p_hat_max,
-                "reject_h0": r.reject_h0,
-            }
-            for r in results
-        },
+        "metrics": _by_metric(results),
     }
     with open(os.path.join(out_dir, TEST_RESULT_NAME), "w", encoding="ascii") as fh:
         fh.write(canonical_json(payload))
@@ -69,19 +64,7 @@ def write_bootstrap_results(
 ) -> list[str]:
     payload = {
         "corpora": corpora,
-        "metrics": {
-            r.metric: {
-                "B": r.B,
-                "seed": r.seed,
-                "algorithm": r.algorithm,
-                "p_hat_point": r.p_hat_point,
-                "ci_lo": r.ci_lo,
-                "ci_hi": r.ci_hi,
-                "significant": r.significant,
-                "replicates_mean": r.replicates_mean,
-            }
-            for r in results
-        },
+        "metrics": _by_metric(results),
     }
     with open(os.path.join(out_dir, BOOTSTRAP_NAME), "w", encoding="ascii") as fh:
         fh.write(canonical_json(payload))

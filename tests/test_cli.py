@@ -286,6 +286,7 @@ class TestExitCodes:
             ["validate", "--metrics", "throughput,throughput"],
             ["bootstrap", "--metrics",
              "queue_occupancy,throughput, queue_occupancy", "--ci-width", "2"],
+            ["bootstrap", "--ci-width", "2,2"],
         ],
     )
     def test_bad_stats_flag_is_config_error_before_loading(self, tmp_path, capsys,
@@ -361,6 +362,7 @@ class TestExitCodes:
         )
         assert code == EXIT_UNDEFINED
         assert "check undefined" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
 
 class TestBatch:
@@ -418,6 +420,19 @@ class TestBatch:
         out = tmp_path / "corpus"
         with pytest.raises(KeyboardInterrupt):
             batch(out, 3)
+        assert not out.exists()
+
+    def test_failed_manifest_write_leaves_nothing(self, tmp_path, monkeypatch,
+                                                  capsys):
+        import dualq.runner as runner
+
+        def disk_full(obj):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(runner, "canonical_json", disk_full)
+        out = tmp_path / "corpus"
+        assert batch(out, 2) == EXIT_RUNTIME
+        assert "no space left" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -595,6 +610,19 @@ class TestBootstrap:
         assert payload["metrics"]["throughput"]["B"] == 60
         assert sorted(os.listdir(rep)) == ["bootstrap.json"]
 
+    def test_infeasible_band_leaves_no_report(self, tmp_path, capsys):
+        # band 0 is lockstep, which corpora of different lengths cannot be
+        m, k = tmp_path / "m", tmp_path / "k"
+        assert batch(m, 3) == EXIT_OK
+        assert batch(k, 3, "--duration", "0.6", "--seed-base", "100") == EXIT_OK
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        code = run_cli("bootstrap", str(m), str(k), "-B", "50", "--metrics",
+                       "queue_occupancy", "--band", "0", "--out", str(rep))
+        assert code == EXIT_RUNTIME
+        assert "band" in capsys.readouterr().err
+        assert not rep.exists()
+
 
 class TestReportPins:
     """Exact report bytes on two fixed-seed 3-run corpora.
@@ -689,9 +717,9 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("bad", ["nan", "-1", "0.1"])
+    @pytest.mark.parametrize("bad", ["nan", "-1", "0.1", "0.10", "1e-1"])
     def test_bad_later_value_writes_nothing(self, tmp_path, bad):
-        # a repeated value would run one sub-corpus twice
+        # a value repeated, or equal in number, would run one scenario twice
         out = tmp_path / "sweep"
         code = run_cli(
             "sweep", "--preset", "low", "--duration", "0.2", "--runs", "1",
@@ -699,6 +727,28 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    def test_interrupted_sweep_leaves_nothing(self, tmp_path, monkeypatch):
+        import dualq.cli as cli
+
+        real = cli.run_batch
+        calls = []
+
+        def interrupt_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", interrupt_second)
+        out = tmp_path / "sweep"
+        argv = ("sweep", "--preset", "low", "--duration", "0.2", "--runs", "1",
+                "--param", "alpha", "--values", "0.1,0.2", "--out", str(out))
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+        assert not out.exists()
+        monkeypatch.setattr(cli, "run_batch", real)
+        assert run_cli(*argv) == EXIT_OK
 
 
 class TestPresets:
