@@ -167,6 +167,22 @@ def _parse_sizes(raw: str) -> list[int]:
     return sizes
 
 
+def _load_corpora(args):
+    """Resolve and load the two input corpora of validate and bootstrap.
+
+    An --out equal to, inside or containing either corpus is a config
+    error, raised before the corpora are loaded and before output_dir
+    could delete one of them.
+    """
+    corpora = {"m": resolve_out(args.corpus_m), "k": resolve_out(args.corpus_k)}
+    out = os.path.realpath(resolve_out(args.out))
+    for path in corpora.values():
+        real = os.path.realpath(path)
+        if os.path.commonpath([out, real]) in (out, real):
+            raise ConfigError(f"--out {args.out}: overlaps the input corpus {path}")
+    return corpora, load_corpus(corpora["m"]), load_corpus(corpora["k"])
+
+
 def _distance_sets(args, records_m, records_k, metrics):
     """Yield (metric, kind, DistanceSets) for each chosen metric in turn."""
     for name in metrics:
@@ -207,8 +223,7 @@ def cmd_batch(args) -> int:
 
 def cmd_validate(args) -> int:
     metrics = _parse_stats_flags(args)
-    corpora = {"m": resolve_out(args.corpus_m), "k": resolve_out(args.corpus_k)}
-    records_m, records_k = load_corpus(corpora["m"]), load_corpus(corpora["k"])
+    corpora, records_m, records_k = _load_corpora(args)
     with output_dir(args.out, args.force) as out_dir:
         results = []
         distances = {}
@@ -229,8 +244,7 @@ def cmd_validate(args) -> int:
 def cmd_bootstrap(args) -> int:
     metrics = _parse_stats_flags(args)
     sizes = None if args.ci_width is None else _parse_sizes(args.ci_width)
-    corpora = {"m": resolve_out(args.corpus_m), "k": resolve_out(args.corpus_k)}
-    records_m, records_k = load_corpus(corpora["m"]), load_corpus(corpora["k"])
+    corpora, records_m, records_k = _load_corpora(args)
     if sizes and max(sizes) > min(len(records_m), len(records_k)):
         raise ConfigError(
             f"--ci-width: size {max(sizes)} exceeds the corpora's run counts "

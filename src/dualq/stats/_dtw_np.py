@@ -10,8 +10,21 @@ each cell records 1 + the length of the predecessor the backtrack of
 _dtw_py would step to from it (diagonal if d <= v and d <= h, else
 vertical if v <= h, else horizontal). That predecessor is the one whose
 cost equals min(d, v, h), tested in the same order, so raw cost and path
-length equal _dtw_py.dtw_pair bit for bit: same |x_i - y_j| + min sum in
-IEEE double, same tie-break.
+length equal _dtw_py.dtw_pair bit for bit: same |x_i - y_j| + min sum,
+same tie-break.
+
+Costs are float64 or int32, chosen by the caller. In float64 the kernel
+does the oracle's IEEE double arithmetic, operation for operation, with
++inf outside the matrix and the band. In int32 +inf is the sentinel
+INT32_INF = 2^30. The two dtypes give the same raw costs, the same ==
+ties and so the same path lengths when every input value is an integer
+of magnitude below 2^30 (its cast to int32 is exact) and every cost is
+below 2^30. Then each |x_i - y_j|, each min and each sum is an integer
+below 2^30 in both dtypes, and float64 holds such integers exactly. A
+cell's cost is a sum of at most n + m - 1 steps of at most max - min,
+so (n + m - 1) * (max - min) < 2^30 suffices: a real cost stays below
+the sentinel and never ties with it, and a step plus the sentinel
+(below 2^31) cannot overflow. dtw.cost_dtype applies exactly this guard.
 
 The choice is made by masked arithmetic on int32 path lengths, not by
 nested np.where: start from the horizontal length, add (vertical -
@@ -29,15 +42,20 @@ import numpy as np
 
 IMPLEMENTATION = "numpy"
 
-_INF = np.inf
+# +inf of the int32 cost dtype; every real int32 cost must stay below it
+INT32_INF = 1 << 30
 
 
-def dtw_many(xs, ys, band: int = -1) -> tuple[np.ndarray, np.ndarray]:
+def dtw_many(xs, ys, band: int = -1,
+             dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """DTW raw cost and path length for P pairs of equal shape.
 
-    ``xs`` is (P, n) and ``ys`` is (P, m), float64, pair p being
-    (xs[p], ys[p]). ``band`` < 0 disables the Sakoe-Chiba constraint;
-    the caller guarantees the band is feasible (>= |n - m|). Returns
+    ``xs`` is (P, n) and ``ys`` is (P, m), pair p being (xs[p], ys[p]);
+    either may be a sequence of P equal-length series.
+    ``band`` < 0 disables the Sakoe-Chiba constraint; the caller
+    guarantees the band is feasible (>= |n - m|). ``dtype`` is the cost
+    dtype, float64 or int32; for int32 the caller guarantees integral
+    inputs and costs below INT32_INF (see the module docstring). Returns
     (raw, plen) as float64 and int64 arrays of length P.
 
     Diagonal buffers are laid out (n + 1, P): position i + 1 holds cell
@@ -45,19 +63,25 @@ def dtw_many(xs, ys, band: int = -1) -> tuple[np.ndarray, np.ndarray]:
     Position 0 is row -1, always +inf. Positions outside a diagonal's
     cells stay +inf where a later diagonal can read them.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    P, n = xs.shape
-    m = ys.shape[1]
-    x = np.ascontiguousarray(xs.T)  # x[i] is x_i of every pair
-    yr = np.ascontiguousarray(ys[:, ::-1].T)  # yr[m - 1 - j] is y_j
-    cost = np.full((3, n + 1, P), _INF)
+    dtype = np.dtype(dtype)
+    if dtype == np.float64:
+        inf = np.inf
+    elif dtype == np.int32:
+        inf = INT32_INF
+    else:
+        raise ValueError(f"cost dtype must be float64 or int32, got {dtype}")
+    # one copy each, cast and laid out at once
+    x = np.asarray(xs, dtype=dtype).T.copy()  # x[i] is x_i of every pair
+    yr = np.asarray(ys, dtype=dtype)[:, ::-1].T.copy()  # yr[m - 1 - j] is y_j
+    n, P = x.shape
+    m = yr.shape[0]
+    cost = np.full((3, n + 1, P), inf, dtype=dtype)
     plen = np.zeros((3, n + 1, P), dtype=np.int32)
     cost[0, 1] = np.abs(x[0] - yr[m - 1])
     plen[0, 1] = 1
     width = min(n, m)
-    step = np.empty((width, P))
-    best = np.empty((width, P))
+    step = np.empty((width, P), dtype=dtype)
+    best = np.empty((width, P), dtype=dtype)
     delta = np.empty((width, P), dtype=np.int32)
     is_min = np.empty((width, P), dtype=bool)
     for k in range(1, n + m - 1):
@@ -70,7 +94,7 @@ def dtw_many(xs, ys, band: int = -1) -> tuple[np.ndarray, np.ndarray]:
         lcur, lprev, lprev2 = plen[k % 3], plen[(k - 1) % 3], plen[(k - 2) % 3]
         # the row above the diagonal's first cell is out of the band or
         # the matrix; a stale value from diagonal k - 3 may sit there
-        cur[lo] = _INF
+        cur[lo] = inf
         w = hi - lo + 1
         if w <= 0:
             continue
@@ -104,4 +128,4 @@ def dtw_many(xs, ys, band: int = -1) -> tuple[np.ndarray, np.ndarray]:
         np.add(c, b, out=cur[lo + 1:hi + 2])
     last = (n + m - 2) % 3
     # copies, so that the diagonal buffers are freed on return
-    return cost[last, n].copy(), plen[last, n].astype(np.int64)
+    return cost[last, n].astype(np.float64), plen[last, n].astype(np.int64)

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dtw_np import IMPLEMENTATION, dtw_many
+from ._dtw_np import IMPLEMENTATION, INT32_INF, dtw_many
 
-# Pairs per kernel call in dtw_norm_pairs; bounds the kernel's working
-# set at O(chunk * (n + m)) values, about 35 MB for 1875-sample series.
-# Chunks of 16, 64 and 256 pairs took 4.2, 3.1 and 5.0 ns/cell at 625
-# samples and 3.2, 4.5 and 5.8 ns/cell at 1875 (2-core x86): small
-# chunks pay the per-diagonal overhead, and diagonal blocks of more than
-# about 40k cells (chunk x min(n, m)) fall out of cache.
+# Each (n, m) group of pairs runs through the kernel in equal chunks of
+# at most min(CHUNK_PAIRS, CHUNK_BYTES // (min(n, m) * itemsize)) pairs,
+# so that a diagonal block of costs stays near 256 KB (32k float64 or 64k
+# int32 cells): 17 or 34 pairs at 1875 samples, 52 or 104 at 625. Larger
+# blocks fall out of cache: at 1875 samples a 256-pair call took 8.8
+# ns/cell (float64) and 5.5 (int32) against 5.8 and 4.0 at 16 pairs
+# (2-core x86); smaller chunks pay the per-diagonal overhead instead.
+CHUNK_BYTES = 1 << 18
 CHUNK_PAIRS = 256
 
 
@@ -38,6 +40,23 @@ def _prepare(x, y, band: int | None):
     return xa, ya
 
 
+def cost_dtype(xs, ys) -> np.dtype:
+    """The kernel's cost dtype for the pairs (xs[p], ys[p]), n and m samples.
+
+    int32 when it gives the float64 results exactly (see _dtw_np): every
+    value is an integer, every |value| < 2^30, and (n + m - 1) * (max -
+    min) < 2^30 over all values. Otherwise float64.
+    """
+    n, m = len(xs[0]), len(ys[0])
+    # a series recurs in many pairs; look at each array once
+    values = np.concatenate(list({id(a): a for a in (*xs, *ys)}.values()))
+    lo, hi = values.min(), values.max()
+    if (max(-lo, hi) < INT32_INF and (n + m - 1) * float(hi - lo) < INT32_INF
+            and (values == np.trunc(values)).all()):
+        return np.dtype(np.int32)
+    return np.dtype(np.float64)
+
+
 def dtw_norm(x, y, band: int | None = None) -> float:
     """Normalized DTW of one pair: a batch of one through dtw_norm_pairs."""
     return float(dtw_norm_pairs([x], [y], band)[0])
@@ -49,7 +68,10 @@ def dtw_norm_pairs(xs, ys, band: int | None = None) -> np.ndarray:
     The raw cost is divided by the number of cells on the optimal path,
     so series of different lengths compare on one scale. Every pair is
     checked by _prepare; pairs of equal lengths then go through the
-    kernel together, CHUNK_PAIRS at a time.
+    kernel together, with the cost dtype cost_dtype picks for them, in
+    equal chunks of at most CHUNK_BYTES per diagonal block and
+    CHUNK_PAIRS pairs. Each chunk's inputs are stacked only when it runs,
+    by the kernel, straight into its cost dtype.
     """
     prepared = [_prepare(x, y, band) for x, y in zip(xs, ys, strict=True)]
     b = -1 if band is None else int(band)
@@ -59,13 +81,17 @@ def dtw_norm_pairs(xs, ys, band: int | None = None) -> np.ndarray:
     for p, (xa, ya) in enumerate(prepared):
         groups.setdefault((xa.size, ya.size), []).append(p)
     out = np.empty(len(prepared), dtype=np.float64)
-    for members in groups.values():
-        for start in range(0, len(members), CHUNK_PAIRS):
-            chunk = members[start:start + CHUNK_PAIRS]
+    for (n, m), members in groups.items():
+        dtype = cost_dtype([prepared[p][0] for p in members],
+                           [prepared[p][1] for p in members])
+        per_call = CHUNK_BYTES // (min(n, m) * dtype.itemsize)
+        per_call = max(1, min(CHUNK_PAIRS, per_call))
+        for chunk in np.array_split(members, -(-len(members) // per_call)):
             raw, plen = dtw_many(
-                np.stack([prepared[p][0] for p in chunk]),
-                np.stack([prepared[p][1] for p in chunk]),
+                [prepared[p][0] for p in chunk],
+                [prepared[p][1] for p in chunk],
                 b,
+                dtype,
             )
             out[chunk] = raw / plen
     return out

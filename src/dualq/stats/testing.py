@@ -24,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench/tracing.py wraps dtw_norm by this name, but nothing here calls
-# it: the matrices below call dtw_norm_pairs, so that wrapper counts 0 pairs.
+# perfbench/tracing.py wraps dtw_norm, within_matrix and cross_matrix by
+# these names, so all three stay importable here. Nothing in the package
+# calls dtw_norm, and build_distances reaches dtw_norm_pairs without the
+# two matrix functions, so those wrappers time and count 0 DTW pairs.
 from .dtw import dtw_norm, dtw_norm_pairs  # noqa: F401
 
 QUANTILE_LEVEL = 0.95
@@ -124,29 +126,41 @@ def extract_observations(records, metric_name: str):
 # ----------------------------------------------------------------------
 # distance matrices
 
-def within_matrix(obs, kind: str, band: int | None = None) -> np.ndarray:
-    """Symmetric n x n distance matrix with a zero diagonal."""
-    n = len(obs)
-    if kind == "scalar":
-        arr = _finite(obs)
-        return np.abs(arr[:, None] - arr[None, :])
+def _within_pairs(obs):
+    """The pairs (obs[i], obs[j]), i < j, in np.triu_indices order."""
+    iu, ju = np.triu_indices(len(obs), 1)
+    return [obs[i] for i in iu], [obs[j] for j in ju]
+
+
+def _cross_pairs(obs_m, obs_k):
+    """The pairs (obs_m[i], obs_k[j]) in row-major order."""
+    return [x for x in obs_m for _ in obs_k], list(obs_k) * len(obs_m)
+
+
+def _symmetric(d, n: int) -> np.ndarray:
+    """The n x n matrix with zero diagonal whose upper triangle is d."""
     D = np.zeros((n, n), dtype=np.float64)
     iu, ju = np.triu_indices(n, 1)
-    d = dtw_norm_pairs([obs[i] for i in iu], [obs[j] for j in ju], band)
     D[iu, ju] = d
     D[ju, iu] = d
     return D
 
 
+def within_matrix(obs, kind: str, band: int | None = None) -> np.ndarray:
+    """Symmetric n x n distance matrix with a zero diagonal."""
+    if kind == "scalar":
+        arr = _finite(obs)
+        return np.abs(arr[:, None] - arr[None, :])
+    return _symmetric(dtw_norm_pairs(*_within_pairs(obs), band), len(obs))
+
+
 def cross_matrix(obs_m, obs_k, kind: str, band: int | None = None) -> np.ndarray:
-    n = len(obs_m)
-    m = len(obs_k)
     if kind == "scalar":
         a = _finite(obs_m)
         b = _finite(obs_k)
         return np.abs(a[:, None] - b[None, :])
-    d = dtw_norm_pairs([x for x in obs_m for _ in range(m)], list(obs_k) * n, band)
-    return d.reshape(n, m)
+    d = dtw_norm_pairs(*_cross_pairs(obs_m, obs_k), band)
+    return d.reshape(len(obs_m), len(obs_k))
 
 
 @dataclass(frozen=True)
@@ -180,11 +194,20 @@ def build_distances(obs_m, obs_k, kind: str, band: int | None = None) -> Distanc
             f"need at least 2 runs per corpus for within-group distances, "
             f"got {n} and {m}"
         )
-    return DistanceSets(
-        within_matrix(obs_m, kind, band),
-        within_matrix(obs_k, kind, band),
-        cross_matrix(obs_m, obs_k, kind, band),
-    )
+    if kind == "scalar":
+        return DistanceSets(
+            within_matrix(obs_m, kind),
+            within_matrix(obs_k, kind),
+            cross_matrix(obs_m, obs_k, kind),
+        )
+    # one dtw_norm_pairs call for the within-M, within-K and cross pairs,
+    # so the kernel sees one group of pairs per (n, m) instead of three
+    wm, wk, mk = _within_pairs(obs_m), _within_pairs(obs_k), _cross_pairs(obs_m, obs_k)
+    d = dtw_norm_pairs(wm[0] + wk[0] + mk[0], wm[1] + wk[1] + mk[1], band)
+    a = len(wm[0])
+    b = a + len(wk[0])
+    return DistanceSets(_symmetric(d[:a], n), _symmetric(d[a:b], m),
+                        d[b:].reshape(n, m))
 
 
 # ----------------------------------------------------------------------

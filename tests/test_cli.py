@@ -624,6 +624,49 @@ class TestBootstrap:
         assert not rep.exists()
 
 
+class TestOutOverlapsCorpus:
+    """An --out equal to, inside or containing an input corpus is a config
+    error found before anything is deleted; --force once let validate and
+    bootstrap delete the corpus they had just loaded."""
+
+    @pytest.fixture()
+    def sweep(self, tmp_path):
+        # two corpora inside a sweep directory, which carries its own marker
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--preset", "low", "--duration", "0.2", "--runs", "2",
+            "--param", "alpha", "--values", "0.1,0.2", "--out", str(out),
+        ) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("out", [
+        "alpha-0.1",
+        "alpha-0.2",
+        "alpha-0.2/../alpha-0.1",
+        "alpha-0.1/rep",
+        ".",
+    ])
+    def test_overlapping_out_is_config_error(self, sweep, capsys, command, out):
+        before = tree_digest(sweep)
+        capsys.readouterr()
+        code = run_cli(command, str(sweep / "alpha-0.1"), str(sweep / "alpha-0.2"),
+                       "--metrics", "throughput,queue_occupancy",
+                       "--out", str(sweep / out), "--force")
+        assert code == EXIT_CONFIG
+        out_text, err = capsys.readouterr()
+        assert "--out" in err and "p_hat" not in out_text
+        assert tree_digest(sweep) == before
+        assert len(load_corpus(str(sweep / "alpha-0.1"))) == 2
+
+    def test_sibling_with_corpus_prefix_is_accepted(self, sweep):
+        # alpha-0.1x shares a name prefix with alpha-0.1 but not a path
+        rep = sweep.parent / "alpha-0.1x"
+        assert run_cli("validate", str(sweep / "alpha-0.1"),
+                       str(sweep / "alpha-0.2"), "--out", str(rep)) == EXIT_OK
+        assert (rep / "test_result.json").is_file()
+
+
 class TestReportPins:
     """Exact report bytes on two fixed-seed 3-run corpora.
 

@@ -119,6 +119,24 @@ def assert_matches_oracle(xs, ys, band):
     assert [(float(r), int(k)) for r, k in zip(raw, plen)] == expected, band
 
 
+def assert_guard_matches_oracle(xs, ys, dtype, bands=(-1,)):
+    """The guard picks dtype for these pairs; the kernel in that dtype and
+    dtw_norm_pairs, which applies the guard itself, equal the oracle."""
+    assert dtw.cost_dtype(xs, ys) == dtype
+    for band in bands:
+        expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
+        raw, plen = _dtw_np.dtw_many(xs, ys, band, dtype)
+        assert raw.dtype == np.float64 and plen.dtype == np.int64
+        assert list(zip(raw.tolist(), plen.tolist())) == expected, band
+        got = dtw.dtw_norm_pairs(xs, ys, None if band < 0 else band)
+        assert got.tolist() == [r / k for r, k in expected], band
+
+
+# the largest span (max - min) the int32 guard accepts for 9 x 7 pairs,
+# whose paths have at most 15 cells
+SPAN_9X7 = (_dtw_np.INT32_INF - 1) // 15
+
+
 class TestKernelParity:
     """The batched kernel equals the scalar _dtw_py oracle bit for bit,
     raw cost and path length, on whole batches of pairs."""
@@ -156,6 +174,59 @@ class TestKernelParity:
             assert raw.dtype == np.float64 and plen.dtype == np.int64
             expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
             assert list(zip(raw.tolist(), plen.tolist())) == expected, band
+        # the same pairs in int32, the cost dtype the guard picks for them
+        assert_guard_matches_oracle(xs, ys, np.int32, (-1, gap, gap + 1, gap + 3))
+
+    @staticmethod
+    def spread(lo, hi, n, m, seed):
+        """Six pairs of integers in [lo, hi], both ends taken by pair 0."""
+        rng = np.random.default_rng(seed)
+        xs = rng.integers(lo, hi, (6, n), endpoint=True).astype(np.float64)
+        ys = rng.integers(lo, hi, (6, m), endpoint=True).astype(np.float64)
+        xs[0, 0] = lo
+        ys[0, -1] = hi
+        return xs, ys
+
+    def test_integral_span_just_below_guard_is_int32(self):
+        assert 15 * SPAN_9X7 < _dtw_np.INT32_INF
+        xs, ys = self.spread(0, SPAN_9X7, 9, 7, 1)
+        assert_guard_matches_oracle(xs, ys, np.int32, (-1, 2, 4))
+        # every step costs the whole span, so the costs reach 9 * SPAN_9X7,
+        # 0.6 of the sentinel, on a 9-cell path
+        xs[:] = 0.0
+        ys[:] = SPAN_9X7
+        assert_guard_matches_oracle(xs, ys, np.int32, (-1, 2))
+
+    def test_integral_span_at_guard_falls_back_to_float64(self):
+        assert 15 * (SPAN_9X7 + 1) >= _dtw_np.INT32_INF
+        xs, ys = self.spread(0, SPAN_9X7 + 1, 9, 7, 2)
+        assert_guard_matches_oracle(xs, ys, np.float64, (-1, 2, 4))
+        # the same span moved by -2^29 is still too wide
+        assert_guard_matches_oracle(xs - 2.0 ** 29, ys - 2.0 ** 29, np.float64)
+
+    def test_magnitude_just_below_2_30_is_int32(self):
+        top = float(_dtw_np.INT32_INF - 1)
+        xs, ys = self.spread(-5, 5, 12, 10, 3)
+        assert_guard_matches_oracle(top - 5 - xs, top - 5 - ys, np.int32, (-1, 2, 5))
+        assert_guard_matches_oracle(xs + 5 - top, ys + 5 - top, np.int32, (-1, 2, 5))
+
+    @pytest.mark.parametrize("offset", [2.0 ** 30, -(2.0 ** 30), 2.0 ** 40])
+    def test_magnitude_at_or_above_2_30_is_float64(self, offset):
+        # a span of 10, far inside the cost bound; only the magnitude fails
+        xs, ys = self.spread(-5, 5, 12, 10, 4)
+        xs += offset
+        ys += offset
+        assert_guard_matches_oracle(xs, ys, np.float64, (-1, 2, 5))
+
+    def test_non_integral_is_float64(self):
+        xs, ys = self.spread(0, 6, 12, 10, 5)
+        xs[3, 4] += 0.5  # one value off the integers is enough
+        assert_guard_matches_oracle(xs, ys, np.float64, (-1, 2, 5))
+        assert_guard_matches_oracle(xs / 4.0, ys / 4.0, np.float64, (-1, 2, 5))
+
+    def test_rejects_other_cost_dtypes(self):
+        with pytest.raises(ValueError):
+            _dtw_np.dtw_many([[1.0]], [[2.0]], -1, np.int64)
 
 
 class TestBand:

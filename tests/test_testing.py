@@ -21,7 +21,7 @@ from dualq.stats.testing import (
     quantile,
     within_matrix,
 )
-from dualq.stats import _dtw_py, dtw
+from dualq.stats import _dtw_np, _dtw_py, dtw
 
 from _oracles import bootstrap_replicates_oracle, quantile_oracle
 
@@ -193,6 +193,30 @@ class TestBatchedMatrices:
             for j, y in enumerate(obs_k):
                 assert D[i, j] == _oracle_norm(x, y, band), (i, j)
 
+    @pytest.mark.parametrize("band", [None, 3])
+    def test_build_distances_equals_matrices(self, band, monkeypatch):
+        # one dtw_norm_pairs call for all three matrices, bit for bit the
+        # three calls of within_matrix and cross_matrix
+        obs_m, obs_k = self.corpora()
+        calls = []
+        real = dtw.dtw_norm_pairs
+
+        def counted(xs, ys, b=None):
+            calls.append(len(xs))
+            return real(xs, ys, b)
+
+        monkeypatch.setattr(testing, "dtw_norm_pairs", counted)
+        ds = build_distances(obs_m, obs_k, "timeseries", band)
+        n, m = len(obs_m), len(obs_k)
+        assert calls == [n * (n - 1) // 2 + m * (m - 1) // 2 + n * m]
+        for got, expected in [
+            (ds.matrix_mm, within_matrix(obs_m, "timeseries", band)),
+            (ds.matrix_kk, within_matrix(obs_k, "timeseries", band)),
+            (ds.matrix_mk, cross_matrix(obs_m, obs_k, "timeseries", band)),
+        ]:
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("bad, band", [
         (np.array([1.0, np.nan, 2.0]), None),
         (np.array([]), None),
@@ -204,6 +228,36 @@ class TestBatchedMatrices:
             within_matrix(good + [bad], "timeseries", band)
         with pytest.raises(ValueError):
             cross_matrix(good, [bad, good[0]], "timeseries", band)
+
+
+class TestChunks:
+    """dtw_norm_pairs runs a group larger than one chunk of about
+    CHUNK_BYTES per diagonal block in equal chunks, with the results of a
+    single kernel call."""
+
+    @pytest.mark.parametrize("n, dtype", [(200, np.float64), (400, np.int32)])
+    def test_group_splits_into_equal_chunks(self, n, dtype, monkeypatch):
+        rng = np.random.default_rng(n)
+        xs = rng.integers(0, 9, (170, n)).astype(np.float64)
+        ys = rng.integers(0, 9, (170, n)).astype(np.float64)
+        if dtype == np.float64:
+            xs[5, 7] += 0.25  # off the integers: float64 costs
+        itemsize = np.dtype(dtype).itemsize
+        per_call = dtw.CHUNK_BYTES // (n * itemsize)
+        assert 85 <= per_call < 170 and per_call < dtw.CHUNK_PAIRS
+        calls = []
+        real = dtw.dtw_many
+
+        def recorded(cx, cy, band, cdtype):
+            calls.append((np.shape(cx), np.shape(cy), np.dtype(cdtype)))
+            return real(cx, cy, band, cdtype)
+
+        monkeypatch.setattr(dtw, "dtw_many", recorded)
+        got = dtw.dtw_norm_pairs(list(xs), list(ys))
+        # two chunks of 85, not one of per_call and a remainder
+        assert calls == [((85, n), (85, n), np.dtype(dtype))] * 2
+        raw, plen = _dtw_np.dtw_many(xs, ys, -1, dtype)
+        assert got.tobytes() == (raw / plen).tobytes()
 
 
 class TestExceedance:
