@@ -2,14 +2,13 @@
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_dtw.py [--lengths 625,1875]
-        [--pairs 16,66] [--dtype float64,int32] [--band N] [--repeat 3]
-        [--seed 0]
+        [--pairs 16,66] [--band N] [--repeat 3] [--seed 0]
 
 For each series length n and batch size P, P random Poisson(3) pairs of
 n samples each (n * n cells per pair) go through:
 
-* numpy: the batched wavefront kernel, ``_dtw_np.dtw_many``, one call
-  per cost dtype of --dtype;
+* numpy: the batched wavefront kernel, ``_dtw_np.dtw_many``, once in
+  each cost dtype, float64 and int32;
 * python: the scalar oracle ``_dtw_py.dtw_pair`` once per pair.
 
 The pairs are integral, so ``dtw.cost_dtype`` picks int32 for them, as it
@@ -63,8 +62,6 @@ def main():
                         help="comma-separated series lengths")
     parser.add_argument("--pairs", default="16,66",
                         help="comma-separated batch sizes P")
-    parser.add_argument("--dtype", default="float64,int32",
-                        help="comma-separated cost dtypes of the numpy kernel")
     parser.add_argument("--repeat", type=int, default=3,
                         help="timing passes of the numpy kernel, best is kept")
     parser.add_argument("--band", type=int, default=None,
@@ -74,9 +71,6 @@ def main():
     if args.band is not None and args.band < 0:
         parser.error("--band must be >= 0")
     bands = [-1] if args.band is None else [-1, args.band]
-    dtypes = [s.strip() for s in args.dtype.split(",") if s.strip()]
-    if not dtypes or any(d not in ("float64", "int32") for d in dtypes):
-        parser.error("--dtype takes float64 and int32")
 
     lengths = [int(s) for s in args.lengths.split(",") if s.strip()]
     batch_sizes = [int(s) for s in args.pairs.split(",") if s.strip()]
@@ -90,7 +84,7 @@ def main():
         for p in batch_sizes:
             xs = rng.poisson(3.0, (p, n)).astype(np.float64)
             ys = rng.poisson(3.0, (p, n)).astype(np.float64)
-            if "int32" in dtypes and dtw.cost_dtype(xs, ys) != np.int32:
+            if dtw.cost_dtype(xs, ys) != np.int32:
                 raise SystemExit(f"the guard rejects int32 at n={n}, P={p}")
             for band in bands:
                 cells = p * cells_per_pair(n, band)
@@ -98,7 +92,7 @@ def main():
                 expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
                 t_py = time.perf_counter() - t0
                 label = "full" if band < 0 else str(band)
-                for dtype in dtypes:
+                for dtype in ("float64", "int32"):
                     t_np, (raw, plen) = best_of(
                         args.repeat,
                         lambda: _dtw_np.dtw_many(xs, ys, band, dtype))

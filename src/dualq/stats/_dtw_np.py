@@ -70,11 +70,12 @@ def dtw_many(xs, ys, band: int = -1,
         inf = INT32_INF
     else:
         raise ValueError(f"cost dtype must be float64 or int32, got {dtype}")
-    # one copy each, cast and laid out at once
-    x = np.asarray(xs, dtype=dtype).T.copy()  # x[i] is x_i of every pair
-    yr = np.asarray(ys, dtype=dtype)[:, ::-1].T.copy()  # yr[m - 1 - j] is y_j
-    n, P = x.shape
-    m = yr.shape[0]
+    P, n, m = len(xs), len(xs[0]), len(ys[0])
+    # one copy each: every series is cast straight into its column
+    x = np.empty((n, P), dtype=dtype)  # x[i] is x_i of every pair
+    np.stack(xs, axis=1, out=x, casting="unsafe")
+    yr = np.empty((m, P), dtype=dtype)  # yr[m - 1 - j] is y_j
+    np.stack([y[::-1] for y in ys], axis=1, out=yr, casting="unsafe")
     cost = np.full((3, n + 1, P), inf, dtype=dtype)
     plen = np.zeros((3, n + 1, P), dtype=np.int32)
     cost[0, 1] = np.abs(x[0] - yr[m - 1])
