@@ -5,16 +5,26 @@ enumerates every monotone warping path instead of running the dynamic
 program, so agreement between the two is evidence, not tautology.
 ``kernel_alignment`` reads one pair's result off the production code in
 the DTW oracle's shape, for the tests that compare the two.
+``run_scenario_oracle`` is the event engine as it was before acks were
+handled at delivery: acks are a fifth event source with their own FIFO.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from heapq import heapify, heappop
 
 import numpy as np
 
+from dualq.aqm import DualPi2
+from dualq.core import NS_PER_MS, Ecn, Rng
+from dualq.engine import RunOutput
+from dualq.link import LinkMode, SmoothPacer
+from dualq.metrics import SampleCollector
 from dualq.stats._dtw_np import dtw_many
 from dualq.stats.dtw import dtw_norm
+from dualq.traffic import Receiver, make_sender
 
 
 def dtw_oracle(x, y):
@@ -118,3 +128,186 @@ def bootstrap_replicates_oracle(ds, B: int, rng) -> np.ndarray:
                                   method="linear"))
         reps[b] = np.mean(ds.matrix_mk[np.ix_(im, ik)] > max(eps_m, eps_k))
     return reps
+
+
+class DualPi2Oracle(DualPi2):
+    """DualPi2 with the scheduler and the two queue actions as three steps.
+
+    Same draws, in the same order, as the production ``dequeue``: one per
+    C-head trial, one per L packet the step does not mark.
+    """
+
+    __slots__ = ()
+
+    def dequeue(self, now):
+        while True:
+            if not self._c:
+                if not self._l:
+                    return None
+                self.credit = 0.0
+                return self._take_l(now)
+            if not self._l:
+                self.credit = 0.0
+                pkt = self._take_c(now)
+                if pkt is None:
+                    continue
+                return pkt
+            if self.credit > 0.0:
+                pkt = self._take_c(now)
+                if pkt is None:
+                    continue
+                self.credit -= pkt.size * (1.0 - self.cfg.classic_protection)
+                return pkt
+            pkt = self._take_l(now)
+            self.credit += pkt.size * self.cfg.classic_protection
+            return pkt
+
+    def _take_c(self, now):
+        p_c = self.p_prime * self.p_prime
+        while self._c:
+            pkt = self._c.popleft()
+            self.c_bytes -= pkt.size
+            if self.rng.random() < p_c:
+                if self.cfg.ecn_classic_enabled and pkt.ecn == Ecn.ECT0:
+                    pkt.ecn = Ecn.CE
+                    self.ecn_marks_c += 1
+                else:
+                    self.drops_aqm += 1
+                    continue
+            self.deq_total += 1
+            return pkt
+        return None
+
+    def _take_l(self, now):
+        pkt = self._l.popleft()
+        self.l_bytes -= pkt.size
+        if now - pkt.enqueued_at > self.cfg.step_thresh_ns:
+            mark = True
+        else:
+            p_cl = self.cfg.coupling_k * self.p_prime
+            if p_cl > 1.0:
+                p_cl = 1.0
+            mark = self.rng.random() < p_cl
+        if mark and pkt.ecn != Ecn.CE:
+            pkt.ecn = Ecn.CE
+            self.ecn_marks_l += 1
+        self.deq_total += 1
+        return pkt
+
+
+_NONE = float("inf")
+
+
+def run_scenario_oracle(cfg, seed: int) -> RunOutput:
+    """One run of cfg through a five-source merge loop with DualPi2Oracle.
+
+    Sources: link, controller update, arrivals FIFO, acks FIFO (delivery
+    time + rev), flow wake-ups. On a tie the source tested first wins;
+    the run stops at the first event past the horizon, or at the horizon
+    itself for an arrival, an ack or a wake-up.
+    """
+    rng = Rng(seed)
+    aqm = DualPi2Oracle(cfg.aqm, rng)
+    senders = [make_sender(fc, i, cfg.link.mtu) for i, fc in enumerate(cfg.flows)]
+    receiver = Receiver(len(senders))
+    collector = SampleCollector()
+    trace = cfg.link.make_trace()
+    smooth = cfg.link.mode is LinkMode.SMOOTH
+    pacer = SmoothPacer(cfg.link.rate_bps, cfg.link.mtu) if smooth else None
+
+    duration = cfg.duration_ns
+    fwd = cfg.delay.fwd_ns
+    rev = cfg.delay.rev_ns
+    tupdate = cfg.aqm.tupdate_ns
+    opportunities = trace.opportunities
+    on_deliver = receiver.on_deliver
+    enqueue = aqm.enqueue
+    dequeue = aqm.dequeue
+
+    arrivals: deque = deque()  # (t, pkt)
+    acks: deque = deque()  # (t, flow index, seq, ce, lost)
+    push_arrival = arrivals.append
+    push_ack = acks.append
+    wakes = [(sender.start_ns, i) for i, sender in enumerate(senders)]
+    heapify(wakes)
+    wake_t = wakes[0][0] if wakes else _NONE
+    link_t = _NONE
+    upd_t = tupdate if tupdate <= duration else _NONE
+    next_free_ns = 0
+
+    while True:
+        t = link_t
+        src = 0
+        if upd_t < t:
+            t = upd_t
+            src = 1
+        if arrivals and arrivals[0][0] < t:
+            t = arrivals[0][0]
+            src = 2
+        if acks and acks[0][0] < t:
+            t = acks[0][0]
+            src = 3
+        if wake_t < t:
+            t = wake_t
+            src = 4
+        if t > duration or (t == duration and src > 1):
+            break
+
+        if src == 2:
+            enqueue(arrivals.popleft()[1], t)
+            if link_t == _NONE and aqm.backlog_pkts:
+                if smooth:
+                    link_t = next_free_ns if next_free_ns > t else t
+                else:
+                    link_t = (t // NS_PER_MS + 1) * NS_PER_MS
+
+        elif src == 3:
+            _, sender_idx, seq, ce, lost = acks.popleft()
+            sender = senders[sender_idx]
+            for missing in lost:
+                sender.on_loss(missing, t)
+            sender.on_ack(seq, ce, t)
+            at = t + fwd
+            for pkt in sender.pump(t):
+                push_arrival((at, pkt))
+
+        elif src == 0:
+            at = t + rev
+            budget = 1 if smooth else opportunities(t // NS_PER_MS)
+            while budget > 0:
+                pkt = dequeue(t)
+                if pkt is None:
+                    break
+                budget -= 1
+                ce, lost = on_deliver(pkt)
+                push_ack((at, pkt.flow, pkt.seq, ce, lost))
+                if smooth:
+                    next_free_ns = t + pacer.next_interval_ns()
+            if aqm.backlog_pkts:
+                link_t = next_free_ns if smooth else t + NS_PER_MS
+            else:
+                link_t = _NONE
+
+        elif src == 1:
+            aqm.pi2_update(t)
+            collector.take(t, aqm)
+            upd_t = t + tupdate
+            if upd_t > duration:
+                upd_t = _NONE
+
+        else:
+            sender = senders[heappop(wakes)[1]]
+            wake_t = wakes[0][0] if wakes else _NONE
+            at = t + fwd
+            for pkt in sender.pump(t):
+                push_arrival((at, pkt))
+
+    if duration % tupdate:
+        collector.take(duration, aqm)
+    return RunOutput(
+        duration_ns=duration,
+        samples=collector.samples,
+        aqm=aqm,
+        receiver=receiver,
+        senders=senders,
+    )
