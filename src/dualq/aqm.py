@@ -220,74 +220,56 @@ class DualPi2:
         served only while it holds positive credit, which accrues at
         classic_protection of every byte served; with a single backlog
         the credit resets so a returning competitor starts from parity.
-        Classic drops re-run the scheduler because they can empty the
-        C queue entirely.
-        """
-        while True:
-            if not self._c:
-                if not self._l:
-                    return None
-                self.credit = 0.0
-                return self._take_l(now)
-            if not self._l:
-                self.credit = 0.0
-                pkt = self._take_c(now)
-                if pkt is None:
-                    continue
-                return pkt
-            if self.credit > 0.0:
-                pkt = self._take_c(now)
-                if pkt is None:
-                    continue
-                self.credit -= pkt.size * (1.0 - self.cfg.classic_protection)
-                return pkt
-            pkt = self._take_l(now)
-            self.credit += pkt.size * self.cfg.classic_protection
-            return pkt
 
-    def _take_c(self, now: int) -> Packet | None:
-        """Serve the C queue under the squared drop/mark law.
+        C queue: each head candidate faces an independent trial at
+        p_c = p'^2; a losing ECT(0) packet is CE-marked and forwarded,
+        any other loser is dropped and the next head tried. Drops that
+        empty the C queue hand the turn to the L queue.
 
-        Each head candidate faces an independent trial at p_c = p'^2;
-        a losing ECT(0) packet is CE-marked and forwarded, any other
-        loser is dropped and the next head tried. Returns None only
-        when drops exhaust the queue.
+        L queue: step marking first, then the coupled rate. The step
+        test uses a strict comparison (sojourn > threshold); only when
+        it declines does the packet face one coupled trial at
+        clamp(k * p', 0, 1) (a draw in [0, 1) is below every p >= 1, so
+        the clamp needs no code). Marking never drops: L overload shows
+        up as CE on every packet, not as loss.
         """
-        p_c = self.p_prime * self.p_prime
-        bern = self.rng.bernoulli
-        while self._c:
-            pkt = self._c.popleft()
-            self.c_bytes -= pkt.size
-            if bern(p_c):
-                if self.cfg.ecn_classic_enabled and pkt.ecn == _ECT0:
-                    pkt.ecn = _CE
-                    self.ecn_marks_c += 1
+        queue_c = self._c
+        queue_l = self._l
+        cfg = self.cfg
+        if queue_c and (not queue_l or self.credit > 0.0):
+            p_c = self.p_prime * self.p_prime
+            draw = self.rng.random
+            while queue_c:
+                pkt = queue_c.popleft()
+                self.c_bytes -= pkt.size
+                if draw() < p_c:
+                    if cfg.ecn_classic_enabled and pkt.ecn == _ECT0:
+                        pkt.ecn = _CE
+                        self.ecn_marks_c += 1
+                    else:
+                        self.drops_aqm += 1
+                        continue
+                self.deq_total += 1
+                if queue_l:
+                    self.credit -= pkt.size * (1.0 - cfg.classic_protection)
                 else:
-                    self.drops_aqm += 1
-                    continue
-            self.deq_total += 1
-            return pkt
-        return None
-
-    def _take_l(self, now: int) -> Packet:
-        """Serve the L queue: step marking first, then the coupled rate.
-
-        The step test uses a strict comparison (sojourn > threshold);
-        only when it declines does the packet face one coupled trial at
-        clamp(k * p', 0, 1). Marking never drops: L overload shows up
-        as CE on every packet, not as loss.
-        """
-        pkt = self._l.popleft()
+                    self.credit = 0.0
+                return pkt
+            if not queue_l:
+                self.credit = 0.0
+                return None
+        elif not queue_l:
+            return None
+        pkt = queue_l.popleft()
         self.l_bytes -= pkt.size
-        if now - pkt.enqueued_at > self.cfg.step_thresh_ns:
-            mark = True
-        else:
-            p_cl = self.cfg.coupling_k * self.p_prime
-            if p_cl > 1.0:
-                p_cl = 1.0
-            mark = self.rng.bernoulli(p_cl)
-        if mark and pkt.ecn != _CE:
-            pkt.ecn = _CE
-            self.ecn_marks_l += 1
+        if (now - pkt.enqueued_at > cfg.step_thresh_ns
+                or self.rng.random() < cfg.coupling_k * self.p_prime):
+            if pkt.ecn != _CE:
+                pkt.ecn = _CE
+                self.ecn_marks_l += 1
         self.deq_total += 1
+        if queue_c:
+            self.credit += pkt.size * cfg.classic_protection
+        else:
+            self.credit = 0.0
         return pkt

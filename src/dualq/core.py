@@ -79,7 +79,3 @@ class Rng:
         self._random = random.Random(seed)
         # bound method cached for hot-path callers
         self.random = self._random.random
-
-    def bernoulli(self, p: float) -> bool:
-        """One trial; consumes exactly one draw regardless of p."""
-        return self.random() < p

@@ -9,31 +9,49 @@ Topology (one direction of interest):
 Every event source is already in time order, so the loop merges them
 instead of keeping one priority queue:
 
-* packet arrivals are send time + the constant forward delay, and sends
-  happen at the current time, so the arrivals FIFO fills in time order;
-* acks are delivery time + the constant reverse delay: a second FIFO.
-  An ack carries the packet's flow index (``Packet.flow``), which is
-  also the sender's index in the run's sender list;
+* packet arrivals sit in a FIFO in time order (see below);
 * the link and the controller each have at most one pending event, a
   scalar next time (``inf`` when none is pending);
 * flow wake-ups, one per flow at its start time, sit in a small heap.
 
+Acks are not events. A link service that delivers a packet at t hands
+the ack to its sender right away, as of ``at = t + rev``: the sender's
+``on_loss``, ``on_ack`` and ``pump`` run with now = at, and the packets
+it sends are queued to arrive at ``at + fwd``. (A packet carries its
+flow index, ``Packet.flow``, which is also its sender's index.) This is
+exactly what a separate ack FIFO, ordered after arrivals at the same
+instant, would compute:
+
+* a sender's state is touched only by its own acks, losses and
+  wake-up, and reaches the rest of the run only through the packets it
+  sends, which arrive fwd after the ack time;
+* acks of one flow leave the link in delivery order and all take the
+  same rev, so each sender gets the same calls, with the same
+  arguments, in the same order;
+* ack-sent arrivals are queued in delivery order, so the FIFO stays in
+  time order. Only a flow wake-up can queue an arrival earlier than one
+  already there: it inserts its packets after the last queued arrival
+  at or before ``tw + fwd``. Every ack at or before tw has been handled
+  by then (its delivery was at or before tw, and a link service wins a
+  tie with a wake-up), which keeps wake-ups after same-instant acks.
+
 Simultaneous events run in a fixed order:
 
-    link delivery < controller update < packet arrival < ack < flow wake-up
+    link delivery < controller update < packet arrival < flow wake-up
 
 so a delivery opportunity at time t serves the queue as it stood before
-any packet arriving at t, the controller samples the queue before the
-same-instant arrivals, and acks are handled last. Within one FIFO,
-events at the same instant keep the order they were created in.
+any packet arriving at t, and the controller samples the queue before
+the same-instant arrivals. Within one source, events at the same
+instant keep the order they were created in.
 
 The run stops at the first event later than the horizon, or at the
-horizon itself when it is an arrival, an ack or a wake-up: a link
-delivery and a controller update at exactly the horizon still run.
-Samples are taken at every controller update, and the final sample is
-always taken at the horizon, so it is the frozen end state of the run:
-when the duration is not a multiple of tupdate, one more sample is taken
-at the horizon after the loop, without a controller update.
+horizon itself when it is an arrival or a wake-up: a link delivery and a
+controller update at exactly the horizon still run. An ack whose time
+is at or past the horizon is not handled. Samples are taken at every
+controller update, and the final sample is always taken at the horizon,
+so it is the frozen end state of the run: when the duration is not a
+multiple of tupdate, one more sample is taken at the horizon after the
+loop, without a controller update.
 """
 
 from __future__ import annotations
@@ -88,9 +106,9 @@ def run_scenario(cfg, seed: int) -> RunOutput:
     dequeue = aqm.dequeue
 
     arrivals: deque = deque()  # (t, pkt)
-    acks: deque = deque()  # (t, flow index, seq, ce, lost)
     push_arrival = arrivals.append
-    push_ack = acks.append
+    queue_c = aqm._c
+    queue_l = aqm._l
     wakes = [(sender.start_ns, i) for i, sender in enumerate(senders)]
     heapify(wakes)
     wake_t = wakes[0][0] if wakes else _NONE
@@ -110,35 +128,24 @@ def run_scenario(cfg, seed: int) -> RunOutput:
         if arrivals and arrivals[0][0] < t:
             t = arrivals[0][0]
             src = 2
-        if acks and acks[0][0] < t:
-            t = acks[0][0]
-            src = 3
         if wake_t < t:
             t = wake_t
-            src = 4
+            src = 3
         if t > duration or (t == duration and src > 1):
             break
 
         if src == 2:
             enqueue(arrivals.popleft()[1], t)
-            if link_t == _NONE and aqm.backlog_pkts:
+            if link_t == _NONE and (queue_c or queue_l):
                 if smooth:
                     link_t = next_free_ns if next_free_ns > t else t
                 else:
                     link_t = (t // NS_PER_MS + 1) * NS_PER_MS
 
-        elif src == 3:
-            _, sender_idx, seq, ce, lost = acks.popleft()
-            sender = senders[sender_idx]
-            for missing in lost:
-                sender.on_loss(missing, t)
-            sender.on_ack(seq, ce, t)
-            at = t + fwd
-            for pkt in sender.pump(t):
-                push_arrival((at, pkt))
-
         elif src == 0:
             at = t + rev
+            acked = at < duration
+            arrive = at + fwd
             budget = 1 if smooth else opportunities(t // NS_PER_MS)
             while budget > 0:
                 pkt = dequeue(t)
@@ -146,10 +153,16 @@ def run_scenario(cfg, seed: int) -> RunOutput:
                     break
                 budget -= 1
                 ce, lost = on_deliver(pkt)
-                push_ack((at, pkt.flow, pkt.seq, ce, lost))
                 if smooth:
                     next_free_ns = t + pacer.next_interval_ns()
-            if aqm.backlog_pkts:
+                if acked:
+                    sender = senders[pkt.flow]
+                    for missing in lost:
+                        sender.on_loss(missing, at)
+                    sender.on_ack(pkt.seq, ce, at)
+                    for sent in sender.pump(at):
+                        push_arrival((arrive, sent))
+            if queue_c or queue_l:
                 link_t = next_free_ns if smooth else t + NS_PER_MS
             else:
                 link_t = _NONE
@@ -165,8 +178,12 @@ def run_scenario(cfg, seed: int) -> RunOutput:
             sender = senders[heappop(wakes)[1]]
             wake_t = wakes[0][0] if wakes else _NONE
             at = t + fwd
-            for pkt in sender.pump(t):
-                push_arrival((at, pkt))
+            # after every queued arrival at or before at
+            i = len(arrivals)
+            while i and arrivals[i - 1][0] > at:
+                i -= 1
+            for pkt in reversed(sender.pump(t)):
+                arrivals.insert(i, (at, pkt))
 
     if duration % tupdate:
         collector.take(duration, aqm)

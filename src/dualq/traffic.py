@@ -113,13 +113,6 @@ class _SenderBase:
         self.next_seq = seq
         return out
 
-    def _take_rtt_sample(self, sent_at: int, now: int) -> None:
-        sample = now - sent_at
-        if self.srtt_ns == 0:
-            self.srtt_ns = sample
-        else:
-            self.srtt_ns += (sample - self.srtt_ns) >> 3
-
 
 class ScalableSender(_SenderBase):
     """Shallow-threshold scalable window (the DCTCP response).
@@ -156,8 +149,14 @@ class ScalableSender(_SenderBase):
         if sent_at is None:
             return
         self.acked_total += 1
-        self._take_rtt_sample(sent_at, now)
-        self._account(ce)
+        # smoothed RTT, gain 1/8; the first sample seeds it
+        sample = now - sent_at
+        srtt = self.srtt_ns
+        self.srtt_ns = sample if srtt == 0 else srtt + ((sample - srtt) >> 3)
+        self.round_acked += 1
+        if ce:
+            self.round_marked += 1
+            self.signals_total += 1
         if self.slow_start:
             self.cwnd += 1.0
             if ce:
@@ -168,14 +167,10 @@ class ScalableSender(_SenderBase):
     def on_loss(self, seq: int, now: int) -> None:
         if self.outstanding.pop(seq, None) is None:
             return
-        self._account(True)
-        self.slow_start = False
-
-    def _account(self, ce: bool) -> None:
         self.round_acked += 1
-        if ce:
-            self.round_marked += 1
-            self.signals_total += 1
+        self.round_marked += 1
+        self.signals_total += 1
+        self.slow_start = False
 
     def _close_round(self) -> None:
         if self.round_acked:
@@ -218,7 +213,9 @@ class ClassicSender(_SenderBase):
         if sent_at is None:
             return
         self.acked_total += 1
-        self._take_rtt_sample(sent_at, now)
+        sample = now - sent_at
+        srtt = self.srtt_ns
+        self.srtt_ns = sample if srtt == 0 else srtt + ((sample - srtt) >> 3)
         if ce:
             if seq > self.recover_seq:
                 self._decrease(now)

@@ -335,6 +335,86 @@ class TestL4sAction:
         assert a.rng.random() == ref.random()
 
 
+class TestDraws:
+    """The AQM's use of its random stream: one draw per C-head trial and
+    per L packet the step does not mark, compared with ``random() < p``."""
+
+    @pytest.mark.parametrize("p_prime", [0.0, 0.5, 1.0])
+    def test_one_draw_per_c_head_trial(self, p_prime):
+        a = mkaqm(rng_seed=7, limit_bytes=10**9)
+        a.p_prime = p_prime
+        for i in range(50):
+            a.enqueue(mkpkt(i, Ecn.NOT_ECT), 0)
+        pkt = a.dequeue(0)
+        # every head dropped before the survivor took one trial, and so did
+        # the survivor; with p' = 1 all 50 heads lose and none survives
+        trials = 50 if pkt is None else a.drops_aqm + 1
+        ref = Rng(7)
+        for _ in range(trials):
+            ref.random()
+        assert a.rng.random() == ref.random()
+
+    @pytest.mark.parametrize("p_prime", [0.0, 0.2, 1.0])
+    def test_one_draw_per_non_step_l_trial(self, p_prime):
+        a = mkaqm(rng_seed=8)
+        a.p_prime = p_prime
+        for i in range(5):
+            a.enqueue(mkpkt(i, Ecn.ECT1), 0)
+        for _ in range(5):
+            a.dequeue(a.cfg.step_thresh_ns)  # sojourn at the threshold: no step
+        ref = Rng(8)
+        for _ in range(5):
+            ref.random()
+        assert a.rng.random() == ref.random()
+
+    def test_no_draw_on_step_mark(self):
+        a = mkaqm(rng_seed=4)
+        for i in range(5):
+            a.enqueue(mkpkt(i, Ecn.ECT1), 0)
+        for _ in range(5):
+            assert a.dequeue(a.cfg.step_thresh_ns + 1).ecn is Ecn.CE
+        assert a.rng.random() == Rng(4).random()
+
+    def test_edge_probabilities(self):
+        # p = 0 never marks or drops, p = 1 always marks (ECT) or drops
+        for p_prime, expect in ((0.0, 0), (1.0, 1000)):
+            a = mkaqm(rng_seed=3, limit_bytes=10**9)
+            a.p_prime = p_prime
+            for i in range(1000):
+                a.enqueue(mkpkt(i, Ecn.ECT0), 0)
+                a.enqueue(mkpkt(i, Ecn.ECT1), 0)
+                a.enqueue(mkpkt(i, Ecn.NOT_ECT), 0)
+            while a.dequeue(0) is not None:
+                pass
+            assert (a.ecn_marks_c, a.ecn_marks_l, a.drops_aqm) == (expect,) * 3
+
+    @given(seed=st.integers(0, 10**6), p_prime=st.floats(0.0, 1.0),
+           ecn_classic=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_three_step_oracle(self, seed, p_prime, ecn_classic):
+        import random as pyrandom
+
+        from _oracles import DualPi2Oracle
+
+        cfg = AqmConfig(limit_bytes=40_000, ecn_classic_enabled=ecn_classic)
+        a, b = DualPi2(cfg, Rng(seed)), DualPi2Oracle(cfg, Rng(seed))
+        a.p_prime = b.p_prime = p_prime
+        traffic = pyrandom.Random(seed + 1)
+        now = 0
+        for i in range(600):
+            ecn = traffic.choice(list(Ecn))
+            size = traffic.choice([64, 600, 1500])
+            a.enqueue(Packet(0, i, size, ecn), now)
+            b.enqueue(Packet(0, i, size, ecn), now)
+            for _ in range(traffic.randrange(3)):
+                got, want = a.dequeue(now), b.dequeue(now)
+                assert (got and (got.seq, got.ecn)) == (want and (want.seq, want.ecn))
+            now += traffic.randrange(2 * NS_PER_MS)
+        assert a.counters() == b.counters()
+        assert (a.credit, a.c_bytes, a.l_bytes) == (b.credit, b.c_bytes, b.l_bytes)
+        assert a.rng.random() == b.rng.random()
+
+
 class TestScheduler:
     def fill(self, a, n_c, n_l, base_id=0):
         for i in range(n_c):

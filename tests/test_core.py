@@ -70,23 +70,3 @@ class TestRng:
         # random.Random seeds from abs(seed): -1 would replay seed 1
         with pytest.raises(ValueError, match="seed"):
             Rng(-1)
-
-    def test_bernoulli_consumes_one_draw(self):
-        a = Rng(7)
-        b = Rng(7)
-        a.bernoulli(0.0)
-        a.bernoulli(1.0)
-        b.random()
-        b.random()
-        assert a.random() == b.random()
-
-    def test_bernoulli_edge_probabilities(self):
-        rng = Rng(3)
-        assert not any(rng.bernoulli(0.0) for _ in range(1000))
-        assert all(rng.bernoulli(1.0) for _ in range(1000))
-
-    def test_bernoulli_long_run_frequency(self):
-        rng = Rng(12345)
-        n = 1_000_000
-        hits = sum(rng.bernoulli(0.5) for _ in range(n))
-        assert abs(hits / n - 0.5) < 0.002

@@ -7,7 +7,7 @@ import pytest
 
 from dualq.aqm import DualPi2
 from dualq.config import apply_overrides, build_scenario, preset_sections
-from dualq.core import NS_PER_SEC
+from dualq.core import NS_PER_MS, NS_PER_SEC
 from dualq.engine import run_scenario
 from dualq.metrics import write_run_dir
 from dualq.runner import run_one
@@ -21,6 +21,8 @@ def scenario(preset="low", flows=("cubic",), duration_s=5.0, params="default",
     sections = preset_sections(
         preset, params=params, flows=flows, duration_s=duration_s, mode=mode
     )
+    if any(s.startswith("delay.") for s in sets):
+        del sections["delay"]  # fwd_ms/rev_ms replace the preset's rtt_ms
     apply_overrides(sections, list(sets))
     return build_scenario(sections)
 
@@ -101,14 +103,53 @@ class TestTieOrder:
         assert ties > 0
 
     def test_acks_after_same_instant_arrivals(self, monkeypatch):
-        log = event_log(monkeypatch, scenario(flows=("scalable", "cubic"), duration_s=2.0))
-        ties = 0
-        for t, kinds in kinds_by_time(log).items():
-            if "ack" in kinds and "arr" in kinds:
-                ties += 1
-                # arrivals made by an ack land fwd later, so none follow one
-                assert "arr" not in kinds[kinds.index("ack"):], t
-        assert ties > 0
+        # what the tie order decides: the packets an ack at t sends are
+        # enqueued at t + fwd, after every arrival at t that was sent
+        # earlier, and ahead of those a same-instant wake-up sends;
+        # fwd = 0 puts all of them at one instant
+        sent = {}  # (flow, seq) -> (send time, 0 if an ack sent it, 1 if a wake-up)
+        enqueued = []  # (time, flow, seq) in call order
+        woken = set()
+
+        def logged_pump(cls):
+            pump = cls.pump
+
+            def wrapper(self, now):
+                out = pump(self, now)
+                # a sender's first pump is its wake-up, every later one an ack's
+                kind = 0 if self.index in woken else 1
+                woken.add(self.index)
+                sent.update(((p.flow, p.seq), (now, kind)) for p in out)
+                return out
+
+            monkeypatch.setattr(cls, "pump", wrapper)
+
+        logged_pump(ScalableSender)
+        logged_pump(ClassicSender)
+        enqueue = DualPi2.enqueue
+
+        def logged_enqueue(self, pkt, now):
+            enqueued.append((now, pkt.flow, pkt.seq))
+            return enqueue(self, pkt, now)
+
+        monkeypatch.setattr(DualPi2, "enqueue", logged_enqueue)
+        for fwd_ms in (10, 0):
+            sent.clear()
+            enqueued.clear()
+            woken.clear()
+            run_scenario(scenario(flows=("scalable", "cubic"), duration_s=1.0, sets=(
+                f"delay.fwd_ms={fwd_ms}", "delay.rev_ms=10", "flow.cubic1.start_s=0.3",
+            )), seed=1)
+            by_t = {}
+            for now, flow, seq in enqueued:
+                t_sent, kind = sent[(flow, seq)]
+                assert now == t_sent + fwd_ms * NS_PER_MS
+                by_t.setdefault(now, []).append((t_sent, kind))
+            ties = 0
+            for now, keys in by_t.items():
+                assert keys == sorted(keys), now
+                ties += len({kind for _, kind in keys}) == 2
+            assert ties > 0, fwd_ms
 
     def test_nothing_runs_past_horizon(self, monkeypatch):
         horizon = int(0.8 * NS_PER_SEC)
@@ -403,11 +444,8 @@ class TestOracleGrid:
         trace = tmp_path / "link.trace"
         # 1.5 opportunities a ms on average, in uneven slugs, 97 ms period
         trace.write_text("".join(f"{ms}\n" * (ms * 7 % 4) for ms in range(1, 98)))
-        sections = preset_sections(preset, flows=flows, duration_s=4.0, mode=mode)
-        if any(s.startswith("delay.") for s in sets):
-            del sections["delay"]  # fwd_ms/rev_ms replace the preset's rtt_ms
-        apply_overrides(sections, [s.format(trace=trace) for s in sets])
-        cfg = build_scenario(sections)
+        sets = [s.format(trace=trace) for s in sets]
+        cfg = scenario(preset, flows, duration_s=4.0, mode=mode, sets=sets)
         got = run_scenario(cfg, seed=21)
         want = run_scenario_oracle(cfg, seed=21)
         assert got.samples == want.samples
