@@ -221,17 +221,15 @@ class DualPi2:
         classic_protection of every byte served; with a single backlog
         the credit resets so a returning competitor starts from parity.
 
-        C queue: each head candidate faces an independent trial at
-        p_c = p'^2; a losing ECT(0) packet is CE-marked and forwarded,
-        any other loser is dropped and the next head tried. Drops that
-        empty the C queue hand the turn to the L queue.
+        C queue: each head faces an independent trial at p_c = p'^2; a
+        losing ECT(0) packet is CE-marked and forwarded, any other loser
+        is dropped and the next head tried. Drops that empty the C queue
+        hand the turn to the L queue.
 
-        L queue: step marking first, then the coupled rate. The step
-        test uses a strict comparison (sojourn > threshold); only when
-        it declines does the packet face one coupled trial at
-        clamp(k * p', 0, 1) (a draw in [0, 1) is below every p >= 1, so
-        the clamp needs no code). Marking never drops: L overload shows
-        up as CE on every packet, not as loss.
+        L queue: a sojourn strictly over the step threshold marks;
+        otherwise the packet faces one trial at k * p' (a draw in [0, 1)
+        is below any p >= 1, so no clamp is needed). Marking never drops:
+        L overload shows up as CE on every packet, not as loss.
         """
         queue_c = self._c
         queue_l = self._l

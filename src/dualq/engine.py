@@ -9,18 +9,16 @@ Topology (one direction of interest):
 Every event source is already in time order, so the loop merges them
 instead of keeping one priority queue:
 
-* packet arrivals sit in a FIFO in time order (see below);
+* packet arrivals sit in a FIFO, in time order (see below);
 * the link and the controller each have at most one pending event, a
   scalar next time (``inf`` when none is pending);
 * flow wake-ups, one per flow at its start time, sit in a small heap.
 
-Acks are not events. A link service that delivers a packet at t hands
-the ack to its sender right away, as of ``at = t + rev``: the sender's
-``on_loss``, ``on_ack`` and ``pump`` run with now = at, and the packets
-it sends are queued to arrive at ``at + fwd``. (A packet carries its
-flow index, ``Packet.flow``, which is also its sender's index.) This is
-exactly what a separate ack FIFO, ordered after arrivals at the same
-instant, would compute:
+Acks are not events. When a link service delivers a packet at t, its
+sender (``senders[pkt.flow]``) runs ``on_loss``, ``on_ack`` and ``pump``
+at once with now = at = t + rev, and the packets it sends are queued to
+arrive at at + fwd. That is exactly what an ack FIFO, served after
+same-instant arrivals, would compute:
 
 * a sender's state is touched only by its own acks, losses and
   wake-up, and reaches the rest of the run only through the packets it
@@ -28,12 +26,10 @@ instant, would compute:
 * acks of one flow leave the link in delivery order and all take the
   same rev, so each sender gets the same calls, with the same
   arguments, in the same order;
-* ack-sent arrivals are queued in delivery order, so the FIFO stays in
-  time order. Only a flow wake-up can queue an arrival earlier than one
-  already there: it inserts its packets after the last queued arrival
-  at or before ``tw + fwd``. Every ack at or before tw has been handled
-  by then (its delivery was at or before tw, and a link service wins a
-  tie with a wake-up), which keeps wake-ups after same-instant acks.
+* only a flow wake-up at tw can queue an arrival earlier than one
+  already queued, so it inserts its packets after the last queued
+  arrival at or before tw + fwd. Every ack at or before tw has run by
+  then, so wake-ups still follow same-instant acks.
 
 Simultaneous events run in a fixed order:
 
@@ -46,8 +42,8 @@ instant keep the order they were created in.
 
 The run stops at the first event later than the horizon, or at the
 horizon itself when it is an arrival or a wake-up: a link delivery and a
-controller update at exactly the horizon still run. An ack whose time
-is at or past the horizon is not handled. Samples are taken at every
+controller update at exactly the horizon still run, and an ack is
+handled only before the horizon. Samples are taken at every
 controller update, and the final sample is always taken at the horizon,
 so it is the frozen end state of the run: when the duration is not a
 multiple of tupdate, one more sample is taken at the horizon after the
@@ -87,8 +83,7 @@ def run_scenario(cfg, seed: int) -> RunOutput:
     seed) pair always produces identical outputs: the only randomness
     is the AQM's seeded stream, and the event order is total.
     """
-    rng = Rng(seed)
-    aqm = DualPi2(cfg.aqm, rng)
+    aqm = DualPi2(cfg.aqm, Rng(seed))
     senders = [make_sender(fc, i, cfg.link.mtu) for i, fc in enumerate(cfg.flows)]
     receiver = Receiver(len(senders))
     collector = SampleCollector()
@@ -187,10 +182,4 @@ def run_scenario(cfg, seed: int) -> RunOutput:
 
     if duration % tupdate:
         collector.take(duration, aqm)
-    return RunOutput(
-        duration_ns=duration,
-        samples=collector.samples,
-        aqm=aqm,
-        receiver=receiver,
-        senders=senders,
-    )
+    return RunOutput(duration, collector.samples, aqm, receiver, senders)

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .core import Rng
 from .engine import run_scenario
 from .stats.report import BOOTSTRAP_NAME, TEST_RESULT_NAME
@@ -33,10 +33,9 @@ from .metrics import (
 MANIFEST_NAME = "manifest.json"
 SWEEP_SUMMARY_NAME = "sweep_summary.csv"
 # --force replaces a non-empty directory only if one of these files, which
-# dualq writes at the root of its outputs, shows it is an earlier output
-OUTPUT_MARKERS = (
-    MANIFEST_NAME, META_NAME, TEST_RESULT_NAME, BOOTSTRAP_NAME, SWEEP_SUMMARY_NAME,
-)
+# dualq writes at the root of its outputs, shows it is an earlier output;
+# a corpus is never an output directory (see output_dir)
+OUTPUT_MARKERS = (META_NAME, TEST_RESULT_NAME, BOOTSTRAP_NAME, SWEEP_SUMMARY_NAME)
 
 
 class RunnerError(Exception):
@@ -54,17 +53,37 @@ def resolve_out(path: str) -> str:
     return os.path.join(output_root(), path)
 
 
+def enclosing_corpus(path: str) -> str | None:
+    """The nearest directory at or above realpath(path) holding a corpus manifest."""
+    here = os.path.realpath(path)
+    while True:
+        try:
+            with open(os.path.join(here, MANIFEST_NAME), encoding="ascii") as fh:
+                if json.load(fh).get("kind") == "corpus":
+                    return here
+        except (OSError, ValueError, AttributeError):
+            pass  # no manifest here, or another program's
+        if here == os.path.dirname(here):
+            return None
+        here = os.path.dirname(here)
+
+
 @contextmanager
 def output_dir(path: str, force: bool) -> Iterator[str]:
     """Create an output directory, refusing to clobber prior results, and
     yield it; remove it if the body raises anything, an interrupt included.
 
-    With force, an earlier dualq output (a directory holding one of
-    OUTPUT_MARKERS) or an empty directory is replaced; any other
-    non-empty directory is left untouched. The earlier output is gone
-    before the body runs, so a failed command leaves no directory at all.
+    A path that is, or lies inside, a corpus is a ConfigError, --force
+    or not: a directory inside a corpus makes it unloadable. With force,
+    an earlier dualq output (a directory holding one of OUTPUT_MARKERS)
+    or an empty directory is replaced; any other non-empty directory is
+    left untouched. The earlier output is gone before the body runs, so
+    a failed command leaves no directory at all.
     """
     path = resolve_out(path)
+    corpus = enclosing_corpus(path)
+    if corpus is not None:
+        raise ConfigError(f"--out {path}: is or lies inside the corpus {corpus}")
     if os.path.exists(path):
         names = os.listdir(path)
         if names and not force:

@@ -667,6 +667,56 @@ class TestOutOverlapsCorpus:
         assert (rep / "test_result.json").is_file()
 
 
+_LOW = ("--preset=low", "--duration=0.2")
+
+
+class TestOutInsideCorpus:
+    """No command writes at or under an existing corpus, --force included:
+    a run directory or report inside one makes it unloadable, and
+    replacing one deletes an input that reports name."""
+
+    @pytest.fixture()
+    def corpora(self, tmp_path):
+        for name in ("m", "k"):
+            assert batch(tmp_path / name, 2) == EXIT_OK
+        os.symlink(tmp_path / "m", tmp_path / "link")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ("emulate", *_LOW, "--out", "{m}/extra"),
+        ("emulate", *_LOW, "--out", "{link}/extra"),
+        ("emulate", *_LOW, "--out", "{m}", "--force"),
+        ("emulate", *_LOW, "--out", "{m}/run-00000", "--force"),
+        ("batch", *_LOW, "--runs", "1", "--out", "{m}/sub"),
+        ("batch", *_LOW, "--runs", "2", "--out", "{link}", "--force"),
+        ("sweep", *_LOW, "--runs", "1", "--param", "alpha", "--values", "0.1",
+         "--out", "{m}/sweep"),
+        ("sweep", *_LOW, "--runs", "1", "--param", "alpha", "--values", "0.1",
+         "--out", "{m}", "--force"),
+        ("validate", "{k}", "{k}", "--out", "{m}/report"),
+        ("bootstrap", "{k}", "{k}", "-B", "50", "--out", "{m}", "--force"),
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]).replace("/", "|"))
+    def test_out_in_corpus_is_config_error(self, corpora, capsys, argv):
+        argv = [a.format(m=corpora / "m", k=corpora / "k", link=corpora / "link")
+                for a in argv]
+        before = tree_digest(corpora)
+        capsys.readouterr()
+        assert run_cli(*argv) == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+        assert tree_digest(corpora) == before
+        assert len(load_corpus(str(corpora / "m"))) == 2
+
+    def test_outside_any_corpus_is_accepted(self, corpora):
+        # a sibling with the corpus's name as prefix, and a forced sweep
+        # over an earlier sweep, whose sub-corpora lie below it
+        assert emulate(corpora / "m-extra") == EXIT_OK
+        argv = ("sweep", "--preset", "low", "--duration", "0.2", "--runs", "1",
+                "--param", "alpha", "--values", "0.1", "--out", str(corpora / "sw"))
+        assert run_cli(*argv) == EXIT_OK
+        assert run_cli(*argv, "--force") == EXIT_OK
+        assert len(load_corpus(str(corpora / "sw" / "alpha-0.1"))) == 1
+
+
 class TestReportPins:
     """Exact report bytes on two fixed-seed 3-run corpora.
 
