@@ -10,10 +10,11 @@ of one ``runner.run_one`` (the engine plus the in-memory summary),
 events/s and delivered packets/s at that median.
 
 Events are what the engine handles one at a time: packet arrivals,
-acks, flow wake-ups, controller updates and link services (one per
+controller updates, flow wake-ups and link services (one per
 millisecond while backlogged on a bursty link, one per packet on a
-smooth one). They are counted in one extra, untimed run with counting
-wrappers on the methods each event calls.
+smooth one). Acks are not events: each runs inside the link service
+that delivers its packet. Events are counted in one extra, untimed run
+with counting wrappers on the functions each event calls.
 
 Every timed run is written as a run directory and its sha256 digests
 must equal the golden test's, or the script exits non-zero.
@@ -27,10 +28,10 @@ import tempfile
 import time
 from contextlib import contextmanager
 
+from dualq import engine
 from dualq.aqm import DualPi2
 from dualq.link import DeliveryTrace
 from dualq.runner import run_one
-from dualq.traffic import ClassicSender, ScalableSender
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "tests"))
@@ -39,14 +40,14 @@ from test_engine import golden_digests, golden_scenario, run_dir_digests  # noqa
 CASES = [f"{preset}-{mode}" for preset in ("low", "medium", "high")
          for mode in ("bursty", "smooth")]
 
-# (owner, method, counter): every engine event calls exactly one of
-# enqueue (arrival), pi2_update (update), pump (ack or wake-up), and, for
-# link services, opportunities (bursty) or dequeue (smooth, once each)
+# (owner, function, counter): every engine event calls exactly one of
+# enqueue (arrival), pi2_update (update), the engine module's heappop
+# (wake-up), and, for link services, opportunities (bursty) or dequeue
+# (smooth, once each)
 _COUNTED = [
     (DualPi2, "enqueue", "arrival"),
     (DualPi2, "pi2_update", "update"),
-    (ScalableSender, "pump", "pump"),
-    (ClassicSender, "pump", "pump"),
+    (engine, "heappop", "wake"),
     (DeliveryTrace, "opportunities", "link-bursty"),
     (DualPi2, "dequeue", "link-smooth"),
 ]
@@ -78,7 +79,7 @@ def counting():
 def count_events(cfg, seed, mode):
     with counting() as c:
         run_one(cfg, seed, "run-00000")
-    return c["arrival"] + c["update"] + c["pump"] + c[f"link-{mode}"]
+    return c["arrival"] + c["update"] + c["wake"] + c[f"link-{mode}"]
 
 
 def main():
