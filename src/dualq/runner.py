@@ -59,10 +59,11 @@ def enclosing_corpus(path: str) -> str | None:
     while True:
         try:
             with open(os.path.join(here, MANIFEST_NAME), encoding="ascii") as fh:
-                if json.load(fh).get("kind") == "corpus":
-                    return here
-        except (OSError, ValueError, AttributeError):
-            pass  # no manifest here, or another program's
+                manifest = json.load(fh)
+        except (OSError, ValueError):
+            manifest = None  # no manifest here, or not JSON
+        if isinstance(manifest, dict) and manifest.get("kind") == "corpus":
+            return here
         if here == os.path.dirname(here):
             return None
         here = os.path.dirname(here)
