@@ -70,3 +70,10 @@ class TestRng:
         # random.Random seeds from abs(seed): -1 would replay seed 1
         with pytest.raises(ValueError, match="seed"):
             Rng(-1)
+
+    def test_bernoulli_long_run_frequency(self):
+        # the AQM draws each trial as random() < p, one draw per trial
+        rng = Rng(12345)
+        n = 1_000_000
+        hits = sum(rng.random() < 0.5 for _ in range(n))
+        assert abs(hits / n - 0.5) < 0.002
