@@ -35,7 +35,7 @@ from _oracles import bootstrap_replicates_oracle  # noqa: E402
 def corpora(n, seed):
     gen = np.random.default_rng(seed)
     return testing.build_distances(gen.normal(10.0, 1.0, n),
-                                   gen.normal(10.5, 1.0, n), "scalar")
+                                   gen.normal(10.5, 1.0, n))
 
 
 def pcg(seed):

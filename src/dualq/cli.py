@@ -189,7 +189,7 @@ def _distance_sets(args, records_m, records_k, metrics):
         kind = METRICS[name].kind
         obs_m = extract_observations(records_m, name)
         obs_k = extract_observations(records_k, name)
-        yield name, kind, build_distances(obs_m, obs_k, kind, band=args.band)
+        yield name, kind, build_distances(obs_m, obs_k, band=args.band)
 
 
 def cmd_emulate(args) -> int:

@@ -177,8 +177,25 @@ def write_run_dir(record: RunRecord, path: str) -> list[str]:
 
 
 def load_run_dir(path: str) -> RunRecord:
-    with open(os.path.join(path, META_NAME), "r", encoding="ascii") as fh:
-        meta = json.load(fh)
+    """Read a run directory; malformed content raises ValueError naming its file."""
+    meta_path = os.path.join(path, META_NAME)
+    try:
+        with open(meta_path, "r", encoding="ascii") as fh:
+            meta = json.load(fh)
+        rows = meta["summary"]["samples"]
+        fields = dict(
+            run_id=meta["run_id"],
+            seed=meta["seed"],
+            rng_algorithm=meta["rng"]["algorithm"],
+            fingerprint=meta["fingerprint"],
+            duration_ns=meta["duration_ns"],
+            config=meta["config"],
+            counters=meta["summary"]["counters"],
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{meta_path}: malformed ({type(exc).__name__}: {exc})"
+        ) from None
     with open(os.path.join(path, SERIES_NAME), "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != _SERIES_HEADER:
@@ -186,7 +203,7 @@ def load_run_dir(path: str) -> RunRecord:
         # comments=None: a '#' line is malformed input, not a comment
         samples = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
                              comments=None)
-    declared = (meta["summary"]["samples"], len(TraceSample._fields))
+    declared = (rows, len(TraceSample._fields))
     if samples.shape != declared:
         raise ValueError(f"{path}: {SERIES_NAME} holds {samples.shape} rows x "
                          f"columns, meta.json declares {declared}")
@@ -198,17 +215,7 @@ def load_run_dir(path: str) -> RunRecord:
         for line in fh:
             flow, kind, nbytes, mbps = line.strip().split(",")
             flows.append(FlowSummary(flow, kind, int(nbytes), float(mbps)))
-    return RunRecord(
-        run_id=meta["run_id"],
-        seed=meta["seed"],
-        rng_algorithm=meta["rng"]["algorithm"],
-        fingerprint=meta["fingerprint"],
-        duration_ns=meta["duration_ns"],
-        config=meta["config"],
-        flows=flows,
-        counters=meta["summary"]["counters"],
-        samples=samples,
-    )
+    return RunRecord(flows=flows, samples=samples, **fields)
 
 
 def sha256_file(path: str) -> str:

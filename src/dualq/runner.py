@@ -173,15 +173,20 @@ def run_batch(
 
 
 def verify_corpus(corpus_dir: str) -> dict:
-    """Check every manifest hash; raises RunnerError on any mismatch."""
+    """Check every manifest hash; raises RunnerError on any mismatch and on
+    a manifest that is not a JSON object with a ``files`` object."""
     manifest_path = os.path.join(corpus_dir, MANIFEST_NAME)
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
             manifest = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise RunnerError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), dict):
+        raise RunnerError(
+            f"manifest {manifest_path} is not an object with a files object"
+        )
     bad = []
-    for rel, digest in manifest.get("files", {}).items():
+    for rel, digest in manifest["files"].items():
         path = os.path.join(corpus_dir, rel)
         if not os.path.exists(path):
             bad.append(f"missing file {rel}")
@@ -205,7 +210,7 @@ def load_corpus(corpus_dir: str) -> list[RunRecord]:
     """
     corpus_dir = resolve_out(corpus_dir)
     manifest = verify_corpus(corpus_dir)
-    run_ids = sorted({rel.split("/", 1)[0] for rel in manifest.get("files", {})})
+    run_ids = sorted({rel.split("/", 1)[0] for rel in manifest["files"]})
     unlisted = sorted(
         name
         for name in os.listdir(corpus_dir)

@@ -75,8 +75,8 @@ def dtw_norm_pairs(xs, ys, band: int | None = None) -> np.ndarray:
     """
     prepared = [_prepare(x, y, band) for x, y in zip(xs, ys, strict=True)]
     b = -1 if band is None else int(band)
-    # CLI corpora come from one scenario, so they form a single group;
-    # mixed lengths arise only from library callers
+    # the runs of one corpus share a length, but validate and bootstrap
+    # accept corpora of different durations: up to three groups then
     groups: dict[tuple[int, int], list[int]] = {}
     for p, (xa, ya) in enumerate(prepared):
         groups.setdefault((xa.size, ya.size), []).append(p)

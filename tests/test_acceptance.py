@@ -269,7 +269,7 @@ def test_criterion_08_statistical_self_equivalence():
         base = 1000 * rep
         obs_m = throughputs(cfg, range(base, base + 30))
         obs_k = throughputs(cfg, range(base + 500, base + 530))
-        ds = build_distances(obs_m, obs_k, "scalar")
+        ds = build_distances(obs_m, obs_k)
         p_hats.append(exceedance_test(ds).p_hat_max)
     elapsed = time.monotonic() - t0
     median = float(np.median(p_hats))
@@ -289,7 +289,7 @@ def test_criterion_09_bootstrap_vectors():
     ranks_ok = percentile_ci(reps) == (50.0, 1950.0)
 
     # identical corpora collapse every replicate to zero exceedance
-    ds = build_distances([7.0] * 10, [7.0] * 10, "scalar")
+    ds = build_distances([7.0] * 10, [7.0] * 10)
     res = bootstrap_exceedance(ds, B=500, seed=1)
     degen_ok = (res.ci_lo, res.ci_hi) == (0.0, 0.0)
 
@@ -336,7 +336,7 @@ def test_criterion_11_ci_width_convergence():
     make = lambda: rng.poisson(3.0, size=100).astype(np.float64)
     obs_m = [make() for _ in range(100)]
     obs_k = [make() for _ in range(100)]
-    ds = build_distances(obs_m, obs_k, "timeseries")
+    ds = build_distances(obs_m, obs_k)
     rows = ci_width_curve(ds, [20, 100], B=300, seed=2, metric="ecn_marks")
     width_20 = rows[0]["width"]
     width_100 = rows[1]["width"]
@@ -359,7 +359,7 @@ def test_criterion_12_bursty_vs_smooth_divergence():
 
     bursty = extract_observations(corpus("bursty", 0), "queue_occupancy")
     smooth = extract_observations(corpus("smooth", 100), "queue_occupancy")
-    ds = build_distances(bursty, smooth, "timeseries")
+    ds = build_distances(bursty, smooth)
     res = exceedance_test(ds, metric="queue_occupancy", kind="timeseries")
     mean_cross = float(ds.cross.mean())
     ok = res.p_hat_max >= 0.05 and mean_cross > res.eps_max

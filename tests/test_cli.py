@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: run dirs, corpora, reports, exit codes."""
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -12,7 +13,8 @@ from dualq.cli import (
 )
 from dualq.metrics import canonical_json
 from dualq.runner import RunnerError, load_corpus, verify_corpus
-from dualq.stats.testing import METRICS, build_distances, extract_observations
+from dualq.stats import _dtw_py
+from dualq.stats.testing import build_distances, extract_observations
 
 
 def run_cli(*argv):
@@ -492,6 +494,51 @@ class TestCorpusRuns:
         assert code == EXIT_RUNTIME
         assert "series.csv holds (31, 5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("manifest", [
+        "[]", '"corpus"', "{", '{"kind": "corpus", "runs": 2, "files": []}',
+    ], ids=["list", "string", "not-json", "files-list"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, command,
+                                              manifest):
+        # a manifest that parses but is not an object, or whose files is
+        # not one, crashed with AttributeError: exit 1, the config-error code
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        path = corpus / "manifest.json"
+        path.write_text(manifest)
+        with pytest.raises(RunnerError, match="manifest"):
+            load_corpus(str(corpus))
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        assert run_cli(command, str(corpus), str(corpus), "--out",
+                       str(rep)) == EXIT_RUNTIME
+        assert str(path) in capsys.readouterr().err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    def test_meta_without_summary_is_data_error(self, tmp_path, capsys, command):
+        # meta.json re-hashed in the manifest, so only its content is wrong
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        meta_path = corpus / "run-00001" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["summary"]
+        meta_path.write_text(canonical_json(meta))
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["files"]["run-00001/meta.json"] = hashlib.sha256(
+            meta_path.read_bytes()).hexdigest()
+        path.write_text(canonical_json(manifest))
+        with pytest.raises(ValueError, match="summary"):
+            load_corpus(str(corpus))
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        assert run_cli(command, str(corpus), str(corpus), "--out",
+                       str(rep)) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and "summary" in err
+        assert not rep.exists()
+
     def test_runs_load_in_run_id_order(self, tmp_path):
         corpus = tmp_path / "corpus"
         assert batch(corpus, 3, "--seed-base", "7") == EXIT_OK
@@ -532,12 +579,35 @@ class TestValidate:
         records_m, records_k = load_corpus(str(m)), load_corpus(str(k))
         for metric in ("throughput", "queue_occupancy"):
             ds = build_distances(extract_observations(records_m, metric),
-                                 extract_observations(records_k, metric),
-                                 METRICS[metric].kind)
+                                 extract_observations(records_k, metric))
             for label in ("within_m", "within_k", "cross"):
                 assert written[(metric, label)] == getattr(ds, label).tolist()
         out_text = capsys.readouterr().out
         assert "throughput:" in out_text
+
+    def test_series_of_different_lengths(self, tmp_path):
+        # 0.2 s and 0.6 s corpora: the within-M, within-K and cross pairs
+        # are three (n, m) groups of one DTW call
+        m, k = tmp_path / "m", tmp_path / "k"
+        assert batch(m, 3, "--duration", "0.2") == EXIT_OK
+        assert batch(k, 3, "--duration", "0.6", "--seed-base", "100") == EXIT_OK
+        rep = tmp_path / "rep"
+        assert run_cli("validate", str(m), str(k), "--metrics", "queue_occupancy",
+                       "--out", str(rep)) == EXIT_OK
+        obs_m, obs_k = ([r.series("qocc_pkts") for r in load_corpus(str(c))]
+                        for c in (m, k))
+        assert len(obs_m[0]) != len(obs_k[0])
+
+        def oracle(x, y):
+            raw, plen = _dtw_py.dtw_pair(x, y, -1)
+            return raw / plen
+
+        expected = ["metric,label,value"]
+        for label, pairs in (("within_m", itertools.combinations(obs_m, 2)),
+                             ("within_k", itertools.combinations(obs_k, 2)),
+                             ("cross", itertools.product(obs_m, obs_k))):
+            expected += [f"queue_occupancy,{label},{oracle(x, y)!r}" for x, y in pairs]
+        assert (rep / "distances.csv").read_text().splitlines() == expected
 
     def test_same_corpus_is_equivalent(self, corpora, tmp_path):
         m, _ = corpora

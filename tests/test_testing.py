@@ -101,7 +101,7 @@ class TestOneRankQuantile:
     @pytest.mark.parametrize("size", [2, 3, 8, 29])
     def test_non_contiguous_slices(self, size):
         gen = np.random.default_rng(size)
-        ds = build_distances(gen.normal(size=30), gen.normal(size=30), "scalar")
+        ds = build_distances(gen.normal(size=30), gen.normal(size=30))
         for view in (ds.matrix_mm[:size, :size], ds.matrix_mk[:size, :size].T):
             assert not view.flags.c_contiguous
             for q in self.LEVELS:
@@ -110,7 +110,7 @@ class TestOneRankQuantile:
 
 class TestDistances:
     def test_within_matrix_scalar(self):
-        D = within_matrix([1.0, 3.0, 6.0], "scalar")
+        D = within_matrix([1.0, 3.0, 6.0])
         assert D[0, 1] == 2.0
         assert D[1, 2] == 3.0
         assert D[0, 2] == 5.0
@@ -118,19 +118,19 @@ class TestDistances:
         assert np.all(np.diag(D) == 0)
 
     def test_cross_matrix_scalar(self):
-        D = cross_matrix([1.0, 2.0], [2.0, 4.0, 0.0], "scalar")
+        D = cross_matrix([1.0, 2.0], [2.0, 4.0, 0.0])
         assert D.shape == (2, 3)
         assert D[0, 1] == 3.0
 
     def test_timeseries_uses_dtw(self):
         obs = [np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0, 2.0])]
-        D = within_matrix(obs, "timeseries")
+        D = within_matrix(obs)
         assert D[0, 1] == 0.0
 
     def test_build_distances_shapes(self):
         m = [1.0, 2.0, 3.0, 4.0]
         k = [1.5, 2.5, 3.5]
-        ds = build_distances(m, k, "scalar")
+        ds = build_distances(m, k)
         assert ds.within_m.shape == (6,)
         assert ds.within_k.shape == (3,)
         assert ds.cross.shape == (12,)
@@ -141,15 +141,15 @@ class TestDistances:
         # a NaN throughput gave eps = nan and p_hat = 0: "equivalent"
         with pytest.raises(ValueError, match="finite"):
             build_distances(np.array([bad, 10.0, 10.1, 10.2]),
-                            np.array([50.0, 51.0, 52.0, 53.0]), "scalar")
+                            np.array([50.0, 51.0, 52.0, 53.0]))
         with pytest.raises(ValueError, match="finite"):
-            cross_matrix([1.0, 2.0], [bad, 3.0], "scalar")
+            cross_matrix([1.0, 2.0], [bad, 3.0])
 
     def test_degenerate_groups_raise(self):
         with pytest.raises(DegenerateGroupsError):
-            build_distances([1.0], [1.0, 2.0], "scalar")
+            build_distances([1.0], [1.0, 2.0])
         with pytest.raises(DegenerateGroupsError):
-            build_distances([1.0, 2.0], [], "scalar")
+            build_distances([1.0, 2.0], [])
 
 
 def _oracle_norm(x, y, band):
@@ -158,10 +158,11 @@ def _oracle_norm(x, y, band):
 
 
 class TestBatchedMatrices:
-    """Time-series matrices equal a per-pair loop over the _dtw_py oracle
-    bit for bit. Lengths are mixed so that several (n, m) groups run, and
-    the 24 length-6 series of corpus M give one group of more than
-    CHUNK_PAIRS pairs, which runs in more than one chunk."""
+    """build_distances equals a per-pair loop over the _dtw_py oracle bit
+    for bit on time series, and the broadcast |a_i - b_j| on scalars.
+    Lengths are mixed so that several (n, m) groups run, and the 24
+    length-6 series of corpus M give one group of more than CHUNK_PAIRS
+    pairs, which runs in more than one chunk."""
 
     @staticmethod
     def corpora():
@@ -173,21 +174,22 @@ class TestBatchedMatrices:
 
     @pytest.mark.parametrize("band", [None, 3])
     def test_within_matrix_equals_oracle_loop(self, band):
-        obs_m, _ = self.corpora()
-        n = len(obs_m)
+        obs_m, obs_k = self.corpora()
         six = sum(x.size == 6 for x in obs_m)
         assert six * (six - 1) // 2 > dtw.CHUNK_PAIRS
-        D = within_matrix(obs_m, "timeseries", band)
-        for i in range(n):
-            assert D[i, i] == 0.0
-            for j in range(i + 1, n):
-                expected = _oracle_norm(obs_m[i], obs_m[j], band)
-                assert D[i, j] == expected and D[j, i] == expected, (i, j)
+        ds = build_distances(obs_m, obs_k, band)
+        for D, obs in ((ds.matrix_mm, obs_m), (ds.matrix_kk, obs_k)):
+            assert D.shape == (len(obs), len(obs))
+            for i in range(len(obs)):
+                assert D[i, i] == 0.0
+                for j in range(i + 1, len(obs)):
+                    expected = _oracle_norm(obs[i], obs[j], band)
+                    assert D[i, j] == expected and D[j, i] == expected, (i, j)
 
     @pytest.mark.parametrize("band", [None, 3])
     def test_cross_matrix_equals_oracle_loop(self, band):
         obs_m, obs_k = self.corpora()
-        D = cross_matrix(obs_m, obs_k, "timeseries", band)
+        D = build_distances(obs_m, obs_k, band).matrix_mk
         assert D.shape == (len(obs_m), len(obs_k))
         for i, x in enumerate(obs_m):
             for j, y in enumerate(obs_k):
@@ -195,8 +197,8 @@ class TestBatchedMatrices:
 
     @pytest.mark.parametrize("band", [None, 3])
     def test_build_distances_equals_matrices(self, band, monkeypatch):
-        # one dtw_norm_pairs call for all three matrices, bit for bit the
-        # three calls of within_matrix and cross_matrix
+        # one dtw_norm_pairs call for all three matrices; within_matrix and
+        # cross_matrix, which perfbench wraps by name, give the same bits
         obs_m, obs_k = self.corpora()
         calls = []
         real = dtw.dtw_norm_pairs
@@ -206,16 +208,41 @@ class TestBatchedMatrices:
             return real(xs, ys, b)
 
         monkeypatch.setattr(testing, "dtw_norm_pairs", counted)
-        ds = build_distances(obs_m, obs_k, "timeseries", band)
+        ds = build_distances(obs_m, obs_k, band)
         n, m = len(obs_m), len(obs_k)
         assert calls == [n * (n - 1) // 2 + m * (m - 1) // 2 + n * m]
         for got, expected in [
-            (ds.matrix_mm, within_matrix(obs_m, "timeseries", band)),
-            (ds.matrix_kk, within_matrix(obs_k, "timeseries", band)),
-            (ds.matrix_mk, cross_matrix(obs_m, obs_k, "timeseries", band)),
+            (ds.matrix_mm, within_matrix(obs_m, band)),
+            (ds.matrix_kk, within_matrix(obs_k, band)),
+            (ds.matrix_mk, cross_matrix(obs_m, obs_k, band)),
         ]:
             assert got.dtype == np.float64 and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("integers", [False, True])
+    def test_scalar_matrices_equal_broadcast(self, integers, monkeypatch):
+        # scalar observations never reach the DTW kernel
+        def no_dtw(*args):
+            raise AssertionError("DTW on scalar observations")
+
+        monkeypatch.setattr(testing, "dtw_norm_pairs", no_dtw)
+        gen = np.random.default_rng(5)
+        if integers:
+            # tied observations: zero distances off the diagonal
+            a = gen.integers(0, 4, 9).astype(np.float64)
+            b = np.array([1.0, 3.0, 3.0])
+        else:
+            a, b = gen.normal(10.0, 1.0, 9), gen.normal(10.5, 1.0, 7)
+        ds = build_distances(a, b)
+        for got, expected in [
+            (ds.matrix_mm, np.abs(a[:, None] - a[None, :])),
+            (ds.matrix_kk, np.abs(b[:, None] - b[None, :])),
+            (ds.matrix_mk, np.abs(a[:, None] - b[None, :])),
+        ]:
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        assert within_matrix(a).tobytes() == ds.matrix_mm.tobytes()
+        assert cross_matrix(a, b).tobytes() == ds.matrix_mk.tobytes()
 
     @pytest.mark.parametrize("bad, band", [
         (np.array([1.0, np.nan, 2.0]), None),
@@ -225,9 +252,9 @@ class TestBatchedMatrices:
     def test_bad_input_raises_through_matrices(self, bad, band):
         good = [np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 1.0])]
         with pytest.raises(ValueError):
-            within_matrix(good + [bad], "timeseries", band)
+            within_matrix(good + [bad], band)
         with pytest.raises(ValueError):
-            cross_matrix(good, [bad, good[0]], "timeseries", band)
+            cross_matrix(good, [bad, good[0]], band)
 
 
 class TestChunks:
@@ -264,7 +291,7 @@ class TestExceedance:
     def test_identical_groups_accept(self):
         rng = np.random.default_rng(1)
         pool = rng.normal(10, 0.5, size=60)
-        ds = build_distances(pool[:30], pool[30:], "scalar")
+        ds = build_distances(pool[:30], pool[30:])
         res = exceedance_test(ds, metric="throughput", kind="scalar")
         assert res.p_hat_max < 0.05
         assert res.reject_h0 is True
@@ -273,7 +300,7 @@ class TestExceedance:
         rng = np.random.default_rng(2)
         a = rng.normal(10, 0.1, size=30)
         b = rng.normal(20, 0.1, size=30)
-        ds = build_distances(a, b, "scalar")
+        ds = build_distances(a, b)
         res = exceedance_test(ds)
         assert res.p_hat_max > 0.9
         assert res.reject_h0 is False
@@ -281,7 +308,7 @@ class TestExceedance:
     def test_eps_is_max_of_group_quantiles(self):
         a = [0.0, 1.0, 2.0, 3.0]
         b = [0.0, 10.0, 20.0, 30.0]
-        ds = build_distances(a, b, "scalar")
+        ds = build_distances(a, b)
         res = exceedance_test(ds)
         assert res.eps_max == max(res.eps_within_m, res.eps_within_k)
         assert res.eps_within_k > res.eps_within_m
@@ -321,7 +348,7 @@ class TestExceedance:
         for _ in range(10):
             a = rng.normal(0, 1, size=30)
             b = rng.normal(0, 1, size=30)
-            ds = build_distances(a, b, "scalar")
+            ds = build_distances(a, b)
             p_hats.append(exceedance_test(ds).p_hat_max)
         assert float(np.median(p_hats)) < 0.05
 
@@ -352,7 +379,7 @@ class TestBootstrap:
     def make_ds(self, rng, n=20, shift=0.0):
         a = rng.normal(0, 1, size=n)
         b = rng.normal(shift, 1, size=n)
-        return build_distances(a, b, "scalar")
+        return build_distances(a, b)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
@@ -371,7 +398,7 @@ class TestBootstrap:
     def test_identical_corpora_ci_is_degenerate_zero(self):
         # every distance 0 -> every replicate p_hat 0 -> CI [0, 0]
         obs = [5.0] * 10
-        ds = build_distances(obs, obs, "scalar")
+        ds = build_distances(obs, obs)
         res = bootstrap_exceedance(ds, B=200, seed=3)
         assert (res.ci_lo, res.ci_hi) == (0.0, 0.0)
         assert res.significant is True
@@ -443,7 +470,7 @@ class TestChunkedReplicates:
         else:
             a = gen.normal(0, 1, n)
             b = gen.normal(0.5, 1, m)
-        self.check(build_distances(a, b, "scalar"), B, seed)
+        self.check(build_distances(a, b), B, seed)
 
     @given(
         n=st.integers(2, 9),
@@ -459,22 +486,22 @@ class TestChunkedReplicates:
                  for _ in range(n)]
         obs_k = [gen.poisson(2.0, gen.integers(3, 8)).astype(np.float64)
                  for _ in range(m)]
-        self.check(build_distances(obs_m, obs_k, "timeseries"), B, seed)
+        self.check(build_distances(obs_m, obs_k), B, seed)
 
     def test_ci_width_curve_consumes_oracle_draws(self, monkeypatch):
         gen = np.random.default_rng(31)
         ds = build_distances(gen.integers(0, 6, 30).astype(np.float64),
-                             gen.integers(1, 7, 24).astype(np.float64), "scalar")
+                             gen.integers(1, 7, 24).astype(np.float64))
         sizes, B, seed = [3, 10, 24], REPLICATE_CHUNK + 1, 5
         used = []
-        inner = testing.bootstrap_exceedance
+        inner = testing._replicates
 
-        def spy(ds, **kwargs):
-            used.append(kwargs["rng"])
-            return inner(ds, **kwargs)
+        def spy(ds, B, rng):
+            used.append(rng)
+            return inner(ds, B, rng)
 
-        # ci_width_curve resolves bootstrap_exceedance through the module
-        monkeypatch.setattr(testing, "bootstrap_exceedance", spy)
+        # ci_width_curve resolves _replicates through the module
+        monkeypatch.setattr(testing, "_replicates", spy)
         rows = ci_width_curve(ds, sizes, B=B, seed=seed)
         assert len(used) == len(sizes) and all(r is used[0] for r in used)
 
@@ -501,7 +528,7 @@ class TestPinnedOutputs:
         rng = np.random.default_rng(2024)
         a = rng.normal(0, 1, size=12)
         b = rng.normal(2.0, 1, size=15)
-        return build_distances(a, b, "scalar")
+        return build_distances(a, b)
 
     def test_bootstrap_b500(self, ds):
         res = bootstrap_exceedance(ds, B=500, seed=7, metric="throughput")
@@ -536,14 +563,14 @@ class TestCiWidth:
         rng = np.random.default_rng(21)
         a = rng.normal(0, 1, size=100)
         b = rng.normal(0.5, 1, size=100)
-        ds = build_distances(a, b, "scalar")
+        ds = build_distances(a, b)
         rows = ci_width_curve(ds, [20, 100], B=300, seed=4)
         assert rows[0]["n"] == 20
         assert rows[1]["n"] == 100
         assert rows[1]["width"] <= rows[0]["width"]
 
     def test_rejects_oversized_slice(self):
-        ds = build_distances([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "scalar")
+        ds = build_distances([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             ci_width_curve(ds, [5], B=50)
 
