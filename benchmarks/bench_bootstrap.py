@@ -1,20 +1,23 @@
 """Time the bootstrap at B=2000 in replicates/s, checking every replicate.
 
 Usage:
-    PYTHONPATH=src python3 benchmarks/bench_bootstrap.py [--sizes 30,100]
+    PYTHONPATH=src python3 benchmarks/bench_bootstrap.py [--sizes 10,30,100]
         [--repeat 5] [--seed 0]
 
 For each corpus size n, two fixed-seed scalar corpora of n runs each
 (normal throughputs, the second shifted by half a standard deviation so
 that the replicates spread) go through ``bootstrap_exceedance``
---repeat times. The script reports the median wall time of one call and
-replicates/s at that median.
+--repeat times. The script reports the median wall time of one call,
+replicates/s at that median, and the tracemalloc peak of one
+``testing._replicates`` call, outside the timed calls. The default sizes
+are the ci-width sizes of the bootstrap benchmark workload plus n=100.
 
 The replicate array of the timed generator seed (``testing._replicates``)
 must equal the one-at-a-time oracle
 ``tests/_oracles.bootstrap_replicates_oracle`` element for element, and
-every timed call's CI and replicate mean must equal the oracle's, or the
-script exits non-zero.
+leave the generator in the oracle's state, since ``ci_width_curve`` draws
+every size from one generator; every timed call's CI and replicate mean
+must equal the oracle's. Otherwise the script exits non-zero.
 """
 
 import argparse
@@ -22,6 +25,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -44,7 +48,7 @@ def pcg(seed):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="30,100",
+    parser.add_argument("--sizes", default="10,30,100",
                         help="comma-separated corpus sizes n (runs per corpus)")
     parser.add_argument("--repeat", type=int, default=5,
                         help="timed calls per size; the median is reported")
@@ -52,13 +56,22 @@ def main():
     args = parser.parse_args()
 
     B = testing.DEFAULT_B
-    print(f"{'n':>5} {'B':>6} {'wall_s':>8} {'replicates/s':>13}")
+    print(f"{'n':>5} {'B':>6} {'wall_s':>8} {'replicates/s':>13} {'peak_MB':>8}")
     mismatched = []
     for n in (int(s) for s in args.sizes.split(",") if s.strip()):
         ds = corpora(n, args.seed + n)
-        expected = bootstrap_replicates_oracle(ds, B, pcg(args.seed))
-        if not np.array_equal(testing._replicates(ds, B, pcg(args.seed)), expected):
+        oracle_rng, rng = pcg(args.seed), pcg(args.seed)
+        expected = bootstrap_replicates_oracle(ds, B, oracle_rng)
+        tracemalloc.start()
+        try:
+            got = testing._replicates(ds, B, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if not np.array_equal(got, expected):
             mismatched.append(f"n={n}: replicates")
+        if rng.bit_generator.state != oracle_rng.bit_generator.state:
+            mismatched.append(f"n={n}: generator state")
         lo, hi = testing.percentile_ci(expected)
         walls = []
         for _ in range(args.repeat):
@@ -70,7 +83,7 @@ def main():
             ):
                 mismatched.append(f"n={n}: CI or replicate mean")
         wall = statistics.median(walls)
-        print(f"{n:>5} {B:>6} {wall:>8.4f} {B / wall:>13.0f}")
+        print(f"{n:>5} {B:>6} {wall:>8.4f} {B / wall:>13.0f} {peak / 1e6:>8.2f}")
     if mismatched:
         raise SystemExit("bootstrap differs from the oracle: "
                          + ", ".join(sorted(set(mismatched))))

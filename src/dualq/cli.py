@@ -184,12 +184,21 @@ def _load_corpora(args):
 
 
 def _distance_sets(args, records_m, records_k, metrics):
-    """Yield (metric, kind, DistanceSets) for each chosen metric in turn."""
+    """Yield (metric, kind, DistanceSets) for each chosen metric in turn.
+
+    A corpus whose within distances are all 0 gives eps no run-to-run
+    spread, so p_hat can only be 0 or 1; that is warned about on stderr.
+    """
     for name in metrics:
         kind = METRICS[name].kind
         obs_m = extract_observations(records_m, name)
         obs_k = extract_observations(records_k, name)
-        yield name, kind, build_distances(obs_m, obs_k, band=args.band)
+        ds = build_distances(obs_m, obs_k, band=args.band)
+        for corpus, within in ((args.corpus_m, ds.matrix_mm), (args.corpus_k, ds.matrix_kk)):
+            if not within.any():
+                print(f"warning: {corpus}: every within-corpus {name} distance is 0, "
+                      "so eps has no run-to-run spread", file=sys.stderr)
+        yield name, kind, ds
 
 
 def cmd_emulate(args) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -208,13 +209,20 @@ def load_run_dir(path: str) -> RunRecord:
         raise ValueError(f"{path}: {SERIES_NAME} holds {samples.shape} rows x "
                          f"columns, meta.json declares {declared}")
     flows = []
-    with open(os.path.join(path, FLOWS_NAME), "r", encoding="ascii") as fh:
+    flows_path = os.path.join(path, FLOWS_NAME)
+    with open(flows_path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != _FLOWS_HEADER:
             raise ValueError(f"{path}: unexpected flows header {header!r}")
-        for line in fh:
-            flow, kind, nbytes, mbps = line.strip().split(",")
-            flows.append(FlowSummary(flow, kind, int(nbytes), float(mbps)))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                flow, kind, nbytes, mbps = line.strip().split(",")
+                rate = float(mbps)
+                if not math.isfinite(rate):
+                    raise ValueError(f"not a finite rate: {mbps!r}")
+                flows.append(FlowSummary(flow, kind, int(nbytes), rate))
+            except ValueError as exc:
+                raise ValueError(f"{flows_path}:{lineno}: malformed ({exc})") from None
     return RunRecord(flows=flows, samples=samples, **fields)
 
 

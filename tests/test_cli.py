@@ -44,6 +44,15 @@ def batch(out, runs, *extra, flows="scalable+cubic"):
     )
 
 
+def rehash(corpus, rel):
+    """Record the current sha256 of corpus/rel in the corpus manifest, so
+    that only the file's content is wrong."""
+    path = corpus / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"][rel] = hashlib.sha256((corpus / rel).read_bytes()).hexdigest()
+    path.write_text(canonical_json(manifest))
+
+
 def tree_digest(root):
     """Hash of every file path and its content under root."""
     h = hashlib.sha256()
@@ -481,11 +490,7 @@ class TestCorpusRuns:
         series = corpus / "run-00001" / "series.csv"
         rows = series.read_text().splitlines(keepends=True)
         series.write_text("".join(rows[:-1]))
-        path = corpus / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["files"]["run-00001/series.csv"] = hashlib.sha256(
-            series.read_bytes()).hexdigest()
-        path.write_text(canonical_json(manifest))
+        rehash(corpus, "run-00001/series.csv")
         with pytest.raises(ValueError, match=r"declares \(32, 5\)"):
             load_corpus(str(corpus))
         code = run_cli(
@@ -524,11 +529,7 @@ class TestCorpusRuns:
         meta = json.loads(meta_path.read_text())
         del meta["summary"]
         meta_path.write_text(canonical_json(meta))
-        path = corpus / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["files"]["run-00001/meta.json"] = hashlib.sha256(
-            meta_path.read_bytes()).hexdigest()
-        path.write_text(canonical_json(manifest))
+        rehash(corpus, "run-00001/meta.json")
         with pytest.raises(ValueError, match="summary"):
             load_corpus(str(corpus))
         capsys.readouterr()
@@ -537,6 +538,35 @@ class TestCorpusRuns:
                        str(rep)) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert str(meta_path) in err and "summary" in err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("row, line", [
+        ("extra,row\n", 4),
+        ("0,scalable,1x0,1.5\n", 4),
+        ("1,cubic,100,fast\n", 3),
+        ("1,cubic,100,nan\n", 3),
+    ], ids=["field-count", "bytes", "mbps", "mbps-nan"])
+    def test_malformed_flows_row_is_data_error(self, tmp_path, capsys, command,
+                                               row, line):
+        # a bare tuple unpack gave "not enough values to unpack (expected
+        # 4, got 2)", naming neither the file nor the run
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        flows = corpus / "run-00001" / "flows.csv"
+        rows = flows.read_text().splitlines(keepends=True)
+        rows.insert(line - 1, row)
+        flows.write_text("".join(rows))
+        rehash(corpus, "run-00001/flows.csv")
+        where = f"{flows}:{line}"
+        with pytest.raises(ValueError) as exc:
+            load_corpus(str(corpus))
+        assert where in str(exc.value)
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        assert run_cli(command, str(corpus), str(corpus), "--out",
+                       str(rep)) == EXIT_RUNTIME
+        assert where in capsys.readouterr().err
         assert not rep.exists()
 
     def test_runs_load_in_run_id_order(self, tmp_path):
@@ -692,6 +722,49 @@ class TestBootstrap:
         assert code == EXIT_RUNTIME
         assert "band" in capsys.readouterr().err
         assert not rep.exists()
+
+
+class TestNoSpreadWarning:
+    """validate and bootstrap warn on stderr, naming the corpus and the
+    metric, when every within-corpus distance of a corpus is 0; exit codes
+    and reports are as without the warning."""
+
+    COMMANDS = {"validate": (), "bootstrap": ("-B", "50")}
+
+    def run(self, tmp_path, command, m, k):
+        rep = tmp_path / f"rep-{command}"
+        assert run_cli(command, str(m), str(k), "--metrics",
+                       "throughput,queue_occupancy", "--out", str(rep),
+                       *self.COMMANDS[command]) == EXIT_OK
+        return rep
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    def test_scalable_only_corpora_warn(self, tmp_path, capsys, command):
+        # no classic traffic: p' stays 0, no draw changes an outcome, and
+        # every run of a corpus is the same run
+        m, k = tmp_path / "m", tmp_path / "k"
+        for path, seed_base in ((m, "0"), (k, "100")):
+            assert batch(path, 2, "--preset", "medium", "--seed-base", seed_base,
+                         flows="scalable") == EXIT_OK
+        capsys.readouterr()
+        self.run(tmp_path, command, m, k)
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == [
+            f"warning: {corpus}: every within-corpus {metric} distance is 0, "
+            "so eps has no run-to-run spread"
+            for metric in ("throughput", "queue_occupancy") for corpus in (m, k)
+        ]
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    def test_scalable_cubic_corpora_do_not_warn(self, tmp_path, capsys, command):
+        m, k = tmp_path / "m", tmp_path / "k"
+        for path, seed_base in ((m, "0"), (k, "2")):
+            assert batch(path, 2, "--preset", "medium", "--duration", "2",
+                         "--seed-base", seed_base) == EXIT_OK
+        capsys.readouterr()
+        self.run(tmp_path, command, m, k)
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestOutOverlapsCorpus:

@@ -1,12 +1,14 @@
 """Exceedance test, quantiles, bootstrap CIs, improvement decisions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualq.stats import testing
 from dualq.stats.testing import (
-    REPLICATE_CHUNK,
+    REPLICATE_BYTES,
     DistanceSets,
     DegenerateGroupsError,
     METRICS,
@@ -430,12 +432,28 @@ def _pcg(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-# one short chunk, a chunk less one, an exact chunk, a chunk plus one, a
-# short last chunk, each at this chunk size and at twice it
-CHUNK_B = st.sampled_from(sorted({
-    B for c in (REPLICATE_CHUNK, 2 * REPLICATE_CHUNK)
-    for B in (2, c - 1, c, c + 1, 2 * c + 2)
-}))
+# the most replicates one example runs through the one-at-a-time oracle,
+# about 0.15 s of it
+ORACLE_MAX_B = 1000
+
+
+def _chunk_edges(n, m):
+    """One short chunk, a chunk less one, an exact chunk, a chunk plus one
+    and a short last chunk at the chunk size _replicates uses for n and m
+    runs, each capped at ORACLE_MAX_B."""
+    c = testing._replicates_per_chunk(n, m)
+    return sorted({min(B, ORACLE_MAX_B) for B in (2, c - 1, c, c + 1, 2 * c + 2)})
+
+
+@st.composite
+def sizes_at_chunk_edges(draw, lo, hi):
+    n = draw(st.integers(lo, hi))
+    m = draw(st.integers(lo, hi))
+    return n, m, draw(st.sampled_from(_chunk_edges(n, m)))
+
+
+def _short_last_chunk(n, m):
+    return n, m, _chunk_edges(n, m)[-1]
 
 
 class TestChunkedReplicates:
@@ -449,19 +467,28 @@ class TestChunkedReplicates:
         assert np.array_equal(got, bootstrap_replicates_oracle(ds, B, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
+    def test_examples_reach_every_edge(self):
+        # the @examples below run all five edges; at n = 12, m = 40 the
+        # within-K gather (780 pairs), not the cross block (480), sets the
+        # chunk, as it does at n = 40, m = 2
+        assert len(_chunk_edges(30, 30)) == len(_chunk_edges(12, 40)) == 5
+        assert (testing._replicates_per_chunk(12, 40)
+                == testing._replicates_per_chunk(40, 2)
+                < testing._replicates_per_chunk(12, 39))
+
     @given(
-        n=st.integers(2, 40),
-        m=st.integers(2, 40),
-        B=CHUNK_B,
+        sizes=sizes_at_chunk_edges(2, 40),
         integers=st.booleans(),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
     )
-    # n == m, the perfbench and ci_width_curve case, on every run
-    @example(n=30, m=30, B=2 * REPLICATE_CHUNK + 2, integers=False,
-             data_seed=0, seed=0)
+    # both draw bounds on every run: the scalar bound of n == m (the
+    # perfbench and ci_width_curve case) and the repeated bounds of n != m
+    @example(sizes=_short_last_chunk(30, 30), integers=False, data_seed=0, seed=0)
+    @example(sizes=_short_last_chunk(12, 40), integers=False, data_seed=0, seed=0)
     @settings(max_examples=60, deadline=None)
-    def test_scalar_matches_oracle(self, n, m, B, integers, data_seed, seed):
+    def test_scalar_matches_oracle(self, sizes, integers, data_seed, seed):
+        n, m, B = sizes
         gen = np.random.default_rng(data_seed)
         if integers:
             # few distinct values: tied observations and tied distances
@@ -473,14 +500,13 @@ class TestChunkedReplicates:
         self.check(build_distances(a, b), B, seed)
 
     @given(
-        n=st.integers(2, 9),
-        m=st.integers(2, 9),
-        B=CHUNK_B,
+        sizes=sizes_at_chunk_edges(2, 20),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=15, deadline=None)
-    def test_timeseries_matches_oracle(self, n, m, B, data_seed, seed):
+    def test_timeseries_matches_oracle(self, sizes, data_seed, seed):
+        n, m, B = sizes
         gen = np.random.default_rng(data_seed)
         obs_m = [gen.poisson(2.0, gen.integers(3, 8)).astype(np.float64)
                  for _ in range(n)]
@@ -488,11 +514,23 @@ class TestChunkedReplicates:
                  for _ in range(m)]
         self.check(build_distances(obs_m, obs_k), B, seed)
 
+    def test_peak_memory_stays_near_the_budget(self):
+        # chunks of a fixed 32 replicates peak at 7.9 MB here
+        gen = np.random.default_rng(100)
+        ds = build_distances(gen.normal(10.0, 1.0, 100), gen.normal(10.5, 1.0, 100))
+        tracemalloc.start()
+        try:
+            testing._replicates(ds, 2000, _pcg(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * REPLICATE_BYTES
+
     def test_ci_width_curve_consumes_oracle_draws(self, monkeypatch):
         gen = np.random.default_rng(31)
         ds = build_distances(gen.integers(0, 6, 30).astype(np.float64),
                              gen.integers(1, 7, 24).astype(np.float64))
-        sizes, B, seed = [3, 10, 24], REPLICATE_CHUNK + 1, 5
+        sizes, B, seed = [3, 10, 24], testing._replicates_per_chunk(24, 24) + 1, 5
         used = []
         inner = testing._replicates
 
