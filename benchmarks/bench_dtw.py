@@ -8,7 +8,8 @@ For each series length n and batch size P, P random Poisson(3) pairs of
 n samples each (n * n cells per pair) go through:
 
 * numpy: the batched wavefront kernel, ``_dtw_np.dtw_many``, once in
-  each cost dtype, float64 and int32;
+  each cost dtype, float64 and int32; the ``length`` column is the
+  path-length dtype the kernel picks for n x n pairs;
 * python: the scalar oracle ``_dtw_py.dtw_pair`` once per pair.
 
 The pairs are integral, so ``dtw.cost_dtype`` picks int32 for them, as it
@@ -76,8 +77,8 @@ def main():
     batch_sizes = [int(s) for s in args.pairs.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
-    print(f"{'n':>6} {'P':>4} {'band':>5} {'dtype':>7} {'python':>8} "
-          f"{'numpy':>8} {'py/np':>6} {'numpy_s':>8}   "
+    print(f"{'n':>6} {'P':>4} {'band':>5} {'dtype':>7} {'length':>6} "
+          f"{'python':>8} {'numpy':>8} {'py/np':>6} {'numpy_s':>8}   "
           f"(ns per cell; best numpy pass)")
 
     for n in lengths:
@@ -92,12 +93,13 @@ def main():
                 expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
                 t_py = time.perf_counter() - t0
                 label = "full" if band < 0 else str(band)
+                ltype = _dtw_np.length_dtype(n, n).name
                 for dtype in ("float64", "int32"):
                     t_np, (raw, plen) = best_of(
                         args.repeat,
                         lambda: _dtw_np.dtw_many(xs, ys, band, dtype))
                     check(f"numpy {dtype}", zip(raw, plen), expected, n, p, band)
-                    print(f"{n:>6} {p:>4} {label:>5} {dtype:>7} "
+                    print(f"{n:>6} {p:>4} {label:>5} {dtype:>7} {ltype:>6} "
                           f"{t_py * 1e9 / cells:>8.1f} "
                           f"{t_np * 1e9 / cells:>8.1f} {t_py / t_np:>6.1f} "
                           f"{t_np:>8.4f}")

@@ -245,7 +245,8 @@ def cmd_validate(args) -> int:
                 f"{name}: eps_max={res.eps_max:.6g} p_hat={res.p_hat_max:.6g} "
                 f"-> {verdict}"
             )
-        write_test_results(out_dir, results, distances, corpora)
+        write_test_results(out_dir, results, distances, corpora,
+                           {"metrics": metrics, "band": args.band})
     print(f"report written to {out_dir}")
     return EXIT_OK
 
@@ -279,7 +280,9 @@ def cmd_bootstrap(args) -> int:
                         metric=name,
                     )
                 )
-        files = write_bootstrap_results(out_dir, results, corpora)
+        params = {"metrics": metrics, "band": args.band, "B": args.replicates,
+                  "resample_seed": args.resample_seed, "ci_width": sizes}
+        files = write_bootstrap_results(out_dir, results, corpora, params)
         if width_rows:
             files += write_ci_width(out_dir, width_rows)
     print(f"report written to {out_dir} ({', '.join(files)})")

@@ -26,14 +26,23 @@ so (n + m - 1) * (max - min) < 2^30 suffices: a real cost stays below
 the sentinel and never ties with it, and a step plus the sentinel
 (below 2^31) cannot overflow. dtw.cost_dtype applies exactly this guard.
 
-The choice is made by masked arithmetic on int32 path lengths, not by
-nested np.where: start from the horizontal length, add (vertical -
-horizontal) where v is the minimum, then (diagonal - that) where d is,
-then 1, all into preallocated buffers. The nested np.where allocated two
-arrays per diagonal and took almost three times as long as the rest of
-the step; a masked copy (np.copyto with where=) was slower still. Lengths
-are at most n + m - 1, so int32 cannot overflow for series that fit in
-memory, and only the returned lengths are widened to int64.
+The choice is made by masked arithmetic on path lengths, not by nested
+np.where: start from the horizontal length, add (vertical - horizontal)
+where v is the minimum, then (diagonal - that) where d is, then 1, all
+into preallocated buffers. The nested np.where allocated two arrays per
+diagonal and took almost three times as long as the rest of the step; a
+masked copy (np.copyto with where=) was slower still.
+
+Lengths are int16 when n + m - 1 <= 32767 and int32 otherwise; only the
+returned lengths are widened to int64. A cell of diagonal k has a path
+of at most k + 1 cells, and a stale value left in a buffer comes from an
+earlier diagonal, so every length read or written lies in [0, n + m - 1]
+and every difference of two lengths, the only other value the select
+holds, in [-(n + m - 1), n + m - 1]. Under the guard neither can wrap.
+The choice itself is driven by the cost masks only, so the narrower
+lengths change no result; they halve the bytes the select moves, which
+took 66 int32-cost pairs from 4.9 to 3.6 ns per cell at 1875 samples and
+from 4.1-4.3 to 3.3-3.6 at 625 (2-core x86).
 """
 
 from __future__ import annotations
@@ -44,6 +53,12 @@ IMPLEMENTATION = "numpy"
 
 # +inf of the int32 cost dtype; every real int32 cost must stay below it
 INT32_INF = 1 << 30
+
+
+def length_dtype(n: int, m: int) -> np.dtype:
+    """The path-length dtype of n x m pairs: int16 when it holds the
+    longest path, n + m - 1 cells, else int32 (module docstring)."""
+    return np.dtype(np.int16 if n + m - 1 <= np.iinfo(np.int16).max else np.int32)
 
 
 def dtw_many(xs, ys, band: int = -1,
@@ -76,14 +91,15 @@ def dtw_many(xs, ys, band: int = -1,
     np.stack(xs, axis=1, out=x, casting="unsafe")
     yr = np.empty((m, P), dtype=dtype)  # yr[m - 1 - j] is y_j
     np.stack([y[::-1] for y in ys], axis=1, out=yr, casting="unsafe")
+    ltype = length_dtype(n, m)
     cost = np.full((3, n + 1, P), inf, dtype=dtype)
-    plen = np.zeros((3, n + 1, P), dtype=np.int32)
+    plen = np.zeros((3, n + 1, P), dtype=ltype)
     cost[0, 1] = np.abs(x[0] - yr[m - 1])
     plen[0, 1] = 1
     width = min(n, m)
     step = np.empty((width, P), dtype=dtype)
     best = np.empty((width, P), dtype=dtype)
-    delta = np.empty((width, P), dtype=np.int32)
+    delta = np.empty((width, P), dtype=ltype)
     is_min = np.empty((width, P), dtype=bool)
     for k in range(1, n + m - 1):
         lo = max(0, k - m + 1)

@@ -16,9 +16,12 @@ from ._dtw_np import IMPLEMENTATION, INT32_INF, dtw_many
 # at most min(CHUNK_PAIRS, CHUNK_BYTES // (min(n, m) * itemsize)) pairs,
 # so that a diagonal block of costs stays near 256 KB (32k float64 or 64k
 # int32 cells): 17 or 34 pairs at 1875 samples, 52 or 104 at 625. Larger
-# blocks fall out of cache: at 1875 samples a 256-pair call took 8.8
-# ns/cell (float64) and 5.5 (int32) against 5.8 and 4.0 at 16 pairs
-# (2-core x86); smaller chunks pay the per-diagonal overhead instead.
+# blocks fall out of cache, smaller ones pay the per-diagonal overhead.
+# Re-measured with int16 path lengths on 136 pairs of 1875 samples (2-core
+# x86, median ns/cell of 3-5 alternating rounds): int32 costs 3.5, 3.1-3.3,
+# 3.1, 3.3-3.5 and 4.0 at 128 KB, 256 KB, 384 KB, 512 KB and 1 MB; float64
+# 7.1, 5.5-5.7, 5.9, 5.5-5.7 and 7.1. No budget beat 256 KB by more than
+# the rounds' spread.
 CHUNK_BYTES = 1 << 18
 CHUNK_PAIRS = 256
 

@@ -5,6 +5,10 @@
   (within_m, within_k, cross) for external plotting.
 * bootstrap.json: per-metric confidence intervals and significance.
 * ci_width.csv: CI width as a function of corpus size.
+
+Each JSON report's top-level ``params`` object records the options the
+command ran with (metrics and band, and for bootstrap.json also B, the
+resample seed and the ci-width sizes), null where an option was not given.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ def write_test_results(
     results: list[TestResult],
     distances: dict[str, DistanceSets],
     corpora: dict[str, str],
+    params: dict,
 ) -> list[str]:
     payload = {
         "corpora": corpora,
+        "params": params,
         "quantile_level": QUANTILE_LEVEL,
         "decision_threshold": DECISION_THRESHOLD,
         "metrics": _by_metric(results),
@@ -61,9 +67,11 @@ def write_bootstrap_results(
     out_dir: str,
     results: list[BootstrapResult],
     corpora: dict[str, str],
+    params: dict,
 ) -> list[str]:
     payload = {
         "corpora": corpora,
+        "params": params,
         "metrics": _by_metric(results),
     }
     with open(os.path.join(out_dir, BOOTSTRAP_NAME), "w", encoding="ascii") as fh:

@@ -61,19 +61,24 @@ def quantile(values, q: float) -> float:
         raise ValueError("quantile of empty collection")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
-    return float(_quantile_last(arr, q))
+    # a copy: _quantile_last reorders its input, and arr may be the caller's
+    return float(_quantile_last(arr.copy(), q))
 
 
 def _quantile_last(x, q: float):
     """``np.quantile(x, q, axis=-1, method="linear")`` of finite values, bit
     for bit, from one partition at rank lo: the next order statistic is the
-    least value after it. The interpolation is numpy's ``_lerp``."""
+    least value after it. The interpolation is numpy's ``_lerp``.
+
+    ``x`` is partitioned in place, so its callers pass arrays of their own:
+    the within blocks _replicates has just gathered, the condensed views of
+    DistanceSets (fresh on every access) or quantile()'s copy."""
     v = (x.shape[-1] - 1) * q
     lo = int(v)
     g = v - lo
-    part = np.partition(x, lo, axis=-1)
-    a = part[..., lo]
-    b = part[..., lo + 1:].min(axis=-1) if lo < x.shape[-1] - 1 else a
+    x.partition(lo, axis=-1)
+    a = x[..., lo]
+    b = x[..., lo + 1:].min(axis=-1) if lo < x.shape[-1] - 1 else a
     if g >= 0.5:
         return b - (b - a) * (1 - g)
     return a + (b - a) * g

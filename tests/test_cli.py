@@ -639,6 +639,30 @@ class TestValidate:
             expected += [f"queue_occupancy,{label},{oracle(x, y)!r}" for x, y in pairs]
         assert (rep / "distances.csv").read_text().splitlines() == expected
 
+    def test_reports_record_their_params(self, corpora, tmp_path):
+        m, k = corpora
+        metrics = ("--metrics", "throughput,queue_occupancy")
+        assert run_cli("validate", str(m), str(k), *metrics, "--band", "40",
+                       "--out", str(tmp_path / "v")) == EXIT_OK
+        assert run_cli("bootstrap", str(m), str(k), *metrics, "-B", "50",
+                       "--resample-seed", "7", "--ci-width", "2,3",
+                       "--out", str(tmp_path / "b")) == EXIT_OK
+        assert run_cli("bootstrap", str(m), str(k), "--out",
+                       str(tmp_path / "d")) == EXIT_OK
+
+        def params(path):
+            return json.loads(path.read_text())["params"]
+
+        assert params(tmp_path / "v" / "test_result.json") == {
+            "metrics": ["throughput", "queue_occupancy"], "band": 40}
+        assert params(tmp_path / "b" / "bootstrap.json") == {
+            "metrics": ["throughput", "queue_occupancy"], "band": None,
+            "B": 50, "resample_seed": 7, "ci_width": [2, 3]}
+        # the defaults are recorded too
+        assert params(tmp_path / "d" / "bootstrap.json") == {
+            "metrics": ["throughput"], "band": None, "B": 2000,
+            "resample_seed": 0, "ci_width": None}
+
     def test_same_corpus_is_equivalent(self, corpora, tmp_path):
         m, _ = corpora
         rep = tmp_path / "rep"

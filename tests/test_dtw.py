@@ -224,6 +224,20 @@ class TestKernelParity:
         assert_guard_matches_oracle(xs, ys, np.float64, (-1, 2, 5))
         assert_guard_matches_oracle(xs / 4.0, ys / 4.0, np.float64, (-1, 2, 5))
 
+    @pytest.mark.parametrize("m, ltype", [(32767, np.int16), (32768, np.int32)])
+    def test_longest_int16_path_and_first_int32_one(self, m, ltype):
+        # n = 1: every path crosses all m cells of the one row, so its length
+        # is n + m - 1 = m. 32767 is the int16 maximum; one cell more must
+        # fall back to int32, or the length wraps to -32768. Each kernel
+        # call runs m diagonals of width 1, under a second.
+        assert _dtw_np.length_dtype(1, m) == ltype
+        rng = np.random.default_rng(m)
+        xs = rng.integers(0, 4, (2, 1)).astype(np.float64)
+        ys = rng.integers(0, 4, (2, m)).astype(np.float64)
+        assert _dtw_py.dtw_pair(xs[0], ys[0])[1] == m
+        assert_guard_matches_oracle(xs, ys, np.int32)
+        assert_matches_oracle(xs, ys, -1)
+
     def test_rejects_other_cost_dtypes(self):
         with pytest.raises(ValueError):
             _dtw_np.dtw_many([[1.0]], [[2.0]], -1, np.int64)

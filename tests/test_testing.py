@@ -51,6 +51,18 @@ class TestQuantile:
         with pytest.raises(ValueError, match="finite"):
             quantile([1.0, bad, 2.0], 0.5)
 
+    def test_leaves_its_input_unchanged(self):
+        # _quantile_last partitions in place; quantile() must hand it a copy,
+        # also where np.asarray and ravel return the caller's own memory
+        arr = np.random.default_rng(3).permutation(40).astype(np.float64)
+        before = arr.copy()
+        for q in (0.0, 0.5, 0.95, 1.0):
+            quantile(arr, q)
+            assert np.array_equal(arr, before)
+        grid = before.reshape(5, 8).copy()
+        quantile(grid, 0.95)
+        assert np.array_equal(grid, before.reshape(5, 8))
+
     @given(
         vals=st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=60),
         q=st.floats(0, 1),
