@@ -37,8 +37,9 @@ from .config import (
     sections_from_ini,
 )
 from .core import NS_PER_MS
-from .metrics import write_run_dir
+from .metrics import sha256_file, write_run_dir
 from .runner import (
+    MANIFEST_NAME,
     SWEEP_SUMMARY_NAME,
     RunnerError,
     load_corpus,
@@ -168,7 +169,8 @@ def _parse_sizes(raw: str) -> list[int]:
 
 
 def _load_corpora(args):
-    """Resolve and load the two input corpora of validate and bootstrap.
+    """Resolve and load the two input corpora of validate and bootstrap;
+    return their paths, what identifies each (inputs) and their runs.
 
     An --out equal to, inside or containing either corpus is a config
     error, raised before the corpora are loaded and before output_dir
@@ -180,7 +182,13 @@ def _load_corpora(args):
         real = os.path.realpath(path)
         if os.path.commonpath([out, real]) in (out, real):
             raise ConfigError(f"--out {args.out}: overlaps the input corpus {path}")
-    return corpora, load_corpus(corpora["m"]), load_corpus(corpora["k"])
+    records = {key: load_corpus(path) for key, path in corpora.items()}
+    inputs = {
+        key: {"fingerprint": records[key][0].fingerprint,
+              "manifest_sha256": sha256_file(os.path.join(path, MANIFEST_NAME))}
+        for key, path in corpora.items()
+    }
+    return corpora, inputs, records["m"], records["k"]
 
 
 def _distance_sets(args, records_m, records_k, metrics):
@@ -210,7 +218,7 @@ def cmd_emulate(args) -> int:
     print(f"  seed {args.seed}  fingerprint {record.fingerprint[:16]}")
     print(f"  avg throughput {record.avg_throughput_mbps:.3f} Mbps")
     for f in record.flows:
-        print(f"  flow {f.flow} ({f.kind}): {f.mbps:.3f} Mbps")
+        print(f"  flow {f.flow} ({f.kind}): {record.mbps(f.bytes):.3f} Mbps")
     return EXIT_OK
 
 
@@ -232,7 +240,7 @@ def cmd_batch(args) -> int:
 
 def cmd_validate(args) -> int:
     metrics = _parse_stats_flags(args)
-    corpora, records_m, records_k = _load_corpora(args)
+    corpora, inputs, records_m, records_k = _load_corpora(args)
     with output_dir(args.out, args.force) as out_dir:
         results = []
         distances = {}
@@ -245,7 +253,7 @@ def cmd_validate(args) -> int:
                 f"{name}: eps_max={res.eps_max:.6g} p_hat={res.p_hat_max:.6g} "
                 f"-> {verdict}"
             )
-        write_test_results(out_dir, results, distances, corpora,
+        write_test_results(out_dir, results, distances, corpora, inputs,
                            {"metrics": metrics, "band": args.band})
     print(f"report written to {out_dir}")
     return EXIT_OK
@@ -254,7 +262,7 @@ def cmd_validate(args) -> int:
 def cmd_bootstrap(args) -> int:
     metrics = _parse_stats_flags(args)
     sizes = None if args.ci_width is None else _parse_sizes(args.ci_width)
-    corpora, records_m, records_k = _load_corpora(args)
+    corpora, inputs, records_m, records_k = _load_corpora(args)
     if sizes and max(sizes) > min(len(records_m), len(records_k)):
         raise ConfigError(
             f"--ci-width: size {max(sizes)} exceeds the corpora's run counts "
@@ -282,7 +290,7 @@ def cmd_bootstrap(args) -> int:
                 )
         params = {"metrics": metrics, "band": args.band, "B": args.replicates,
                   "resample_seed": args.resample_seed, "ci_width": sizes}
-        files = write_bootstrap_results(out_dir, results, corpora, params)
+        files = write_bootstrap_results(out_dir, results, corpora, inputs, params)
         if width_rows:
             files += write_ci_width(out_dir, width_rows)
     print(f"report written to {out_dir} ({', '.join(files)})")

@@ -205,8 +205,8 @@ def load_corpus(corpus_dir: str) -> list[RunRecord]:
     """Load exactly the runs the verified manifest lists, in run-id order.
 
     A run directory the manifest does not list, a run count other than
-    the manifest's, or a run whose fingerprint is not the manifest's
-    raises RunnerError.
+    the manifest's, or a run whose fingerprint, seed or RNG algorithm is
+    not the manifest's (seeds listed in run-id order) raises RunnerError.
     """
     corpus_dir = resolve_out(corpus_dir)
     manifest = verify_corpus(corpus_dir)
@@ -228,13 +228,23 @@ def load_corpus(corpus_dir: str) -> list[RunRecord]:
             f"corpus {corpus_dir} lists {len(run_ids)} run directories, but its "
             f"manifest declares runs={manifest.get('runs')}"
         )
+    seeds = manifest.get("seeds")
+    if not isinstance(seeds, list) or len(seeds) != len(run_ids):
+        raise RunnerError(f"corpus {corpus_dir}: manifest seeds {seeds!r} do not "
+                          f"match its {len(run_ids)} runs")
+    rng = manifest.get("rng")
     records = []
-    for run_id in run_ids:
+    for run_id, seed in zip(run_ids, seeds):
         record = load_run_dir(os.path.join(corpus_dir, run_id))
-        if record.fingerprint != manifest.get("fingerprint"):
-            raise RunnerError(
-                f"corpus {corpus_dir}: {run_id} has fingerprint "
-                f"{record.fingerprint}, the manifest {manifest.get('fingerprint')}"
-            )
+        for field, listed in (
+            ("fingerprint", manifest.get("fingerprint")),
+            ("seed", seed),
+            ("rng_algorithm", rng.get("algorithm") if isinstance(rng, dict) else None),
+        ):
+            if getattr(record, field) != listed:
+                raise RunnerError(
+                    f"{os.path.join(corpus_dir, run_id, META_NAME)}: {field} is "
+                    f"{getattr(record, field)!r}, the manifest lists {listed!r}"
+                )
         records.append(record)
     return records

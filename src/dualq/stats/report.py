@@ -9,6 +9,10 @@
 Each JSON report's top-level ``params`` object records the options the
 command ran with (metrics and band, and for bootstrap.json also B, the
 resample seed and the ci-width sizes), null where an option was not given.
+Its ``inputs`` object names each input corpus, m and k, by its scenario
+fingerprint and the sha256 of its manifest.json, which lists every run's
+file digests; unlike ``corpora``, the input paths, neither depends on
+where the corpus lies.
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ def write_test_results(
     results: list[TestResult],
     distances: dict[str, DistanceSets],
     corpora: dict[str, str],
+    inputs: dict[str, dict],
     params: dict,
 ) -> list[str]:
     payload = {
         "corpora": corpora,
+        "inputs": inputs,
         "params": params,
         "quantile_level": QUANTILE_LEVEL,
         "decision_threshold": DECISION_THRESHOLD,
@@ -67,10 +73,12 @@ def write_bootstrap_results(
     out_dir: str,
     results: list[BootstrapResult],
     corpora: dict[str, str],
+    inputs: dict[str, dict],
     params: dict,
 ) -> list[str]:
     payload = {
         "corpora": corpora,
+        "inputs": inputs,
         "params": params,
         "metrics": _by_metric(results),
     }

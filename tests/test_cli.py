@@ -53,6 +53,14 @@ def rehash(corpus, rel):
     path.write_text(canonical_json(manifest))
 
 
+def counters_plus(**delta):
+    """A meta.json edit that adds delta to the named summary counters."""
+    def change(meta):
+        for name, by in delta.items():
+            meta["summary"]["counters"][name] += by
+    return change
+
+
 def tree_digest(root):
     """Hash of every file path and its content under root."""
     h = hashlib.sha256()
@@ -569,6 +577,106 @@ class TestCorpusRuns:
         assert where in capsys.readouterr().err
         assert not rep.exists()
 
+    @staticmethod
+    def assert_refused(tmp_path, capsys, command, corpus, where, what):
+        """load_corpus and command refuse corpus with a message naming
+        where (a file, or file:line) and what; command writes no --out."""
+        with pytest.raises((ValueError, RunnerError)) as exc:
+            load_corpus(str(corpus))
+        assert where in str(exc.value) and what in str(exc.value)
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        assert run_cli(command, str(corpus), str(corpus), "--out",
+                       str(rep)) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert where in err and what in err
+        assert not rep.exists()
+
+    @staticmethod
+    def edit_meta(corpus, change):
+        """Apply change to run-00001's parsed meta.json, write it back
+        canonically and re-hash it; returns the file's path."""
+        path = corpus / "run-00001" / "meta.json"
+        meta = json.loads(path.read_text())
+        change(meta)
+        path.write_text(canonical_json(meta))
+        rehash(corpus, "run-00001/meta.json")
+        return path
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("change, what", [
+        (lambda m: m.update(extra=1), "extra"),
+        (lambda m: m["summary"].update(extra=None), "summary.extra"),
+        (lambda m: m.update(duration_ns=str(m["duration_ns"])), "duration_ns"),
+        # run-00001 has seed 1, and True == 1 in Python
+        (lambda m: m.update(seed=True), "seed"),
+        (lambda m: m.update(run_id=1), "run_id"),
+        (lambda m: m["rng"].update(algorithm=None), "rng.algorithm"),
+        (lambda m: m.update(config=[]), "config"),
+        (lambda m: m.update(duration_ns=0), "duration_ns"),
+        (lambda m: m["rng"].update(seed=99), "rng.seed"),
+        (lambda m: m["summary"].update(avg_throughput_mbps=1.0),
+         "summary.avg_throughput_mbps"),
+    ], ids=["extra-key", "extra-summary-key", "duration-str", "seed-bool",
+            "run-id-int", "rng-algorithm-null", "config-list", "duration-zero",
+            "rng-seed", "avg-throughput"])
+    def test_meta_the_writer_would_not_write_is_data_error(
+            self, tmp_path, capsys, command, change, what):
+        # each loaded silently, or crashed with a TypeError (exit 1)
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        path = self.edit_meta(corpus, change)
+        self.assert_refused(tmp_path, capsys, command, corpus, str(path), what)
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("change, what", [
+        (lambda m: m["summary"].update(counters={"enqueued": 1}), "counters"),
+        (lambda m: m["summary"]["counters"].update(drops_aqm=0.0), "counters"),
+        (counters_plus(enqueued=1), "enqueued = "),
+        (counters_plus(drops_overflow=1), "drops = drops_overflow"),
+        # drop counters that agree with each other but not with the series
+        (counters_plus(enqueued=1, drops=1, drops_aqm=1),
+         "series drops"),
+        (counters_plus(ecn_marks_c=1), "series ecn_marks"),
+    ], ids=["names", "float", "ledger", "drop-split", "drop-deltas",
+            "mark-deltas"])
+    def test_unbalanced_counters_are_data_error(self, tmp_path, capsys, command,
+                                                change, what):
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        path = self.edit_meta(corpus, change)
+        self.assert_refused(tmp_path, capsys, command, corpus, str(path), what)
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("line", [2, 3])
+    def test_wrong_flows_rate_is_data_error(self, tmp_path, capsys, command,
+                                            line):
+        # a finite rate that bytes and duration_ns do not give
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        flows = corpus / "run-00001" / "flows.csv"
+        rows = flows.read_text().splitlines(keepends=True)
+        rows[line - 1] = rows[line - 1].rsplit(",", 1)[0] + ",1.5\n"
+        flows.write_text("".join(rows))
+        rehash(corpus, "run-00001/flows.csv")
+        self.assert_refused(tmp_path, capsys, command, corpus,
+                            f"{flows}:{line}", "1.5")
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("change, what", [
+        (lambda m: m.update(seed=99, rng={"algorithm": "mt19937", "seed": 99}),
+         "seed"),
+        (lambda m: m["rng"].update(algorithm="pcg64"), "rng_algorithm"),
+    ], ids=["seed", "rng-algorithm"])
+    def test_run_must_match_manifest_seed_and_rng(self, tmp_path, capsys,
+                                                  command, change, what):
+        # a self-consistent run whose seed or generator is not the
+        # manifest's: the manifest lists seeds 0 and 1 and mt19937
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        path = self.edit_meta(corpus, change)
+        self.assert_refused(tmp_path, capsys, command, corpus, str(path), what)
+
     def test_runs_load_in_run_id_order(self, tmp_path):
         corpus = tmp_path / "corpus"
         assert batch(corpus, 3, "--seed-base", "7") == EXIT_OK
@@ -889,7 +997,16 @@ class TestReportPins:
 
     The duration is a multiple of tupdate, so the final sample sits at
     the horizon either way. The ``corpora`` key of the JSON reports holds
-    absolute paths, so only their ``metrics`` objects are pinned."""
+    absolute paths, so only their ``metrics`` and ``inputs`` objects are
+    pinned."""
+
+    FINGERPRINT = "05797b86b4759de8d282625d1c11c4257d4083d43fd1dddf23a3e122b7b157bf"
+    INPUTS = {
+        "m": {"fingerprint": FINGERPRINT, "manifest_sha256":
+              "e3c65e45f6c9a66a8026018f1126a2a36d131a685c3e6a2ba344dee6bb9b28f6"},
+        "k": {"fingerprint": FINGERPRINT, "manifest_sha256":
+              "3c4f213556f2931fc51801a27e4beb94363d6d682fc9803a4432967c0f8bba5e"},
+    }
 
     PINNED = {
         "distances.csv":
@@ -929,6 +1046,9 @@ class TestReportPins:
             "test_result.json": metrics_digest(tmp_path / "v" / "test_result.json"),
             "bootstrap.json": metrics_digest(tmp_path / "b" / "bootstrap.json"),
         } == self.PINNED
+        for report in (tmp_path / "v" / "test_result.json",
+                       tmp_path / "b" / "bootstrap.json"):
+            assert json.loads(report.read_text())["inputs"] == self.INPUTS
 
 
 class TestSweep:

@@ -26,10 +26,12 @@ def small_record(**kw):
         fingerprint="ab" * 32,
         duration_ns=30_000_000_000,
         config={"duration_ns": 30_000_000_000},
-        flows=[FlowSummary("a", "cubic", 45_000_000, 12.0)],
-        counters={"enqueued": 10, "dequeued": 10, "drops": 0,
-                  "drops_overflow": 0, "drops_aqm": 0,
-                  "ecn_marks_l": 0, "ecn_marks_c": 0},
+        flows=[FlowSummary("a", "cubic", 45_000_000)],
+        # balanced: 2 packets still queued, 1 AQM drop and 3 marks, as
+        # the series says
+        counters={"enqueued": 30_003, "dequeued": 30_000, "drops": 1,
+                  "drops_overflow": 0, "drops_aqm": 1,
+                  "ecn_marks_l": 2, "ecn_marks_c": 1},
         samples=np.array([
             [16_000_000, 1, 1500, 0, 0],
             [32_000_000, 2, 3000, 3, 1],
@@ -47,11 +49,11 @@ class TestThroughput:
     def test_cumulative_is_sum_of_flows(self):
         rec = small_record(
             flows=[
-                FlowSummary("a", "cubic", 30_000_000, 8.0),
-                FlowSummary("b", "scalable", 15_000_000, 4.0),
+                FlowSummary("a", "cubic", 30_000_000),
+                FlowSummary("b", "scalable", 15_000_000),
             ]
         )
-        per_flow = sum(f.mbps for f in rec.flows)
+        per_flow = sum(rec.mbps(f.bytes) for f in rec.flows)
         assert rec.avg_throughput_mbps == pytest.approx(per_flow, rel=1e-12)
 
     def test_series_columns(self):
@@ -103,14 +105,13 @@ class TestRoundTrip:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_float_round_trip_exact(self, tmp_path):
-        # mbps uses repr: parsing it back must give the same float
-        rec = small_record(
-            flows=[FlowSummary("a", "cubic", 12_345_677, 12.345677 * 8 / 30)]
-        )
+        # mbps uses repr: parsing it back must give the derived float
+        rec = small_record(flows=[FlowSummary("a", "cubic", 12_345_677)])
         d = tmp_path / "run"
         write_run_dir(rec, str(d))
         back = load_run_dir(str(d))
-        assert back.flows[0].mbps == rec.flows[0].mbps
+        stored = float((d / "flows.csv").read_text().splitlines()[1].split(",")[3])
+        assert stored == rec.mbps(12_345_677) == back.mbps(back.flows[0].bytes)
 
     def test_meta_is_valid_sorted_json(self, tmp_path):
         rec = small_record()

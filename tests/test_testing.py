@@ -645,7 +645,7 @@ class TestMetricExtraction:
             fingerprint="f",
             duration_ns=1_000_000_000,
             config={},
-            flows=[FlowSummary("a", "cubic", 1_250_000, 10.0)],
+            flows=[FlowSummary("a", "cubic", 1_250_000)],
             counters={},
             samples=np.array([[16_000_000, 3, 4500, 2, 1]], dtype=np.int64),
         )
