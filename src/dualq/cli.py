@@ -44,7 +44,6 @@ from .runner import (
     RunnerError,
     load_corpus,
     output_dir,
-    resolve_out,
     run_batch,
     run_one,
 )
@@ -169,15 +168,15 @@ def _parse_sizes(raw: str) -> list[int]:
 
 
 def _load_corpora(args):
-    """Resolve and load the two input corpora of validate and bootstrap;
+    """Load the two input corpora of validate and bootstrap;
     return their paths, what identifies each (inputs) and their runs.
 
     An --out equal to, inside or containing either corpus is a config
     error, raised before the corpora are loaded and before output_dir
     could delete one of them.
     """
-    corpora = {"m": resolve_out(args.corpus_m), "k": resolve_out(args.corpus_k)}
-    out = os.path.realpath(resolve_out(args.out))
+    corpora = {"m": args.corpus_m, "k": args.corpus_k}
+    out = os.path.realpath(args.out)
     for path in corpora.values():
         real = os.path.realpath(path)
         if os.path.commonpath([out, real]) in (out, real):

@@ -12,14 +12,14 @@ A run directory contains exactly three files:
 
 Serialization is canonical (sorted keys, repr floats, newline-free
 row format), so identical runs produce byte-identical directories.
-``_meta`` and ``_flows_lines`` state the format of meta.json and
-flows.csv once, for writer and loader both. A loaded run must satisfy:
+``_meta``, ``_series_lines`` and ``_flows_lines`` state the format of
+each file once, for writer and loader both. A loaded run must satisfy:
 
 * each stored field has its RunRecord type (``int`` refuses ``bool``);
-* meta.json, as parsed values, and flows.csv, line by line, equal what
-  the writer gives for the record they describe, so every derived
-  value (``rng.seed``, ``summary.samples`` and every rate) is checked;
-* series.csv has its header and ``summary.samples`` rows of 5 ints;
+* meta.json, as parsed values, and flows.csv and series.csv, as text,
+  equal what the writer gives for the record they describe, so every
+  derived value (``rng.seed``, ``summary.samples`` and every rate) is
+  checked and series.csv holds ``summary.samples`` rows;
 * the counters are exactly DualPi2.counters()'s ints, and enqueued =
   dequeued + drops + the final qocc_pkts, drops = drops_overflow +
   drops_aqm = the series' drops, and ecn_marks_l + ecn_marks_c = the
@@ -146,6 +146,7 @@ def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
 META_NAME = "meta.json"
 SERIES_NAME = "series.csv"
 FLOWS_NAME = "flows.csv"
+RUN_FILES = (META_NAME, SERIES_NAME, FLOWS_NAME)
 
 _SERIES_HEADER = ",".join(TraceSample._fields)
 
@@ -156,6 +157,7 @@ _META_KEYS = {"run_id": "run_id", "seed": "seed", "rng_algorithm": "rng.algorith
 _FIELD_TYPES = get_type_hints(RunRecord)
 # the names DualPi2.counters() reports, read off a fresh queue
 _COUNTER_NAMES = DualPi2(AqmConfig(), Rng(0)).counters().keys()
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def canonical_json(obj) -> str:
@@ -187,65 +189,82 @@ def _flows_lines(record: RunRecord) -> list[str]:
     ]
 
 
-def write_run_dir(record: RunRecord, path: str) -> list[str]:
-    """Write one run directory; returns the file names written."""
+def _series_lines(record: RunRecord) -> list[str]:
+    """series.csv's lines: the header, then one row per sample."""
+    return [_SERIES_HEADER] + [f"{t},{qp},{qb},{marks},{drops}"
+                               for t, qp, qb, marks, drops in record.samples.tolist()]
+
+
+def write_run_dir(record: RunRecord, path: str) -> tuple[str, ...]:
+    """Write one run directory; returns the file names written, RUN_FILES."""
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, META_NAME), "w", encoding="ascii") as fh:
-        fh.write(canonical_json(_meta(record)))
-    rows = [_SERIES_HEADER]
-    rows.extend(f"{t},{qp},{qb},{marks},{drops}"
-                for t, qp, qb, marks, drops in record.samples.tolist())
-    with open(os.path.join(path, SERIES_NAME), "w", encoding="ascii") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(os.path.join(path, FLOWS_NAME), "w", encoding="ascii") as fh:
-        fh.write("\n".join(_flows_lines(record)) + "\n")
-    return [META_NAME, SERIES_NAME, FLOWS_NAME]
+    texts = (canonical_json(_meta(record)), "\n".join(_series_lines(record)) + "\n",
+             "\n".join(_flows_lines(record)) + "\n")
+    for name, text in zip(RUN_FILES, texts):
+        with open(os.path.join(path, name), "w", encoding="ascii") as fh:
+            fh.write(text)
+    return RUN_FILES
 
 
-def _differing(found, want, at=()) -> list[str]:
+def differing(found, want, at=()) -> list[str]:
     """The dotted keys at which two parsed JSON values differ (... is absent)."""
     if isinstance(found, dict) and isinstance(want, dict):
         return [key for name in sorted(found.keys() | want.keys()) for key in
-                _differing(found.get(name, ...), want.get(name, ...), at + (name,))]
+                differing(found.get(name, ...), want.get(name, ...), at + (name,))]
     return [] if found == want else [".".join(at)]
+
+
+def typed_fields(doc, keys: dict[str, str], types: dict) -> dict:
+    """The value at each of keys' dotted paths in the parsed JSON doc, by
+    field name; one not of its field's type in types (an int refuses a
+    bool) raises ValueError naming its dotted key."""
+    fields = {}
+    for name, dotted in keys.items():
+        value = doc
+        for key in dotted.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if not isinstance(value, types[name]) or isinstance(value, bool):
+            raise ValueError(f"{dotted} is {value!r}, not {types[name].__name__}")
+        fields[name] = value
+    return fields
+
+
+def _check_lines(path: str, lines: list[str], written: list[str]) -> None:
+    """Raise ValueError at the first line of path that is not the writer's."""
+    for lineno, (line, want) in enumerate(zip_longest(lines, written + [""]), start=1):
+        if line != want:
+            raise ValueError(f"{path}:{lineno}: {line!r}, where the writer "
+                             f"derives {want!r} from the run's fields")
 
 
 def load_run_dir(path: str) -> RunRecord:
     """Read a run directory that satisfies the module docstring's list;
-    anything else raises ValueError naming the file (and line, in flows.csv)."""
-    meta_path = os.path.join(path, META_NAME)
+    anything else raises ValueError naming the file (and line, in a CSV)."""
+    meta_path, series_path, flows_path = (os.path.join(path, n) for n in RUN_FILES)
     try:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
+        fields = typed_fields(meta, _META_KEYS, _FIELD_TYPES)
     except ValueError as exc:
-        raise ValueError(
-            f"{meta_path}: malformed ({type(exc).__name__}: {exc})"
-        ) from None
-    fields = {}
-    for name, dotted in _META_KEYS.items():
-        value, field_type = meta, _FIELD_TYPES[name]
-        for key in dotted.split("."):
-            value = value.get(key) if isinstance(value, dict) else None
-        if not isinstance(value, field_type) or isinstance(value, bool):
-            raise ValueError(f"{meta_path}: {dotted} is {value!r}, "
-                             f"not {field_type.__name__}")
-        fields[name] = value
+        raise ValueError(f"{meta_path}: {exc}") from None
     if fields["duration_ns"] <= 0:
         raise ValueError(f"{meta_path}: duration_ns is not positive")
-    with open(os.path.join(path, SERIES_NAME), "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != _SERIES_HEADER:
-            raise ValueError(f"{path}: unexpected series header {header!r}")
+    try:
+        # read as bytes: a \r is a character the writer never writes, not a newline
+        with open(series_path, "rb") as fh:
+            series_text = fh.read().decode("ascii")
+        series = series_text.split("\n")
         # comments=None: a '#' line is malformed input, not a comment
-        samples = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
-                             comments=None)
+        samples = np.loadtxt(series, delimiter=",", dtype=np.int64, ndmin=2,
+                             comments=None, skiprows=1)
+    except ValueError as exc:
+        raise ValueError(f"{series_path}: malformed ({exc})") from None
     declared = (meta["summary"].get("samples"), len(TraceSample._fields))
     if samples.shape != declared:
-        raise ValueError(f"{path}: {SERIES_NAME} holds {samples.shape} rows x "
+        raise ValueError(f"{series_path} holds {samples.shape} rows x "
                          f"columns, meta.json declares {declared}")
-    flows_path = os.path.join(path, FLOWS_NAME)
-    with open(flows_path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    with open(flows_path, "rb") as fh:
+        lines = fh.read().decode("ascii").split("\n")
     flows = []
     for lineno, line in enumerate(lines[1:-1], start=2):
         try:
@@ -254,14 +273,18 @@ def load_run_dir(path: str) -> RunRecord:
         except ValueError as exc:
             raise ValueError(f"{flows_path}:{lineno}: malformed ({exc})") from None
     record = RunRecord(flows=flows, samples=samples, **fields)
-    written = _flows_lines(record) + [""]
-    for lineno, (line, want) in enumerate(zip_longest(lines, written), start=1):
-        if line != want:
-            raise ValueError(f"{flows_path}:{lineno}: {line!r}, where the writer "
-                             f"derives {want!r} from the run's fields")
+    _check_lines(flows_path, lines, _flows_lines(record))
+    # each row holds at least the writer's characters for its values, so a
+    # file of the writer's length is its text: 10 characters a row (5 digits,
+    # 4 commas, a newline) plus further digits, counted exactly (log10
+    # misrounds near 10**k); a negative value falls to the line-by-line check
+    size = (len(_SERIES_HEADER) + 1 + 10 * len(samples)
+            + int(np.searchsorted(_POW10, samples, side="right").sum()))
+    if series[0] != _SERIES_HEADER or series[-1] != "" or len(series_text) != size:
+        _check_lines(series_path, series, _series_lines(record))
     expected = _meta(record)
     if meta != expected:
-        raise ValueError(f"{meta_path}: {', '.join(_differing(meta, expected))}: "
+        raise ValueError(f"{meta_path}: {', '.join(differing(meta, expected))}: "
                          "not what the writer derives from the run's fields")
     c = record.counters
     if c.keys() != _COUNTER_NAMES or any(type(v) is not int for v in c.values()):

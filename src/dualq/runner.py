@@ -15,6 +15,7 @@ import shutil
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from typing import get_type_hints
 
 from .config import ConfigError, ScenarioConfig
 from .core import Rng
@@ -22,11 +23,14 @@ from .engine import run_scenario
 from .stats.report import BOOTSTRAP_NAME, TEST_RESULT_NAME
 from .metrics import (
     META_NAME,
+    RUN_FILES,
     RunRecord,
     canonical_json,
+    differing,
     load_run_dir,
     sha256_file,
     summarize,
+    typed_fields,
     write_run_dir,
 )
 
@@ -42,15 +46,7 @@ class RunnerError(Exception):
     """Filesystem or orchestration failure (exit code 2 at the CLI)."""
 
 
-def output_root() -> str:
-    """Base directory for relative output paths (DUALQ_OUTPUT_ROOT)."""
-    return os.environ.get("DUALQ_OUTPUT_ROOT") or os.getcwd()
-
-
-def resolve_out(path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(output_root(), path)
+_run_id = "run-{:05d}".format  # a corpus's run directory names, by index
 
 
 def enclosing_corpus(path: str) -> str | None:
@@ -81,7 +77,6 @@ def output_dir(path: str, force: bool) -> Iterator[str]:
     left untouched. The earlier output is gone before the body runs, so
     a failed command leaves no directory at all.
     """
-    path = resolve_out(path)
     corpus = enclosing_corpus(path)
     if corpus is not None:
         raise ConfigError(f"--out {path}: is or lies inside the corpus {corpus}")
@@ -123,21 +118,34 @@ def _run_and_write(cfg: ScenarioConfig, seed: int, run_id: str,
     """Worker: one run written to corpus_dir/run_id; returns file hashes."""
     record = run_one(cfg, seed, run_id)
     run_dir = os.path.join(corpus_dir, run_id)
-    names = write_run_dir(record, run_dir)
+    return {f"{run_id}/{name}": sha256_file(os.path.join(run_dir, name))
+            for name in write_run_dir(record, run_dir)}
+
+
+def _manifest(fingerprint: str, seed_base: int, runs: int, algorithm: str,
+              files: dict) -> dict:
+    """manifest.json: the corpus's scenario, seeds and RNG, and the sha256
+    of every file of every run, looked up in files (None if absent)."""
     return {
-        f"{run_id}/{name}": sha256_file(os.path.join(run_dir, name))
-        for name in names
+        "kind": "corpus",
+        "fingerprint": fingerprint,
+        "runs": runs,
+        "seed_base": seed_base,
+        "seeds": list(range(seed_base, seed_base + runs)),
+        "rng": {"algorithm": algorithm},
+        "files": {rel: files.get(rel) for rel in (
+            f"{_run_id(i)}/{name}" for i in range(runs) for name in RUN_FILES)},
     }
 
 
-def run_batch(
-    cfg: ScenarioConfig,
-    runs: int,
-    seed_base: int,
-    out_dir: str,
-    parallel: int = 1,
-    force: bool = False,
-) -> str:
+# where manifest.json keeps each argument of _manifest
+_MANIFEST_KEYS = {"fingerprint": "fingerprint", "seed_base": "seed_base",
+                  "runs": "runs", "algorithm": "rng.algorithm", "files": "files"}
+_MANIFEST_TYPES = get_type_hints(_manifest)
+
+
+def run_batch(cfg: ScenarioConfig, runs: int, seed_base: int, out_dir: str,
+              parallel: int = 1, force: bool = False) -> str:
     """Run a corpus of seeded runs; returns the corpus directory.
 
     Seeds are seed_base, seed_base+1, ...; run ids are zero-padded
@@ -149,7 +157,7 @@ def run_batch(
     if parallel < 1:
         raise RunnerError(f"parallel must be >= 1, got {parallel}")
     with output_dir(out_dir, force) as corpus_dir:
-        jobs = [(cfg, seed_base + i, f"run-{i:05d}", corpus_dir) for i in range(runs)]
+        jobs = [(cfg, seed_base + i, _run_id(i), corpus_dir) for i in range(runs)]
         files: dict[str, str] = {}
         if parallel == 1:
             for job in jobs:
@@ -158,93 +166,63 @@ def run_batch(
             with ProcessPoolExecutor(max_workers=parallel) as pool:
                 for result in pool.map(_run_and_write, *zip(*jobs)):
                     files.update(result)
-        manifest = {
-            "kind": "corpus",
-            "fingerprint": cfg.fingerprint(),
-            "runs": runs,
-            "seed_base": seed_base,
-            "seeds": list(range(seed_base, seed_base + runs)),
-            "rng": {"algorithm": Rng.algorithm},
-            "files": dict(sorted(files.items())),
-        }
+        manifest = _manifest(cfg.fingerprint(), seed_base, runs, Rng.algorithm, files)
         with open(os.path.join(corpus_dir, MANIFEST_NAME), "w", encoding="ascii") as fh:
             fh.write(canonical_json(manifest))
     return corpus_dir
 
 
 def verify_corpus(corpus_dir: str) -> dict:
-    """Check every manifest hash; raises RunnerError on any mismatch and on
-    a manifest that is not a JSON object with a ``files`` object."""
+    """Return the corpus's manifest if it is what _manifest builds from its
+    own fields and every file it lists has its digest; else RunnerError.
+    The manifest is checked before any file is hashed."""
     manifest_path = os.path.join(corpus_dir, MANIFEST_NAME)
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
             manifest = json.load(fh)
+        fields = typed_fields(manifest, _MANIFEST_KEYS, _MANIFEST_TYPES)
     except (OSError, ValueError) as exc:
         raise RunnerError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), dict):
-        raise RunnerError(
-            f"manifest {manifest_path} is not an object with a files object"
-        )
+    runs, files = fields["runs"], fields["files"]
+    if not 0 < runs <= len(files):  # which also bounds the manifest rebuilt
+        raise RunnerError(f"{manifest_path}: runs is {runs}, not between 1 and "
+                          f"the {len(files)} files listed")
+    expected = _manifest(**fields)
+    if manifest != expected:
+        raise RunnerError(f"{manifest_path}: {', '.join(differing(manifest, expected))}"
+                          f": not what the writer writes for runs {runs} and "
+                          f"seed_base {fields['seed_base']}")
     bad = []
-    for rel, digest in manifest["files"].items():
-        path = os.path.join(corpus_dir, rel)
-        if not os.path.exists(path):
+    for rel, digest in files.items():
+        try:
+            if sha256_file(os.path.join(corpus_dir, rel)) != digest:
+                bad.append(f"hash mismatch for {rel}")
+        except FileNotFoundError:
             bad.append(f"missing file {rel}")
-            continue
-        actual = sha256_file(path)
-        if actual != digest:
-            bad.append(f"hash mismatch for {rel}")
     if bad:
-        raise RunnerError(
-            f"corpus {corpus_dir} failed verification: " + "; ".join(bad)
-        )
+        raise RunnerError(f"corpus {corpus_dir} failed verification: " + "; ".join(bad))
     return manifest
 
 
 def load_corpus(corpus_dir: str) -> list[RunRecord]:
-    """Load exactly the runs the verified manifest lists, in run-id order.
-
-    A run directory the manifest does not list, a run count other than
-    the manifest's, or a run whose fingerprint, seed or RNG algorithm is
-    not the manifest's (seeds listed in run-id order) raises RunnerError.
-    """
-    corpus_dir = resolve_out(corpus_dir)
+    """Load exactly the runs the verified manifest lists, in run-id order; a
+    run directory it does not list, or a run whose fingerprint, seed or RNG
+    algorithm is not the manifest's, raises RunnerError."""
     manifest = verify_corpus(corpus_dir)
-    run_ids = sorted({rel.split("/", 1)[0] for rel in manifest["files"]})
-    unlisted = sorted(
-        name
-        for name in os.listdir(corpus_dir)
-        if name not in run_ids and os.path.isdir(os.path.join(corpus_dir, name))
-    )
+    run_ids = [_run_id(i) for i in range(manifest["runs"])]
+    unlisted = sorted(name for name in os.listdir(corpus_dir) if name not in run_ids
+                      and os.path.isdir(os.path.join(corpus_dir, name)))
     if unlisted:
-        raise RunnerError(
-            f"corpus {corpus_dir} holds run directories its manifest does not "
-            f"list: {', '.join(unlisted)}"
-        )
-    if not run_ids:
-        raise RunnerError(f"corpus {corpus_dir} contains no runs")
-    if len(run_ids) != manifest.get("runs"):
-        raise RunnerError(
-            f"corpus {corpus_dir} lists {len(run_ids)} run directories, but its "
-            f"manifest declares runs={manifest.get('runs')}"
-        )
-    seeds = manifest.get("seeds")
-    if not isinstance(seeds, list) or len(seeds) != len(run_ids):
-        raise RunnerError(f"corpus {corpus_dir}: manifest seeds {seeds!r} do not "
-                          f"match its {len(run_ids)} runs")
-    rng = manifest.get("rng")
+        raise RunnerError(f"corpus {corpus_dir} holds run directories its manifest "
+                          f"does not list: {', '.join(unlisted)}")
     records = []
-    for run_id, seed in zip(run_ids, seeds):
+    for run_id, seed in zip(run_ids, manifest["seeds"]):
         record = load_run_dir(os.path.join(corpus_dir, run_id))
-        for field, listed in (
-            ("fingerprint", manifest.get("fingerprint")),
-            ("seed", seed),
-            ("rng_algorithm", rng.get("algorithm") if isinstance(rng, dict) else None),
-        ):
+        for field, listed in (("fingerprint", manifest["fingerprint"]), ("seed", seed),
+                              ("rng_algorithm", manifest["rng"]["algorithm"])):
             if getattr(record, field) != listed:
-                raise RunnerError(
-                    f"{os.path.join(corpus_dir, run_id, META_NAME)}: {field} is "
-                    f"{getattr(record, field)!r}, the manifest lists {listed!r}"
-                )
+                raise RunnerError(f"{os.path.join(corpus_dir, run_id, META_NAME)}: "
+                                  f"{field} is {getattr(record, field)!r}, the "
+                                  f"manifest lists {listed!r}")
         records.append(record)
     return records

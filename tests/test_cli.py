@@ -61,6 +61,26 @@ def counters_plus(**delta):
     return change
 
 
+def drop_edited_series(manifest, corpus):
+    """A manifest edit: run-00000/series.csv gets a changed qocc_bytes and
+    loses its digest, so that no hash check would see the change."""
+    series = corpus / "run-00000" / "series.csv"
+    rows = series.read_text().split("\n")
+    t, qp, qb, marks, drops = rows[1].split(",")
+    rows[1] = ",".join([t, qp, str(int(qb) + 123456), marks, drops])
+    series.write_text("\n".join(rows))
+    del manifest["files"]["run-00000/series.csv"]
+
+
+def list_notes(manifest, corpus):
+    """A manifest edit: a file the writer never writes, listed with its
+    true digest."""
+    notes = corpus / "run-00000" / "notes.txt"
+    notes.write_text("kept by hand\n")
+    manifest["files"]["run-00000/notes.txt"] = hashlib.sha256(
+        notes.read_bytes()).hexdigest()
+
+
 def tree_digest(root):
     """Hash of every file path and its content under root."""
     h = hashlib.sha256()
@@ -168,10 +188,16 @@ class TestEmulate:
         assert emulate(out, "--force") == EXIT_OK
         assert (out / "meta.json").is_file()
 
-    def test_output_root_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DUALQ_OUTPUT_ROOT", str(tmp_path))
+    def test_relative_paths_resolve_against_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert emulate("nested/run") == EXIT_OK
         assert (tmp_path / "nested" / "run" / "meta.json").is_file()
+        assert batch("m", 2) == EXIT_OK
+        assert batch("k", 2, "--seed-base", "9") == EXIT_OK
+        assert run_cli("validate", "m", "k", "--out", "rep") == EXIT_OK
+        assert run_cli("bootstrap", "m", "k", "-B", "50", "--out", "boot") == EXIT_OK
+        assert (tmp_path / "rep" / "test_result.json").is_file()
+        assert (tmp_path / "boot" / "bootstrap.json").is_file()
 
 
 class TestExitCodes:
@@ -410,6 +436,8 @@ class TestBatch:
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert batch(serial, 4) == EXIT_OK
         assert batch(parallel, 4, "--parallel", "2") == EXIT_OK
+        manifest = (serial / "manifest.json").read_bytes()
+        assert (parallel / "manifest.json").read_bytes() == manifest
         assert tree_digest(serial) == tree_digest(parallel)
 
     def test_tampered_corpus_fails_verification(self, tmp_path, capsys):
@@ -676,6 +704,60 @@ class TestCorpusRuns:
         assert batch(corpus, 2) == EXIT_OK
         path = self.edit_meta(corpus, change)
         self.assert_refused(tmp_path, capsys, command, corpus, str(path), what)
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("change, what", [
+        (drop_edited_series, "files.run-00000/series.csv"),
+        (lambda m, corpus: m.update(kind="report"), "kind"),
+        (lambda m, corpus: m.update(seed_base=77), "seeds"),
+        (lambda m, corpus: m.update(extra=1), "extra"),
+        (lambda m, corpus: m.update(runs=True), "runs"),
+        (lambda m, corpus: m.update(runs=0), "runs"),
+        (list_notes, "files.run-00000/notes.txt"),
+    ], ids=["unhashed-edit", "kind", "seed-base", "extra-key", "runs-bool",
+            "runs-zero", "extra-file"])
+    def test_manifest_the_writer_would_not_write_is_data_error(
+            self, tmp_path, capsys, monkeypatch, command, change, what):
+        # each loaded: the manifest's own fields were never checked
+        # against each other, and an unlisted run file was never hashed
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text())
+        change(manifest, corpus)
+        path.write_text(canonical_json(manifest))
+        import dualq.runner as runner
+        hashed = []
+        monkeypatch.setattr(runner, "sha256_file", hashed.append)
+        with pytest.raises(RunnerError):
+            verify_corpus(str(corpus))
+        assert hashed == []  # refused before any file is hashed
+        monkeypatch.undo()
+        self.assert_refused(tmp_path, capsys, command, corpus, str(path), what)
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("edit, where", [
+        (lambda row: "+" + row, ":3"),
+        (lambda row: "0" + row, ":3"),
+        (lambda row: " " + row, ":3"),
+        (lambda row: row + "\r", ""),
+        (lambda row: row.rsplit(",", 1)[0], ""),
+        (lambda row: row.rsplit(",", 1)[0] + ",0.0", ""),
+    ], ids=["plus", "leading-zero", "space", "carriage-return", "four-fields",
+            "float"])
+    def test_series_row_the_writer_would_not_write_is_data_error(
+            self, tmp_path, capsys, command, edit, where):
+        # the first three loaded; the others failed naming neither the
+        # file nor the run
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        series = corpus / "run-00001" / "series.csv"
+        lines = series.read_bytes().decode().split("\n")
+        lines[2] = edit(lines[2])
+        series.write_bytes("\n".join(lines).encode())
+        rehash(corpus, "run-00001/series.csv")
+        self.assert_refused(tmp_path, capsys, command, corpus,
+                            f"{series}{where}", "series.csv")
 
     def test_runs_load_in_run_id_order(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -29,3 +29,24 @@ def test_install_resolves_every_wrapped_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert {name: dict(vars(mod)) for name, mod in modules.items()} == before
+
+
+def test_corpus_load_is_traced(tmp_path, monkeypatch):
+    # perfbench's corpus-load figures come from these spans; a loader that
+    # stopped calling through the wrapped names would zero them silently
+    corpus = str(tmp_path / "corpus")
+    assert dualq.cli.main(["batch", "--preset", "low", "--duration", "0.5",
+                           "--runs", "2", "--out", corpus]) == 0
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "dualq" or name.startswith("dualq.")}
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        assert len(dualq.cli.load_corpus(corpus)) == 2
+    finally:
+        tracer.uninstall()
+    for name in ("runner.load_corpus", "runner.verify_corpus", "runner.hash",
+                 "metrics.load_run_dir"):
+        assert tracer.calls[name][0] >= 1, name
