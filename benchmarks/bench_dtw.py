@@ -7,22 +7,28 @@ Usage:
 For each series length n and batch size P, P random Poisson(3) pairs of
 n samples each (n * n cells per pair) go through:
 
-* numpy: the batched wavefront kernel, ``_dtw_np.dtw_many``, once in
-  each cost dtype, float64 and int32; the ``length`` column is the
-  path-length dtype the kernel picks for n x n pairs;
+* numpy: the batched wavefront kernels of ``_dtw_np``: ``dtw_many`` once
+  in each cost dtype, float64 and int32, where the ``length`` column is
+  the path-length dtype it picks for n x n pairs, and ``dtw_packed``, the
+  packed int32 keys, where the ``sat`` column is the share of pairs
+  whose cost saturated (those ``dtw.dtw_norm_pairs`` runs again in
+  ``dtw_many``);
 * python: the scalar oracle ``_dtw_py.dtw_pair`` once per pair.
 
-The pairs are integral, so ``dtw.cost_dtype`` picks int32 for them, as it
-does for every metric of ``series.csv``; the script checks that before
-it times int32. With --band N every case runs a second time under a
+The pairs are small non-negative integers, so ``dtw.packed_vmax``
+accepts them and ``dtw.cost_dtype`` picks int32 for them, as for the
+queue-occupancy series of ``series.csv``; the script checks both before
+it times. With --band N every case runs a second time under a
 Sakoe-Chiba band of N (N >= 0), on the same pairs; its cells are those
 inside the band.
 
 Raw cost and path length of every pair, in every dtype, must equal the
-oracle's, or the script exits non-zero. The numpy kernel keeps the best
-of --repeat passes (its seconds are printed beside ns per cell); the
-oracle runs once, and its pass dominates the run time (under a minute at
-the defaults, with or without --band 40, on a 2-core x86 host).
+oracle's, and in the packed kernel every pair not saturated must, and
+every saturated one must truly reach the saturation cost, or the script
+exits non-zero. Each numpy kernel keeps the best of --repeat passes (its
+seconds are printed beside ns per cell); the oracle runs once, and its
+pass dominates the run time (under a minute at the defaults, with or
+without --band 40, on a 2-core x86 host).
 """
 
 import argparse
@@ -48,6 +54,16 @@ def check(name, got, expected, n, p, band):
         bad = sum(a != b for a, b in zip(got, expected))
         raise SystemExit(f"{name} kernel differs from the oracle on {bad} of "
                          f"{p} pairs at n={n}, band {band}")
+
+
+def check_packed(got, exact, expected, n, p, band, satc):
+    """The pairs packed exact equal the oracle; the others reach satc."""
+    got = [(float(r), int(k)) for r, k in got]
+    bad = sum(a != b if ok else b[0] < satc
+              for a, ok, b in zip(got, exact, expected))
+    if bad:
+        raise SystemExit(f"numpy packed kernel differs from the oracle on {bad} "
+                         f"of {p} pairs at n={n}, band {band}")
 
 
 def cells_per_pair(n, band):
@@ -77,9 +93,9 @@ def main():
     batch_sizes = [int(s) for s in args.pairs.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
-    print(f"{'n':>6} {'P':>4} {'band':>5} {'dtype':>7} {'length':>6} "
-          f"{'python':>8} {'numpy':>8} {'py/np':>6} {'numpy_s':>8}   "
-          f"(ns per cell; best numpy pass)")
+    print(f"{'n':>6} {'P':>4} {'band':>5} {'kernel':>7} {'length':>6} "
+          f"{'python':>8} {'numpy':>8} {'py/np':>6} {'numpy_s':>8} {'sat':>6}"
+          f"   (ns per cell; best numpy pass)")
 
     for n in lengths:
         for p in batch_sizes:
@@ -87,22 +103,35 @@ def main():
             ys = rng.poisson(3.0, (p, n)).astype(np.float64)
             if dtw.cost_dtype(xs, ys) != np.int32:
                 raise SystemExit(f"the guard rejects int32 at n={n}, P={p}")
+            vmax = dtw.packed_vmax(xs, ys)
+            if vmax is None:
+                raise SystemExit(f"the packed kernel refuses n={n}, P={p}")
+            satc = 1 << (30 - _dtw_np.packed_layout(n, n, vmax)[0])
             for band in bands:
                 cells = p * cells_per_pair(n, band)
                 t0 = time.perf_counter()
                 expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
                 t_py = time.perf_counter() - t0
                 label = "full" if band < 0 else str(band)
-                ltype = _dtw_np.length_dtype(n, n).name
-                for dtype in ("float64", "int32"):
-                    t_np, (raw, plen) = best_of(
-                        args.repeat,
-                        lambda: _dtw_np.dtw_many(xs, ys, band, dtype))
-                    check(f"numpy {dtype}", zip(raw, plen), expected, n, p, band)
-                    print(f"{n:>6} {p:>4} {label:>5} {dtype:>7} {ltype:>6} "
+                for kernel in ("float64", "int32", "packed"):
+                    if kernel == "packed":
+                        t_np, (raw, plen, exact) = best_of(
+                            args.repeat,
+                            lambda: _dtw_np.dtw_packed(xs, ys, band, vmax))
+                        check_packed(zip(raw, plen), exact, expected, n, p,
+                                     band, satc)
+                        ltype, sat = "-", f"{1 - exact.mean():.1%}"
+                    else:
+                        t_np, (raw, plen) = best_of(
+                            args.repeat,
+                            lambda: _dtw_np.dtw_many(xs, ys, band, kernel))
+                        check(f"numpy {kernel}", zip(raw, plen), expected, n, p,
+                              band)
+                        ltype, sat = _dtw_np.length_dtype(n, n).name, "-"
+                    print(f"{n:>6} {p:>4} {label:>5} {kernel:>7} {ltype:>6} "
                           f"{t_py * 1e9 / cells:>8.1f} "
                           f"{t_np * 1e9 / cells:>8.1f} {t_py / t_np:>6.1f} "
-                          f"{t_np:>8.4f}")
+                          f"{t_np:>8.4f} {sat:>6}")
 
 
 if __name__ == "__main__":

@@ -237,6 +237,37 @@ def _check_lines(path: str, lines: list[str], written: list[str]) -> None:
                              f"derives {want!r} from the run's fields")
 
 
+def _read_ascii(path: str) -> str:
+    """path's text, read as bytes (a carriage return is a character the
+    writer never writes, not a newline); a byte outside ASCII raises
+    ValueError naming path:line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: byte {data[exc.start]:#04x} is not "
+                         "ASCII") from None
+
+
+def _series_row_error(path: str, lines: list[str], exc: ValueError) -> ValueError:
+    """The error of np.loadtxt's exc on series.csv's lines, naming path:line
+    of the first non-empty line after the header that np.loadtxt, reading
+    it alone, does not take for 5 integers."""
+    width = len(TraceSample._fields)
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            if not line or np.loadtxt([line], delimiter=",", dtype=np.int64,
+                                      comments=None).size == width:
+                continue
+        except ValueError:
+            pass
+        return ValueError(f"{path}:{lineno}: {line!r} is not {width} "
+                          "comma-separated integers")
+    return ValueError(f"{path}: malformed ({exc})")
+
+
 def load_run_dir(path: str) -> RunRecord:
     """Read a run directory that satisfies the module docstring's list;
     anything else raises ValueError naming the file (and line, in a CSV)."""
@@ -249,22 +280,20 @@ def load_run_dir(path: str) -> RunRecord:
         raise ValueError(f"{meta_path}: {exc}") from None
     if fields["duration_ns"] <= 0:
         raise ValueError(f"{meta_path}: duration_ns is not positive")
+    series_text = _read_ascii(series_path)
+    series = series_text.split("\n")
     try:
-        # read as bytes: a \r is a character the writer never writes, not a newline
-        with open(series_path, "rb") as fh:
-            series_text = fh.read().decode("ascii")
-        series = series_text.split("\n")
         # comments=None: a '#' line is malformed input, not a comment
         samples = np.loadtxt(series, delimiter=",", dtype=np.int64, ndmin=2,
                              comments=None, skiprows=1)
     except ValueError as exc:
-        raise ValueError(f"{series_path}: malformed ({exc})") from None
+        # numpy counts rows its own way; name the file's line instead
+        raise _series_row_error(series_path, series, exc) from None
     declared = (meta["summary"].get("samples"), len(TraceSample._fields))
     if samples.shape != declared:
         raise ValueError(f"{series_path} holds {samples.shape} rows x "
                          f"columns, meta.json declares {declared}")
-    with open(flows_path, "rb") as fh:
-        lines = fh.read().decode("ascii").split("\n")
+    lines = _read_ascii(flows_path).split("\n")
     flows = []
     for lineno, line in enumerate(lines[1:-1], start=2):
         try:

@@ -3,7 +3,24 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture()
+def dtw_kernel_calls(monkeypatch):
+    """Each call dtw_norm_pairs makes into a DTW kernel, as (name, pairs,
+    last argument): the cost dtype of dtw_many, the vmax of dtw_packed."""
+    from dualq.stats import dtw
+
+    calls = []
+    for name in ("dtw_many", "dtw_packed"):
+        def recorded(xs, ys, *args, name=name, real=getattr(dtw, name)):
+            calls.append((name, len(xs), args[-1]))
+            return real(xs, ys, *args)
+        monkeypatch.setattr(dtw, name, recorded)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

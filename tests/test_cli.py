@@ -741,14 +741,15 @@ class TestCorpusRuns:
         (lambda row: "0" + row, ":3"),
         (lambda row: " " + row, ":3"),
         (lambda row: row + "\r", ""),
-        (lambda row: row.rsplit(",", 1)[0], ""),
-        (lambda row: row.rsplit(",", 1)[0] + ",0.0", ""),
+        (lambda row: row.rsplit(",", 1)[0], ":3"),
+        (lambda row: row.rsplit(",", 1)[0] + ",0.0", ":3"),
     ], ids=["plus", "leading-zero", "space", "carriage-return", "four-fields",
             "float"])
     def test_series_row_the_writer_would_not_write_is_data_error(
             self, tmp_path, capsys, command, edit, where):
         # the first three loaded; the others failed naming neither the
-        # file nor the run
+        # file nor the run, and the last two then with numpy's row count
+        # ("from 5 to 4 at row 2" for file line 3)
         corpus = tmp_path / "corpus"
         assert batch(corpus, 2) == EXIT_OK
         series = corpus / "run-00001" / "series.csv"
@@ -758,6 +759,21 @@ class TestCorpusRuns:
         rehash(corpus, "run-00001/series.csv")
         self.assert_refused(tmp_path, capsys, command, corpus,
                             f"{series}{where}", "series.csv")
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    @pytest.mark.parametrize("name, line", [("flows.csv", 2), ("series.csv", 3)])
+    def test_non_ascii_byte_is_data_error(self, tmp_path, capsys, command,
+                                          name, line):
+        # flows.csv gave only "'ascii' codec can't decode byte 0xc3"
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        path = corpus / "run-00001" / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] += b"\xc3\xa9"
+        path.write_bytes(b"\n".join(lines))
+        rehash(corpus, f"run-00001/{name}")
+        self.assert_refused(tmp_path, capsys, command, corpus,
+                            f"{path}:{line}", "0xc3 is not ASCII")
 
     def test_runs_load_in_run_id_order(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -243,6 +243,97 @@ class TestKernelParity:
             _dtw_np.dtw_many([[1.0]], [[2.0]], -1, np.int64)
 
 
+@st.composite
+def packed_batches(draw):
+    """P >= 1 pairs of one (n, m) of integers in [0, vmax], pair 0 taking
+    vmax, and a band from batches' set. vmax is 3, or the largest whose
+    clamp period T is at least 1, 2, 3 or 4, so that T is small and many
+    pairs saturate."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 5))
+    shift = (n + m - 2).bit_length() + 2
+    period = draw(st.sampled_from([1, 2, 3, 4, None]))
+    vmax = 3 if period is None else _dtw_np.SATKEY // ((period + 2) << shift) - 1
+    values = st.one_of(st.sampled_from([0, vmax]), st.integers(0, vmax))
+    xs = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(p)]
+    ys = [draw(st.lists(values, min_size=m, max_size=m)) for _ in range(p)]
+    xs[0][0] = vmax
+    gap = abs(n - m)
+    band = draw(st.sampled_from([-1, gap, gap + 2, max(n, m), max(n, m) + 3]))
+    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), band, vmax
+
+
+class TestPacked:
+    """dtw_packed equals _dtw_py wherever it reports a pair exact, every
+    pair it does not report reached SATC, and dtw_norm_pairs, which runs
+    those again in dtw_many, equals the oracle on every pair."""
+
+    @given(batch=packed_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_parity_with_saturation(self, batch):
+        xs, ys, band, vmax = batch
+        assert dtw.packed_vmax(xs, ys) == vmax
+        shift, period = _dtw_np.packed_layout(xs.shape[1], ys.shape[1], vmax)
+        assert period >= 1
+        expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
+        raw, plen, exact = _dtw_np.dtw_packed(xs, ys, band, vmax)
+        for r, k, ok, (oraw, oplen) in zip(raw.tolist(), plen.tolist(),
+                                           exact.tolist(), expected):
+            if ok:
+                assert (r, k) == (oraw, oplen)
+            else:
+                assert oraw >= 1 << (30 - shift)
+        got = dtw.dtw_norm_pairs(xs, ys, None if band < 0 else band)
+        assert got.tolist() == [r / k for r, k in expected]
+
+    def test_last_period_of_one_is_packed_and_zero_is_not(self, dtw_kernel_calls):
+        # 9 x 7 pairs: S = 6, so T = 2^30 // ((vmax + 1) << 6) - 2
+        top = _dtw_np.SATKEY // (3 << 6) - 1
+        assert _dtw_np.packed_layout(9, 7, top) == (6, 1)
+        assert _dtw_np.packed_layout(9, 7, top + 1) == (6, 0)
+        rng = np.random.default_rng(9)
+        for vmax, kernel in ((top, "dtw_packed"), (top + 1, "dtw_many")):
+            xs = rng.integers(0, vmax, (4, 9), endpoint=True).astype(np.float64)
+            ys = rng.integers(0, vmax, (4, 7), endpoint=True).astype(np.float64)
+            xs[0, 0] = vmax
+            assert dtw.packed_vmax(xs, ys) == (vmax if kernel == "dtw_packed" else None)
+            dtw_kernel_calls.clear()
+            for band in (-1, 2, 4):
+                expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
+                got = dtw.dtw_norm_pairs(xs, ys, None if band < 0 else band)
+                assert got.tolist() == [r / k for r, k in expected], band
+            assert dtw_kernel_calls[0][:2] == (kernel, 4)
+
+    def test_cost_below_satc_is_packed_and_at_satc_recomputed(self, dtw_kernel_calls):
+        # 8 x 8 pairs against zeros: the diagonal is the one cheapest path,
+        # so the raw cost is sum(x); S = 6 and SATC = 2^24
+        satc = 1 << 24
+        xs = np.full((2, 8), 1 << 21, dtype=np.float64)
+        xs[0, 7] -= 1
+        ys = np.zeros((2, 8))
+        assert xs.sum(axis=1).tolist() == [satc - 1, satc]
+        raw, plen, exact = _dtw_np.dtw_packed(xs, ys, -1, 1 << 21)
+        assert exact.tolist() == [True, False]
+        assert (raw[0], plen[0]) == (satc - 1, 8)
+        got = dtw.dtw_norm_pairs(xs, ys)
+        assert dtw_kernel_calls == [("dtw_packed", 2, 1 << 21), ("dtw_many", 1, np.int32)]
+        assert got.tolist() == [(satc - 1) / 8, satc / 8]
+
+    @pytest.mark.parametrize("offset, dtype", [(0.5, np.float64), (-1.0, np.int32)],
+                             ids=["float", "negative"])
+    def test_float_or_negative_group_is_never_packed(self, offset, dtype,
+                                                      dtw_kernel_calls):
+        rng = np.random.default_rng(17)
+        xs = rng.integers(0, 4, (3, 12)).astype(np.float64)
+        ys = rng.integers(0, 4, (3, 10)).astype(np.float64)
+        xs[2, 5] = offset
+        assert dtw.packed_vmax(xs, ys) is None
+        expected = [_dtw_py.dtw_pair(x, y) for x, y in zip(xs, ys)]
+        assert dtw.dtw_norm_pairs(xs, ys).tolist() == [r / k for r, k in expected]
+        assert dtw_kernel_calls == [("dtw_many", 3, dtype)]
+
+
 class TestBand:
     def test_wide_band_equals_unconstrained(self):
         rng = np.random.default_rng(3)

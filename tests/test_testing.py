@@ -277,26 +277,21 @@ class TestChunks:
     single kernel call."""
 
     @pytest.mark.parametrize("n, dtype", [(200, np.float64), (400, np.int32)])
-    def test_group_splits_into_equal_chunks(self, n, dtype, monkeypatch):
+    def test_group_splits_into_equal_chunks(self, n, dtype, dtw_kernel_calls):
+        # integers in [0, 8] run packed, one int32 key a cell; one value
+        # off the integers sends the group to dtw_many in float64 costs
         rng = np.random.default_rng(n)
         xs = rng.integers(0, 9, (170, n)).astype(np.float64)
         ys = rng.integers(0, 9, (170, n)).astype(np.float64)
         if dtype == np.float64:
-            xs[5, 7] += 0.25  # off the integers: float64 costs
+            xs[5, 7] += 0.25
         itemsize = np.dtype(dtype).itemsize
         per_call = dtw.CHUNK_BYTES // (n * itemsize)
         assert 85 <= per_call < 170 and per_call < dtw.CHUNK_PAIRS
-        calls = []
-        real = dtw.dtw_many
-
-        def recorded(cx, cy, band, cdtype):
-            calls.append((np.shape(cx), np.shape(cy), np.dtype(cdtype)))
-            return real(cx, cy, band, cdtype)
-
-        monkeypatch.setattr(dtw, "dtw_many", recorded)
         got = dtw.dtw_norm_pairs(list(xs), list(ys))
         # two chunks of 85, not one of per_call and a remainder
-        assert calls == [((85, n), (85, n), np.dtype(dtype))] * 2
+        kernel = ("dtw_packed", 85, 8) if dtype == np.int32 else ("dtw_many", 85, dtype)
+        assert dtw_kernel_calls == [kernel] * 2
         raw, plen = _dtw_np.dtw_many(xs, ys, -1, dtype)
         assert got.tobytes() == (raw / plen).tobytes()
 
