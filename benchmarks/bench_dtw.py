@@ -7,28 +7,33 @@ Usage:
 For each series length n and batch size P, P random Poisson(3) pairs of
 n samples each (n * n cells per pair) go through:
 
-* numpy: the batched wavefront kernels of ``_dtw_np``: ``dtw_many`` once
-  in each cost dtype, float64 and int32, where the ``length`` column is
-  the path-length dtype it picks for n x n pairs, and ``dtw_packed``, the
-  packed int32 keys, where the ``sat`` column is the share of pairs
-  whose cost saturated (those ``dtw.dtw_norm_pairs`` runs again in
-  ``dtw_many``);
+* numpy: the batched wavefront kernels of ``_dtw_np``: ``dtw_many`` in
+  float64 costs, where the ``length`` column is the path-length dtype it
+  picks for n x n pairs, and ``dtw_packed``, the packed int32 keys, where
+  the ``sat`` column is the share of pairs whose cost saturated (those
+  ``dtw.dtw_norm_pairs`` runs again in ``dtw_many``);
+* x1500: ``dtw.dtw_norm_pairs`` on the same pairs times 1500, as
+  ``queue_bytes`` is ``mtu`` times ``queue_occupancy``: the group is
+  divided by its gcd, 1500, into the packed kernel, and its raw costs
+  multiplied back, with every saturated pair run again in float64;
 * python: the scalar oracle ``_dtw_py.dtw_pair`` once per pair.
 
-The pairs are small non-negative integers, so ``dtw.packed_vmax``
-accepts them and ``dtw.cost_dtype`` picks int32 for them, as for the
-queue-occupancy series of ``series.csv``; the script checks both before
-it times. With --band N every case runs a second time under a
-Sakoe-Chiba band of N (N >= 0), on the same pairs; its cells are those
-inside the band.
+The pairs are small non-negative integers, so ``dtw.packed_gcd_vmax``
+accepts them with gcd 1, as for the queue-occupancy series of
+``series.csv``, and the pairs times 1500 with gcd 1500; the script
+checks both before it times. With --band N every case runs a second
+time under a Sakoe-Chiba band of N (N >= 0), on the same pairs; its
+cells are those inside the band.
 
-Raw cost and path length of every pair, in every dtype, must equal the
+Raw cost and path length of every pair in float64 costs must equal the
 oracle's, and in the packed kernel every pair not saturated must, and
-every saturated one must truly reach the saturation cost, or the script
-exits non-zero. Each numpy kernel keeps the best of --repeat passes (its
-seconds are printed beside ns per cell); the oracle runs once, and its
-pass dominates the run time (under a minute at the defaults, with or
-without --band 40, on a 2-core x86 host).
+every saturated one must truly reach the saturation cost; every x1500
+distance must equal the oracle's on the pairs times 1500, or the script
+exits non-zero. Each numpy case keeps the best of --repeat passes (its
+seconds are printed beside ns per cell); the oracle runs once on the
+pairs and once on the pairs times 1500 (only the first is timed), and
+those passes dominate the run time (about two minutes at the defaults,
+on a 2-core x86 host).
 """
 
 import argparse
@@ -66,6 +71,16 @@ def check_packed(got, exact, expected, n, p, band, satc):
                          f"of {p} pairs at n={n}, band {band}")
 
 
+def check_x1500(got, xs, ys, n, p, band):
+    """dtw_norm_pairs on the pairs times 1500 equals the oracle on them."""
+    expected = [r / k for r, k in
+                (_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys))]
+    bad = sum(a != b for a, b in zip(got.tolist(), expected))
+    if bad:
+        raise SystemExit(f"dtw_norm_pairs x1500 differs from the oracle on "
+                         f"{bad} of {p} pairs at n={n}, band {band}")
+
+
 def cells_per_pair(n, band):
     """Cells (i, j) of an n x n matrix with |i - j| <= band (all if band < 0)."""
     if band < 0 or band >= n - 1:
@@ -101,11 +116,13 @@ def main():
         for p in batch_sizes:
             xs = rng.poisson(3.0, (p, n)).astype(np.float64)
             ys = rng.poisson(3.0, (p, n)).astype(np.float64)
-            if dtw.cost_dtype(xs, ys) != np.int32:
-                raise SystemExit(f"the guard rejects int32 at n={n}, P={p}")
-            vmax = dtw.packed_vmax(xs, ys)
-            if vmax is None:
+            route = dtw.packed_gcd_vmax(xs, ys)
+            if route is None or route[0] != 1:
                 raise SystemExit(f"the packed kernel refuses n={n}, P={p}")
+            vmax = route[1]
+            bx, by = xs * 1500, ys * 1500
+            if dtw.packed_gcd_vmax(bx, by) != (1500, vmax):
+                raise SystemExit(f"the pairs x1500 do not pack at n={n}, P={p}")
             satc = 1 << (30 - _dtw_np.packed_layout(n, n, vmax)[0])
             for band in bands:
                 cells = p * cells_per_pair(n, band)
@@ -113,21 +130,27 @@ def main():
                 expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
                 t_py = time.perf_counter() - t0
                 label = "full" if band < 0 else str(band)
-                for kernel in ("float64", "int32", "packed"):
+                for kernel in ("float64", "packed", "x1500"):
+                    ltype, sat = "-", "-"
                     if kernel == "packed":
                         t_np, (raw, plen, exact) = best_of(
                             args.repeat,
                             lambda: _dtw_np.dtw_packed(xs, ys, band, vmax))
                         check_packed(zip(raw, plen), exact, expected, n, p,
                                      band, satc)
-                        ltype, sat = "-", f"{1 - exact.mean():.1%}"
+                        sat = f"{1 - exact.mean():.1%}"
+                    elif kernel == "x1500":
+                        t_np, got = best_of(
+                            args.repeat,
+                            lambda: dtw.dtw_norm_pairs(
+                                bx, by, None if band < 0 else band))
+                        check_x1500(got, bx, by, n, p, band)
                     else:
                         t_np, (raw, plen) = best_of(
-                            args.repeat,
-                            lambda: _dtw_np.dtw_many(xs, ys, band, kernel))
+                            args.repeat, lambda: _dtw_np.dtw_many(xs, ys, band))
                         check(f"numpy {kernel}", zip(raw, plen), expected, n, p,
                               band)
-                        ltype, sat = _dtw_np.length_dtype(n, n).name, "-"
+                        ltype = _dtw_np.length_dtype(n, n).name
                     print(f"{n:>6} {p:>4} {label:>5} {kernel:>7} {ltype:>6} "
                           f"{t_py * 1e9 / cells:>8.1f} "
                           f"{t_np * 1e9 / cells:>8.1f} {t_py / t_np:>6.1f} "

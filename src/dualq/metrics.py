@@ -282,6 +282,9 @@ def load_run_dir(path: str) -> RunRecord:
         raise ValueError(f"{meta_path}: duration_ns is not positive")
     series_text = _read_ascii(series_path)
     series = series_text.split("\n")
+    if not any(series[1:]):
+        # np.loadtxt would warn on stderr and report its own shape
+        raise ValueError(f"{series_path} has no data rows")
     try:
         # comments=None: a '#' line is malformed input, not a comment
         samples = np.loadtxt(series, delimiter=",", dtype=np.int64, ndmin=2,

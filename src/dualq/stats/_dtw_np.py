@@ -13,18 +13,11 @@ cost equals min(d, v, h), tested in the same order, so raw cost and path
 length equal _dtw_py.dtw_pair bit for bit: same |x_i - y_j| + min sum,
 same tie-break.
 
-Costs are float64 or int32, chosen by the caller. In float64 the kernel
-does the oracle's IEEE double arithmetic, operation for operation, with
-+inf outside the matrix and the band. In int32 +inf is the sentinel
-INT32_INF = 2^30. The two dtypes give the same raw costs, the same ==
-ties and so the same path lengths when every input value is an integer
-of magnitude below 2^30 (its cast to int32 is exact) and every cost is
-below 2^30. Then each |x_i - y_j|, each min and each sum is an integer
-below 2^30 in both dtypes, and float64 holds such integers exactly. A
-cell's cost is a sum of at most n + m - 1 steps of at most max - min,
-so (n + m - 1) * (max - min) < 2^30 suffices: a real cost stays below
-the sentinel and never ties with it, and a step plus the sentinel
-(below 2^31) cannot overflow. dtw.cost_dtype applies exactly this guard.
+dtw_many keeps float64 costs: it does the oracle's IEEE double
+arithmetic, operation for operation, with +inf outside the matrix and
+the band, so it is exact on any finite input. dtw.dtw_norm_pairs runs
+it for every group dtw_packed (below) cannot take and for every pair
+dtw_packed saturates.
 
 The choice is made by masked arithmetic on path lengths, not by nested
 np.where: start from the horizontal length, add (vertical - horizontal)
@@ -38,11 +31,10 @@ returned lengths are widened to int64. A cell of diagonal k has a path
 of at most k + 1 cells, and a stale value left in a buffer comes from an
 earlier diagonal, so every length read or written lies in [0, n + m - 1]
 and every difference of two lengths, the only other value the select
-holds, in [-(n + m - 1), n + m - 1]. Under the guard neither can wrap.
+holds, in [-(n + m - 1), n + m - 1]. So neither can wrap.
 The choice itself is driven by the cost masks only, so the narrower
-lengths change no result; they halve the bytes the select moves, which
-took 66 int32-cost pairs from 4.9 to 3.6 ns per cell at 1875 samples and
-from 4.1-4.3 to 3.3-3.6 at 625 (2-core x86).
+lengths change no result; they halve the bytes the select moves
+(BENCH_dtw_int16.json).
 
 dtw_packed is the same wavefront with no select at all: each cell holds
 one int32 key, cost << S | V, where L = (n + m - 2).bit_length(), S =
@@ -79,10 +71,11 @@ SATKEY, which changes no key below it; a key then stays below
 2^30 + T * U < 2^31. The clamp is driven by k alone, before the
 diagonal's work, so a diagonal skipped by the band does not move it.
 packed_layout gives S and T; T < 1 means the group does not fit. A
-diagonal takes 8 ufunc calls where dtw_many's takes 14, and 66 pairs of
-Poisson(3) integers went from 3.2 to 1.9 ns per cell at 625 samples and
-from 3.5 to 2.1 at 1875 against int32 costs (median of five alternating
-rounds, 2-core x86).
+diagonal takes 8 ufunc calls where dtw_many's takes 14
+(BENCH_dtw_packed.json). dtw.packed_gcd_vmax sends a group here only
+when its values, divided by their gcd g, fit the keys, and only when
+every true cost is below 2^53, so that g times a reduced raw cost is
+the oracle's float64 cost exactly.
 """
 
 from __future__ import annotations
@@ -91,8 +84,6 @@ import numpy as np
 
 IMPLEMENTATION = "numpy"
 
-# +inf of the int32 cost dtype; every real int32 cost must stay below it
-INT32_INF = 1 << 30
 # +inf of dtw_packed's keys; a key at or above it is saturated
 SATKEY = 1 << 30
 
@@ -103,44 +94,34 @@ def length_dtype(n: int, m: int) -> np.dtype:
     return np.dtype(np.int16 if n + m - 1 <= np.iinfo(np.int16).max else np.int32)
 
 
-def dtw_many(xs, ys, band: int = -1,
-             dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+def dtw_many(xs, ys, band: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """DTW raw cost and path length for P pairs of equal shape.
 
     ``xs`` is (P, n) and ``ys`` is (P, m), pair p being (xs[p], ys[p]);
     either may be a sequence of P equal-length series.
     ``band`` < 0 disables the Sakoe-Chiba constraint; the caller
-    guarantees the band is feasible (>= |n - m|). ``dtype`` is the cost
-    dtype, float64 or int32; for int32 the caller guarantees integral
-    inputs and costs below INT32_INF (see the module docstring). Returns
-    (raw, plen) as float64 and int64 arrays of length P.
+    guarantees the band is feasible (>= |n - m|). Returns (raw, plen) as
+    float64 and int64 arrays of length P.
 
     Diagonal buffers are laid out (n + 1, P): position i + 1 holds cell
     (i, k - i) of every pair, so one diagonal is one contiguous block.
     Position 0 is row -1, always +inf. Positions outside a diagonal's
     cells stay +inf where a later diagonal can read them.
     """
-    dtype = np.dtype(dtype)
-    if dtype == np.float64:
-        inf = np.inf
-    elif dtype == np.int32:
-        inf = INT32_INF
-    else:
-        raise ValueError(f"cost dtype must be float64 or int32, got {dtype}")
     P, n, m = len(xs), len(xs[0]), len(ys[0])
     # one copy each: every series is cast straight into its column
-    x = np.empty((n, P), dtype=dtype)  # x[i] is x_i of every pair
-    np.stack(xs, axis=1, out=x, casting="unsafe")
-    yr = np.empty((m, P), dtype=dtype)  # yr[m - 1 - j] is y_j
-    np.stack([y[::-1] for y in ys], axis=1, out=yr, casting="unsafe")
+    x = np.empty((n, P))  # x[i] is x_i of every pair
+    np.stack(xs, axis=1, out=x)
+    yr = np.empty((m, P))  # yr[m - 1 - j] is y_j
+    np.stack([y[::-1] for y in ys], axis=1, out=yr)
     ltype = length_dtype(n, m)
-    cost = np.full((3, n + 1, P), inf, dtype=dtype)
+    cost = np.full((3, n + 1, P), np.inf)
     plen = np.zeros((3, n + 1, P), dtype=ltype)
     cost[0, 1] = np.abs(x[0] - yr[m - 1])
     plen[0, 1] = 1
     width = min(n, m)
-    step = np.empty((width, P), dtype=dtype)
-    best = np.empty((width, P), dtype=dtype)
+    step = np.empty((width, P))
+    best = np.empty((width, P))
     delta = np.empty((width, P), dtype=ltype)
     is_min = np.empty((width, P), dtype=bool)
     for k in range(1, n + m - 1):
@@ -153,7 +134,7 @@ def dtw_many(xs, ys, band: int = -1,
         lcur, lprev, lprev2 = plen[k % 3], plen[(k - 1) % 3], plen[(k - 2) % 3]
         # the row above the diagonal's first cell is out of the band or
         # the matrix; a stale value from diagonal k - 3 may sit there
-        cur[lo] = inf
+        cur[lo] = np.inf
         w = hi - lo + 1
         if w <= 0:
             continue
@@ -187,7 +168,7 @@ def dtw_many(xs, ys, band: int = -1,
         np.add(c, b, out=cur[lo + 1:hi + 2])
     last = (n + m - 2) % 3
     # copies, so that the diagonal buffers are freed on return
-    return cost[last, n].astype(np.float64), plen[last, n].astype(np.int64)
+    return cost[last, n].copy(), plen[last, n].astype(np.int64)
 
 
 def packed_layout(n: int, m: int, vmax: int) -> tuple[int, int]:

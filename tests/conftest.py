@@ -10,16 +10,29 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture()
 def dtw_kernel_calls(monkeypatch):
-    """Each call dtw_norm_pairs makes into a DTW kernel, as (name, pairs,
-    last argument): the cost dtype of dtw_many, the vmax of dtw_packed."""
+    """Each call dtw_norm_pairs makes into a DTW kernel: ("dtw_many",
+    pairs), or ("dtw_packed", pairs, (g, vmax)) with the route
+    packed_gcd_vmax gave the call's group."""
     from dualq.stats import dtw
 
-    calls = []
-    for name in ("dtw_many", "dtw_packed"):
-        def recorded(xs, ys, *args, name=name, real=getattr(dtw, name)):
-            calls.append((name, len(xs), args[-1]))
-            return real(xs, ys, *args)
-        monkeypatch.setattr(dtw, name, recorded)
+    calls, route = [], [None]
+    real_route, real_many, real_packed = (dtw.packed_gcd_vmax, dtw.dtw_many,
+                                          dtw.dtw_packed)
+
+    def packed_gcd_vmax(xs, ys):
+        route[0] = real_route(xs, ys)
+        return route[0]
+
+    def dtw_many(xs, ys, *args):
+        calls.append(("dtw_many", len(xs)))
+        return real_many(xs, ys, *args)
+
+    def dtw_packed(xs, ys, *args):
+        calls.append(("dtw_packed", len(xs), route[0]))
+        return real_packed(xs, ys, *args)
+
+    for fn in (packed_gcd_vmax, dtw_many, dtw_packed):
+        monkeypatch.setattr(dtw, fn.__name__, fn)
     return calls
 
 

@@ -760,6 +760,19 @@ class TestCorpusRuns:
         self.assert_refused(tmp_path, capsys, command, corpus,
                             f"{series}{where}", "series.csv")
 
+    def test_series_without_data_rows_is_data_error(self, tmp_path, capsys,
+                                                   recwarn):
+        # numpy warned "loadtxt: input contained no data", then the error
+        # gave numpy's shape of no data, (0, 1), as the file's
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        series = corpus / "run-00001" / "series.csv"
+        series.write_text(series.read_text().split("\n")[0] + "\n")
+        rehash(corpus, "run-00001/series.csv")
+        self.assert_refused(tmp_path, capsys, "validate", corpus, str(series),
+                            "has no data rows")
+        assert not recwarn.list
+
     @pytest.mark.parametrize("command", ["validate", "bootstrap"])
     @pytest.mark.parametrize("name, line", [("flows.csv", 2), ("series.csv", 3)])
     def test_non_ascii_byte_is_data_error(self, tmp_path, capsys, command,
@@ -821,29 +834,34 @@ class TestValidate:
         out_text = capsys.readouterr().out
         assert "throughput:" in out_text
 
-    def test_series_of_different_lengths(self, tmp_path):
+    def test_series_of_different_lengths(self, tmp_path, dtw_kernel_calls):
         # 0.2 s and 0.6 s corpora: the within-M, within-K and cross pairs
-        # are three (n, m) groups of one DTW call
+        # are three (n, m) groups of one DTW call per metric. queue_bytes
+        # is mtu (1500) times queue_occupancy, so it packs divided by 1500
         m, k = tmp_path / "m", tmp_path / "k"
         assert batch(m, 3, "--duration", "0.2") == EXIT_OK
         assert batch(k, 3, "--duration", "0.6", "--seed-base", "100") == EXIT_OK
         rep = tmp_path / "rep"
-        assert run_cli("validate", str(m), str(k), "--metrics", "queue_occupancy",
-                       "--out", str(rep)) == EXIT_OK
-        obs_m, obs_k = ([r.series("qocc_pkts") for r in load_corpus(str(c))]
-                        for c in (m, k))
-        assert len(obs_m[0]) != len(obs_k[0])
+        assert run_cli("validate", str(m), str(k), "--metrics",
+                       "queue_occupancy,queue_bytes", "--out", str(rep)) == EXIT_OK
 
         def oracle(x, y):
             raw, plen = _dtw_py.dtw_pair(x, y, -1)
             return raw / plen
 
         expected = ["metric,label,value"]
-        for label, pairs in (("within_m", itertools.combinations(obs_m, 2)),
-                             ("within_k", itertools.combinations(obs_k, 2)),
-                             ("cross", itertools.product(obs_m, obs_k))):
-            expected += [f"queue_occupancy,{label},{oracle(x, y)!r}" for x, y in pairs]
+        # distances.csv lists the metrics by name
+        for metric, column in (("queue_bytes", "qocc_bytes"),
+                               ("queue_occupancy", "qocc_pkts")):
+            obs_m, obs_k = ([r.series(column) for r in load_corpus(str(c))]
+                            for c in (m, k))
+            assert len(obs_m[0]) != len(obs_k[0])
+            for label, pairs in (("within_m", itertools.combinations(obs_m, 2)),
+                                 ("within_k", itertools.combinations(obs_k, 2)),
+                                 ("cross", itertools.product(obs_m, obs_k))):
+                expected += [f"{metric},{label},{oracle(x, y)!r}" for x, y in pairs]
         assert (rep / "distances.csv").read_text().splitlines() == expected
+        assert [call[2][0] for call in dtw_kernel_calls] == [1] * 3 + [1500] * 3
 
     def test_reports_record_their_params(self, corpora, tmp_path):
         m, k = corpora

@@ -119,27 +119,29 @@ def assert_matches_oracle(xs, ys, band):
     assert [(float(r), int(k)) for r, k in zip(raw, plen)] == expected, band
 
 
-def assert_guard_matches_oracle(xs, ys, dtype, bands=(-1,)):
-    """The guard picks dtype for these pairs; the kernel in that dtype and
-    dtw_norm_pairs, which applies the guard itself, equal the oracle."""
-    assert dtw.cost_dtype(xs, ys) == dtype
+def assert_route_matches_oracle(xs, ys, route, bands=(-1,)):
+    """packed_gcd_vmax gives route for these pairs, (g, vmax) for packed
+    keys or None for float64 costs; dtw_many, and dtw_norm_pairs, which
+    takes that route, equal the oracle."""
+    assert dtw.packed_gcd_vmax(xs, ys) == route
     for band in bands:
         expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
-        raw, plen = _dtw_np.dtw_many(xs, ys, band, dtype)
+        raw, plen = _dtw_np.dtw_many(xs, ys, band)
         assert raw.dtype == np.float64 and plen.dtype == np.int64
         assert list(zip(raw.tolist(), plen.tolist())) == expected, band
         got = dtw.dtw_norm_pairs(xs, ys, None if band < 0 else band)
         assert got.tolist() == [r / k for r, k in expected], band
 
 
-# the largest span (max - min) the int32 guard accepts for 9 x 7 pairs,
-# whose paths have at most 15 cells
-SPAN_9X7 = (_dtw_np.INT32_INF - 1) // 15
+# the largest value the 2^53 cost guard accepts for 9 x 7 pairs, whose
+# paths have at most 15 cells
+MAX_9X7 = ((1 << 53) - 1) // 15
 
 
 class TestKernelParity:
     """The batched kernel equals the scalar _dtw_py oracle bit for bit,
-    raw cost and path length, on whole batches of pairs."""
+    raw cost and path length, on whole batches of pairs, and so does
+    dtw_norm_pairs on each of its two routes."""
 
     @given(batch=batches())
     @settings(max_examples=200, deadline=None)
@@ -169,13 +171,8 @@ class TestKernelParity:
         xs[1] = np.arange(n) % 2  # alternating against constant
         ys[1] = 1.0
         gap = abs(n - m)
-        for band in (-1, gap, gap + 1, gap + 3):
-            raw, plen = _dtw_np.dtw_many(xs, ys, band)
-            assert raw.dtype == np.float64 and plen.dtype == np.int64
-            expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
-            assert list(zip(raw.tolist(), plen.tolist())) == expected, band
-        # the same pairs in int32, the cost dtype the guard picks for them
-        assert_guard_matches_oracle(xs, ys, np.int32, (-1, gap, gap + 1, gap + 3))
+        # dtw_many, and the packed keys dtw_norm_pairs runs these pairs in
+        assert_route_matches_oracle(xs, ys, (1, 1), (-1, gap, gap + 1, gap + 3))
 
     @staticmethod
     def spread(lo, hi, n, m, seed):
@@ -187,42 +184,59 @@ class TestKernelParity:
         ys[0, -1] = hi
         return xs, ys
 
-    def test_integral_span_just_below_guard_is_int32(self):
-        assert 15 * SPAN_9X7 < _dtw_np.INT32_INF
-        xs, ys = self.spread(0, SPAN_9X7, 9, 7, 1)
-        assert_guard_matches_oracle(xs, ys, np.int32, (-1, 2, 4))
-        # every step costs the whole span, so the costs reach 9 * SPAN_9X7,
-        # 0.6 of the sentinel, on a 9-cell path
+    def test_integral_span_just_below_guard_is_packed(self):
+        assert 15 * MAX_9X7 < 1 << 53
+        # multiples of g up to 6 g, and 1 among the multipliers
+        g = MAX_9X7 // 6
+        xs, ys = self.spread(0, 6, 9, 7, 1)
+        xs[0, 1] = 1.0
+        assert_route_matches_oracle(xs * g, ys * g, (g, 6), (-1, 2, 4))
+        # every step costs the largest value, so the costs reach
+        # 9 * MAX_9X7 on a 9-cell path, g times a packed cost of 9
         xs[:] = 0.0
-        ys[:] = SPAN_9X7
-        assert_guard_matches_oracle(xs, ys, np.int32, (-1, 2))
+        ys[:] = MAX_9X7
+        assert_route_matches_oracle(xs, ys, (MAX_9X7, 1), (-1, 2))
 
     def test_integral_span_at_guard_falls_back_to_float64(self):
-        assert 15 * (SPAN_9X7 + 1) >= _dtw_np.INT32_INF
-        xs, ys = self.spread(0, SPAN_9X7 + 1, 9, 7, 2)
-        assert_guard_matches_oracle(xs, ys, np.float64, (-1, 2, 4))
-        # the same span moved by -2^29 is still too wide
-        assert_guard_matches_oracle(xs - 2.0 ** 29, ys - 2.0 ** 29, np.float64)
+        assert 15 * (MAX_9X7 + 1) >= 1 << 53
+        # 0 or MAX_9X7 + 1: divided by their gcd, the values would pack
+        xs, ys = self.spread(0, 1, 9, 7, 2)
+        top = float(MAX_9X7 + 1)
+        assert_route_matches_oracle(xs * top, ys * top, None, (-1, 2, 4))
+        # the same pairs moved by -1 are negative
+        assert_route_matches_oracle(xs * top - 1, ys * top - 1, None)
 
-    def test_magnitude_just_below_2_30_is_int32(self):
-        top = float(_dtw_np.INT32_INF - 1)
-        xs, ys = self.spread(-5, 5, 12, 10, 3)
-        assert_guard_matches_oracle(top - 5 - xs, top - 5 - ys, np.int32, (-1, 2, 5))
-        assert_guard_matches_oracle(xs + 5 - top, ys + 5 - top, np.int32, (-1, 2, 5))
+    def test_wide_group_packs_only_by_its_gcd(self):
+        # values up to 10 * 2^26 are too wide for the keys of 12 x 10
+        # pairs (T < 1 beyond vmax = 2^30 // (3 << 7) - 1) unless divided
+        # by their gcd; moved by 1, or negated, they run in float64
+        g = 1 << 26
+        xs, ys = self.spread(0, 10, 12, 10, 3)
+        xs[0, 1] = 1.0
+        assert _dtw_np.packed_layout(12, 10, 10 * g)[1] < 1
+        assert_route_matches_oracle(xs * g, ys * g, (g, 10), (-1, 2, 5))
+        assert_route_matches_oracle(xs * g + 1, ys * g + 1, None, (-1, 2, 5))
+        assert_route_matches_oracle(-xs * g, -ys * g, None, (-1, 2, 5))
 
     @pytest.mark.parametrize("offset", [2.0 ** 30, -(2.0 ** 30), 2.0 ** 40])
     def test_magnitude_at_or_above_2_30_is_float64(self, offset):
-        # a span of 10, far inside the cost bound; only the magnitude fails
+        # a span of 10, but values of gcd 1 this large, or negative, do
+        # not fit the packed keys
         xs, ys = self.spread(-5, 5, 12, 10, 4)
         xs += offset
         ys += offset
-        assert_guard_matches_oracle(xs, ys, np.float64, (-1, 2, 5))
+        assert_route_matches_oracle(xs, ys, None, (-1, 2, 5))
 
     def test_non_integral_is_float64(self):
         xs, ys = self.spread(0, 6, 12, 10, 5)
         xs[3, 4] += 0.5  # one value off the integers is enough
-        assert_guard_matches_oracle(xs, ys, np.float64, (-1, 2, 5))
-        assert_guard_matches_oracle(xs / 4.0, ys / 4.0, np.float64, (-1, 2, 5))
+        assert_route_matches_oracle(xs, ys, None, (-1, 2, 5))
+        assert_route_matches_oracle(xs / 4.0, ys / 4.0, None, (-1, 2, 5))
+
+    def test_all_zero_group_is_packed_with_gcd_1(self):
+        # np.gcd.reduce of zeros is 0; the group packs undivided
+        assert_route_matches_oracle(np.zeros((2, 9)), np.zeros((2, 7)), (1, 0),
+                                    (-1, 2))
 
     @pytest.mark.parametrize("m, ltype", [(32767, np.int16), (32768, np.int32)])
     def test_longest_int16_path_and_first_int32_one(self, m, ltype):
@@ -234,56 +248,69 @@ class TestKernelParity:
         rng = np.random.default_rng(m)
         xs = rng.integers(0, 4, (2, 1)).astype(np.float64)
         ys = rng.integers(0, 4, (2, m)).astype(np.float64)
+        ys[0, :2] = (1.0, 3.0)
         assert _dtw_py.dtw_pair(xs[0], ys[0])[1] == m
-        assert_guard_matches_oracle(xs, ys, np.int32)
-        assert_matches_oracle(xs, ys, -1)
-
-    def test_rejects_other_cost_dtypes(self):
-        with pytest.raises(ValueError):
-            _dtw_np.dtw_many([[1.0]], [[2.0]], -1, np.int64)
+        assert_route_matches_oracle(xs, ys, (1, 3))
 
 
 @st.composite
 def packed_batches(draw):
-    """P >= 1 pairs of one (n, m) of integers in [0, vmax], pair 0 taking
-    vmax, and a band from batches' set. vmax is 3, or the largest whose
-    clamp period T is at least 1, 2, 3 or 4, so that T is small and many
-    pairs saturate."""
+    """P >= 1 pairs of one (n, m) of multiples of g in [0, g * vmax],
+    pair 0 taking 0 (when n + m > 2), g and g * vmax, and a band from
+    batches' set, with the route packed_gcd_vmax must give them. vmax is
+    0 (an all-zero group, route (1, 0)), 3, or the largest whose clamp
+    period T is at least 1, 2, 3 or 4, so that T is small and many pairs
+    saturate. g is 1, 2, 1500 or 7919, or puts g * vmax (n + m - 1) just
+    below 2^53, route (g, vmax), or at or above it, route None."""
     n = draw(st.integers(1, 40))
     m = draw(st.integers(1, 40))
     p = draw(st.integers(1, 5))
     shift = (n + m - 2).bit_length() + 2
-    period = draw(st.sampled_from([1, 2, 3, 4, None]))
-    vmax = 3 if period is None else _dtw_np.SATKEY // ((period + 2) << shift) - 1
+    vmax = draw(st.sampled_from(
+        [0, 3] + [_dtw_np.SATKEY // ((t + 2) << shift) - 1 for t in (1, 2, 3, 4)]))
+    top = ((1 << 53) - 1) // (n + m - 1) // max(vmax, 1)
+    g = draw(st.sampled_from([1, 2, 1500, 7919, top, top + 1]))
     values = st.one_of(st.sampled_from([0, vmax]), st.integers(0, vmax))
     xs = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(p)]
     ys = [draw(st.lists(values, min_size=m, max_size=m)) for _ in range(p)]
-    xs[0][0] = vmax
+    if vmax:
+        xs[0][0] = vmax
+        ys[0][-1] = 1
     gap = abs(n - m)
     band = draw(st.sampled_from([-1, gap, gap + 2, max(n, m), max(n, m) + 3]))
-    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), band, vmax
+    if not vmax:
+        route = (1, 0)
+    elif (n + m - 1) * g * vmax >= 1 << 53:
+        route = None
+    else:
+        route = (g, vmax)
+    return (np.array(xs, dtype=np.float64) * g, np.array(ys, dtype=np.float64) * g,
+            band, route)
 
 
 class TestPacked:
-    """dtw_packed equals _dtw_py wherever it reports a pair exact, every
-    pair it does not report reached SATC, and dtw_norm_pairs, which runs
-    those again in dtw_many, equals the oracle on every pair."""
+    """dtw_packed, run on a group divided by its gcd, equals _dtw_py
+    wherever it reports a pair exact, every pair it does not report
+    reached SATC, and dtw_norm_pairs, which runs those again in dtw_many,
+    equals the oracle on every pair."""
 
     @given(batch=packed_batches())
     @settings(max_examples=300, deadline=None)
     def test_parity_with_saturation(self, batch):
-        xs, ys, band, vmax = batch
-        assert dtw.packed_vmax(xs, ys) == vmax
-        shift, period = _dtw_np.packed_layout(xs.shape[1], ys.shape[1], vmax)
-        assert period >= 1
+        xs, ys, band, route = batch
+        assert dtw.packed_gcd_vmax(xs, ys) == route
         expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
-        raw, plen, exact = _dtw_np.dtw_packed(xs, ys, band, vmax)
-        for r, k, ok, (oraw, oplen) in zip(raw.tolist(), plen.tolist(),
-                                           exact.tolist(), expected):
-            if ok:
-                assert (r, k) == (oraw, oplen)
-            else:
-                assert oraw >= 1 << (30 - shift)
+        if route is not None:
+            g, vmax = route
+            shift, period = _dtw_np.packed_layout(xs.shape[1], ys.shape[1], vmax)
+            assert period >= 1
+            raw, plen, exact = _dtw_np.dtw_packed(xs / g, ys / g, band, vmax)
+            for r, k, ok, (oraw, oplen) in zip(raw.tolist(), plen.tolist(),
+                                               exact.tolist(), expected):
+                if ok:
+                    assert (r * g, k) == (oraw, oplen)
+                else:
+                    assert oraw >= g << (30 - shift)
         got = dtw.dtw_norm_pairs(xs, ys, None if band < 0 else band)
         assert got.tolist() == [r / k for r, k in expected]
 
@@ -297,7 +324,8 @@ class TestPacked:
             xs = rng.integers(0, vmax, (4, 9), endpoint=True).astype(np.float64)
             ys = rng.integers(0, vmax, (4, 7), endpoint=True).astype(np.float64)
             xs[0, 0] = vmax
-            assert dtw.packed_vmax(xs, ys) == (vmax if kernel == "dtw_packed" else None)
+            assert dtw.packed_gcd_vmax(xs, ys) == (
+                (1, vmax) if kernel == "dtw_packed" else None)
             dtw_kernel_calls.clear()
             for band in (-1, 2, 4):
                 expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
@@ -317,21 +345,20 @@ class TestPacked:
         assert exact.tolist() == [True, False]
         assert (raw[0], plen[0]) == (satc - 1, 8)
         got = dtw.dtw_norm_pairs(xs, ys)
-        assert dtw_kernel_calls == [("dtw_packed", 2, 1 << 21), ("dtw_many", 1, np.int32)]
+        # the saturated pair runs again in float64 costs
+        assert dtw_kernel_calls == [("dtw_packed", 2, (1, 1 << 21)), ("dtw_many", 1)]
         assert got.tolist() == [(satc - 1) / 8, satc / 8]
 
-    @pytest.mark.parametrize("offset, dtype", [(0.5, np.float64), (-1.0, np.int32)],
-                             ids=["float", "negative"])
-    def test_float_or_negative_group_is_never_packed(self, offset, dtype,
-                                                      dtw_kernel_calls):
+    @pytest.mark.parametrize("offset", [0.5, -1.0], ids=["float", "negative"])
+    def test_float_or_negative_group_is_never_packed(self, offset, dtw_kernel_calls):
         rng = np.random.default_rng(17)
         xs = rng.integers(0, 4, (3, 12)).astype(np.float64)
         ys = rng.integers(0, 4, (3, 10)).astype(np.float64)
         xs[2, 5] = offset
-        assert dtw.packed_vmax(xs, ys) is None
+        assert dtw.packed_gcd_vmax(xs, ys) is None
         expected = [_dtw_py.dtw_pair(x, y) for x, y in zip(xs, ys)]
         assert dtw.dtw_norm_pairs(xs, ys).tolist() == [r / k for r, k in expected]
-        assert dtw_kernel_calls == [("dtw_many", 3, dtype)]
+        assert dtw_kernel_calls == [("dtw_many", 3)]
 
 
 class TestBand:

@@ -457,5 +457,5 @@ class TestOracleGrid:
         assert [sender_slots(x) for x in got.senders] == [
             sender_slots(x) for x in want.senders]
         # the case exercises the ack path (in the noecn-9000 cases some
-        # flows stall with nothing acked: ROADMAP item 5)
+        # flows stall with nothing acked: ROADMAP item 6)
         assert any(x.acked_total for x in got.senders)

@@ -290,9 +290,9 @@ class TestChunks:
         assert 85 <= per_call < 170 and per_call < dtw.CHUNK_PAIRS
         got = dtw.dtw_norm_pairs(list(xs), list(ys))
         # two chunks of 85, not one of per_call and a remainder
-        kernel = ("dtw_packed", 85, 8) if dtype == np.int32 else ("dtw_many", 85, dtype)
+        kernel = ("dtw_packed", 85, (1, 8)) if dtype == np.int32 else ("dtw_many", 85)
         assert dtw_kernel_calls == [kernel] * 2
-        raw, plen = _dtw_np.dtw_many(xs, ys, -1, dtype)
+        raw, plen = _dtw_np.dtw_many(xs, ys)
         assert got.tobytes() == (raw / plen).tobytes()
 
 
