@@ -173,7 +173,8 @@ def _load_corpora(args):
 
     An --out equal to, inside or containing either corpus is a config
     error, raised before the corpora are loaded and before output_dir
-    could delete one of them.
+    could delete one of them. So is a --band narrower than the gap
+    between the runs' series lengths, which no DTW pair could span.
     """
     corpora = {"m": args.corpus_m, "k": args.corpus_k}
     out = os.path.realpath(args.out)
@@ -182,6 +183,12 @@ def _load_corpora(args):
         if os.path.commonpath([out, real]) in (out, real):
             raise ConfigError(f"--out {args.out}: overlaps the input corpus {path}")
     records = {key: load_corpus(path) for key, path in corpora.items()}
+    if args.band is not None:
+        lengths = [len(r.samples) for r in (*records["m"], *records["k"])]
+        lo, hi = min(lengths), max(lengths)
+        if args.band < hi - lo:
+            raise ConfigError(f"--band {args.band} cannot align series of {lo} and "
+                              f"{hi} samples; need at least {hi - lo}")
     inputs = {
         key: {"fingerprint": records[key][0].fingerprint,
               "manifest_sha256": sha256_file(os.path.join(path, MANIFEST_NAME))}
@@ -434,10 +441,7 @@ def main(argv=None) -> int:
     except DegenerateGroupsError as exc:
         print(f"check undefined: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except RunnerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError) as exc:
+    except (RunnerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/tracing.py wraps dtw_norm, within_matrix and cross_matrix by
-# these names; they stay only for that. Nothing in the package calls them:
-# build_distances makes one _distances call for all three matrices, so
-# those wrappers time and count 0 distances.
+# these names. build_distances calls within_matrix, so its wrapper times
+# every distance; cross_matrix and the dtw_norm re-export stay only for
+# the tracer, and nothing in the package calls them.
 from .dtw import dtw_norm, dtw_norm_pairs  # noqa: F401
 
 QUANTILE_LEVEL = 0.95
@@ -136,56 +136,52 @@ def extract_observations(records, metric_name: str):
 # ----------------------------------------------------------------------
 # distance matrices
 
-def _within_pairs(obs):
-    """The pairs (obs[i], obs[j]), i < j, in np.triu_indices order."""
+def within_matrix(obs, band: int | None = None) -> np.ndarray:
+    """Symmetric n x n distance matrix with a zero diagonal: |a - b| of
+    scalar observations, normalized DTW of time series, over the pairs
+    i < j in np.triu_indices order."""
     iu, ju = np.triu_indices(len(obs), 1)
-    return [obs[i] for i in iu], [obs[j] for j in ju]
-
-
-def _cross_pairs(obs_m, obs_k):
-    """The pairs (obs_m[i], obs_k[j]) in row-major order."""
-    return [x for x in obs_m for _ in obs_k], list(obs_k) * len(obs_m)
-
-
-def _symmetric(d, n: int) -> np.ndarray:
-    """The n x n matrix with zero diagonal whose upper triangle is d."""
-    D = np.zeros((n, n), dtype=np.float64)
-    iu, ju = np.triu_indices(n, 1)
+    if np.ndim(obs[0]) == 0:
+        a = _finite(obs)
+        d = np.abs(a[iu] - a[ju])
+    else:
+        d = dtw_norm_pairs([obs[i] for i in iu], [obs[j] for j in ju], band)
+    D = np.zeros((len(obs), len(obs)), dtype=np.float64)
     D[iu, ju] = d
     D[ju, iu] = d
     return D
 
 
-def _distances(xs, ys, band: int | None) -> np.ndarray:
-    """The distance of each pair (xs[p], ys[p]): |x - y| of scalar
-    observations, normalized DTW of time series."""
-    if np.ndim(xs[0]) == 0:
-        return np.abs(_finite(xs) - _finite(ys))
-    return dtw_norm_pairs(xs, ys, band)
-
-
-def within_matrix(obs, band: int | None = None) -> np.ndarray:
-    """Symmetric n x n distance matrix with a zero diagonal."""
-    return _symmetric(_distances(*_within_pairs(obs), band), len(obs))
-
-
 def cross_matrix(obs_m, obs_k, band: int | None = None) -> np.ndarray:
-    d = _distances(*_cross_pairs(obs_m, obs_k), band)
-    return d.reshape(len(obs_m), len(obs_k))
+    """The n x m distances between the corpora: the off-diagonal block of
+    their pooled within_matrix."""
+    return within_matrix([*obs_m, *obs_k], band)[:len(obs_m), len(obs_m):]
 
 
 @dataclass(frozen=True)
 class DistanceSets:
-    """The three distance matrices of two corpora; the condensed
-    collections are views derived from them."""
+    """The pooled (n + m) x (n + m) distance matrix of two corpora, the n
+    runs of M first; the within and cross blocks, and their condensed
+    collections, are views derived from it."""
 
-    matrix_mm: np.ndarray
-    matrix_kk: np.ndarray
-    matrix_mk: np.ndarray
+    pooled: np.ndarray
+    n_m: int
+
+    @property
+    def matrix_mm(self) -> np.ndarray:
+        return self.pooled[:self.n_m, :self.n_m]
+
+    @property
+    def matrix_kk(self) -> np.ndarray:
+        return self.pooled[self.n_m:, self.n_m:]
+
+    @property
+    def matrix_mk(self) -> np.ndarray:
+        return self.pooled[:self.n_m, self.n_m:]
 
     @property
     def within_m(self) -> np.ndarray:
-        return self.matrix_mm[np.triu_indices(self.matrix_mm.shape[0], 1)]
+        return self.matrix_mm[np.triu_indices(self.n_m, 1)]
 
     @property
     def within_k(self) -> np.ndarray:
@@ -207,12 +203,7 @@ def build_distances(obs_m, obs_k, band: int | None = None) -> DistanceSets:
         )
     # one call for the within-M, within-K and cross pairs: the DTW kernel
     # runs one group per (n, m), 1.4-1.5x faster than three calls
-    wm, wk, mk = _within_pairs(obs_m), _within_pairs(obs_k), _cross_pairs(obs_m, obs_k)
-    d = _distances(wm[0] + wk[0] + mk[0], wm[1] + wk[1] + mk[1], band)
-    a = len(wm[0])
-    b = a + len(wk[0])
-    return DistanceSets(_symmetric(d[:a], n), _symmetric(d[a:b], m),
-                        d[b:].reshape(n, m))
+    return DistanceSets(within_matrix([*obs_m, *obs_k], band), n)
 
 
 # ----------------------------------------------------------------------
@@ -384,11 +375,11 @@ def ci_width_curve(
     """Bootstrap CI width as a function of corpus size.
 
     For each n in sizes, the first n runs of each corpus are taken
-    (slicing the precomputed matrices) and the bootstrap repeated, all
-    sizes drawing in turn from one generator seeded once.
+    (their rows and columns of the pooled matrix) and the bootstrap
+    repeated, all sizes drawing in turn from one generator seeded once.
     """
-    n = ds.matrix_mm.shape[0]
-    m = ds.matrix_kk.shape[0]
+    n = ds.n_m
+    m = ds.pooled.shape[0] - n
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = []
     for size in sizes:
@@ -399,11 +390,8 @@ def ci_width_curve(
             raise ValueError(
                 f"corpus slice {size} exceeds available runs ({n}, {m})"
             )
-        sub = DistanceSets(
-            ds.matrix_mm[:size, :size],
-            ds.matrix_kk[:size, :size],
-            ds.matrix_mk[:size, :size],
-        )
+        runs = np.r_[:size, n:n + size]
+        sub = DistanceSets(ds.pooled[np.ix_(runs, runs)], size)
         ci_lo, ci_hi = percentile_ci(_replicates(sub, B, rng))
         rows.append(
             {

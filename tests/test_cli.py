@@ -967,7 +967,7 @@ class TestBootstrap:
         rep = tmp_path / "rep"
         code = run_cli("bootstrap", str(m), str(k), "-B", "50", "--metrics",
                        "queue_occupancy", "--band", "0", "--out", str(rep))
-        assert code == EXIT_RUNTIME
+        assert code == EXIT_CONFIG
         assert "band" in capsys.readouterr().err
         assert not rep.exists()
 
@@ -1013,6 +1013,33 @@ class TestNoSpreadWarning:
         capsys.readouterr()
         self.run(tmp_path, command, m, k)
         assert "warning" not in capsys.readouterr().err
+
+
+class TestBandBelowLengthGap:
+    """A --band narrower than the gap between the corpora's series lengths
+    can align no cross pair; it is a config error found before --out is
+    made, not a DTW error after it."""
+
+    COMMANDS = {"validate": (), "bootstrap": ("-B", "50")}
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    def test_band_below_gap_is_config_error(self, tmp_path, capsys, command):
+        m, k = tmp_path / "m", tmp_path / "k"
+        assert batch(m, 2, "--duration", "1") == EXIT_OK
+        assert batch(k, 2, "--duration", "2") == EXIT_OK
+        lengths = {len(load_corpus(str(c))[0].samples) for c in (m, k)}
+        assert lengths == {63, 125}
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        args = (command, str(m), str(k), "--metrics", "queue_occupancy",
+                "--out", str(rep), *self.COMMANDS[command])
+        assert run_cli(*args, "--band", "61") == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: --band 61")
+        assert "p_hat" not in out
+        assert not rep.exists()
+        # the gap itself is the narrowest band that aligns every pair
+        assert run_cli(*args, "--band", "62") == EXIT_OK
 
 
 class TestOutOverlapsCorpus:

@@ -258,6 +258,21 @@ class TestBatchedMatrices:
         assert within_matrix(a).tobytes() == ds.matrix_mm.tobytes()
         assert cross_matrix(a, b).tobytes() == ds.matrix_mk.tobytes()
 
+    @pytest.mark.parametrize("kind", ["scalar", "unequal lengths"])
+    def test_pooled_is_within_matrix_of_both(self, kind):
+        # the one stored form of a comparison: the M runs, then the K runs
+        gen = np.random.default_rng(9)
+        if kind == "scalar":
+            obs_m, obs_k = gen.normal(10.0, 1.0, 5), gen.normal(10.5, 1.0, 4)
+        else:
+            obs_m = [gen.poisson(2.0, 6).astype(np.float64) for _ in range(5)]
+            obs_k = [gen.poisson(2.0, 8).astype(np.float64) for _ in range(4)]
+        ds = build_distances(obs_m, obs_k)
+        P = ds.pooled
+        assert ds.n_m == 5 and P.shape == (9, 9) and P.dtype == np.float64
+        assert (P == P.T).all() and not np.diag(P).any()
+        assert P.tobytes() == within_matrix([*obs_m, *obs_k]).tobytes()
+
     @pytest.mark.parametrize("bad, band", [
         (np.array([1.0, np.nan, 2.0]), None),
         (np.array([]), None),
@@ -552,10 +567,11 @@ class TestChunkedReplicates:
 
         oracle_rng = _pcg(seed)
         expected = []
+        P, n = ds.pooled, ds.n_m
         for size in sizes:
-            sub = DistanceSets(ds.matrix_mm[:size, :size],
-                               ds.matrix_kk[:size, :size],
-                               ds.matrix_mk[:size, :size])
+            sub = DistanceSets(np.block([[P[:size, :size], P[:size, n:n + size]],
+                                         [P[n:n + size, :size], P[n:n + size, n:n + size]]]),
+                               size)
             lo, hi = percentile_ci(bootstrap_replicates_oracle(sub, B, oracle_rng))
             expected.append((size, lo, hi, hi - lo))
         assert [(r["n"], r["ci_lo"], r["ci_hi"], r["width"]) for r in rows] == expected

@@ -50,3 +50,40 @@ def test_corpus_load_is_traced(tmp_path, monkeypatch):
     for name in ("runner.load_corpus", "runner.verify_corpus", "runner.hash",
                  "metrics.load_run_dir"):
         assert tracer.calls[name][0] >= 1, name
+
+
+def test_distances_are_traced(tmp_path, monkeypatch):
+    # perfbench's stats.dtw.s times the within_matrix spans; a distance
+    # path that went round the wrapped name would zero it silently
+    m, k = str(tmp_path / "m"), str(tmp_path / "k")
+    for corpus, seed_base in ((m, "0"), (k, "100")):
+        assert dualq.cli.main(["batch", "--preset", "low", "--duration", "0.5",
+                               "--runs", "2", "--seed-base", seed_base,
+                               "--out", corpus]) == 0
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    testing = sys.modules["dualq.stats.testing"]
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "dualq" or name.startswith("dualq.")}
+    kernel_calls = []
+    kernel = testing.dtw_norm_pairs
+
+    def timed_kernel(*args):
+        kernel_calls.append(tracing._clock())
+        return kernel(*args)
+
+    monkeypatch.setattr(testing, "dtw_norm_pairs", timed_kernel)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        assert dualq.cli.main(["validate", m, k, "--metrics",
+                               "throughput,queue_occupancy",
+                               "--out", str(tmp_path / "rep")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s[1] == "stats.dtw.within_matrix"]
+    assert len(spans) == 2  # one per metric: throughput, then queue_occupancy
+    _, _, start, end, _, _ = spans[1]
+    assert end > start
+    # the series metric's DTW ran inside its span
+    assert len(kernel_calls) == 1 and start < kernel_calls[0] < end
