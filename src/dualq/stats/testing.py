@@ -37,12 +37,13 @@ DECISION_THRESHOLD = 0.05
 DEFAULT_B = 2000
 BOOTSTRAP_ALGORITHM = "pcg64"
 # Bootstrap replicates run through numpy a chunk at a time, as many per
-# chunk as keep its largest block (the gathered cross rows, or a within
-# gather when one corpus has about twice the runs of the other) within
-# 512 KB (64k float64 cells): 655 replicates at n = m = 10, 72 at 30, 6 at
-# 100. At B = 2000 twice the budget was 4-18% faster at n = 30 and 100 but
-# took the tracemalloc peak from 0.74 to 1.38 MB; half of it was 10-25% slower
-# at n = 100 (2-core x86).
+# chunk as keep its largest block within 512 KB at 8 bytes a cell (64k
+# cells): the int64 flat indices of a within gather, or the float32 cross
+# mask, one cell per pair: 655 replicates at n = m = 10, 72 at 30, 6 at
+# 100. At B = 2000, on benchmarks/bench_bootstrap.py's normal and tied
+# corpora, half the budget was 5-32% slower and twice it 46-84% slower
+# (1-8% faster on the tied corpora at n = 100), with tracemalloc peaks of
+# 1.22-1.50 MB against 0.63-0.90 (three sessions, 2-core x86).
 REPLICATE_BYTES = 1 << 19
 
 
@@ -67,18 +68,28 @@ def quantile(values, q: float) -> float:
 
 def _quantile_last(x, q: float):
     """``np.quantile(x, q, axis=-1, method="linear")`` of finite values, bit
-    for bit, from one partition at rank lo: the next order statistic is the
-    least value after it. The interpolation is numpy's ``_lerp``.
+    for bit: numpy's ``_lerp`` between the two order statistics of
+    _order_stats.
 
     ``x`` is partitioned in place, so its callers pass arrays of their own:
-    the within blocks _replicates has just gathered, the condensed views of
-    DistanceSets (fresh on every access) or quantile()'s copy."""
+    the condensed views of DistanceSets (fresh on every access) or
+    quantile()'s copy."""
+    return _lerp(*_order_stats(x, q))
+
+
+def _order_stats(x, q: float):
+    """The order statistics a and b at ranks lo and lo + 1 along the last
+    axis, lo = int((len - 1) q), and the weight g of b: one partition of x
+    in place at lo, b the least value after it."""
     v = (x.shape[-1] - 1) * q
     lo = int(v)
-    g = v - lo
     x.partition(lo, axis=-1)
     a = x[..., lo]
     b = x[..., lo + 1:].min(axis=-1) if lo < x.shape[-1] - 1 else a
+    return a, b, v - lo
+
+
+def _lerp(a, b, g: float):
     if g >= 0.5:
         return b - (b - a) * (1 - g)
     return a + (b - a) * g
@@ -307,19 +318,32 @@ def bootstrap_exceedance(
 
 def _replicates_per_chunk(n: int, m: int) -> int:
     """Replicates per numpy pass at n and m runs: REPLICATE_BYTES over the
-    largest float64 block of one replicate, at least one."""
+    largest block of one replicate at 8 bytes a cell, at least one."""
     cells = max(n * m, n * (n - 1) // 2, m * (m - 1) // 2)
     return max(1, REPLICATE_BYTES // (cells * 8))
 
 
-def _within(D, runs, iu, ju):
-    """Each replicate's within distances: D (raveled, n x n) at the drawn
-    runs' upper-triangle pairs, through their flat indices."""
+def _rank_codes(ds: DistanceSets):
+    """The distinct distances of ds in ascending order, then its within-M,
+    within-K and cross blocks with each distance coded as its index there:
+    int16 when every code and every threshold (at most len(values)) fits,
+    else int32."""
+    values = np.unique(ds.pooled)
+    dtype = np.int16 if len(values) <= np.iinfo(np.int16).max else np.int32
+    return values, *(np.searchsorted(values, D).astype(dtype)
+                     for D in (ds.matrix_mm, ds.matrix_kk, ds.matrix_mk))
+
+
+def _within_eps(values, codes, runs, iu, ju):
+    """Each replicate's within quantile: the codes (raveled, n x n) at the
+    drawn runs' upper-triangle pairs, gathered through their flat indices,
+    and the two order statistics decoded through values."""
     # take along axis 1, not runs[:, iu], which copies a column of a few
     # replicates per pair: 2.5x slower at 6 replicates of n = 100
     flat = np.take(runs * runs.shape[1], iu, axis=1)
     flat += np.take(runs, ju, axis=1)
-    return D.take(flat)
+    a, b, g = _order_stats(codes.take(flat), QUANTILE_LEVEL)
+    return _lerp(values[a], values[b], g)
 
 
 def _replicates(ds: DistanceSets, B: int, rng: np.random.Generator) -> np.ndarray:
@@ -329,33 +353,52 @@ def _replicates(ds: DistanceSets, B: int, rng: np.random.Generator) -> np.ndarra
     ``high`` is n, or n n times then m m times when m != n: each element is
     one bounded draw from PCG64's buffered 32-bit stream, so values and
     generator state equal ``rng.integers(0, n, n)`` then
-    ``rng.integers(0, m, m)`` per replicate. Within distances are gathered
-    through the flat indices of the upper-triangle pairs. The cross block
-    gathers whole rows of the drawn M runs and compares them with eps once;
-    each column then counts as often as its K run was drawn, so the count
-    above eps, and the p_hat it is divided into, are those of the full
-    resampled block.
+    ``rng.integers(0, m, m)`` per replicate.
+
+    The replicates run on rank codes (_rank_codes): each distance is coded
+    as its index in ``values``, the distinct distances in ascending order,
+    in int16 or int32. Codes preserve order, so the two order statistics of
+    a replicate's within codes, gathered through the flat indices of the
+    upper-triangle pairs, decode through ``values`` to those of its within
+    distances, and _quantile_last's interpolation between them gives eps
+    bit for bit. A distance is above eps exactly when its code is at least
+    t = searchsorted(values, eps, "right"), the number of values not above
+    eps. The count above eps is cm . [codes_mk >= t] . ck on the
+    un-gathered n x m cross codes, cm and ck the times each M and K run was
+    drawn: each cell counts once per pair of draws that resamples it, as in
+    the full resampled block. cm . mask sums integers of at most n in
+    float32, exact below 2^24 runs, and the dot with ck integers of at most
+    n m in float64, exact below 2^53. So the count, and the p_hat it is
+    divided into, are exact.
     """
-    Dmm, Dkk = ds.matrix_mm.ravel(), ds.matrix_kk.ravel()
-    n = ds.matrix_mm.shape[0]
-    m = ds.matrix_kk.shape[0]
+    values, codes_mm, codes_kk, codes_mk = _rank_codes(ds)
+    codes_mm, codes_kk = codes_mm.ravel(), codes_kk.ravel()
+    n, m = codes_mk.shape
     iu_n, ju_n = np.triu_indices(n, 1)
     iu_m, ju_m = np.triu_indices(m, 1)
     # a scalar bound draws the same values 3-4x faster than an array
     high = n if n == m else np.repeat([n, m], [n, m])
     per_chunk = _replicates_per_chunk(n, m)
-    offsets = np.arange(0, per_chunk * m, m)[:, None]
+    # a draw plus its shift is a bin of one bincount: each replicate's n + m
+    # bins, the M runs' then the K runs'
+    shift = np.arange(0, per_chunk * (n + m), n + m)[:, None] + np.repeat([0, n], [n, m])
+
+    def above(draw):
+        # a function, so that no block of a chunk outlives it
+        size = len(draw)
+        eps = np.maximum(_within_eps(values, codes_mm, draw[:, :n], iu_n, ju_n),
+                         _within_eps(values, codes_kk, draw[:, n:], iu_m, ju_m))
+        t = np.searchsorted(values, eps, "right").astype(codes_mk.dtype)
+        counts = np.bincount((draw + shift[:size]).ravel(), minlength=size * (n + m))
+        counts = counts.reshape(size, n + m)
+        mask = (codes_mk >= t[:, None, None]).astype(np.float32)
+        w = counts[:, None, :n].astype(np.float32) @ mask
+        return np.einsum("sm,sm->s", w[:, 0], counts[:, n:])
+
     reps = np.empty(B, dtype=np.float64)
     for start in range(0, B, per_chunk):
         size = min(per_chunk, B - start)
-        draw = rng.integers(0, high, size=(size, n + m))
-        im, ik = draw[:, :n], draw[:, n:]
-        eps = np.maximum(_quantile_last(_within(Dmm, im, iu_n, ju_n), QUANTILE_LEVEL),
-                         _quantile_last(_within(Dkk, ik, iu_m, ju_m), QUANTILE_LEVEL))
-        counts = np.bincount((ik + offsets[:size]).ravel(), minlength=size * m)
-        above = np.einsum("sam,sm->s", ds.matrix_mk[im] > eps[:, None, None],
-                          counts.reshape(size, m))
-        reps[start:start + size] = above / (n * m)
+        reps[start:start + size] = above(rng.integers(0, high, size=(size, n + m))) / (n * m)
     return reps
 
 

@@ -500,26 +500,46 @@ class TestChunkedReplicates:
 
     @given(
         sizes=sizes_at_chunk_edges(2, 40),
-        integers=st.booleans(),
+        kind=st.sampled_from(["normal", "integers", "constant"]),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
     )
     # both draw bounds on every run: the scalar bound of n == m (the
     # perfbench and ci_width_curve case) and the repeated bounds of n != m
-    @example(sizes=_short_last_chunk(30, 30), integers=False, data_seed=0, seed=0)
-    @example(sizes=_short_last_chunk(12, 40), integers=False, data_seed=0, seed=0)
+    @example(sizes=_short_last_chunk(30, 30), kind="normal", data_seed=0, seed=0)
+    @example(sizes=_short_last_chunk(12, 40), kind="normal", data_seed=0, seed=0)
+    # eps on a distance that some cross distances equal, which are not above
+    # it, at n == m and n != m; then every within distance 0, so eps = 0,
+    # with every cross distance 0 and with every one 1 (criterion 12's shape)
+    @example(sizes=_short_last_chunk(30, 30), kind="integers", data_seed=0, seed=0)
+    @example(sizes=_short_last_chunk(12, 40), kind="integers", data_seed=0, seed=0)
+    @example(sizes=(9, 5, 7), kind="constant", data_seed=1, seed=0)
+    @example(sizes=(9, 5, 7), kind="constant", data_seed=2, seed=0)
     @settings(max_examples=60, deadline=None)
-    def test_scalar_matches_oracle(self, sizes, integers, data_seed, seed):
+    def test_scalar_matches_oracle(self, sizes, kind, data_seed, seed):
         n, m, B = sizes
         gen = np.random.default_rng(data_seed)
-        if integers:
+        if kind == "integers":
             # few distinct values: tied observations and tied distances
             a = gen.integers(0, 4, n).astype(np.float64)
             b = gen.integers(1, 5, m).astype(np.float64)
+        elif kind == "constant":
+            # no spread in either corpus; the corpora equal or 1 apart
+            a = np.zeros(n)
+            b = np.full(m, float(gen.integers(0, 2)))
         else:
             a = gen.normal(0, 1, n)
             b = gen.normal(0.5, 1, m)
         self.check(build_distances(a, b), B, seed)
+
+    def test_int32_codes_match_oracle(self):
+        # 258 runs give C(258, 2) + 1 = 33154 distinct distances, too many
+        # codes for int16; B spans two chunks
+        gen = np.random.default_rng(0)
+        ds = build_distances(gen.normal(0, 1, 129), gen.normal(0.5, 1, 129))
+        values, codes_mm, _, _ = testing._rank_codes(ds)
+        assert len(values) == 33154 and codes_mm.dtype == np.int32
+        self.check(ds, testing._replicates_per_chunk(129, 129) + 1, 0)
 
     @given(
         sizes=sizes_at_chunk_edges(2, 20),
