@@ -5,7 +5,9 @@ Usage:
         [--repeat 5] [--seed 0]
 
 For each corpus size n, two pairs of fixed-seed scalar corpora of n runs
-each go through ``bootstrap_exceedance`` --repeat times:
+each go through ``bootstrap_exceedance`` --repeat times, and so does one
+normal pair of 12 against 40 runs, which draws its runs with the bounds
+of n != m:
 
 * normal: normal throughputs, the second corpus shifted by half a
   standard deviation so that the replicates spread; nearly every
@@ -16,10 +18,13 @@ each go through ``bootstrap_exceedance`` --repeat times:
   pairs).
 
 Each row gives the pair's distinct distances and the dtype of the rank
-codes the replicates run on, the median wall time of one call,
-replicates/s at that median, and the tracemalloc peak of one
-``testing._replicates`` call, outside the timed calls. The default sizes
-are the ci-width sizes of the bootstrap benchmark workload plus n=100.
+codes the cross counts run on, the median wall time of one call,
+replicates/s at that median, and, from one ``testing._replicates`` call
+outside the timed calls, its tracemalloc peak and the share of the
+within quantiles (one per replicate and corpus) that the first pass's
+prefix did not settle, so that the second pass weighed the corpus's
+whole pair list. The default sizes are the ci-width sizes of the
+bootstrap benchmark workload plus n=100.
 
 For each pair, the replicate array of the timed generator seed
 (``testing._replicates``) must equal the one-at-a-time oracle
@@ -45,9 +50,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from _oracles import bootstrap_replicates_oracle  # noqa: E402
 
 
-def corpora(n, seed, tied):
+def corpora(n, m, seed, tied):
     gen = np.random.default_rng(seed)
-    a, b = gen.normal(10.0, 1.0, n), gen.normal(10.5, 1.0, n)
+    a, b = gen.normal(10.0, 1.0, n), gen.normal(10.5, 1.0, m)
     if tied:
         # multiples of 1/16 are exact, and so is every distance between them
         a, b = np.round(a * 16) / 16, np.round(b * 16) / 16
@@ -56,6 +61,33 @@ def corpora(n, seed, tied):
 
 def pcg(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def second_pass_share(ds, B, seed):
+    """The share of within quantiles of one ``testing._replicates`` call
+    that the second pass settled, with its tracemalloc peak."""
+    rows = {"first": 0, "second": 0}
+    inner = testing._reaching
+
+    def spy(counts, iu, ju, ranks):
+        # the second pass weighs all of a corpus's pairs, and only when the
+        # prefix is shorter than that
+        runs, replicates = counts.shape
+        pairs = runs * (runs - 1) // 2
+        lo = int((pairs - 1) * testing.QUANTILE_LEVEL)
+        full = len(iu) == pairs > testing.WITHIN_PREFIX * (pairs - lo)
+        rows["second" if full else "first"] += replicates
+        return inner(counts, iu, ju, ranks)
+
+    testing._reaching = spy
+    tracemalloc.start()
+    try:
+        testing._replicates(ds, B, pcg(seed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        testing._reaching = inner
+    return rows["second"] / rows["first"], peak
 
 
 def main():
@@ -68,25 +100,22 @@ def main():
     args = parser.parse_args()
 
     B = testing.DEFAULT_B
-    print(f"{'n':>5} {'pair':>6} {'distinct':>8} {'codes':>6} {'B':>6} {'wall_s':>8} "
-          f"{'replicates/s':>13} {'peak_MB':>8}")
+    print(f"{'n':>5} {'m':>5} {'pair':>6} {'distinct':>8} {'codes':>6} {'B':>6} {'wall_s':>8} "
+          f"{'replicates/s':>13} {'second':>6} {'peak_MB':>8}")
     mismatched = []
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    for n, pair in ((n, pair) for n in sizes for pair in ("normal", "tied")):
-        ds = corpora(n, args.seed + n, pair == "tied")
-        values, codes, _, _ = testing._rank_codes(ds)
+    pairs = [(n, n, pair) for n in sizes for pair in ("normal", "tied")]
+    for n, m, pair in pairs + [(12, 40, "normal")]:
+        ds = corpora(n, m, args.seed + n, pair == "tied")
+        values, codes = testing._rank_codes(ds)
         oracle_rng, rng = pcg(args.seed), pcg(args.seed)
         expected = bootstrap_replicates_oracle(ds, B, oracle_rng)
-        tracemalloc.start()
-        try:
-            got = testing._replicates(ds, B, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        second, peak = second_pass_share(ds, B, args.seed)
+        got = testing._replicates(ds, B, rng)
         if not np.array_equal(got, expected):
-            mismatched.append(f"n={n} {pair}: replicates")
+            mismatched.append(f"n={n} m={m} {pair}: replicates")
         if rng.bit_generator.state != oracle_rng.bit_generator.state:
-            mismatched.append(f"n={n} {pair}: generator state")
+            mismatched.append(f"n={n} m={m} {pair}: generator state")
         lo, hi = testing.percentile_ci(expected)
         walls = []
         for _ in range(args.repeat):
@@ -96,10 +125,10 @@ def main():
             if (res.ci_lo, res.ci_hi, res.replicates_mean) != (
                 lo, hi, float(expected.mean())
             ):
-                mismatched.append(f"n={n} {pair}: CI or replicate mean")
+                mismatched.append(f"n={n} m={m} {pair}: CI or replicate mean")
         wall = statistics.median(walls)
-        print(f"{n:>5} {pair:>6} {len(values):>8} {codes.dtype.name:>6} {B:>6} {wall:>8.4f} "
-              f"{B / wall:>13.0f} {peak / 1e6:>8.2f}")
+        print(f"{n:>5} {m:>5} {pair:>6} {len(values):>8} {codes.dtype.name:>6} {B:>6} "
+              f"{wall:>8.4f} {B / wall:>13.0f} {second:>6.1%} {peak / 1e6:>8.2f}")
     if mismatched:
         raise SystemExit("bootstrap differs from the oracle: "
                          + ", ".join(sorted(set(mismatched))))

@@ -38,13 +38,28 @@ DEFAULT_B = 2000
 BOOTSTRAP_ALGORITHM = "pcg64"
 # Bootstrap replicates run through numpy a chunk at a time, as many per
 # chunk as keep its largest block within 512 KB at 8 bytes a cell (64k
-# cells): the int64 flat indices of a within gather, or the float32 cross
-# mask, one cell per pair: 655 replicates at n = m = 10, 72 at 30, 6 at
-# 100. At B = 2000, on benchmarks/bench_bootstrap.py's normal and tied
-# corpora, half the budget was 5-32% slower and twice it 46-84% slower
-# (1-8% faster on the tied corpora at n = 100), with tracemalloc peaks of
-# 1.22-1.50 MB against 0.63-0.90 (three sessions, 2-core x86).
+# cells): the int64 weights of a within second pass, one per pair of a
+# corpus's runs, or the float32 cross mask, one per cross pair (the
+# bincount's n + m counts a replicate are fewer): 655 replicates at
+# n = m = 10, 72 at 30, 6 at 100. At B = 2000, on
+# benchmarks/bench_bootstrap.py's normal and tied corpora (two sessions,
+# 2-core x86), half the budget was within 5% at n = 10 and 21-71% slower
+# at 30 and 100; twice it was 11-15% slower at n = 10 but 13-38% faster at
+# 30 and 100, with tracemalloc peaks of 0.9-1.4 MB against 0.5-0.8. The
+# budget bounds memory, as test_peak_memory_stays_near_the_budget checks,
+# so a larger one is a change of its own, measured end to end.
 REPLICATE_BYTES = 1 << 19
+# A replicate's within quantile is looked for first among its corpus's
+# largest pairs: a prefix of WITHIN_PREFIX (P - lo) of the P pairs, P - lo
+# being the rank from the top that eps needs (23 of 435 at n = 30). On
+# bench_bootstrap.py's normal corpora factor 3 left 7.4% of the within
+# quantiles to the second pass at n = 10, 3.6% at 30 and 0% at 100; factor
+# 2 left 22%, 16% and 1%, factor 4 2.6%, 0.9% and 0%. Against the gather
+# and partition it replaced, _replicates at B = 2000 was 17%, 30% and 41%
+# faster at n = 10, 30 and 100 with factor 3, 14%, 22% and 43% with 2,
+# 20%, 38% and 25% with 4 (15 alternating rounds, 2-core x86); perfbench's
+# bootstrap-scalar run_s did not tell the three apart in 5 pairs each.
+WITHIN_PREFIX = 3
 
 
 class DegenerateGroupsError(Exception):
@@ -324,26 +339,52 @@ def _replicates_per_chunk(n: int, m: int) -> int:
 
 
 def _rank_codes(ds: DistanceSets):
-    """The distinct distances of ds in ascending order, then its within-M,
-    within-K and cross blocks with each distance coded as its index there:
-    int16 when every code and every threshold (at most len(values)) fits,
-    else int32."""
+    """The distinct distances of ds in ascending order, and its cross block
+    with each distance coded as its index there: int16 when every code and
+    every threshold (at most len(values)) fits, else int32."""
     values = np.unique(ds.pooled)
     dtype = np.int16 if len(values) <= np.iinfo(np.int16).max else np.int32
-    return values, *(np.searchsorted(values, D).astype(dtype)
-                     for D in (ds.matrix_mm, ds.matrix_kk, ds.matrix_mk))
+    return values, np.searchsorted(values, ds.matrix_mk).astype(dtype)
 
 
-def _within_eps(values, codes, runs, iu, ju):
-    """Each replicate's within quantile: the codes (raveled, n x n) at the
-    drawn runs' upper-triangle pairs, gathered through their flat indices,
-    and the two order statistics decoded through values."""
-    # take along axis 1, not runs[:, iu], which copies a column of a few
-    # replicates per pair: 2.5x slower at 6 replicates of n = 100
-    flat = np.take(runs * runs.shape[1], iu, axis=1)
-    flat += np.take(runs, ju, axis=1)
-    a, b, g = _order_stats(codes.take(flat), QUANTILE_LEVEL)
-    return _lerp(values[a], values[b], g)
+def _top_pairs(D):
+    """The i < j distances of a corpus's distance matrix D largest first,
+    with one 0.0 appended for the same-run slot pairs, and the two runs of
+    each pair."""
+    iu, ju = np.triu_indices(len(D), 1)
+    within = D[iu, ju]
+    order = np.argsort(within, kind="stable")[::-1]
+    return np.append(within[order], 0.0), iu[order], ju[order]
+
+
+def _reaching(counts, iu, ju, ranks):
+    """For each column of draw counts c (one row per run, one column per
+    replicate), the first position k along the pairs (iu, ju) where the
+    cumulative weight c[iu] c[ju] reaches each of ranks, or len(iu) where it
+    does not."""
+    cum = counts[iu]
+    cum *= counts[ju]
+    cum.cumsum(axis=0, out=cum)
+    return [np.add.reduce(cum < r, axis=0, dtype=np.intp) for r in ranks]
+
+
+def _within_eps(top, counts):
+    """Each replicate's within quantile from its corpus's _top_pairs and
+    the times each run was drawn (one column per replicate)."""
+    dist, iu, ju = top
+    P = len(iu)
+    v = (P - 1) * QUANTILE_LEVEL
+    lo = int(v)
+    # ascending ranks lo and lo + 1 are the (P - lo)-th and (P - lo - 1)-th
+    # largest; at P = 1 both are the one slot pair
+    ranks = P - lo, max(P - lo - 1, 1)
+    prefix = min(WITHIN_PREFIX * (P - lo), P)
+    ia, ib = _reaching(counts, iu[:prefix], ju[:prefix], ranks)
+    if prefix < P:
+        left = np.flatnonzero(ia == prefix)
+        if len(left):
+            ia[left], ib[left] = _reaching(counts[:, left], iu, ju, ranks)
+    return _lerp(dist[ia], dist[ib], v - lo)
 
 
 def _replicates(ds: DistanceSets, B: int, rng: np.random.Generator) -> np.ndarray:
@@ -353,47 +394,66 @@ def _replicates(ds: DistanceSets, B: int, rng: np.random.Generator) -> np.ndarra
     ``high`` is n, or n n times then m m times when m != n: each element is
     one bounded draw from PCG64's buffered 32-bit stream, so values and
     generator state equal ``rng.integers(0, n, n)`` then
-    ``rng.integers(0, m, m)`` per replicate.
+    ``rng.integers(0, m, m)`` per replicate. cm and ck, the times each M
+    and K run was drawn, come from one offset ``bincount`` of the draw.
 
-    The replicates run on rank codes (_rank_codes): each distance is coded
-    as its index in ``values``, the distinct distances in ascending order,
-    in int16 or int32. Codes preserve order, so the two order statistics of
-    a replicate's within codes, gathered through the flat indices of the
-    upper-triangle pairs, decode through ``values`` to those of its within
-    distances, and _quantile_last's interpolation between them gives eps
-    bit for bit. A distance is above eps exactly when its code is at least
-    t = searchsorted(values, eps, "right"), the number of values not above
-    eps. The count above eps is cm . [codes_mk >= t] . ck on the
-    un-gathered n x m cross codes, cm and ck the times each M and K run was
-    drawn: each cell counts once per pair of draws that resamples it, as in
-    the full resampled block. cm . mask sums integers of at most n in
-    float32, exact below 2^24 runs, and the dot with ck integers of at most
-    n m in float64, exact below 2^53. So the count, and the p_hat it is
-    divided into, are exact.
+    Within quantile. Of a corpus of n runs drawn c_a times each, a
+    replicate's P = n (n - 1) / 2 slot pairs i < j hold the distance of
+    runs a != b c_a c_b times, and 0.0, the matrix's diagonal, once for
+    each of the P - sum c_a c_b pairs of slots that drew the same run.
+    _top_pairs lists the corpus's P run pairs by distance, largest first,
+    then one 0.0 for all the same-run slot pairs, so weighting each run
+    pair by c_a c_b counts the same multiset of P distances as the gathered
+    resampled block. With v = (P - 1) q and lo = int(v), the order
+    statistic at ascending rank lo is the (P - lo)-th largest: the distance
+    at the first position where the cumulative weight reaches P - lo; the
+    one at lo + 1 is at the first where it reaches P - lo - 1 (at P = 1
+    both are the one slot pair). Ties do not matter: equal distances are
+    one value wherever the position falls among them. The weights are
+    integers of at most n^2 / 4 and their sum over the run pairs is at most
+    P, exact in int64; where the sum stays below a rank, the position is
+    the appended 0.0. A first pass weighs a prefix of WITHIN_PREFIX (P - lo)
+    pairs for the whole chunk: a position it finds short of the prefix's
+    end is the whole list's, since the prefix's cumulative weights are the
+    list's. A second pass weighs the whole list for the replicates whose
+    cumulative weight the prefix left below P - lo. The two distances
+    interpolate with g = v - lo as _quantile_last does, so eps is bit for
+    bit the quantile of the resampled block.
+
+    Cross count. The cross block runs on rank codes (_rank_codes): each
+    distance is coded as its index in ``values``, the distinct distances
+    in ascending order, in int16 or int32. A distance is above eps exactly
+    when its code is at least t = searchsorted(values, eps, "right"), the
+    number of values not above eps. The count above eps is
+    cm . [codes_mk >= t] . ck on the un-gathered n x m cross codes: each
+    cell counts once per pair of draws that resamples it, as in the full
+    resampled block. cm . mask sums integers of at most n in float32,
+    exact below 2^24 runs, and the dot with ck integers of at most n m in
+    float64, exact below 2^53. So the count, and the p_hat it is divided
+    into, are exact.
     """
-    values, codes_mm, codes_kk, codes_mk = _rank_codes(ds)
-    codes_mm, codes_kk = codes_mm.ravel(), codes_kk.ravel()
+    values, codes_mk = _rank_codes(ds)
     n, m = codes_mk.shape
-    iu_n, ju_n = np.triu_indices(n, 1)
-    iu_m, ju_m = np.triu_indices(m, 1)
+    top_m, top_k = _top_pairs(ds.matrix_mm), _top_pairs(ds.matrix_kk)
     # a scalar bound draws the same values 3-4x faster than an array
     high = n if n == m else np.repeat([n, m], [n, m])
     per_chunk = _replicates_per_chunk(n, m)
-    # a draw plus its shift is a bin of one bincount: each replicate's n + m
-    # bins, the M runs' then the K runs'
-    shift = np.arange(0, per_chunk * (n + m), n + m)[:, None] + np.repeat([0, n], [n, m])
+    # a draw times per_chunk plus its shift is a bin of one bincount: one
+    # row of per_chunk bins for each run, the M runs' then the K runs'
+    shift = np.arange(per_chunk)[:, None] + np.repeat([0, n * per_chunk], [n, m])
 
     def above(draw):
         # a function, so that no block of a chunk outlives it
         size = len(draw)
-        eps = np.maximum(_within_eps(values, codes_mm, draw[:, :n], iu_n, ju_n),
-                         _within_eps(values, codes_kk, draw[:, n:], iu_m, ju_m))
+        counts = np.bincount((draw * per_chunk + shift[:size]).ravel(),
+                             minlength=(n + m) * per_chunk)
+        counts = counts.reshape(n + m, per_chunk)[:, :size]
+        cm, ck = counts[:n], counts[n:]
+        eps = np.maximum(_within_eps(top_m, cm), _within_eps(top_k, ck))
         t = np.searchsorted(values, eps, "right").astype(codes_mk.dtype)
-        counts = np.bincount((draw + shift[:size]).ravel(), minlength=size * (n + m))
-        counts = counts.reshape(size, n + m)
         mask = (codes_mk >= t[:, None, None]).astype(np.float32)
-        w = counts[:, None, :n].astype(np.float32) @ mask
-        return np.einsum("sm,sm->s", w[:, 0], counts[:, n:])
+        w = cm.T[:, None, :].astype(np.float32) @ mask
+        return np.einsum("sm,ms->s", w[:, 0], ck)
 
     reps = np.empty(B, dtype=np.float64)
     for start in range(0, B, per_chunk):

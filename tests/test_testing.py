@@ -491,8 +491,8 @@ class TestChunkedReplicates:
 
     def test_examples_reach_every_edge(self):
         # the @examples below run all five edges; at n = 12, m = 40 the
-        # within-K gather (780 pairs), not the cross block (480), sets the
-        # chunk, as it does at n = 40, m = 2
+        # within-K second pass (one weight for each of 780 pairs), not the
+        # cross mask (480 cells), sets the chunk, as it does at n = 40, m = 2
         assert len(_chunk_edges(30, 30)) == len(_chunk_edges(12, 40)) == 5
         assert (testing._replicates_per_chunk(12, 40)
                 == testing._replicates_per_chunk(40, 2)
@@ -532,13 +532,74 @@ class TestChunkedReplicates:
             b = gen.normal(0.5, 1, m)
         self.check(build_distances(a, b), B, seed)
 
+    @pytest.mark.parametrize("n, m, outliers", [(30, 24, "m"), (12, 40, "k")])
+    def test_outlier_pairs_reach_the_second_pass(self, monkeypatch, n, m, outliers):
+        # two runs 20 sigma out: their 2 (runs - 2) + 1 pairs top the list,
+        # so a replicate that draws neither weighs none of them, and the
+        # prefix can end below rank P - lo
+        gen = np.random.default_rng(5)
+        a, b = gen.normal(0, 1, n), gen.normal(0.5, 1, m)
+        x = a if outliers == "m" else b
+        x[:2] = 20.0, -20.0
+        runs = len(x)
+        P = runs * (runs - 1) // 2
+        prefix = testing.WITHIN_PREFIX * (P - int((P - 1) * testing.QUANTILE_LEVEL))
+        c = testing._replicates_per_chunk(n, m)
+        B = _chunk_edges(n, m)[-1]
+        calls = []
+        inner = testing._reaching
+
+        def spy(counts, iu, ju, ranks):
+            if counts.shape[0] == runs:
+                calls.append((len(iu), counts.shape[1]))
+            return inner(counts, iu, ju, ranks)
+
+        monkeypatch.setattr(testing, "_reaching", spy)
+        self.check(build_distances(a, b), B, 0)
+        # the first pass weighs the prefix for every replicate of a chunk,
+        # the second the whole list for some of them
+        assert prefix < P
+        assert [k for L, k in calls if L == prefix] == [c, c, B - 2 * c]
+        second = [k for L, k in calls if L == P]
+        assert second and all(0 < k < c for k in second)
+        assert len(calls) == 3 + len(second)
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 3), (3, 2)])
+    def test_two_and_three_runs_match_oracle(self, monkeypatch, n, m):
+        # P = 1 and P = 3: the prefix is the whole list, and a replicate
+        # that draws one run too often finds a rank only at the 0.0
+        # appended for the same-run slot pairs
+        at_zero = []
+        inner = testing._reaching
+
+        def spy(counts, iu, ju, ranks):
+            found = inner(counts, iu, ju, ranks)
+            at_zero.append((found[0] == len(iu)).any())
+            return found
+
+        monkeypatch.setattr(testing, "_reaching", spy)
+        gen = np.random.default_rng(n * 10 + m)
+        self.check(build_distances(gen.normal(0, 1, n), gen.normal(0.5, 1, m)),
+                   _chunk_edges(n, m)[-1], n + m)
+        assert len(at_zero) == 2 and all(at_zero)
+
+    @pytest.mark.parametrize("n, m", [(10, 10), (30, 30), (12, 40)])
+    def test_identical_runs_but_one_match_oracle(self, n, m):
+        # the n - 1 pairs of the odd run, at distance 1, top M's list, and
+        # every other pair ties with the appended 0.0: a replicate that
+        # draws the odd run reaches P - lo among them, one that does not
+        # weighs none of them and may need the second pass to reach 0.0
+        gen = np.random.default_rng(n + m)
+        self.check(build_distances(np.r_[np.zeros(n - 1), 1.0], gen.integers(0, 3, m) / 2),
+                   _chunk_edges(n, m)[-1], n)
+
     def test_int32_codes_match_oracle(self):
         # 258 runs give C(258, 2) + 1 = 33154 distinct distances, too many
         # codes for int16; B spans two chunks
         gen = np.random.default_rng(0)
         ds = build_distances(gen.normal(0, 1, 129), gen.normal(0.5, 1, 129))
-        values, codes_mm, _, _ = testing._rank_codes(ds)
-        assert len(values) == 33154 and codes_mm.dtype == np.int32
+        values, codes_mk = testing._rank_codes(ds)
+        assert len(values) == 33154 and codes_mk.dtype == np.int32
         self.check(ds, testing._replicates_per_chunk(129, 129) + 1, 0)
 
     @given(
