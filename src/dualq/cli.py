@@ -20,6 +20,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .aqm import AqmConfig
 from .config import (
     AQM_KEYS,
@@ -57,7 +59,6 @@ from .stats.testing import (
     ci_width_curve,
     exceedance_test,
     extract_observations,
-    quantile,
 )
 
 EXIT_OK = 0
@@ -334,8 +335,8 @@ def cmd_sweep(args) -> int:
             records = load_corpus(sub)
             rates = [r.avg_throughput_mbps for r in records]
             mean = sum(rates) / len(rates)
-            lo = quantile(rates, 0.025)
-            hi = quantile(rates, 0.975)
+            lo = float(np.quantile(rates, 0.025))
+            hi = float(np.quantile(rates, 0.975))
             summary.append(f"{args.param},{v},{len(rates)},{mean!r},{lo!r},{hi!r}")
             print(f"{args.param}={v}: mean {mean:.3f} Mbps  [{lo:.3f}, {hi:.3f}]")
         path = os.path.join(out_dir, SWEEP_SUMMARY_NAME)

@@ -66,57 +66,6 @@ class DegenerateGroupsError(Exception):
     """A corpus is too small for within-group distances (< 2 runs)."""
 
 
-def quantile(values, q: float) -> float:
-    """Linear-interpolation quantile at rank (n-1)*q.
-
-    The epsilon threshold uses the same rule: for [1, 2, 3, 4] and
-    q = 0.95 the result is 3.85.
-    """
-    arr = _finite(values).ravel()
-    if arr.size == 0:
-        raise ValueError("quantile of empty collection")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile level must be in [0, 1], got {q}")
-    # a copy: _quantile_last reorders its input, and arr may be the caller's
-    return float(_quantile_last(arr.copy(), q))
-
-
-def _quantile_last(x, q: float):
-    """``np.quantile(x, q, axis=-1, method="linear")`` of finite values, bit
-    for bit: numpy's ``_lerp`` between the two order statistics of
-    _order_stats.
-
-    ``x`` is partitioned in place, so its callers pass arrays of their own:
-    the condensed views of DistanceSets (fresh on every access) or
-    quantile()'s copy."""
-    return _lerp(*_order_stats(x, q))
-
-
-def _order_stats(x, q: float):
-    """The order statistics a and b at ranks lo and lo + 1 along the last
-    axis, lo = int((len - 1) q), and the weight g of b: one partition of x
-    in place at lo, b the least value after it."""
-    v = (x.shape[-1] - 1) * q
-    lo = int(v)
-    x.partition(lo, axis=-1)
-    a = x[..., lo]
-    b = x[..., lo + 1:].min(axis=-1) if lo < x.shape[-1] - 1 else a
-    return a, b, v - lo
-
-
-def _lerp(a, b, g: float):
-    if g >= 0.5:
-        return b - (b - a) * (1 - g)
-    return a + (b - a) * g
-
-
-def _finite(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("observations and quantile inputs must be finite")
-    return arr
-
-
 # ----------------------------------------------------------------------
 # metric extraction from run records
 
@@ -168,7 +117,9 @@ def within_matrix(obs, band: int | None = None) -> np.ndarray:
     i < j in np.triu_indices order."""
     iu, ju = np.triu_indices(len(obs), 1)
     if np.ndim(obs[0]) == 0:
-        a = _finite(obs)
+        a = np.asarray(obs, dtype=np.float64)
+        if not np.isfinite(a).all():
+            raise ValueError("observations must be finite")
         d = np.abs(a[iu] - a[ju])
     else:
         d = dtw_norm_pairs([obs[i] for i in iu], [obs[j] for j in ju], band)
@@ -255,8 +206,10 @@ def exceedance_test(ds: DistanceSets, metric: str = "", kind: str = "") -> TestR
     only when the exceedance proportion is strictly below the decision
     threshold; a proportion of exactly 0.05 fails to reject.
     """
-    eps_m = float(_quantile_last(ds.within_m, QUANTILE_LEVEL))
-    eps_k = float(_quantile_last(ds.within_k, QUANTILE_LEVEL))
+    eps_m, eps_k = (
+        float(_within_eps(_top_pairs(D), np.ones((len(D), 1), np.int64))[0])
+        for D in (ds.matrix_mm, ds.matrix_kk)
+    )
     p_hat = np.count_nonzero(ds.cross > max(eps_m, eps_k)) / ds.cross.size
     return TestResult(
         metric=metric,
@@ -308,11 +261,11 @@ def bootstrap_exceedance(
 
     Each replicate draws n runs with replacement from corpus M and m
     runs from corpus K independently; duplicated runs legitimately
-    contribute zero within-distances. Distances are gathered from the
-    precomputed matrices, so no DTW is recomputed. Replicates are
-    evaluated in chunks sized by REPLICATE_BYTES; the draws keep the
-    per-replicate stream, and every replicate is bit-identical to
-    evaluating it alone.
+    contribute zero within-distances. Each replicate weighs the
+    precomputed distances by how often it drew their runs, so no DTW is
+    recomputed. Replicates are evaluated in chunks sized by
+    REPLICATE_BYTES; the draws keep the per-replicate stream, and every
+    replicate is bit-identical to evaluating it alone.
     """
     if B < 2:
         raise ValueError(f"bootstrap needs B >= 2, got {B}")
@@ -342,7 +295,9 @@ def _rank_codes(ds: DistanceSets):
     """The distinct distances of ds in ascending order, and its cross block
     with each distance coded as its index there: int16 when every code and
     every threshold (at most len(values)) fits, else int32."""
-    values = np.unique(ds.pooled)
+    # np.unique would give the same values, but it imports numpy.ma
+    v = np.sort(ds.pooled, axis=None)
+    values = v[np.append(True, v[1:] != v[:-1])]
     dtype = np.int16 if len(values) <= np.iinfo(np.int16).max else np.int32
     return values, np.searchsorted(values, ds.matrix_mk).astype(dtype)
 
@@ -368,9 +323,18 @@ def _reaching(counts, iu, ju, ranks):
     return [np.add.reduce(cum < r, axis=0, dtype=np.intp) for r in ranks]
 
 
+def _lerp(a, b, g: float):
+    """np.quantile's linear interpolation between the order statistics a
+    and b at weight g, bit for bit."""
+    if g >= 0.5:
+        return b - (b - a) * (1 - g)
+    return a + (b - a) * g
+
+
 def _within_eps(top, counts):
     """Each replicate's within quantile from its corpus's _top_pairs and
-    the times each run was drawn (one column per replicate)."""
+    the times each run was drawn (one column per replicate); exceedance_test
+    takes its eps as the replicate that draws every run once."""
     dist, iu, ju = top
     P = len(iu)
     v = (P - 1) * QUANTILE_LEVEL
@@ -417,8 +381,8 @@ def _replicates(ds: DistanceSets, B: int, rng: np.random.Generator) -> np.ndarra
     end is the whole list's, since the prefix's cumulative weights are the
     list's. A second pass weighs the whole list for the replicates whose
     cumulative weight the prefix left below P - lo. The two distances
-    interpolate with g = v - lo as _quantile_last does, so eps is bit for
-    bit the quantile of the resampled block.
+    interpolate with g = v - lo by np.quantile's linear rule (_lerp), so
+    eps is bit for bit the quantile of the resampled block.
 
     Cross count. The cross block runs on rank codes (_rank_codes): each
     distance is coded as its index in ``values``, the distinct distances

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from dualq.cli import (
@@ -1226,6 +1227,24 @@ class TestSweep:
         rate = load_corpus(str(out / "alpha-0.1"))[0].avg_throughput_mbps
         row = (out / "sweep_summary.csv").read_text().splitlines()[1]
         assert row.split(",") == ["alpha", "0.1", "1"] + [repr(rate)] * 3
+
+    def test_spread_rates_are_interpolated(self, tmp_path):
+        # four bursty runs whose rates differ: the bounds interpolate
+        # between order statistics, as np.quantile's linear rule does
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--preset", "low", "--flows", "scalable+cubic",
+            "--mode", "bursty", "--duration", "3", "--runs", "4",
+            "--param", "alpha", "--values", "0.1", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        rates = [r.avg_throughput_mbps for r in load_corpus(str(out / "alpha-0.1"))]
+        assert len(set(rates)) > 1
+        row = (out / "sweep_summary.csv").read_text().splitlines()[1].split(",")
+        assert row[4:] == [repr(float(np.quantile(rates, q))) for q in (0.025, 0.975)]
+        # one run at 11.92 Mbps and three at 11.956: the 2.5% bound falls
+        # between them
+        assert min(rates) < float(row[4]) < max(rates) == float(row[5])
 
     def test_sweepable_params(self):
         assert sorted(SWEEP_PARAMS) == [

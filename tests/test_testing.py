@@ -1,4 +1,4 @@
-"""Exceedance test, quantiles, bootstrap CIs, improvement decisions."""
+"""Exceedance test, within quantiles, bootstrap CIs, improvement decisions."""
 
 import tracemalloc
 
@@ -20,7 +20,6 @@ from dualq.stats.testing import (
     extract_observations,
     improvement_check,
     percentile_ci,
-    quantile,
     within_matrix,
 )
 from dualq.stats import _dtw_np, _dtw_py, dtw
@@ -29,97 +28,99 @@ from _oracles import bootstrap_replicates_oracle, quantile_oracle
 
 
 class TestQuantile:
+    """The point test's eps of a corpus: the linear quantile at rank
+    (P - 1) 0.95 of its P within distances."""
+
     def test_worked_example(self):
-        # rank (n-1)*q = 2.85 -> 3 + 0.85 * (4 - 3)
-        assert quantile([1, 2, 3, 4], 0.95) == pytest.approx(3.85)
+        # M's distances are 1, 2, 3, 4, 6, 7: rank 4.75 -> 6 + 0.75 * (7 - 6);
+        # K's are 1, 1, 2: rank 1.9 -> 1 + 0.9 * (2 - 1)
+        res = exceedance_test(build_distances([0.0, 1.0, 3.0, 7.0], [0.0, 1.0, 2.0]))
+        assert res.eps_within_m == 6.75
+        assert res.eps_within_k == pytest.approx(1.9)
+        assert res.eps_max == 6.75
 
     def test_extremes(self):
-        assert quantile([5, 1, 9], 0.0) == 1.0
-        assert quantile([5, 1, 9], 1.0) == 9.0
+        # identical runs: eps is the least distance, 0. Twenty runs, one 1
+        # apart: its 19 pairs hold ascending ranks 171 to 189 of 190, so
+        # both order statistics at rank 179.55 are the largest distance
+        res = exceedance_test(build_distances([3.0] * 5, [0.0] * 19 + [1.0]))
+        assert res.eps_within_m == 0.0
+        assert res.eps_within_k == 1.0
 
     def test_single_value(self):
-        assert quantile([2.5], 0.95) == 2.5
-
-    def test_rejects_empty_and_bad_q(self):
-        with pytest.raises(ValueError):
-            quantile([], 0.5)
-        with pytest.raises(ValueError):
-            quantile([1.0], 1.5)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_values(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            quantile([1.0, bad, 2.0], 0.5)
+        # two runs have one pair, which is both order statistics
+        res = exceedance_test(build_distances([0.0, 2.5], [1.0, 3.0]))
+        assert (res.eps_within_m, res.eps_within_k) == (2.5, 2.0)
 
     def test_leaves_its_input_unchanged(self):
-        # _quantile_last partitions in place; quantile() must hand it a copy,
-        # also where np.asarray and ravel return the caller's own memory
-        arr = np.random.default_rng(3).permutation(40).astype(np.float64)
-        before = arr.copy()
-        for q in (0.0, 0.5, 0.95, 1.0):
-            quantile(arr, q)
-            assert np.array_equal(arr, before)
-        grid = before.reshape(5, 8).copy()
-        quantile(grid, 0.95)
-        assert np.array_equal(grid, before.reshape(5, 8))
+        # the bootstrap and the CI width curve read the pooled matrix, and
+        # must not reorder it
+        gen = np.random.default_rng(3)
+        ds = build_distances(gen.normal(size=12), gen.normal(size=9))
+        before = ds.pooled.copy()
+        bootstrap_exceedance(ds, B=50, seed=1)
+        ci_width_curve(ds, [2, 5, 9], B=20)
+        assert np.array_equal(ds.pooled, before)
 
     @given(
-        vals=st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=60),
-        q=st.floats(0, 1),
+        obs_m=st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=2, max_size=30),
+        obs_k=st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=2, max_size=30),
     )
     @settings(max_examples=200)
-    def test_matches_oracle(self, vals, q):
-        assert quantile(vals, q) == pytest.approx(
-            quantile_oracle(vals, q), rel=1e-9, abs=1e-9
-        )
+    def test_matches_oracle(self, obs_m, obs_k):
+        ds = build_distances(obs_m, obs_k)
+        res = exceedance_test(ds)
+        for eps, within in ((res.eps_within_m, ds.within_m),
+                            (res.eps_within_k, ds.within_k)):
+            assert eps == pytest.approx(
+                quantile_oracle(within, testing.QUANTILE_LEVEL), rel=1e-9, abs=1e-9
+            )
 
 
 class TestOneRankQuantile:
-    """The one-partition quantile equals
-    ``np.quantile(x, q, axis=-1, method="linear")`` element for element."""
-
-    LEVELS = (testing.QUANTILE_LEVEL, 0.0, 0.025, 0.975, 1.0)
+    """The point test's eps, the within quantile of the bootstrap replicate
+    that draws every run once, equals ``np.quantile(within, 0.95)`` bit for
+    bit."""
 
     @staticmethod
-    def check(x, q):
-        got = testing._quantile_last(x, q)
-        want = np.quantile(x, q, axis=-1, method="linear")
-        assert np.shape(got) == np.shape(want)
-        assert np.array_equal(got, want), (x.shape, q)
+    def check(ds):
+        before = ds.pooled.copy()
+        res = exceedance_test(ds)
+        assert res.eps_within_m == float(np.quantile(ds.within_m, 0.95))
+        assert res.eps_within_k == float(np.quantile(ds.within_k, 0.95))
+        assert np.array_equal(ds.pooled, before)
+        return res
 
     def test_every_width_to_500(self):
+        # 2 to 32 runs: every corpus of at most 500 pairs, on distinct
+        # values and on values tied to multiples of 1/8
         gen = np.random.default_rng(17)
-        levels = self.LEVELS + tuple(gen.random(3))
         branches = set()
-        for k in range(1, 501):
-            x = gen.exponential(1.0, (3, k))
-            for q in levels:
-                self.check(x, q)
-                self.check(x[1], q)
-                assert quantile(x[1], q) == float(np.quantile(x[1], q))
-            v = (k - 1) * testing.QUANTILE_LEVEL
+        for n in range(2, 33):
+            self.check(build_distances(gen.exponential(1.0, n), gen.normal(size=n + 1)))
+            self.check(build_distances(gen.integers(0, 9, n) / 8, gen.integers(0, 3, n) / 8))
+            v = (n * (n - 1) // 2 - 1) * testing.QUANTILE_LEVEL
             branches.add("exact" if v == int(v) else v - int(v) >= 0.5)
-        # both interpolation branches, and a rank with no fraction: at
-        # k = 21 the rank is 19.0 and the lower order statistic is the result
+        # both interpolation branches, and a rank with no fraction: 7 runs
+        # have 21 pairs, whose rank 19.0 gives the lower order statistic
         assert branches == {"exact", True, False}
         assert 20 * testing.QUANTILE_LEVEL == 19.0
 
     @pytest.mark.parametrize("k", [2, 5, 21, 45, 435, 500])
     def test_tied_values(self, k):
+        # k runs on three values 1/8 apart, against k identical runs
         gen = np.random.default_rng(k)
-        x = gen.integers(0, 3, (8, k)).astype(np.float64)
-        x[0] = 1.0  # every value tied
-        for q in self.LEVELS:
-            self.check(x, q)
+        self.check(build_distances(gen.integers(0, 3, k) / 8, np.ones(k)))
 
     @pytest.mark.parametrize("size", [2, 3, 8, 29])
     def test_non_contiguous_slices(self, size):
+        # the last size runs of M and the first size of K, as a strided view
         gen = np.random.default_rng(size)
         ds = build_distances(gen.normal(size=30), gen.normal(size=30))
-        for view in (ds.matrix_mm[:size, :size], ds.matrix_mk[:size, :size].T):
-            assert not view.flags.c_contiguous
-            for q in self.LEVELS:
-                self.check(view, q)
+        view = ds.pooled[30 - size:30 + size, 30 - size:30 + size]
+        assert not view.flags.c_contiguous
+        res = self.check(DistanceSets(view, size))
+        assert res == exceedance_test(DistanceSets(view.copy(), size))
 
 
 class TestDistances:
@@ -337,30 +338,29 @@ class TestExceedance:
         assert res.eps_max == max(res.eps_within_m, res.eps_within_k)
         assert res.eps_within_k > res.eps_within_m
 
-    def test_boundary_is_fail_to_reject(self):
-        # craft distances so p_hat lands exactly on 0.05
-        class FakeDS:
-            within_m = np.array([1.0, 1.0, 1.0])
-            within_k = np.array([1.0, 1.0, 1.0])
-            cross = np.array([2.0] + [0.0] * 19)  # exactly 1/20 above eps=1
-            matrix_mm = np.zeros((3, 3))
-            matrix_kk = np.zeros((3, 3))
-            matrix_mk = np.zeros((4, 5))
+    @staticmethod
+    def pooled(within_m, within_k, cross):
+        """The pooled matrix of every within distance of M within_m, of K
+        within_k, and the cross block cross."""
+        n, m = cross.shape
+        pooled = np.block([[np.full((n, n), within_m), cross],
+                           [cross.T, np.full((m, m), within_k)]])
+        np.fill_diagonal(pooled, 0.0)
+        return pooled
 
-        res = exceedance_test(FakeDS())
+    def test_boundary_is_fail_to_reject(self):
+        # eps = 1 and exactly 1 of 20 cross distances above it: p_hat = 0.05
+        cross = np.zeros((4, 5))
+        cross[0, 0] = 2.0
+        res = exceedance_test(DistanceSets(self.pooled(1.0, 1.0, cross), 4))
+        assert res.eps_max == 1.0
         assert res.p_hat_max == 0.05
         assert res.reject_h0 is False
 
     def test_strictly_greater_only(self):
-        class FakeDS:
-            within_m = np.array([1.0, 1.0])
-            within_k = np.array([1.0, 1.0])
-            cross = np.array([1.0, 1.0, 1.0, 1.0])  # equal, never above
-            matrix_mm = np.zeros((2, 2))
-            matrix_kk = np.zeros((2, 2))
-            matrix_mk = np.zeros((2, 2))
-
-        res = exceedance_test(FakeDS())
+        # every cross distance equals eps, so none is above it
+        res = exceedance_test(DistanceSets(self.pooled(1.0, 1.0, np.ones((2, 2))), 2))
+        assert res.eps_max == 1.0
         assert res.p_hat_max == 0.0
         assert res.reject_h0 is True
 
