@@ -1,4 +1,4 @@
-"""Time the DTW kernels in ns per cell, checking every result bit for bit.
+"""Time the DTW kernel in ns per cell, checking every result bit for bit.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_dtw.py [--lengths 625,1875]
@@ -7,27 +7,26 @@ Usage:
 For each series length n and batch size P, P random Poisson(3) pairs of
 n samples each (n * n cells per pair) go through:
 
-* numpy: the batched wavefront kernels of ``_dtw_np``: ``dtw_many`` in
-  float64 costs, where the ``length`` column is the path-length dtype it
-  picks for n x n pairs, and ``dtw_packed``, the packed int32 keys, where
-  the ``sat`` column is the share of pairs whose cost saturated (those
-  ``dtw.dtw_norm_pairs`` runs again in ``dtw_many``);
+* int32 and int64: the batched wavefront kernel ``_dtw_np.dtw_packed``
+  in packed keys of each width; the ``sat`` column is the share of pairs
+  whose cost saturated the int32 keys (those ``dtw.dtw_norm_pairs`` runs
+  again in int64 keys, which never saturate on such pairs);
 * x1500: ``dtw.dtw_norm_pairs`` on the same pairs times 1500, as
   ``queue_bytes`` is ``mtu`` times ``queue_occupancy``: the group is
-  divided by its gcd, 1500, into the packed kernel, and its raw costs
-  multiplied back, with every saturated pair run again in float64;
+  divided by its gcd, 1500, into int32 keys, and its raw costs
+  multiplied back, with every saturated pair run again in int64 keys;
 * python: the scalar oracle ``_dtw_py.dtw_pair`` once per pair.
 
-The pairs are small non-negative integers, so ``dtw.packed_gcd_vmax``
-accepts them with gcd 1, as for the queue-occupancy series of
-``series.csv``, and the pairs times 1500 with gcd 1500; the script
+The pairs are small non-negative integers, so ``dtw.packed_route``
+sends them to int32 keys with gcd 1, as for the queue-occupancy series
+of ``series.csv``, and the pairs times 1500 with gcd 1500; the script
 checks both before it times. With --band N every case runs a second
 time under a Sakoe-Chiba band of N (N >= 0), on the same pairs; its
 cells are those inside the band.
 
-Raw cost and path length of every pair in float64 costs must equal the
-oracle's, and in the packed kernel every pair not saturated must, and
-every saturated one must truly reach the saturation cost; every x1500
+Raw cost and path length of every pair in int64 keys must equal the
+oracle's, and in int32 keys every pair not saturated must, and every
+saturated one must truly reach the saturation cost; every x1500
 distance must equal the oracle's on the pairs times 1500, or the script
 exits non-zero. Each numpy case keeps the best of --repeat passes (its
 seconds are printed beside ns per cell); the oracle runs once on the
@@ -53,22 +52,14 @@ def best_of(repeat, fn):
     return best, out
 
 
-def check(name, got, expected, n, p, band):
-    got = [(float(r), int(k)) for r, k in got]
-    if got != expected:
-        bad = sum(a != b for a, b in zip(got, expected))
-        raise SystemExit(f"{name} kernel differs from the oracle on {bad} of "
-                         f"{p} pairs at n={n}, band {band}")
-
-
-def check_packed(got, exact, expected, n, p, band, satc):
+def check_packed(keys, got, exact, expected, n, p, band, satc):
     """The pairs packed exact equal the oracle; the others reach satc."""
     got = [(float(r), int(k)) for r, k in got]
     bad = sum(a != b if ok else b[0] < satc
               for a, ok, b in zip(got, exact, expected))
     if bad:
-        raise SystemExit(f"numpy packed kernel differs from the oracle on {bad} "
-                         f"of {p} pairs at n={n}, band {band}")
+        raise SystemExit(f"{keys} keys differ from the oracle on {bad} of {p} "
+                         f"pairs at n={n}, band {band}")
 
 
 def check_x1500(got, xs, ys, n, p, band):
@@ -108,7 +99,7 @@ def main():
     batch_sizes = [int(s) for s in args.pairs.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
-    print(f"{'n':>6} {'P':>4} {'band':>5} {'kernel':>7} {'length':>6} "
+    print(f"{'n':>6} {'P':>4} {'band':>5} {'kernel':>7} "
           f"{'python':>8} {'numpy':>8} {'py/np':>6} {'numpy_s':>8} {'sat':>6}"
           f"   (ns per cell; best numpy pass)")
 
@@ -116,42 +107,41 @@ def main():
         for p in batch_sizes:
             xs = rng.poisson(3.0, (p, n)).astype(np.float64)
             ys = rng.poisson(3.0, (p, n)).astype(np.float64)
-            route = dtw.packed_gcd_vmax(xs, ys)
-            if route is None or route[0] != 1:
-                raise SystemExit(f"the packed kernel refuses n={n}, P={p}")
-            vmax = route[1]
+            route = dtw.packed_route(xs, ys)
+            if route[:2] != (0.0, 1) or route[3] is not np.int32:
+                raise SystemExit(f"int32 keys refuse n={n}, P={p}: {route}")
+            vmax = route[2]
             bx, by = xs * 1500, ys * 1500
-            if dtw.packed_gcd_vmax(bx, by) != (1500, vmax):
+            if dtw.packed_route(bx, by) != (0.0, 1500, vmax, np.int32):
                 raise SystemExit(f"the pairs x1500 do not pack at n={n}, P={p}")
-            satc = 1 << (30 - _dtw_np.packed_layout(n, n, vmax)[0])
+            satc = 1 << (30 - _dtw_np.packed_layout(n, n, vmax, np.int32)[0])
             for band in bands:
                 cells = p * cells_per_pair(n, band)
                 t0 = time.perf_counter()
                 expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
                 t_py = time.perf_counter() - t0
                 label = "full" if band < 0 else str(band)
-                for kernel in ("float64", "packed", "x1500"):
-                    ltype, sat = "-", "-"
-                    if kernel == "packed":
-                        t_np, (raw, plen, exact) = best_of(
-                            args.repeat,
-                            lambda: _dtw_np.dtw_packed(xs, ys, band, vmax))
-                        check_packed(zip(raw, plen), exact, expected, n, p,
-                                     band, satc)
-                        sat = f"{1 - exact.mean():.1%}"
-                    elif kernel == "x1500":
+                for kernel in ("int32", "int64", "x1500"):
+                    sat = "-"
+                    if kernel == "x1500":
                         t_np, got = best_of(
                             args.repeat,
                             lambda: dtw.dtw_norm_pairs(
                                 bx, by, None if band < 0 else band))
                         check_x1500(got, bx, by, n, p, band)
                     else:
-                        t_np, (raw, plen) = best_of(
-                            args.repeat, lambda: _dtw_np.dtw_many(xs, ys, band))
-                        check(f"numpy {kernel}", zip(raw, plen), expected, n, p,
-                              band)
-                        ltype = _dtw_np.length_dtype(n, n).name
-                    print(f"{n:>6} {p:>4} {label:>5} {kernel:>7} {ltype:>6} "
+                        keys = getattr(np, kernel)
+                        t_np, (raw, plen, exact) = best_of(
+                            args.repeat,
+                            lambda: _dtw_np.dtw_packed(xs, ys, band, vmax, keys))
+                        if keys is np.int64 and not exact.all():
+                            raise SystemExit(f"int64 keys saturate at n={n}, "
+                                             f"P={p}, band {band}")
+                        check_packed(kernel, zip(raw, plen), exact, expected, n,
+                                     p, band, satc)
+                        if keys is np.int32:
+                            sat = f"{1 - exact.mean():.1%}"
+                    print(f"{n:>6} {p:>4} {label:>5} {kernel:>7} "
                           f"{t_py * 1e9 / cells:>8.1f} "
                           f"{t_np * 1e9 / cells:>8.1f} {t_py / t_np:>6.1f} "
                           f"{t_np:>8.4f} {sat:>6}")

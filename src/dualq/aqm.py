@@ -31,8 +31,13 @@ _ECT0 = Ecn.ECT0
 class AqmConfig:
     """Controller and scheduler parameters.
 
-    Durations are integer nanoseconds; alpha and beta are the PI gains
-    in 1/s acting on delays expressed in seconds.
+    Durations are integer nanoseconds. pi2_update applies the PI gains
+    once every tupdate, on delays and tupdate in seconds:
+    p' += alpha * tupdate * (qdelay - target) + beta * (qdelay - prev_qdelay).
+    So alpha is in 1/s^2 (p' rises alpha * (qdelay - target) a second,
+    whatever tupdate is), and beta is in 1/s, applied per update
+    unscaled. Whether beta should also be scaled by tupdate is open
+    (ROADMAP item 12).
     """
 
     target_ns: int = 15 * NS_PER_MS

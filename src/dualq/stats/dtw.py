@@ -1,41 +1,51 @@
 """Public DTW interface over the batched numpy kernel.
 
 Every distance goes through the anti-diagonal wavefront of ``_dtw_np``,
-which runs a whole batch of pairs at once; single pairs are a batch of
-one. Each (n, m) group of pairs takes one of two exact routes, chosen
-from its values alone (packed_gcd_vmax):
+which runs a whole batch of pairs at once in packed integer keys;
+single pairs are a batch of one. Each (n, m) group of pairs takes one
+exact route, chosen from its values alone (packed_route):
 
-* a group of non-negative integers is divided by the gcd g of its
-  values and runs in packed int32 keys (``dtw_packed``), when the
-  quotients are small enough for the keys. |x - y| / g = |x/g - y/g|
-  and dividing by g changes no comparison, so every tie and path length
-  is the same, and the raw cost is g times the reduced one. Every true
-  cost is at most (n + m - 1) * max, which is kept below 2^53, so the
-  costs, the quotients and g times a reduced cost are integers float64
-  holds exactly, as _dtw_py's own float64 sums are;
-* every other group, and every pair whose packed cost saturates, runs in
-  float64 costs (``dtw_many``), the oracle's own arithmetic.
+* every value must be an integer. The group's minimum lo is subtracted
+  and the shifted values are divided by their gcd g. |x - y| =
+  g * |(x - lo)/g - (y - lo)/g|, and neither step changes a comparison,
+  so every tie and path length is the same, and the raw cost is g times
+  the reduced one;
+* every true cost is at most (n + m - 1) * (max - lo), which must be
+  below 2^53. Then the shifted values, their quotients, the costs and g
+  times a reduced cost are integers float64 holds exactly, as are
+  _dtw_py's own differences and sums;
+* the group runs in int32 keys when packed_layout gives them a clamp
+  period T >= 1 for the reduced maximum vmax, and the pairs they
+  saturate run again in int64 keys. Otherwise it runs in int64 keys
+  when their T >= 1 and (n + m - 1) * vmax < 2^(62 - S): every true
+  cost is then below SATC, so no int64 key saturates. Any other group
+  is a ValueError.
 
-``_dtw_py`` is the scalar reference both are tested against bit for bit,
-never called here. ``IMPLEMENTATION`` names the kernel.
+The int64 keys take every pair the int32 keys leave: T >= 1 for int32
+keys means (vmax + 1) << S <= 2^30 / 3, so S <= 28 and vmax < 2^(30 - S),
+and n + m - 1 <= 2^L = 2^(S - 2), so (n + m - 1) * vmax < 2^28 <=
+2^(62 - S); int64 keys' T is then above 2^32.
+
+``_dtw_py`` is the scalar reference the kernel is tested against bit
+for bit, never called here. ``IMPLEMENTATION`` names the kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._dtw_np import IMPLEMENTATION, dtw_many, dtw_packed, packed_layout
+from ._dtw_np import IMPLEMENTATION, dtw_packed, packed_layout
 
 # Each (n, m) group of pairs runs through the kernel in equal chunks of
 # at most min(CHUNK_PAIRS, CHUNK_BYTES // (min(n, m) * itemsize)) pairs,
-# so that a diagonal block stays near 256 KB (32k float64 costs or 64k
-# packed int32 keys): 17 or 34 pairs at 1875 samples, 52 or 104 at 625.
+# so that a diagonal block stays near 256 KB (64k int32 keys or 32k
+# int64 keys): 34 or 17 pairs at 1875 samples, 104 or 52 at 625.
 # Larger blocks fall out of cache, smaller ones pay the per-diagonal
 # overhead. Measured on 136 pairs (2-core x86, median ns/cell of 3-5
-# alternating rounds): float64 costs at 1875 samples 7.1, 5.5-5.7, 5.9,
-# 5.5-5.7 and 7.1 at 128 KB, 256 KB, 384 KB, 512 KB and 1 MB; packed
-# keys 2.0, 1.6, 1.9, 1.8 and 1.7 at 625 samples, 2.2, 1.8, 2.1, 2.3 and
-# 2.8 at 1875. No budget beat 256 KB by more than the rounds' spread.
+# alternating rounds): int32 keys 2.0, 1.6, 1.9, 1.8 and 1.7 at 625
+# samples, 2.2, 1.8, 2.1, 2.3 and 2.8 at 1875, at 128 KB, 256 KB,
+# 384 KB, 512 KB and 1 MB. No budget beat 256 KB by more than the
+# rounds' spread.
 CHUNK_BYTES = 1 << 18
 CHUNK_PAIRS = 256
 
@@ -63,21 +73,34 @@ def _distinct(xs, ys) -> dict[int, np.ndarray]:
     return {id(a): a for a in (*xs, *ys)}
 
 
-def packed_gcd_vmax(xs, ys) -> tuple[int, int] | None:
-    """(g, vmax) when dtw_packed can run the pairs (xs[p], ys[p]) divided
-    by g, else None. g is the gcd of every value (1 when all are 0) and
-    vmax the largest value over g. Accepted when every value is a
-    non-negative integer, (n + m - 1) * max < 2^53 (module docstring) and
-    packed_layout gives a clamp period T >= 1 for vmax (see _dtw_np)."""
+def packed_route(xs, ys) -> tuple[float, int, int, type]:
+    """(lo, g, vmax, keys) of the pairs (xs[p], ys[p]): dtw_packed runs
+    them shifted by -lo and divided by g, values in [0, vmax], in keys
+    of dtype ``keys``, np.int32 or np.int64 (module docstring). lo is
+    the least value, g the gcd of the shifted values (1 when all are
+    equal) and vmax the span over g. Raises ValueError for a value that
+    is not an integer, for a span whose costs could reach 2^53 and for
+    a vmax that no key width can hold without saturation."""
     n, m = len(xs[0]), len(ys[0])
     values = np.concatenate(list(_distinct(xs, ys).values()))
-    hi = values.max()
-    if (values.min() < 0 or (n + m - 1) * int(hi) >= 1 << 53
-            or not (values == np.trunc(values)).all()):
-        return None
-    g = int(np.gcd.reduce(values.astype(np.int64))) or 1
-    vmax = int(hi) // g
-    return (g, vmax) if packed_layout(n, m, vmax)[1] >= 1 else None
+    whole = values == np.trunc(values)
+    if not whole.all():
+        raise ValueError(f"DTW series must be integers, got "
+                         f"{float(values[np.argmin(whole)])!r}")
+    lo = values.min()
+    span = values.max() - lo
+    if span >= 1 << 53 or (n + m - 1) * int(span) >= 1 << 53:
+        raise ValueError(f"DTW series spanning {float(span)!r} are too wide for "
+                         f"{n} x {m} pairs: a cost could reach 2^53")
+    g = int(np.gcd.reduce((values - lo).astype(np.int64))) or 1
+    vmax = int(span) // g
+    if packed_layout(n, m, vmax, np.int32)[1] >= 1:
+        return float(lo), g, vmax, np.int32
+    shift, period = packed_layout(n, m, vmax, np.int64)
+    if period >= 1 and (n + m - 1) * vmax < 1 << (62 - shift):
+        return float(lo), g, vmax, np.int64
+    raise ValueError(f"DTW series spanning {vmax} times their gcd {g} are too "
+                     f"wide for the int64 keys of {n} x {m} pairs")
 
 
 def dtw_norm(x, y, band: int | None = None) -> float:
@@ -90,13 +113,11 @@ def dtw_norm_pairs(xs, ys, band: int | None = None) -> np.ndarray:
 
     The raw cost is divided by the number of cells on the optimal path,
     so series of different lengths compare on one scale. Every pair is
-    checked by _prepare; pairs of equal lengths then go through one
-    route together (module docstring), in equal chunks of at most
-    CHUNK_BYTES per diagonal block and CHUNK_PAIRS pairs: dtw_packed on
-    the series divided by g when packed_gcd_vmax accepts the group, with
-    the pairs it saturates run again by dtw_many, else dtw_many. Each
-    chunk's inputs are stacked only when it runs, by the kernel, straight
-    into int32 keys or float64 costs.
+    checked by _prepare; pairs of equal lengths then go through
+    dtw_packed together, on the route packed_route gives their group
+    (module docstring), in equal chunks of at most CHUNK_BYTES per
+    diagonal block and CHUNK_PAIRS pairs. Each chunk's inputs are
+    stacked only when it runs, by the kernel, straight into its keys.
     """
     prepared = [_prepare(x, y, band) for x, y in zip(xs, ys, strict=True)]
     b = -1 if band is None else int(band)
@@ -109,25 +130,19 @@ def dtw_norm_pairs(xs, ys, band: int | None = None) -> np.ndarray:
     for (n, m), members in groups.items():
         gx = [prepared[p][0] for p in members]
         gy = [prepared[p][1] for p in members]
-        packed = packed_gcd_vmax(gx, gy)
-        # a packed cell is one int32 key, a float64 cost takes 8 bytes
-        per_call = CHUNK_BYTES // (min(n, m) * (8 if packed is None else 4))
+        lo, g, vmax, keys = packed_route(gx, gy)
+        per_call = CHUNK_BYTES // (min(n, m) * np.dtype(keys).itemsize)
         per_call = max(1, min(CHUNK_PAIRS, per_call))
-        if packed is not None:
-            g, vmax = packed
-            reduced = {key: a / g for key, a in _distinct(gx, gy).items()}
+        reduced = {key: (a - lo) / g for key, a in _distinct(gx, gy).items()}
         for chunk in np.array_split(members, -(-len(members) // per_call)):
-            cx = [prepared[p][0] for p in chunk]
-            cy = [prepared[p][1] for p in chunk]
-            if packed is None:
-                raw, plen = dtw_many(cx, cy, b)
-            else:
-                raw, plen, exact = dtw_packed([reduced[id(a)] for a in cx],
-                                              [reduced[id(a)] for a in cy], b, vmax)
-                raw *= g
-                if not exact.all():
-                    redo = np.flatnonzero(~exact)
-                    raw[redo], plen[redo] = dtw_many([cx[p] for p in redo],
-                                                     [cy[p] for p in redo], b)
+            cx = [reduced[id(prepared[p][0])] for p in chunk]
+            cy = [reduced[id(prepared[p][1])] for p in chunk]
+            raw, plen, exact = dtw_packed(cx, cy, b, vmax, keys)
+            if not exact.all():
+                # only int32 keys saturate; int64 ones hold these pairs
+                redo = np.flatnonzero(~exact)
+                raw[redo], plen[redo], _ = dtw_packed(
+                    [cx[p] for p in redo], [cy[p] for p in redo], b, vmax, np.int64)
+            raw *= g
             out[chunk] = raw / plen
     return out

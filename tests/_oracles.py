@@ -22,8 +22,8 @@ from dualq.core import NS_PER_MS, Ecn, Rng
 from dualq.engine import RunOutput
 from dualq.link import LinkMode, SmoothPacer
 from dualq.metrics import SampleCollector
-from dualq.stats._dtw_np import dtw_many
-from dualq.stats.dtw import dtw_norm
+from dualq.stats._dtw_np import dtw_packed
+from dualq.stats.dtw import dtw_norm, packed_route
 from dualq.traffic import Receiver, make_sender
 
 
@@ -83,13 +83,20 @@ def dtw_oracle(x, y):
 def kernel_alignment(x, y, band=None):
     """(raw_cost, path_len, normalized_cost) of one pair, as dtw_oracle.
 
-    Raw cost and path length come from the batched kernel on a batch of
-    one, the normalized cost from ``dtw_norm``, the checked entry point.
+    Raw cost and path length come from the packed kernel on a batch of
+    one, on the route ``packed_route`` gives the pair (int64 keys again
+    if int32 ones saturate), the normalized cost from ``dtw_norm``, the
+    checked entry point.
     """
-    raw, plen = dtw_many(np.asarray(x, dtype=np.float64)[None],
-                         np.asarray(y, dtype=np.float64)[None],
-                         -1 if band is None else band)
-    return float(raw[0]), int(plen[0]), dtw_norm(x, y, band)
+    xa = np.asarray(x, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.float64)
+    lo, g, vmax, keys = packed_route([xa], [ya])
+    b = -1 if band is None else band
+    raw, plen, exact = dtw_packed([(xa - lo) / g], [(ya - lo) / g], b, vmax, keys)
+    if not exact[0]:
+        raw, plen, _ = dtw_packed([(xa - lo) / g], [(ya - lo) / g], b, vmax,
+                                  np.int64)
+    return float(raw[0]) * g, int(plen[0]), dtw_norm(x, y, band)
 
 
 def quantile_oracle(values, q: float) -> float:

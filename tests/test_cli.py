@@ -14,7 +14,7 @@ from dualq.cli import (
 )
 from dualq.metrics import canonical_json
 from dualq.runner import RunnerError, load_corpus, verify_corpus
-from dualq.stats import _dtw_py
+from dualq.stats import _dtw_py, dtw
 from dualq.stats.testing import build_distances, extract_observations
 
 
@@ -857,12 +857,17 @@ class TestValidate:
             obs_m, obs_k = ([r.series(column) for r in load_corpus(str(c))]
                             for c in (m, k))
             assert len(obs_m[0]) != len(obs_k[0])
+            g = 1500 if metric == "queue_bytes" else 1
+            for xs, ys in ((obs_m, obs_m), (obs_m, obs_k), (obs_k, obs_k)):
+                assert dtw.packed_route(xs, ys)[1] == g
             for label, pairs in (("within_m", itertools.combinations(obs_m, 2)),
                                  ("within_k", itertools.combinations(obs_k, 2)),
                                  ("cross", itertools.product(obs_m, obs_k))):
                 expected += [f"{metric},{label},{oracle(x, y)!r}" for x, y in pairs]
         assert (rep / "distances.csv").read_text().splitlines() == expected
-        assert [call[2][0] for call in dtw_kernel_calls] == [1] * 3 + [1500] * 3
+        # per metric the M-M, then the cross, then the K-K group
+        assert dtw_kernel_calls == [("dtw_packed", p, np.int32)
+                                    for p in (3, 9, 3)] * 2
 
     def test_reports_record_their_params(self, corpora, tmp_path):
         m, k = corpora

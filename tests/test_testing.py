@@ -292,23 +292,24 @@ class TestChunks:
     CHUNK_BYTES per diagonal block in equal chunks, with the results of a
     single kernel call."""
 
-    @pytest.mark.parametrize("n, dtype", [(200, np.float64), (400, np.int32)])
-    def test_group_splits_into_equal_chunks(self, n, dtype, dtw_kernel_calls):
-        # integers in [0, 8] run packed, one int32 key a cell; one value
-        # off the integers sends the group to dtw_many in float64 costs
+    @pytest.mark.parametrize("n, keys", [(200, np.int64), (400, np.int32)])
+    def test_group_splits_into_equal_chunks(self, n, keys, dtw_kernel_calls):
+        # integers in [0, 8] run in int32 keys, 4 bytes a cell; one value
+        # of 2^31 leaves them too wide for int32 keys, and the group runs
+        # in int64 keys, 8 bytes a cell
         rng = np.random.default_rng(n)
         xs = rng.integers(0, 9, (170, n)).astype(np.float64)
         ys = rng.integers(0, 9, (170, n)).astype(np.float64)
-        if dtype == np.float64:
-            xs[5, 7] += 0.25
-        itemsize = np.dtype(dtype).itemsize
-        per_call = dtw.CHUNK_BYTES // (n * itemsize)
+        if keys is np.int64:
+            xs[5, 7] = 1 << 31
+        per_call = dtw.CHUNK_BYTES // (n * np.dtype(keys).itemsize)
         assert 85 <= per_call < 170 and per_call < dtw.CHUNK_PAIRS
         got = dtw.dtw_norm_pairs(list(xs), list(ys))
         # two chunks of 85, not one of per_call and a remainder
-        kernel = ("dtw_packed", 85, (1, 8)) if dtype == np.int32 else ("dtw_many", 85)
-        assert dtw_kernel_calls == [kernel] * 2
-        raw, plen = _dtw_np.dtw_many(xs, ys)
+        assert dtw_kernel_calls == [("dtw_packed", 85, keys)] * 2
+        lo, g, vmax, _ = dtw.packed_route(xs, ys)
+        raw, plen, exact = _dtw_np.dtw_packed(xs, ys, -1, vmax, np.int64)
+        assert (lo, g) == (0.0, 1) and exact.all()
         assert got.tobytes() == (raw / plen).tobytes()
 
 
