@@ -132,14 +132,21 @@ def _scenario_from_args(args) -> ScenarioConfig:
     return build_scenario(sections)
 
 
+def _entries(flag: str, raw: str) -> list[str]:
+    """The stripped entries of flag's comma-separated value; an empty or
+    blank entry, a trailing comma's included, is a config error."""
+    entries = [e.strip() for e in raw.split(",")]
+    if "" in entries:
+        raise ConfigError(f"{flag}: empty entry in {raw!r}")
+    return entries
+
+
 def _parse_stats_flags(args) -> list[str]:
     """Check the flags validate and bootstrap share; return the metric names.
 
     Runs before any corpus is loaded, so a bad flag costs nothing.
     """
-    names = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    if not names:
-        raise ConfigError("empty metric list")
+    names = _entries("--metrics", args.metrics)
     for i, name in enumerate(names):
         if name not in METRICS:
             raise ConfigError(
@@ -157,10 +164,10 @@ def _parse_stats_flags(args) -> list[str]:
 def _parse_sizes(raw: str) -> list[int]:
     """The --ci-width corpus sizes: integers >= 2."""
     try:
-        sizes = [int(s) for s in raw.split(",") if s.strip()]
+        sizes = [int(s) for s in _entries("--ci-width", raw)]
     except ValueError:
         raise ConfigError(f"--ci-width: not a list of integers: {raw!r}") from None
-    if not sizes or min(sizes) < 2:
+    if min(sizes) < 2:
         raise ConfigError(f"--ci-width: give corpus sizes >= 2, got {raw!r}")
     for i, size in enumerate(sizes):
         if size in sizes[:i]:
@@ -305,9 +312,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ConfigError("empty sweep value list")
+    values = _entries("--values", args.values)
     # every value is parsed and its scenario checked before anything is
     # written; two values that build one scenario would run it twice
     scenarios = {}

@@ -23,7 +23,9 @@ each file once, for writer and loader both. A loaded run must satisfy:
 * the counters are exactly DualPi2.counters()'s ints, and enqueued =
   dequeued + drops + the final qocc_pkts, drops = drops_overflow +
   drops_aqm = the series' drops, and ecn_marks_l + ecn_marks_c = the
-  series' marks.
+  series' marks;
+* config.link.mtu is a positive int64 and every series.csv row has
+  qocc_bytes = mtu * qocc_pkts: every packet is mtu bytes.
 """
 
 from __future__ import annotations
@@ -276,6 +278,9 @@ def load_run_dir(path: str) -> RunRecord:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
         fields = typed_fields(meta, _META_KEYS, _FIELD_TYPES)
+        mtu = typed_fields(meta, {"mtu": "config.link.mtu"}, {"mtu": int})["mtu"]
+        if not 0 < mtu < 1 << 63:
+            raise ValueError(f"config.link.mtu is {mtu}, not a positive int64")
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
     if fields["duration_ns"] <= 0:
@@ -314,6 +319,12 @@ def load_run_dir(path: str) -> RunRecord:
             + int(np.searchsorted(_POW10, samples, side="right").sum()))
     if series[0] != _SERIES_HEADER or series[-1] != "" or len(series_text) != size:
         _check_lines(series_path, series, _series_lines(record))
+    _, qocc_pkts, qocc_bytes, ecn_marks, drops = samples.T
+    pkts, rest = np.divmod(qocc_bytes, mtu)  # exact; qocc_pkts * mtu may wrap
+    wrong = np.flatnonzero((pkts != qocc_pkts) | (rest != 0))
+    if wrong.size:
+        raise ValueError(f"{series_path}:{wrong[0] + 2}: {series[wrong[0] + 1]!r} "
+                         f"breaks qocc_bytes = mtu {mtu} x qocc_pkts")
     expected = _meta(record)
     if meta != expected:
         raise ValueError(f"{meta_path}: {', '.join(differing(meta, expected))}: "
@@ -322,7 +333,6 @@ def load_run_dir(path: str) -> RunRecord:
     if c.keys() != _COUNTER_NAMES or any(type(v) is not int for v in c.values()):
         raise ValueError(f"{meta_path}: summary.counters must map exactly "
                          f"{', '.join(_COUNTER_NAMES)} to ints")
-    _, qocc_pkts, _, ecn_marks, drops = samples.T
     broken = [identity for identity, holds in (
         ("enqueued = dequeued + drops + final qocc_pkts",
          c["enqueued"] == c["dequeued"] + c["drops"] + int(qocc_pkts[-1])),

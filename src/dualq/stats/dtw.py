@@ -5,26 +5,22 @@ which runs a whole batch of pairs at once in packed integer keys;
 single pairs are a batch of one. Each (n, m) group of pairs takes one
 exact route, chosen from its values alone (packed_route):
 
-* every value must be an integer. The group's minimum lo is subtracted
-  and the shifted values are divided by their gcd g. |x - y| =
-  g * |(x - lo)/g - (y - lo)/g|, and neither step changes a comparison,
-  so every tie and path length is the same, and the raw cost is g times
-  the reduced one;
-* every true cost is at most (n + m - 1) * (max - lo), which must be
-  below 2^53. Then the shifted values, their quotients, the costs and g
-  times a reduced cost are integers float64 holds exactly, as are
-  _dtw_py's own differences and sums;
-* the group runs in int32 keys when packed_layout gives them a clamp
-  period T >= 1 for the reduced maximum vmax, and the pairs they
-  saturate run again in int64 keys. Otherwise it runs in int64 keys
-  when their T >= 1 and (n + m - 1) * vmax < 2^(62 - S): every true
-  cost is then below SATC, so no int64 key saturates. Any other group
-  is a ValueError.
+* every value must be an integer. The group's minimum lo is subtracted:
+  |x - y| = |(x - lo) - (y - lo)|, so every comparison, tie, path length
+  and raw cost is the same;
+* every true cost is at most (n + m - 1) * vmax, vmax = max - lo. The
+  group runs in int32 keys when packed_layout gives them a clamp period
+  T >= 1 for vmax, and the pairs they saturate run again in int64 keys.
+  Otherwise it runs in int64 keys when their T >= 1 and (n + m - 1) *
+  vmax < 2^min(53, 62 - S): every true cost is then below SATC, so no
+  int64 key saturates, and below 2^53, so the shifted values and the
+  costs are integers float64 holds exactly, as are _dtw_py's own
+  differences and sums. Any other group is a ValueError.
 
 The int64 keys take every pair the int32 keys leave: T >= 1 for int32
 keys means (vmax + 1) << S <= 2^30 / 3, so S <= 28 and vmax < 2^(30 - S),
 and n + m - 1 <= 2^L = 2^(S - 2), so (n + m - 1) * vmax < 2^28 <=
-2^(62 - S); int64 keys' T is then above 2^32.
+2^min(53, 62 - S); int64 keys' T is then above 2^32.
 
 ``_dtw_py`` is the scalar reference the kernel is tested against bit
 for bit, never called here. ``IMPLEMENTATION`` names the kernel.
@@ -73,14 +69,12 @@ def _distinct(xs, ys) -> dict[int, np.ndarray]:
     return {id(a): a for a in (*xs, *ys)}
 
 
-def packed_route(xs, ys) -> tuple[float, int, int, type]:
-    """(lo, g, vmax, keys) of the pairs (xs[p], ys[p]): dtw_packed runs
-    them shifted by -lo and divided by g, values in [0, vmax], in keys
-    of dtype ``keys``, np.int32 or np.int64 (module docstring). lo is
-    the least value, g the gcd of the shifted values (1 when all are
-    equal) and vmax the span over g. Raises ValueError for a value that
-    is not an integer, for a span whose costs could reach 2^53 and for
-    a vmax that no key width can hold without saturation."""
+def packed_route(xs, ys) -> tuple[float, int, type]:
+    """(lo, vmax, keys) of the pairs (xs[p], ys[p]): dtw_packed runs them
+    shifted by -lo, values in [0, vmax], in keys of dtype ``keys``,
+    np.int32 or np.int64 (module docstring). lo is the least value and
+    vmax the span. Raises ValueError for a value that is not an integer
+    and for a span whose costs could reach 2^53 or saturate int64 keys."""
     n, m = len(xs[0]), len(ys[0])
     values = np.concatenate(list(_distinct(xs, ys).values()))
     whole = values == np.trunc(values)
@@ -88,19 +82,15 @@ def packed_route(xs, ys) -> tuple[float, int, int, type]:
         raise ValueError(f"DTW series must be integers, got "
                          f"{float(values[np.argmin(whole)])!r}")
     lo = values.min()
-    span = values.max() - lo
-    if span >= 1 << 53 or (n + m - 1) * int(span) >= 1 << 53:
-        raise ValueError(f"DTW series spanning {float(span)!r} are too wide for "
-                         f"{n} x {m} pairs: a cost could reach 2^53")
-    g = int(np.gcd.reduce((values - lo).astype(np.int64))) or 1
-    vmax = int(span) // g
+    vmax = int(values.max() - lo)
     if packed_layout(n, m, vmax, np.int32)[1] >= 1:
-        return float(lo), g, vmax, np.int32
+        return float(lo), vmax, np.int32
     shift, period = packed_layout(n, m, vmax, np.int64)
-    if period >= 1 and (n + m - 1) * vmax < 1 << (62 - shift):
-        return float(lo), g, vmax, np.int64
-    raise ValueError(f"DTW series spanning {vmax} times their gcd {g} are too "
-                     f"wide for the int64 keys of {n} x {m} pairs")
+    bound = min(53, 62 - shift)
+    if period >= 1 and (n + m - 1) * vmax < 1 << bound:
+        return float(lo), vmax, np.int64
+    raise ValueError(f"DTW series spanning {vmax} are too wide for {n} x {m} "
+                     f"pairs: a cost could reach 2^{bound}")
 
 
 def dtw_norm(x, y, band: int | None = None) -> float:
@@ -130,19 +120,18 @@ def dtw_norm_pairs(xs, ys, band: int | None = None) -> np.ndarray:
     for (n, m), members in groups.items():
         gx = [prepared[p][0] for p in members]
         gy = [prepared[p][1] for p in members]
-        lo, g, vmax, keys = packed_route(gx, gy)
+        lo, vmax, keys = packed_route(gx, gy)
         per_call = CHUNK_BYTES // (min(n, m) * np.dtype(keys).itemsize)
         per_call = max(1, min(CHUNK_PAIRS, per_call))
-        reduced = {key: (a - lo) / g for key, a in _distinct(gx, gy).items()}
+        shifted = {key: a - lo for key, a in _distinct(gx, gy).items()}
         for chunk in np.array_split(members, -(-len(members) // per_call)):
-            cx = [reduced[id(prepared[p][0])] for p in chunk]
-            cy = [reduced[id(prepared[p][1])] for p in chunk]
+            cx = [shifted[id(prepared[p][0])] for p in chunk]
+            cy = [shifted[id(prepared[p][1])] for p in chunk]
             raw, plen, exact = dtw_packed(cx, cy, b, vmax, keys)
             if not exact.all():
                 # only int32 keys saturate; int64 ones hold these pairs
                 redo = np.flatnonzero(~exact)
                 raw[redo], plen[redo], _ = dtw_packed(
                     [cx[p] for p in redo], [cy[p] for p in redo], b, vmax, np.int64)
-            raw *= g
             out[chunk] = raw / plen
     return out

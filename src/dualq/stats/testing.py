@@ -84,7 +84,6 @@ class Metric:
 METRICS = {
     "throughput": Metric("throughput", "scalar"),
     "queue_occupancy": Metric("queue_occupancy", "timeseries", "qocc_pkts"),
-    "queue_bytes": Metric("queue_bytes", "timeseries", "qocc_bytes"),
     "ecn_marks": Metric("ecn_marks", "timeseries", "ecn_marks"),
     "drops": Metric("drops", "timeseries", "drops"),
 }

@@ -90,13 +90,12 @@ def kernel_alignment(x, y, band=None):
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
-    lo, g, vmax, keys = packed_route([xa], [ya])
+    lo, vmax, keys = packed_route([xa], [ya])
     b = -1 if band is None else band
-    raw, plen, exact = dtw_packed([(xa - lo) / g], [(ya - lo) / g], b, vmax, keys)
+    raw, plen, exact = dtw_packed([xa - lo], [ya - lo], b, vmax, keys)
     if not exact[0]:
-        raw, plen, _ = dtw_packed([(xa - lo) / g], [(ya - lo) / g], b, vmax,
-                                  np.int64)
-    return float(raw[0]) * g, int(plen[0]), dtw_norm(x, y, band)
+        raw, plen, _ = dtw_packed([xa - lo], [ya - lo], b, vmax, np.int64)
+    return float(raw[0]), int(plen[0]), dtw_norm(x, y, band)
 
 
 def quantile_oracle(values, q: float) -> float:

@@ -333,6 +333,12 @@ class TestExitCodes:
             ["bootstrap", "--metrics",
              "queue_occupancy,throughput, queue_occupancy", "--ci-width", "2"],
             ["bootstrap", "--ci-width", "2,2"],
+            ["validate", "--metrics", "throughput,,queue_occupancy"],
+            ["validate", "--metrics", "throughput,queue_occupancy,"],
+            ["bootstrap", "--ci-width", "10,,20"],
+            ["bootstrap", "--ci-width", "10, ,20"],
+            ["validate", "--metrics", "queue_bytes"],
+            ["bootstrap", "--metrics", "throughput,queue_bytes"],
         ],
     )
     def test_bad_stats_flag_is_config_error_before_loading(self, tmp_path, capsys,
@@ -379,6 +385,7 @@ class TestExitCodes:
             ["sweep", "--param", "alpha", "--values", "0.1", "--runs", "0"],
             ["sweep", "--param", "alpha", "--values", "0.1", "--parallel", "0"],
             ["sweep", "--param", "alpha", "--values", "0.1", "--seed-base", "-1"],
+            ["sweep", "--param", "alpha", "--values", "0.1,,0.2"],
         ],
     )
     def test_bad_count_or_seed_is_config_error_before_writing(self, tmp_path,
@@ -837,14 +844,13 @@ class TestValidate:
 
     def test_series_of_different_lengths(self, tmp_path, dtw_kernel_calls):
         # 0.2 s and 0.6 s corpora: the within-M, within-K and cross pairs
-        # are three (n, m) groups of one DTW call per metric. queue_bytes
-        # is mtu (1500) times queue_occupancy, so it packs divided by 1500
+        # are three (n, m) groups of one DTW call per metric
         m, k = tmp_path / "m", tmp_path / "k"
         assert batch(m, 3, "--duration", "0.2") == EXIT_OK
         assert batch(k, 3, "--duration", "0.6", "--seed-base", "100") == EXIT_OK
         rep = tmp_path / "rep"
         assert run_cli("validate", str(m), str(k), "--metrics",
-                       "queue_occupancy,queue_bytes", "--out", str(rep)) == EXIT_OK
+                       "queue_occupancy,ecn_marks", "--out", str(rep)) == EXIT_OK
 
         def oracle(x, y):
             raw, plen = _dtw_py.dtw_pair(x, y, -1)
@@ -852,14 +858,13 @@ class TestValidate:
 
         expected = ["metric,label,value"]
         # distances.csv lists the metrics by name
-        for metric, column in (("queue_bytes", "qocc_bytes"),
+        for metric, column in (("ecn_marks", "ecn_marks"),
                                ("queue_occupancy", "qocc_pkts")):
             obs_m, obs_k = ([r.series(column) for r in load_corpus(str(c))]
                             for c in (m, k))
             assert len(obs_m[0]) != len(obs_k[0])
-            g = 1500 if metric == "queue_bytes" else 1
             for xs, ys in ((obs_m, obs_m), (obs_m, obs_k), (obs_k, obs_k)):
-                assert dtw.packed_route(xs, ys)[1] == g
+                assert dtw.packed_route(xs, ys)[2] is np.int32
             for label, pairs in (("within_m", itertools.combinations(obs_m, 2)),
                                  ("within_k", itertools.combinations(obs_k, 2)),
                                  ("cross", itertools.product(obs_m, obs_k))):

@@ -98,7 +98,7 @@ class TestOracleAgreement:
 @st.composite
 def batches(draw):
     """P >= 2 pairs of one (n, m) of integers, with ties in [0, 3] or
-    spread over [-10^6, 10^6] (int64 keys unless their gcd packs them),
+    spread over [-10^6, 10^6] (int64 keys),
     moved by 0 or +-2^40, and a band of none, |n - m|, |n - m| + 2 or at
     least max(n, m)."""
     n = draw(st.integers(1, 40))
@@ -116,27 +116,26 @@ def batches(draw):
 
 
 def assert_matches_oracle(xs, ys, band, route=None):
-    """packed_route gives these pairs route (lo, g, vmax, keys), when
-    given. dtw_packed on the pairs shifted by -lo and divided by g equals
-    _dtw_py, in the route's keys wherever it reports a pair exact, and in
-    int64 keys on every pair; a pair that int32 keys do not report exact
-    reached their SATC. dtw_norm_pairs equals the oracle on every pair."""
+    """packed_route gives these pairs route (lo, vmax, keys), when given.
+    dtw_packed on the pairs shifted by -lo equals _dtw_py, in the route's
+    keys wherever it reports a pair exact, and in int64 keys on every
+    pair; a pair that int32 keys do not report exact reached their SATC.
+    dtw_norm_pairs equals the oracle on every pair."""
     expected = [_dtw_py.dtw_pair(x, y, band) for x, y in zip(xs, ys)]
-    lo, g, vmax, keys = dtw.packed_route(xs, ys)
+    lo, vmax, keys = dtw.packed_route(xs, ys)
     if route is not None:
-        assert (lo, g, vmax, keys) == route
+        assert (lo, vmax, keys) == route
     for width in dict.fromkeys((keys, np.int64)):
         shift, period = _dtw_np.packed_layout(xs.shape[1], ys.shape[1], vmax, width)
         assert period >= 1
-        raw, plen, exact = _dtw_np.dtw_packed((xs - lo) / g, (ys - lo) / g, band,
-                                              vmax, width)
+        raw, plen, exact = _dtw_np.dtw_packed(xs - lo, ys - lo, band, vmax, width)
         assert raw.dtype == np.float64 and plen.dtype == np.int64
         for r, k, ok, (oraw, oplen) in zip(raw.tolist(), plen.tolist(),
                                            exact.tolist(), expected):
             if ok:
-                assert (r * g, k) == (oraw, oplen), (band, width)
+                assert (r, k) == (oraw, oplen), (band, width)
             else:
-                assert width is np.int32 and oraw >= g << (30 - shift)
+                assert width is np.int32 and oraw >= 1 << (30 - shift)
     got = dtw.dtw_norm_pairs(xs, ys, None if band < 0 else band)
     assert got.tolist() == [r / k for r, k in expected], band
 
@@ -180,7 +179,7 @@ class TestKernelParity:
         ys[1] = 1.0
         gap = abs(n - m)
         for band in (-1, gap, gap + 1, gap + 3):
-            assert_matches_oracle(xs, ys, band, (0.0, 1, 1, np.int32))
+            assert_matches_oracle(xs, ys, band, (0.0, 1, np.int32))
 
     @staticmethod
     def spread(lo, hi, n, m, seed):
@@ -193,24 +192,27 @@ class TestKernelParity:
         return xs, ys
 
     def test_integral_span_just_below_guard_is_packed(self):
+        # 9 x 7 pairs: S = 6, and int64 keys hold costs below 2^56, so the
+        # 2^53 guard alone bounds the span
         assert 15 * MAX_9X7 < 1 << 53
+        assert _dtw_np.packed_layout(9, 7, MAX_9X7, np.int64)[1] >= 1
         # multiples of g up to 6 g, and 1 among the multipliers
         g = MAX_9X7 // 6
         xs, ys = self.spread(0, 6, 9, 7, 1)
         xs[0, 1] = 1.0
         for band in (-1, 2, 4):
-            assert_matches_oracle(xs * g, ys * g, band, (0.0, g, 6, np.int32))
+            assert_matches_oracle(xs * g, ys * g, band, (0.0, 6 * g, np.int64))
         # every step costs the largest value, so the costs reach
-        # 9 * MAX_9X7 on a 9-cell path, g times a packed cost of 9
+        # 9 * MAX_9X7 on a 9-cell path
         xs[:] = 0.0
         ys[:] = MAX_9X7
         for band in (-1, 2):
-            assert_matches_oracle(xs, ys, band, (0.0, MAX_9X7, 1, np.int32))
+            assert_matches_oracle(xs, ys, band, (0.0, MAX_9X7, np.int64))
 
     def test_integral_span_at_guard_raises(self, dtw_kernel_calls):
         assert 15 * (MAX_9X7 + 1) >= 1 << 53
-        # 0 or MAX_9X7 + 1: divided by their gcd, the values would pack,
-        # but a cost may reach 2^53, where _dtw_py's float64 sums round;
+        # 0 or MAX_9X7 + 1: int64 keys would hold the span, but a cost
+        # may reach 2^53, where _dtw_py's float64 sums round;
         # moved by -1 or by 2^40 the span, and the verdict, are the same
         xs, ys = self.spread(0, 1, 9, 7, 2)
         top = float(MAX_9X7 + 1)
@@ -234,32 +236,28 @@ class TestKernelParity:
             ys = rng.integers(0, vmax, (2, 100), endpoint=True).astype(np.float64)
             xs[0, :3] = (0.0, 1.0, vmax)
             if vmax == top:
-                assert_matches_oracle(xs, ys, 3, (0.0, 1, top, np.int64))
+                assert_matches_oracle(xs, ys, 3, (0.0, top, np.int64))
             else:
-                with pytest.raises(ValueError, match="int64 keys of 100 x 100"):
+                with pytest.raises(ValueError, match=r"100 x 100 pairs: a cost "
+                                                     r"could reach 2\^52$"):
                     dtw.dtw_norm_pairs(xs, ys)
 
-    def test_wide_group_packs_only_by_its_gcd(self, dtw_kernel_calls):
-        # values up to 10 * 2^26 are too wide for the int32 keys of 12 x 10
-        # pairs (T < 1 beyond vmax = 2^30 // (3 << 7) - 1) unless divided
-        # by their gcd; moved by 1, or negated, they still are multiples
-        # of it once shifted by their least value. One value off the
-        # multiples leaves the gcd at 1, and the group takes int64 keys.
+    def test_wide_group_of_multiples_takes_int64_keys(self, dtw_kernel_calls):
+        # multiples of 2^26 up to 10 * 2^26 are too wide for the int32 keys
+        # of 12 x 10 pairs (T < 1 beyond vmax = 2^30 // (3 << 7) - 1), moved
+        # by 1 or negated too: the group takes int64 keys at its full span
         g = 1 << 26
         xs, ys = self.spread(0, 10, 12, 10, 3)
         xs[0, 1] = 1.0
         assert _dtw_np.packed_layout(12, 10, 10 * g, np.int32)[1] < 1
         for band in (-1, 2, 5):
-            assert_matches_oracle(xs * g, ys * g, band, (0.0, g, 10, np.int32))
+            assert_matches_oracle(xs * g, ys * g, band, (0.0, 10 * g, np.int64))
             assert_matches_oracle(xs * g + 1, ys * g + 1, band,
-                                  (1.0, g, 10, np.int32))
+                                  (1.0, 10 * g, np.int64))
             assert_matches_oracle(-xs * g, -ys * g, band,
-                                  (-10.0 * g, g, 10, np.int32))
-        xs *= g
-        xs[2, 3] += 1
-        assert_matches_oracle(xs, ys * g, 2, (0.0, 1, 10 * g, np.int64))
+                                  (-10.0 * g, 10 * g, np.int64))
         dtw_kernel_calls.clear()
-        dtw.dtw_norm_pairs(xs, ys * g)
+        dtw.dtw_norm_pairs(xs * g, ys * g)
         assert dtw_kernel_calls == [("dtw_packed", 6, np.int64)]
 
     @pytest.mark.parametrize("offset", [2.0 ** 30, -(2.0 ** 30), 2.0 ** 40])
@@ -270,7 +268,7 @@ class TestKernelParity:
         xs += offset
         ys += offset
         for band in (-1, 2, 5):
-            assert_matches_oracle(xs, ys, band, (offset - 5, 1, 10, np.int32))
+            assert_matches_oracle(xs, ys, band, (offset - 5, 10, np.int32))
         assert {call[2] for call in dtw_kernel_calls} == {np.int32}
 
     def test_non_integral_raises_naming_the_value(self, dtw_kernel_calls):
@@ -282,12 +280,6 @@ class TestKernelParity:
         with pytest.raises(ValueError, match=r"got 0\.25$"):
             dtw.dtw_norm(np.array([1.0, 2.0, 3.0]), np.array([3, 0.25]))
         assert dtw_kernel_calls == []
-
-    def test_all_zero_group_is_packed_with_gcd_1(self):
-        # np.gcd.reduce of zeros is 0; the group packs undivided
-        for band in (-1, 2):
-            assert_matches_oracle(np.zeros((2, 9)), np.zeros((2, 7)), band,
-                                  (0.0, 1, 0, np.int32))
 
     @pytest.mark.parametrize("m, ltype", [(32767, np.int16), (32768, np.int32)])
     def test_longest_int16_path_and_first_int32_one(self, m, ltype):
@@ -303,29 +295,27 @@ class TestKernelParity:
         ys = rng.integers(0, 4, (2, m)).astype(np.float64)
         ys[0, :2] = (1.0, 3.0)
         assert _dtw_py.dtw_pair(xs[0], ys[0])[1] == m
-        assert_matches_oracle(xs, ys, -1, (0.0, 1, 3, np.int32))
+        assert_matches_oracle(xs, ys, -1, (0.0, 3, np.int32))
 
 
 @st.composite
 def packed_batches(draw):
-    """P >= 1 pairs of one (n, m), n + m > 2, of offset + multiples of g
-    in [offset, offset + g * vmax], pair 0 taking 0, g and g * vmax above
-    offset, and a band from batches' set, with the route packed_route
-    must give them. vmax is 0 (an all-equal group, route (offset, 1, 0,
-    int32)), 3, the largest whose int32 clamp period T is at least 1, 2,
-    3 or 4, so that T is small and many pairs saturate, or one more than
-    the largest with T >= 1, which takes int64 keys. g is 1, 2, 1500 or
-    7919, or puts g * vmax (n + m - 1) just below 2^53, route (offset,
-    g, vmax, keys), or at or above it, route None: a ValueError. offset
-    is 0, -3 or 2^40."""
+    """P >= 1 pairs of one (n, m), n + m > 2, of integers in [offset,
+    offset + vmax], pair 0 taking 0, 1 and vmax above offset, and a band
+    from batches' set, with the route packed_route must give them. vmax
+    is 0 (an all-equal group, route (offset, 0, int32)), 3, the largest
+    whose int32 clamp period T is at least 1, 2, 3 or 4, so that T is
+    small and many pairs saturate, one more than the largest with T >= 1,
+    which takes int64 keys, or puts vmax (n + m - 1) just below 2^53,
+    int64 keys too, or at it, route None: a ValueError. offset is 0, -3
+    or 2^40."""
     n = draw(st.integers(1, 40))
     m = draw(st.integers(2 if n == 1 else 1, 40))
     p = draw(st.integers(1, 5))
     shift = (n + m - 2).bit_length() + 2
     tops = [_dtw_np.satkey(np.int32) // ((t + 2) << shift) - 1 for t in (1, 2, 3, 4)]
-    vmax = draw(st.sampled_from([0, 3, *tops, tops[0] + 1]))
-    top = ((1 << 53) - 1) // (n + m - 1) // max(vmax, 1)
-    g = draw(st.sampled_from([1, 2, 1500, 7919, top, top + 1]))
+    top = ((1 << 53) - 1) // (n + m - 1)
+    vmax = draw(st.sampled_from([0, 3, *tops, tops[0] + 1, top, top + 1]))
     offset = draw(st.sampled_from([0, -3, 1 << 40]))
     values = st.one_of(st.sampled_from([0, vmax]), st.integers(0, vmax))
     xs = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(p)]
@@ -340,23 +330,22 @@ def packed_batches(draw):
     gap = abs(n - m)
     band = draw(st.sampled_from([-1, gap, gap + 2, max(n, m), max(n, m) + 3]))
     if not vmax:
-        route = (float(offset), 1, 0, np.int32)
-    elif (n + m - 1) * g * vmax >= 1 << 53:
+        route = (float(offset), 0, np.int32)
+    elif (n + m - 1) * vmax >= 1 << 53:
         route = None
     else:
         keys = np.int32 if vmax in tops or vmax == 3 else np.int64
-        route = (float(offset), g, vmax, keys)
-    return (np.array(xs, dtype=np.float64) * g + offset,
-            np.array(ys, dtype=np.float64) * g + offset, band, route)
+        route = (float(offset), vmax, keys)
+    return (np.array(xs, dtype=np.float64) + offset,
+            np.array(ys, dtype=np.float64) + offset, band, route)
 
 
 class TestPacked:
-    """dtw_packed, run on a group shifted by its least value and divided
-    by its gcd, equals _dtw_py wherever it reports a pair exact, every
-    pair it does not report reached SATC, int64 keys report every pair of
-    a group the int32 keys take exact, and dtw_norm_pairs, which runs the
-    pairs int32 keys saturate again in int64 keys, equals the oracle on
-    every pair."""
+    """dtw_packed, run on a group shifted by its least value, equals
+    _dtw_py wherever it reports a pair exact, every pair it does not
+    report reached SATC, int64 keys report every pair of a group the
+    int32 keys take exact, and dtw_norm_pairs, which runs the pairs int32
+    keys saturate again in int64 keys, equals the oracle on every pair."""
 
     @given(batch=packed_batches())
     @settings(max_examples=300, deadline=None)
@@ -382,7 +371,7 @@ class TestPacked:
             xs[0, 1] = 0
             xs[0, 2] = 1
             for band in (-1, 2, 4):
-                assert_matches_oracle(xs, ys, band, (0.0, 1, vmax, keys))
+                assert_matches_oracle(xs, ys, band, (0.0, vmax, keys))
                 dtw_kernel_calls.clear()
                 dtw.dtw_norm_pairs(xs, ys, None if band < 0 else band)
                 assert dtw_kernel_calls[0] == ("dtw_packed", 4, keys)
@@ -401,7 +390,7 @@ class TestPacked:
         raw, plen, exact = _dtw_np.dtw_packed(xs, ys, -1, 1 << 21, np.int64)
         assert exact.tolist() == [True, True]
         assert list(zip(raw.tolist(), plen.tolist())) == [(satc - 1, 8), (satc, 8)]
-        assert dtw.packed_route(xs, ys) == (0.0, 1, 1 << 21, np.int32)
+        assert dtw.packed_route(xs, ys) == (0.0, 1 << 21, np.int32)
         got = dtw.dtw_norm_pairs(xs, ys)
         # the saturated pair runs again in int64 keys
         assert dtw_kernel_calls == [("dtw_packed", 2, np.int32),
@@ -414,7 +403,7 @@ class TestPacked:
         ys = rng.integers(0, 4, (3, 10)).astype(np.float64)
         xs[2, 5] = -1.0
         ys[1, 2] = 3.0
-        assert_matches_oracle(xs, ys, -1, (-1.0, 1, 4, np.int32))
+        assert_matches_oracle(xs, ys, -1, (-1.0, 4, np.int32))
         dtw_kernel_calls.clear()
         dtw.dtw_norm_pairs(xs, ys)
         assert dtw_kernel_calls == [("dtw_packed", 3, np.int32)]

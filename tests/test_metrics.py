@@ -25,7 +25,7 @@ def small_record(**kw):
         rng_algorithm="mt19937",
         fingerprint="ab" * 32,
         duration_ns=30_000_000_000,
-        config={"duration_ns": 30_000_000_000},
+        config={"duration_ns": 30_000_000_000, "link": {"mtu": 1500}},
         flows=[FlowSummary("a", "cubic", 45_000_000)],
         # balanced: 2 packets still queued, 1 AQM drop and 3 marks, as
         # the series says
@@ -139,6 +139,28 @@ class TestRoundTrip:
         series = d / "series.csv"
         series.write_text(series.read_text() + "# 48000000,0,0,0,0\n")
         with pytest.raises(ValueError):
+            load_run_dir(str(d))
+
+    def test_load_rejects_qocc_bytes_off_mtu_times_qocc_pkts(self, tmp_path):
+        # every packet is mtu bytes, so a byte backlog one off the packet
+        # backlog times mtu is named by its line; the text is still the
+        # writer's for the values it holds
+        rec = small_record()
+        rec.samples[1, 2] += 1
+        d = tmp_path / "run"
+        write_run_dir(rec, str(d))
+        with pytest.raises(ValueError, match=r"series\.csv:3: '32000000,2,3001,3,1' "
+                                             r"breaks qocc_bytes = mtu 1500 x "
+                                             r"qocc_pkts$"):
+            load_run_dir(str(d))
+
+    @pytest.mark.parametrize("link", [{}, {"mtu": "1500"}, {"mtu": True},
+                                      {"mtu": 0}, {"mtu": 1 << 63}])
+    def test_load_rejects_meta_without_an_int_mtu(self, tmp_path, link):
+        rec = small_record(config={"duration_ns": 30_000_000_000, "link": link})
+        d = tmp_path / "run"
+        write_run_dir(rec, str(d))
+        with pytest.raises(ValueError, match=r"meta\.json: config\.link\.mtu is "):
             load_run_dir(str(d))
 
 

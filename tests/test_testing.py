@@ -307,9 +307,9 @@ class TestChunks:
         got = dtw.dtw_norm_pairs(list(xs), list(ys))
         # two chunks of 85, not one of per_call and a remainder
         assert dtw_kernel_calls == [("dtw_packed", 85, keys)] * 2
-        lo, g, vmax, _ = dtw.packed_route(xs, ys)
+        lo, vmax, _ = dtw.packed_route(xs, ys)
         raw, plen, exact = _dtw_np.dtw_packed(xs, ys, -1, vmax, np.int64)
-        assert (lo, g) == (0.0, 1) and exact.all()
+        assert lo == 0.0 and exact.all()
         assert got.tobytes() == (raw / plen).tobytes()
 
 
@@ -723,7 +723,6 @@ class TestMetricExtraction:
         assert set(METRICS) == {
             "throughput",
             "queue_occupancy",
-            "queue_bytes",
             "ecn_marks",
             "drops",
         }
