@@ -78,7 +78,7 @@ class AqmConfig:
 
 
 class DualPi2:
-    """The coupled dual-queue AQM instance for one link.
+    """The coupled dual-queue AQM instance for one link, of mtu >= 1.
 
     All mutation happens through enqueue / dequeue / pi2_update; the
     counters are monotone and never reset so interval deltas can be
@@ -88,14 +88,16 @@ class DualPi2:
     __slots__ = (
         "cfg",
         "rng",
+        "mtu",
+        "_limit_pkts",
+        "_debit",
+        "_accrual",
         "p_prime",
         "prev_qdelay_ns",
         "next_update_ns",
         "credit",
         "_c",
         "_l",
-        "c_bytes",
-        "l_bytes",
         "enq_total",
         "deq_total",
         "drops_overflow",
@@ -104,10 +106,15 @@ class DualPi2:
         "ecn_marks_c",
     )
 
-    def __init__(self, cfg: AqmConfig, rng: Rng):
+    def __init__(self, cfg: AqmConfig, rng: Rng, mtu: int):
         cfg.validate()
         self.cfg = cfg
         self.rng = rng
+        self.mtu = mtu
+        self._limit_pkts = cfg.limit_bytes // mtu
+        # credit a C packet costs, and an L packet earns C, while both wait
+        self._debit = mtu * (1.0 - cfg.classic_protection)
+        self._accrual = mtu * cfg.classic_protection
         self.p_prime = 0.0
         self.prev_qdelay_ns = 0
         self.next_update_ns = cfg.tupdate_ns
@@ -115,8 +122,6 @@ class DualPi2:
         self.credit = 0.0
         self._c: deque[Packet] = deque()
         self._l: deque[Packet] = deque()
-        self.c_bytes = 0
-        self.l_bytes = 0
         self.enq_total = 0
         self.deq_total = 0
         self.drops_overflow = 0
@@ -133,7 +138,7 @@ class DualPi2:
 
     @property
     def backlog_bytes(self) -> int:
-        return self.c_bytes + self.l_bytes
+        return self.mtu * (len(self._c) + len(self._l))
 
     @property
     def drops_total(self) -> int:
@@ -163,23 +168,20 @@ class DualPi2:
         """Classify and queue one packet, or drop it on buffer overflow.
 
         ECT(1) (0b01) and CE (0b11) identify scalable traffic and go to
-        the L queue; the low bit is the discriminator. The byte limit is
-        shared by both queues; a packet that would push the combined
-        backlog past it is dropped at the tail no matter which queue it
-        was headed for.
+        the L queue; the low bit is the discriminator. Both queues share
+        a buffer of limit_bytes // mtu whole packets; a packet that
+        would overflow it is dropped at the tail no matter which queue
+        it was headed for.
         """
         self.enq_total += 1
-        size = pkt.size
-        if self.c_bytes + self.l_bytes + size > self.cfg.limit_bytes:
+        if len(self._c) + len(self._l) >= self._limit_pkts:
             self.drops_overflow += 1
             return
         pkt.enqueued_at = now
         if pkt.ecn & 1:
             self._l.append(pkt)
-            self.l_bytes += size
         else:
             self._c.append(pkt)
-            self.c_bytes += size
 
     # ------------------------------------------------------------------
     # controller
@@ -222,9 +224,10 @@ class DualPi2:
         """Pick the next packet for the link, applying AQM actions.
 
         Scheduling: when both queues are backlogged the C queue is
-        served only while it holds positive credit, which accrues at
-        classic_protection of every byte served; with a single backlog
-        the credit resets so a returning competitor starts from parity.
+        served only while it holds positive byte credit, which each L
+        packet served raises by classic_protection x mtu and each C
+        packet lowers by the rest of its mtu; with a single backlog the
+        credit resets so a returning competitor starts from parity.
 
         C queue: each head faces an independent trial at p_c = p'^2; a
         losing ECT(0) packet is CE-marked and forwarded, any other loser
@@ -244,7 +247,6 @@ class DualPi2:
             draw = self.rng.random
             while queue_c:
                 pkt = queue_c.popleft()
-                self.c_bytes -= pkt.size
                 if draw() < p_c:
                     if cfg.ecn_classic_enabled and pkt.ecn == _ECT0:
                         pkt.ecn = _CE
@@ -254,7 +256,7 @@ class DualPi2:
                         continue
                 self.deq_total += 1
                 if queue_l:
-                    self.credit -= pkt.size * (1.0 - cfg.classic_protection)
+                    self.credit -= self._debit
                 else:
                     self.credit = 0.0
                 return pkt
@@ -264,7 +266,6 @@ class DualPi2:
         elif not queue_l:
             return None
         pkt = queue_l.popleft()
-        self.l_bytes -= pkt.size
         if (now - pkt.enqueued_at > cfg.step_thresh_ns
                 or self.rng.random() < cfg.coupling_k * self.p_prime):
             if pkt.ecn != _CE:
@@ -272,7 +273,7 @@ class DualPi2:
                 self.ecn_marks_l += 1
         self.deq_total += 1
         if queue_c:
-            self.credit += pkt.size * cfg.classic_protection
+            self.credit += self._accrual
         else:
             self.credit = 0.0
         return pkt

@@ -319,10 +319,10 @@ def build_scenario(sections: Sections) -> ScenarioConfig:
 
 
 def parse_flow_shorthand(spec: str) -> tuple[str, ...]:
-    """Parse 'scalable+cubic' style flow lists."""
-    kinds = tuple(k.strip() for k in spec.split("+") if k.strip())
-    if not kinds:
-        raise ConfigError(f"empty flow list: {spec!r}")
+    """Parse 'scalable+cubic' style flow lists; an empty entry is a config error."""
+    kinds = tuple(k.strip() for k in spec.split("+"))
+    if "" in kinds:
+        raise ConfigError(f"--flows: empty entry in {spec!r}")
     for kind in kinds:
         if kind not in SENDER_KINDS:
             raise ConfigError(

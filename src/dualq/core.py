@@ -40,22 +40,20 @@ class Packet:
     and destroyed millions of times per run and attribute access is on
     the hot path. ``flow`` is the sending flow's index in the
     scenario's flow list and ``seq`` its flow-local sequence number.
+    A packet carries no size: every packet is the link's mtu, as in
+    Mahimahi, whose delivery opportunities are one MTU each.
     """
 
-    __slots__ = ("flow", "seq", "size", "ecn", "enqueued_at")
+    __slots__ = ("flow", "seq", "ecn", "enqueued_at")
 
-    def __init__(self, flow: int, seq: int, size: int, ecn: Ecn):
+    def __init__(self, flow: int, seq: int, ecn: Ecn):
         self.flow = flow
         self.seq = seq
-        self.size = size
         self.ecn = ecn
         self.enqueued_at = -1
 
     def __repr__(self):
-        return (
-            f"Packet(flow={self.flow}, seq={self.seq}, size={self.size}, "
-            f"ecn={self.ecn.name})"
-        )
+        return f"Packet(flow={self.flow}, seq={self.seq}, ecn={self.ecn.name})"
 
 
 class Rng:

@@ -83,8 +83,8 @@ def run_scenario(cfg, seed: int) -> RunOutput:
     seed) pair always produces identical outputs: the only randomness
     is the AQM's seeded stream, and the event order is total.
     """
-    aqm = DualPi2(cfg.aqm, Rng(seed))
-    senders = [make_sender(fc, i, cfg.link.mtu) for i, fc in enumerate(cfg.flows)]
+    aqm = DualPi2(cfg.aqm, Rng(seed), cfg.link.mtu)
+    senders = [make_sender(fc, i) for i, fc in enumerate(cfg.flows)]
     receiver = Receiver(len(senders))
     collector = SampleCollector()
     trace = cfg.link.make_trace()

@@ -24,8 +24,9 @@ each file once, for writer and loader both. A loaded run must satisfy:
   dequeued + drops + the final qocc_pkts, drops = drops_overflow +
   drops_aqm = the series' drops, and ecn_marks_l + ecn_marks_c = the
   series' marks;
-* config.link.mtu is a positive int64 and every series.csv row has
-  qocc_bytes = mtu * qocc_pkts: every packet is mtu bytes.
+* config.link.mtu is a positive int64, every series.csv row has
+  qocc_bytes = mtu * qocc_pkts and every flows.csv row's bytes are a
+  multiple of mtu: every packet is mtu bytes.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ class RunRecord:
 def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
               config: dict, output) -> RunRecord:
     """Condense a RunOutput into a RunRecord."""
+    mtu = output.aqm.mtu
     flows = [
-        FlowSummary(flow=sender.flow, kind=sender.kind, bytes=st.bytes)
+        FlowSummary(flow=sender.flow, kind=sender.kind, bytes=st.arrivals * mtu)
         for sender, st in zip(output.senders, output.receiver.flows)
     ]
     return RunRecord(
@@ -158,7 +160,7 @@ _META_KEYS = {"run_id": "run_id", "seed": "seed", "rng_algorithm": "rng.algorith
               "config": "config", "counters": "summary.counters"}
 _FIELD_TYPES = get_type_hints(RunRecord)
 # the names DualPi2.counters() reports, read off a fresh queue
-_COUNTER_NAMES = DualPi2(AqmConfig(), Rng(0)).counters().keys()
+_COUNTER_NAMES = DualPi2(AqmConfig(), Rng(0), 1).counters().keys()
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
@@ -311,6 +313,10 @@ def load_run_dir(path: str) -> RunRecord:
             raise ValueError(f"{flows_path}:{lineno}: malformed ({exc})") from None
     record = RunRecord(flows=flows, samples=samples, **fields)
     _check_lines(flows_path, lines, _flows_lines(record))
+    for lineno, f in enumerate(flows, start=2):
+        if f.bytes % mtu:
+            raise ValueError(f"{flows_path}:{lineno}: {lines[lineno - 1]!r} "
+                             f"delivers bytes that are not a multiple of mtu {mtu}")
     # each row holds at least the writer's characters for its values, so a
     # file of the writer's length is its text: 10 characters a row (5 digits,
     # 4 commas, a newline) plus further digits, counted exactly (log10

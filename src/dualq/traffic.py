@@ -15,7 +15,7 @@ The receiver acknowledges every delivery immediately and echoes CE.
 Loss detection is idealized: a sequence gap is declared lost after
 three later packets of the same flow arrive. There are no
 retransmissions and no timers; a congestion signal feeds the window
-and the byte simply does not count toward goodput.
+and the packet simply does not count toward goodput.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class _SenderBase:
         "flow",
         "kind",
         "index",
-        "mtu",
         "start_ns",
         "stop_ns",
         "cwnd",
@@ -76,11 +75,10 @@ class _SenderBase:
         "signals_total",
     )
 
-    def __init__(self, cfg: FlowConfig, index: int, mtu: int):
+    def __init__(self, cfg: FlowConfig, index: int):
         self.flow = cfg.name
         self.kind = cfg.kind
         self.index = index
-        self.mtu = mtu
         self.start_ns = cfg.start_ns
         self.stop_ns = cfg.stop_ns
         self.cwnd = INIT_CWND
@@ -104,11 +102,10 @@ class _SenderBase:
             return out
         seq = self.next_seq
         flow = self.index
-        mtu = self.mtu
         ecn = self.ecn
         while len(outstanding) < limit:
             outstanding[seq] = now
-            out.append(Packet(flow, seq, mtu, ecn))
+            out.append(Packet(flow, seq, ecn))
             seq += 1
         self.next_seq = seq
         return out
@@ -130,19 +127,12 @@ class ScalableSender(_SenderBase):
 
     ecn = Ecn.ECT1
 
-    def __init__(self, cfg: FlowConfig, index: int, mtu: int):
-        super().__init__(cfg, index, mtu)
+    def __init__(self, cfg: FlowConfig, index: int):
+        super().__init__(cfg, index)
         self.mark_ewma = 0.0
         self.round_last_seq = -1
         self.round_acked = 0
         self.round_marked = 0
-
-    def pump(self, now: int) -> list[Packet]:
-        out = super().pump(now)
-        if self.round_last_seq < 0 and self.next_seq > 0:
-            # the opening round spans the whole initial window
-            self.round_last_seq = self.next_seq - 1
-        return out
 
     def on_ack(self, seq: int, ce: bool, now: int) -> None:
         sent_at = self.outstanding.pop(seq, None)
@@ -161,7 +151,12 @@ class ScalableSender(_SenderBase):
             self.cwnd += 1.0
             if ce:
                 self.slow_start = False
-        if seq >= self.round_last_seq:
+        last = self.round_last_seq
+        if last < 0:
+            # the opening round is the window the wake-up sent: nothing
+            # else pumps before a flow's first ack
+            last = self.round_last_seq = self.next_seq - 1
+        if seq >= last:
             self._close_round()
 
     def on_loss(self, seq: int, now: int) -> None:
@@ -198,8 +193,8 @@ class ClassicSender(_SenderBase):
 
     ecn = Ecn.ECT0
 
-    def __init__(self, cfg: FlowConfig, index: int, mtu: int):
-        super().__init__(cfg, index, mtu)
+    def __init__(self, cfg: FlowConfig, index: int):
+        super().__init__(cfg, index)
         if cfg.kind not in ("reno", "cubic"):
             raise ValueError(f"not a classic sender kind: {cfg.kind!r}")
         self.ssthresh = float("inf")
@@ -263,18 +258,17 @@ class ClassicSender(_SenderBase):
             self.cwnd = w
 
 
-def make_sender(cfg: FlowConfig, index: int, mtu: int) -> _SenderBase:
+def make_sender(cfg: FlowConfig, index: int) -> _SenderBase:
     cfg.validate()
     if cfg.kind == "scalable":
-        return ScalableSender(cfg, index, mtu)
-    return ClassicSender(cfg, index, mtu)
+        return ScalableSender(cfg, index)
+    return ClassicSender(cfg, index)
 
 
 @dataclass
 class FlowStats:
     """Per-flow delivery accounting at the receiver."""
 
-    bytes: int = 0
     highest_seq: int = -1
     arrivals: int = 0
     # (missing seq, arrival count at which it is declared lost)
@@ -282,7 +276,7 @@ class FlowStats:
 
 
 class Receiver:
-    """Counts deliveries, echoes CE, reports idealized losses.
+    """Counts packets delivered (mtu bytes each), echoes CE, reports losses.
 
     A missing sequence number is declared lost once three packets with
     higher sequence numbers of the same flow have arrived (the third
@@ -298,7 +292,6 @@ class Receiver:
     def on_deliver(self, pkt: Packet) -> tuple[bool, tuple[int, ...]]:
         """Account one delivery; return (ce_echo, sequences now lost)."""
         st = self.flows[pkt.flow]
-        st.bytes += pkt.size
         arrivals = st.arrivals = st.arrivals + 1
         ce = pkt.ecn == _CE
         seq = pkt.seq

@@ -137,13 +137,41 @@ def bootstrap_replicates_oracle(ds, B: int, rng) -> np.ndarray:
 
 
 class DualPi2Oracle(DualPi2):
-    """DualPi2 with the scheduler and the two queue actions as three steps.
+    """DualPi2 with the scheduler and the two queue actions as three steps,
+    on byte arithmetic.
 
     Same draws, in the same order, as the production ``dequeue``: one per
-    C-head trial, one per L packet the step does not mark.
+    C-head trial, one per L packet the step does not mark. Where DualPi2
+    counts packets, this class keeps a byte tally per queue, each packet
+    being mtu bytes: a packet is admitted unless the tallies plus its
+    bytes would exceed limit_bytes, and the credit moves by the packet's
+    bytes times the protection share on every packet served.
     """
 
-    __slots__ = ()
+    __slots__ = ("c_bytes", "l_bytes")
+
+    def __init__(self, cfg, rng, mtu):
+        super().__init__(cfg, rng, mtu)
+        self.c_bytes = 0
+        self.l_bytes = 0
+
+    @property
+    def backlog_bytes(self):
+        return self.c_bytes + self.l_bytes
+
+    def enqueue(self, pkt, now):
+        self.enq_total += 1
+        size = self.mtu
+        if self.c_bytes + self.l_bytes + size > self.cfg.limit_bytes:
+            self.drops_overflow += 1
+            return
+        pkt.enqueued_at = now
+        if pkt.ecn & 1:
+            self._l.append(pkt)
+            self.l_bytes += size
+        else:
+            self._c.append(pkt)
+            self.c_bytes += size
 
     def dequeue(self, now):
         while True:
@@ -162,17 +190,17 @@ class DualPi2Oracle(DualPi2):
                 pkt = self._take_c(now)
                 if pkt is None:
                     continue
-                self.credit -= pkt.size * (1.0 - self.cfg.classic_protection)
+                self.credit -= self.mtu * (1.0 - self.cfg.classic_protection)
                 return pkt
             pkt = self._take_l(now)
-            self.credit += pkt.size * self.cfg.classic_protection
+            self.credit += self.mtu * self.cfg.classic_protection
             return pkt
 
     def _take_c(self, now):
         p_c = self.p_prime * self.p_prime
         while self._c:
             pkt = self._c.popleft()
-            self.c_bytes -= pkt.size
+            self.c_bytes -= self.mtu
             if self.rng.random() < p_c:
                 if self.cfg.ecn_classic_enabled and pkt.ecn == Ecn.ECT0:
                     pkt.ecn = Ecn.CE
@@ -186,7 +214,7 @@ class DualPi2Oracle(DualPi2):
 
     def _take_l(self, now):
         pkt = self._l.popleft()
-        self.l_bytes -= pkt.size
+        self.l_bytes -= self.mtu
         if now - pkt.enqueued_at > self.cfg.step_thresh_ns:
             mark = True
         else:
@@ -213,8 +241,8 @@ def run_scenario_oracle(cfg, seed: int) -> RunOutput:
     itself for an arrival, an ack or a wake-up.
     """
     rng = Rng(seed)
-    aqm = DualPi2Oracle(cfg.aqm, rng)
-    senders = [make_sender(fc, i, cfg.link.mtu) for i, fc in enumerate(cfg.flows)]
+    aqm = DualPi2Oracle(cfg.aqm, rng, cfg.link.mtu)
+    senders = [make_sender(fc, i) for i, fc in enumerate(cfg.flows)]
     receiver = Receiver(len(senders))
     collector = SampleCollector()
     trace = cfg.link.make_trace()

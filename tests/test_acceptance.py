@@ -90,17 +90,16 @@ def test_criterion_01_dtw_matches_exhaustive_oracle():
 
 def test_criterion_02_pi2_fixed_point_and_clamping():
     # queue delay pinned at the target: p' must not move at all
-    a = DualPi2(AqmConfig(), Rng(1))
+    a = DualPi2(AqmConfig(), Rng(1), 1500)
     a.p_prime = 0.25
     a.prev_qdelay_ns = a.cfg.target_ns
-    probe = Packet(0, 0, 1500, Ecn.ECT0)
+    probe = Packet(0, 0, Ecn.ECT0)
     now = a.cfg.tupdate_ns
     drift = 0
     for _ in range(10_000):
         a._c.clear()
         probe.enqueued_at = now - a.cfg.target_ns
         a._c.append(probe)
-        a.c_bytes = probe.size
         if a.pi2_update(now) != 0.25:
             drift += 1
         now += a.cfg.tupdate_ns
@@ -109,7 +108,7 @@ def test_criterion_02_pi2_fixed_point_and_clamping():
     rng = random.Random(7)
     escapes = 0
     for beta in (3.2, 1e6):
-        b = DualPi2(AqmConfig(beta=beta, limit_bytes=10**12), Rng(2))
+        b = DualPi2(AqmConfig(beta=beta, limit_bytes=10**12), Rng(2), 1500)
         now = 0
         for _ in range(10_000):
             now += b.cfg.tupdate_ns
@@ -117,7 +116,6 @@ def test_criterion_02_pi2_fixed_point_and_clamping():
             qdelay = rng.randint(0, 200 * NS_PER_MS)
             probe.enqueued_at = now - qdelay
             b._c.append(probe)
-            b.c_bytes = probe.size
             p = b.pi2_update(now)
             if not 0.0 <= p <= 1.0:
                 escapes += 1
@@ -133,8 +131,8 @@ def test_criterion_02_pi2_fixed_point_and_clamping():
 class RecordingAqm(DualPi2):
     """Capture (sojourn, ecn) of every dequeued packet."""
 
-    def __init__(self, cfg, rng):
-        super().__init__(cfg, rng)
+    def __init__(self, cfg, rng, mtu):
+        super().__init__(cfg, rng, mtu)
         self.seen = []
 
     def dequeue(self, now):
@@ -234,24 +232,25 @@ def test_criterion_06_classic_link_utilization():
 
 
 def test_criterion_07_wrr_byte_share():
-    aqm = DualPi2(AqmConfig(limit_bytes=10**12), Rng(5))
-    rng = random.Random(1)
+    # every packet is the link's mtu, so bytes are mtu x packet counts
+    mtu = 1500
+    aqm = DualPi2(AqmConfig(limit_bytes=10**12), Rng(5), mtu)
 
     def feed(ecn, i):
-        aqm.enqueue(Packet(0, i, rng.randint(200, 1500), ecn), 0)
+        aqm.enqueue(Packet(0, i, ecn), 0)
 
     feed(Ecn.NOT_ECT, 0)
     feed(Ecn.ECT1, 1)
-    c_bytes = total = 0
+    c_pkts = total_pkts = 0
     for i in range(2, 1_000_002):
         pkt = aqm.dequeue(0)
-        total += pkt.size
+        total_pkts += 1
         if pkt.ecn is Ecn.NOT_ECT:
-            c_bytes += pkt.size
+            c_pkts += 1
             feed(Ecn.NOT_ECT, i)
         else:
             feed(Ecn.ECT1, i)
-    share = c_bytes / total
+    share = mtu * c_pkts / (mtu * total_pkts)
     ok = 0.09 <= share <= 0.11
     assert report(
         7,

@@ -9,12 +9,12 @@ from dualq.aqm import AqmConfig, DualPi2
 from dualq.core import NS_PER_MS, Ecn, Packet, Rng, ms_to_ns
 
 
-def mkpkt(i=0, ecn=Ecn.ECT0, size=1500):
-    return Packet(0, i, size, ecn)
+def mkpkt(i=0, ecn=Ecn.ECT0):
+    return Packet(0, i, ecn)
 
 
-def mkaqm(rng_seed=1, **kw):
-    return DualPi2(AqmConfig(**kw), Rng(rng_seed))
+def mkaqm(rng_seed=1, mtu=1500, **kw):
+    return DualPi2(AqmConfig(**kw), Rng(rng_seed), mtu)
 
 
 class TestConfig:
@@ -65,18 +65,20 @@ class TestClassifier:
                           (Ecn.NOT_ECT, False), (Ecn.ECT0, False)]:
             a = mkaqm()
             assert a.enqueue(mkpkt(0, ecn), 0) is None
-            assert (a.l_bytes, a.c_bytes) == ((1500, 0) if to_l else (0, 1500)), ecn
+            assert (len(a._l), len(a._c)) == ((1, 0) if to_l else (0, 1)), ecn
+            assert a.backlog_bytes == 1500
             assert a.drops_overflow == 0
 
     def test_enqueue_routes_by_codepoint(self):
         a = mkaqm()
         a.enqueue(mkpkt(0, Ecn.ECT1), 0)
-        a.enqueue(mkpkt(1, Ecn.CE, size=1000), 0)
-        a.enqueue(mkpkt(2, Ecn.NOT_ECT, size=500), 0)
+        a.enqueue(mkpkt(1, Ecn.CE), 0)
+        a.enqueue(mkpkt(2, Ecn.NOT_ECT), 0)
         a.enqueue(mkpkt(3, Ecn.ECT0), 0)
-        assert a.l_bytes == 2500
-        assert a.c_bytes == 2000
+        assert [p.seq for p in a._l] == [0, 1]
+        assert [p.seq for p in a._c] == [2, 3]
         assert a.backlog_pkts == 4
+        assert a.backlog_bytes == 6000
         assert a.enq_total == 4
         assert a.drops_overflow == 0
 
@@ -86,7 +88,7 @@ class TestOverflow:
         a = mkaqm(limit_bytes=3000)
         a.enqueue(mkpkt(0), 0)
         a.enqueue(mkpkt(1), 0)
-        assert (a.c_bytes, a.backlog_pkts, a.drops_overflow) == (3000, 2, 0)
+        assert (a.backlog_bytes, a.backlog_pkts, a.drops_overflow) == (3000, 2, 0)
         # third 1500-byte packet would make 4500 > 3000
         a.enqueue(mkpkt(2), 0)
         assert a.drops_overflow == 1
@@ -102,15 +104,15 @@ class TestOverflow:
         a.enqueue(mkpkt(2, Ecn.ECT1), 0)
         a.enqueue(mkpkt(3, Ecn.ECT0), 0)
         # both late packets are dropped, whichever queue they were headed for
-        assert (a.l_bytes, a.c_bytes) == (1500, 1500)
+        assert (len(a._l), len(a._c)) == (1, 1)
         assert a.backlog_pkts == 2
         assert a.drops_overflow == 2
 
     def test_exactly_at_limit_accepted(self):
         a = mkaqm(limit_bytes=3000)
-        a.enqueue(mkpkt(0, size=1500), 0)
-        a.enqueue(mkpkt(1, size=1500), 0)
-        assert a.c_bytes == 3000
+        a.enqueue(mkpkt(0), 0)
+        a.enqueue(mkpkt(1), 0)
+        assert a.backlog_bytes == 3000
         assert a.backlog_pkts == 2
         assert a.drops_overflow == 0
 
@@ -144,10 +146,8 @@ class TestController:
         now = a.cfg.tupdate_ns
         for _ in range(10_000):
             a._c.clear()
-            a.c_bytes = 0
             pkt.enqueued_at = now - a.cfg.target_ns
             a._c.append(pkt)
-            a.c_bytes = pkt.size
             assert a.pi2_update(now) == 0.25
             now += a.cfg.tupdate_ns
         assert a.p_prime == 0.25
@@ -194,7 +194,6 @@ class TestController:
             pkt = mkpkt(0, Ecn.ECT0)
             pkt.enqueued_at = 0
             a._c.append(pkt)
-            a.c_bytes = pkt.size
             p = a.pi2_update(max(qd_ns, a.cfg.tupdate_ns))
         else:
             p = a.pi2_update(a.cfg.tupdate_ns)
@@ -389,29 +388,74 @@ class TestDraws:
             assert (a.ecn_marks_c, a.ecn_marks_l, a.drops_aqm) == (expect,) * 3
 
     @given(seed=st.integers(0, 10**6), p_prime=st.floats(0.0, 1.0),
-           ecn_classic=st.booleans())
+           ecn_classic=st.booleans(), mtu=st.sampled_from([64, 600, 1500]))
     @settings(max_examples=40, deadline=None)
-    def test_matches_three_step_oracle(self, seed, p_prime, ecn_classic):
+    def test_matches_three_step_oracle(self, seed, p_prime, ecn_classic, mtu):
         import random as pyrandom
 
         from _oracles import DualPi2Oracle
 
         cfg = AqmConfig(limit_bytes=40_000, ecn_classic_enabled=ecn_classic)
-        a, b = DualPi2(cfg, Rng(seed)), DualPi2Oracle(cfg, Rng(seed))
+        a, b = DualPi2(cfg, Rng(seed), mtu), DualPi2Oracle(cfg, Rng(seed), mtu)
         a.p_prime = b.p_prime = p_prime
         traffic = pyrandom.Random(seed + 1)
         now = 0
         for i in range(600):
             ecn = traffic.choice(list(Ecn))
-            size = traffic.choice([64, 600, 1500])
-            a.enqueue(Packet(0, i, size, ecn), now)
-            b.enqueue(Packet(0, i, size, ecn), now)
+            a.enqueue(Packet(0, i, ecn), now)
+            b.enqueue(Packet(0, i, ecn), now)
             for _ in range(traffic.randrange(3)):
                 got, want = a.dequeue(now), b.dequeue(now)
                 assert (got and (got.seq, got.ecn)) == (want and (want.seq, want.ecn))
             now += traffic.randrange(2 * NS_PER_MS)
         assert a.counters() == b.counters()
-        assert (a.credit, a.c_bytes, a.l_bytes) == (b.credit, b.c_bytes, b.l_bytes)
+        assert (a.credit, a.backlog_bytes) == (b.credit, b.backlog_bytes)
+        assert a.rng.random() == b.rng.random()
+
+
+class TestPacketRule:
+    """DualPi2 counts packets where the byte oracle keeps byte tallies:
+    admitting while fewer than limit_bytes // mtu packets wait must be
+    the byte limit, and the precomputed credit steps the per-packet
+    products, for every mtu and every limit around a multiple of it."""
+
+    @given(data=st.data(), seed=st.integers(0, 10**6),
+           mtu=st.sampled_from([1, 576, 1500, 9000]),
+           protection=st.floats(0.0, 1.0, exclude_max=True),
+           ecn_classic=st.booleans(), p_prime=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_byte_oracle(self, data, seed, mtu, protection,
+                                 ecn_classic, p_prime):
+        import random as pyrandom
+
+        from _oracles import DualPi2Oracle
+
+        k = data.draw(st.integers(0, 12), label="k")
+        limit = data.draw(st.one_of(
+            st.integers(1, max(1, mtu - 1)),
+            st.sampled_from([k * mtu - 1, k * mtu, k * mtu + 1]).filter(
+                lambda n: n >= 1),
+        ), label="limit_bytes")
+        cfg = AqmConfig(limit_bytes=limit, classic_protection=protection,
+                        ecn_classic_enabled=ecn_classic)
+        a, b = DualPi2(cfg, Rng(seed), mtu), DualPi2Oracle(cfg, Rng(seed), mtu)
+        a.p_prime = b.p_prime = p_prime
+        traffic = pyrandom.Random(seed + 1)
+        now = 0
+        for i in range(200):
+            if traffic.random() < 0.6:
+                ecn = traffic.choice(list(Ecn))
+                a.enqueue(Packet(0, i, ecn), now)
+                b.enqueue(Packet(0, i, ecn), now)
+            else:
+                got, want = a.dequeue(now), b.dequeue(now)
+                assert (got and (got.seq, got.ecn)) == (want and (want.seq, want.ecn))
+            assert ([p.seq for p in a._c], [p.seq for p in a._l]) == (
+                [p.seq for p in b._c], [p.seq for p in b._l])
+            assert a.counters() == b.counters()
+            assert a.credit.hex() == b.credit.hex()
+            assert a.backlog_bytes == b.backlog_bytes
+            now += traffic.randrange(3 * NS_PER_MS)
         assert a.rng.random() == b.rng.random()
 
 
@@ -452,14 +496,9 @@ class TestScheduler:
         a = mkaqm(limit_bytes=10**15)
         n = 200_000
         self.fill(a, n, n)
-        c_bytes = 0
-        total = 0
-        for _ in range(n):
-            pkt = a.dequeue(0)
-            total += pkt.size
-            if pkt.ecn is Ecn.ECT0:
-                c_bytes += pkt.size
-        share = c_bytes / total
+        c_pkts = sum(a.dequeue(0).ecn is Ecn.ECT0 for _ in range(n))
+        # every packet is a.mtu bytes
+        share = a.mtu * c_pkts / (a.mtu * n)
         assert 0.09 <= share <= 0.11
 
     def test_share_tracks_other_protection_values(self):
@@ -467,14 +506,8 @@ class TestScheduler:
             a = mkaqm(classic_protection=w, limit_bytes=10**15)
             n = 50_000
             self.fill(a, n, n)
-            c_bytes = 0
-            total = 0
-            for _ in range(n):
-                pkt = a.dequeue(0)
-                total += pkt.size
-                if pkt.ecn is Ecn.ECT0:
-                    c_bytes += pkt.size
-            assert c_bytes / total == pytest.approx(w, abs=0.02)
+            c_pkts = sum(a.dequeue(0).ecn is Ecn.ECT0 for _ in range(n))
+            assert a.mtu * c_pkts / (a.mtu * n) == pytest.approx(w, abs=0.02)
 
 
 class TestConservation:

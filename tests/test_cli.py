@@ -263,6 +263,13 @@ class TestExitCodes:
         assert f"bad value for {key}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flows", ["scalable++cubic", "scalable+"])
+    def test_empty_flows_entry_is_config_error(self, tmp_path, capsys, flows):
+        code = emulate(tmp_path / "x", "--flows", flows)
+        assert code == EXIT_CONFIG
+        assert "--flows: empty entry" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "flag", [["--mode", "smooth"], ["--flows", "cubic"], ["--params", "refined"]]
     )

@@ -389,3 +389,10 @@ class TestFlowShorthand:
             parse_flow_shorthand("scalable+warp")
         with pytest.raises(ConfigError):
             parse_flow_shorthand("++")
+
+    @pytest.mark.parametrize("spec", ["scalable++cubic", "scalable+", "+cubic",
+                                      "scalable+ +cubic", "", " "])
+    def test_rejects_empty_entry(self, spec):
+        # an empty entry was dropped: 'scalable++cubic' ran two flows
+        with pytest.raises(ConfigError, match="--flows: empty entry in"):
+            parse_flow_shorthand(spec)

@@ -38,15 +38,14 @@ class TestEcn:
 
 class TestPacket:
     def test_fields(self):
-        p = Packet(2, 9, 1500, Ecn.ECT1)
+        p = Packet(2, 9, Ecn.ECT1)
         assert p.flow == 2
         assert p.seq == 9
-        assert p.size == 1500
         assert p.ecn is Ecn.ECT1
         assert p.enqueued_at == -1
 
     def test_slots(self):
-        p = Packet(0, 1, 1500, Ecn.ECT0)
+        p = Packet(0, 1, Ecn.ECT0)
         with pytest.raises(AttributeError):
             p.bogus = 1
 

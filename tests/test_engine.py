@@ -106,26 +106,34 @@ class TestTieOrder:
         # what the tie order decides: the packets an ack at t sends are
         # enqueued at t + fwd, after every arrival at t that was sent
         # earlier, and ahead of those a same-instant wake-up sends;
-        # fwd = 0 puts all of them at one instant
+        # fwd = 0 puts all of them at one instant. A scalable sender opens
+        # its first round at its first ack on what its wake-up sent, so
+        # each flow's first on_ack must come after exactly one pump
         sent = {}  # (flow, seq) -> (send time, 0 if an ack sent it, 1 if a wake-up)
         enqueued = []  # (time, flow, seq) in call order
-        woken = set()
+        pumps = {}  # flow -> pumps so far
+        first_ack = {}  # flow -> its pumps before its first on_ack
 
-        def logged_pump(cls):
-            pump = cls.pump
+        def logged(cls):
+            pump, on_ack = cls.pump, cls.on_ack
 
-            def wrapper(self, now):
+            def logged_pump(self, now):
                 out = pump(self, now)
                 # a sender's first pump is its wake-up, every later one an ack's
-                kind = 0 if self.index in woken else 1
-                woken.add(self.index)
+                kind = 0 if self.index in pumps else 1
+                pumps[self.index] = pumps.get(self.index, 0) + 1
                 sent.update(((p.flow, p.seq), (now, kind)) for p in out)
                 return out
 
-            monkeypatch.setattr(cls, "pump", wrapper)
+            def logged_ack(self, seq, ce, now):
+                first_ack.setdefault(self.index, pumps.get(self.index, 0))
+                return on_ack(self, seq, ce, now)
 
-        logged_pump(ScalableSender)
-        logged_pump(ClassicSender)
+            monkeypatch.setattr(cls, "pump", logged_pump)
+            monkeypatch.setattr(cls, "on_ack", logged_ack)
+
+        logged(ScalableSender)
+        logged(ClassicSender)
         enqueue = DualPi2.enqueue
 
         def logged_enqueue(self, pkt, now):
@@ -136,7 +144,8 @@ class TestTieOrder:
         for fwd_ms in (10, 0):
             sent.clear()
             enqueued.clear()
-            woken.clear()
+            pumps.clear()
+            first_ack.clear()
             run_scenario(scenario(flows=("scalable", "cubic"), duration_s=1.0, sets=(
                 f"delay.fwd_ms={fwd_ms}", "delay.rev_ms=10", "flow.cubic1.start_s=0.3",
             )), seed=1)
@@ -150,6 +159,7 @@ class TestTieOrder:
                 assert keys == sorted(keys), now
                 ties += len({kind for _, kind in keys}) == 2
             assert ties > 0, fwd_ms
+            assert first_ack == {0: 1, 1: 1}, fwd_ms
 
     def test_nothing_runs_past_horizon(self, monkeypatch):
         horizon = int(0.8 * NS_PER_SEC)
@@ -223,8 +233,8 @@ class TestDeterminism:
         b = run_scenario(cfg, seed=11)
         assert a.samples == b.samples
         assert a.aqm.counters() == b.aqm.counters()
-        assert [s.bytes for s in a.receiver.flows] == [
-            s.bytes for s in b.receiver.flows
+        assert [s.arrivals for s in a.receiver.flows] == [
+            s.arrivals for s in b.receiver.flows
         ]
 
     def test_different_seed_differs(self):
@@ -269,13 +279,13 @@ class TestTopology:
     def test_link_rate_caps_throughput(self):
         out = run_scenario(scenario(duration_s=10.0), seed=1)
         st = out.receiver.flows[0]
-        mbps = st.bytes * 8 / 10.0 / 1e6
+        mbps = st.arrivals * out.aqm.mtu * 8 / 10.0 / 1e6
         assert mbps <= 12.0 + 1e-9
 
     def test_smooth_mode_also_capped(self):
         out = run_scenario(scenario(duration_s=10.0, mode="smooth"), seed=1)
         st = out.receiver.flows[0]
-        assert st.bytes * 8 / 10.0 / 1e6 <= 12.0 + 1e-9
+        assert st.arrivals * out.aqm.mtu * 8 / 10.0 / 1e6 <= 12.0 + 1e-9
 
 
 class TestLossPath:
@@ -290,7 +300,7 @@ class TestLossPath:
         assert out.aqm.drops_overflow > 0
         st = out.receiver.flows[0]
         # still delivers a sizable share of the link
-        assert st.bytes * 8 / 10.0 / 1e6 > 6.0
+        assert st.arrivals * out.aqm.mtu * 8 / 10.0 / 1e6 > 6.0
 
 
 # Run directories pinned by sha256. The digests were taken from the heap
@@ -451,8 +461,8 @@ class TestOracleGrid:
         assert got.samples == want.samples
         a, b = got.aqm, want.aqm
         assert a.counters() == b.counters()
-        assert (a.p_prime, a.credit, a.c_bytes, a.l_bytes) == (
-            b.p_prime, b.credit, b.c_bytes, b.l_bytes)
+        assert (a.p_prime, a.credit, a.backlog_bytes) == (
+            b.p_prime, b.credit, b.backlog_bytes)
         assert got.receiver.flows == want.receiver.flows
         assert [sender_slots(x) for x in got.senders] == [
             sender_slots(x) for x in want.senders]

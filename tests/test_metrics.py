@@ -106,12 +106,12 @@ class TestRoundTrip:
 
     def test_float_round_trip_exact(self, tmp_path):
         # mbps uses repr: parsing it back must give the derived float
-        rec = small_record(flows=[FlowSummary("a", "cubic", 12_345_677)])
+        rec = small_record(flows=[FlowSummary("a", "cubic", 12_345_000)])
         d = tmp_path / "run"
         write_run_dir(rec, str(d))
         back = load_run_dir(str(d))
         stored = float((d / "flows.csv").read_text().splitlines()[1].split(",")[3])
-        assert stored == rec.mbps(12_345_677) == back.mbps(back.flows[0].bytes)
+        assert stored == rec.mbps(12_345_000) == back.mbps(back.flows[0].bytes)
 
     def test_meta_is_valid_sorted_json(self, tmp_path):
         rec = small_record()
@@ -153,6 +153,19 @@ class TestRoundTrip:
                                              r"breaks qocc_bytes = mtu 1500 x "
                                              r"qocc_pkts$"):
             load_run_dir(str(d))
+
+    def test_load_rejects_flow_bytes_off_a_multiple_of_mtu(self, tmp_path):
+        # every delivered packet is mtu bytes; the row is otherwise the
+        # writer's text for the values it holds
+        rec = small_record(flows=[FlowSummary("a", "cubic", 30_000_000),
+                                  FlowSummary("b", "cubic", 15_000_001)])
+        d = tmp_path / "run"
+        write_run_dir(rec, str(d))
+        row = (d / "flows.csv").read_text().splitlines()[2]
+        with pytest.raises(ValueError) as exc:
+            load_run_dir(str(d))
+        assert str(exc.value) == (f"{d / 'flows.csv'}:3: {row!r} delivers bytes "
+                                  "that are not a multiple of mtu 1500")
 
     @pytest.mark.parametrize("link", [{}, {"mtu": "1500"}, {"mtu": True},
                                       {"mtu": 0}, {"mtu": 1 << 63}])

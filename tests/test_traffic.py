@@ -14,11 +14,11 @@ from dualq.traffic import (
 
 
 def scalable(name="s", start=0):
-    return make_sender(FlowConfig(name, "scalable", start_ns=start), 0, 1500)
+    return make_sender(FlowConfig(name, "scalable", start_ns=start), 0)
 
 
 def classic(variant, name="c"):
-    return make_sender(FlowConfig(name, variant), 0, 1500)
+    return make_sender(FlowConfig(name, variant), 0)
 
 
 def ack_all(sender, now, ce=False):
@@ -35,7 +35,7 @@ class TestPump:
         assert s.pump(0) == []
 
     def test_sequences_and_ids(self):
-        s = make_sender(FlowConfig("s", "scalable"), 3, 1500)
+        s = make_sender(FlowConfig("s", "scalable"), 3)
         pkts = s.pump(0)
         assert [p.seq for p in pkts] == list(range(10))
         assert all(p.flow == s.index == 3 for p in pkts)
@@ -43,7 +43,7 @@ class TestPump:
 
     def test_respects_start_and_stop(self):
         s = make_sender(
-            FlowConfig("s", "scalable", start_ns=100, stop_ns=200), 0, 1500
+            FlowConfig("s", "scalable", start_ns=100, stop_ns=200), 0
         )
         assert s.pump(0) == []
         assert len(s.pump(100)) == 10
@@ -251,16 +251,16 @@ class TestCubicLaw:
 
 class TestReceiver:
     def pkt(self, seq, flow=0, ecn=Ecn.ECT1):
-        return Packet(flow, seq, 1500, ecn)
+        return Packet(flow, seq, ecn)
 
-    def test_counts_bytes_and_ce(self):
+    def test_counts_arrivals_and_ce(self):
         r = Receiver(1)
         r.on_deliver(self.pkt(0))
         ce, lost = r.on_deliver(self.pkt(1, ecn=Ecn.CE))
         assert ce is True
         assert lost == ()
         st = r.flows[0]
-        assert st.bytes == 3000
+        assert st.arrivals == 2
 
     def test_gap_declared_after_three_later_arrivals(self):
         r = Receiver(1)
@@ -288,8 +288,8 @@ class TestReceiver:
         for seq in (0, 1, 2, 3):
             _, lost = r.on_deliver(self.pkt(seq, flow=1))
             assert lost == ()
-        assert r.flows[0].bytes == 3000
-        assert r.flows[1].bytes == 6000
+        assert r.flows[0].arrivals == 2
+        assert r.flows[1].arrivals == 4
 
     def test_no_false_loss_without_gap(self):
         r = Receiver(1)
