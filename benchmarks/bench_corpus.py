@@ -31,7 +31,7 @@ import numpy as np
 from dualq import runner
 from dualq.config import build_scenario, parse_flow_shorthand, preset_sections
 
-SERIES_COLUMNS = ("t_ns", "qocc_pkts", "qocc_bytes", "ecn_marks", "drops")
+SERIES_COLUMNS = ("t_ns", "qocc_pkts", "ecn_marks", "drops")
 SEED_BASES = (0, 500)
 
 

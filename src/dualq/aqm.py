@@ -88,7 +88,6 @@ class DualPi2:
     __slots__ = (
         "cfg",
         "rng",
-        "mtu",
         "_limit_pkts",
         "_debit",
         "_accrual",
@@ -110,7 +109,6 @@ class DualPi2:
         cfg.validate()
         self.cfg = cfg
         self.rng = rng
-        self.mtu = mtu
         self._limit_pkts = cfg.limit_bytes // mtu
         # credit a C packet costs, and an L packet earns C, while both wait
         self._debit = mtu * (1.0 - cfg.classic_protection)
@@ -135,10 +133,6 @@ class DualPi2:
     @property
     def backlog_pkts(self) -> int:
         return len(self._c) + len(self._l)
-
-    @property
-    def backlog_bytes(self) -> int:
-        return self.mtu * (len(self._c) + len(self._l))
 
     @property
     def drops_total(self) -> int:

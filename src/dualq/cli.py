@@ -232,7 +232,7 @@ def cmd_emulate(args) -> int:
     print(f"  seed {args.seed}  fingerprint {record.fingerprint[:16]}")
     print(f"  avg throughput {record.avg_throughput_mbps:.3f} Mbps")
     for f in record.flows:
-        print(f"  flow {f.flow} ({f.kind}): {record.mbps(f.bytes):.3f} Mbps")
+        print(f"  flow {f.flow} ({f.kind}): {record.mbps(f.packets):.3f} Mbps")
     return EXIT_OK
 
 

@@ -69,7 +69,6 @@ _NONE = float("inf")
 class RunOutput:
     """Everything observable from one emulation run."""
 
-    duration_ns: int
     samples: list
     aqm: DualPi2
     receiver: Receiver
@@ -182,4 +181,4 @@ def run_scenario(cfg, seed: int) -> RunOutput:
 
     if duration % tupdate:
         collector.take(duration, aqm)
-    return RunOutput(duration, collector.samples, aqm, receiver, senders)
+    return RunOutput(collector.samples, aqm, receiver, senders)

@@ -1,13 +1,14 @@
 """Measurement sampling, run summaries, and on-disk run format.
 
-A run directory contains exactly three files:
+A RunRecord counts packets and takes the mtu and the duration from its
+config; only the files hold bytes. A run directory has three files:
 
 * ``meta.json``: config echo, seed, RNG algorithm, config fingerprint,
-  and the scalar summary (throughput, counters).
+  config.duration_ns again, and the summary (throughput, counters).
 * ``series.csv``: one row per controller interval with the queue
-  occupancy at the sample instant and the mark/drop deltas since the
-  previous sample; in memory, ``RunRecord.samples``, an int64 array
-  with one column per TraceSample field.
+  occupancy at the sample instant, in packets and mtu x packets bytes,
+  and the mark/drop deltas since the previous sample; in memory,
+  ``RunRecord.samples``, one int64 column per TraceSample field.
 * ``flows.csv``: per-flow delivered bytes and average throughput.
 
 Serialization is canonical (sorted keys, repr floats, newline-free
@@ -15,18 +16,18 @@ row format), so identical runs produce byte-identical directories.
 ``_meta``, ``_series_lines`` and ``_flows_lines`` state the format of
 each file once, for writer and loader both. A loaded run must satisfy:
 
-* each stored field has its RunRecord type (``int`` refuses ``bool``);
+* each stored field has its RunRecord type (``int`` refuses ``bool``),
+  and config.link.mtu and config.duration_ns are positive int64s;
+* every series.csv row has qocc_bytes = mtu * qocc_pkts and every
+  flows.csv row's bytes are a multiple of mtu: every packet is mtu bytes;
 * meta.json, as parsed values, and flows.csv and series.csv, as text,
   equal what the writer gives for the record they describe, so every
-  derived value (``rng.seed``, ``summary.samples`` and every rate) is
-  checked and series.csv holds ``summary.samples`` rows;
+  derived value (``duration_ns``, ``rng.seed``, ``summary.samples`` and
+  every rate) is checked and series.csv holds ``summary.samples`` rows;
 * the counters are exactly DualPi2.counters()'s ints, and enqueued =
   dequeued + drops + the final qocc_pkts, drops = drops_overflow +
   drops_aqm = the series' drops, and ecn_marks_l + ecn_marks_c = the
-  series' marks;
-* config.link.mtu is a positive int64, every series.csv row has
-  qocc_bytes = mtu * qocc_pkts and every flows.csv row's bytes are a
-  multiple of mtu: every packet is mtu bytes.
+  series' marks.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class TraceSample(NamedTuple):
 
     t_ns: int
     qocc_pkts: int
-    qocc_bytes: int
     ecn_marks: int
     drops: int
 
@@ -75,7 +75,6 @@ class SampleCollector:
         self.samples.append(TraceSample(
             t_ns=t_ns,
             qocc_pkts=aqm.backlog_pkts,
-            qocc_bytes=aqm.backlog_bytes,
             ecn_marks=marks - self._marks_prev,
             drops=drops - self._drops_prev,
         ))
@@ -87,32 +86,33 @@ class SampleCollector:
 class FlowSummary:
     flow: str
     kind: str
-    bytes: int
+    packets: int
 
 
 @dataclass
 class RunRecord:
     """One run's results in memory; mirrors the on-disk format.
 
-    ``samples`` is series.csv as an int64 (samples, 5) array."""
+    ``samples`` is an int64 (samples, 4) array, one column per
+    TraceSample field; ``config`` holds the link's mtu and the duration."""
 
     run_id: str
     seed: int
     rng_algorithm: str
     fingerprint: str
-    duration_ns: int
     config: dict
     flows: list[FlowSummary]
     counters: dict
     samples: np.ndarray
 
-    def mbps(self, nbytes: int) -> float:
-        """Average rate, in Mbit/s, of nbytes delivered over the run."""
-        return nbytes * 8.0 / (self.duration_ns * 1e-9) / 1e6
+    def mbps(self, packets: int) -> float:
+        """Average rate, in Mbit/s, of packets of mtu bytes delivered over the run."""
+        return (packets * self.config["link"]["mtu"] * 8.0
+                / (self.config["duration_ns"] * 1e-9) / 1e6)
 
     @property
     def avg_throughput_mbps(self) -> float:
-        return self.mbps(sum(f.bytes for f in self.flows))
+        return self.mbps(sum(f.packets for f in self.flows))
 
     def series(self, column: str) -> np.ndarray:
         """One sample column as a float array, in time order."""
@@ -123,9 +123,8 @@ class RunRecord:
 def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
               config: dict, output) -> RunRecord:
     """Condense a RunOutput into a RunRecord."""
-    mtu = output.aqm.mtu
     flows = [
-        FlowSummary(flow=sender.flow, kind=sender.kind, bytes=st.arrivals * mtu)
+        FlowSummary(flow=sender.flow, kind=sender.kind, packets=st.arrivals)
         for sender, st in zip(output.senders, output.receiver.flows)
     ]
     return RunRecord(
@@ -133,7 +132,6 @@ def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
         seed=seed,
         rng_algorithm=rng_algorithm,
         fingerprint=fingerprint,
-        duration_ns=output.duration_ns,
         config=config,
         flows=flows,
         counters=output.aqm.counters(),
@@ -152,12 +150,12 @@ SERIES_NAME = "series.csv"
 FLOWS_NAME = "flows.csv"
 RUN_FILES = (META_NAME, SERIES_NAME, FLOWS_NAME)
 
-_SERIES_HEADER = ",".join(TraceSample._fields)
+_SERIES_HEADER = "t_ns,qocc_pkts,qocc_bytes,ecn_marks,drops"
 
 # where meta.json keeps each RunRecord field it stores (see _meta)
 _META_KEYS = {"run_id": "run_id", "seed": "seed", "rng_algorithm": "rng.algorithm",
-              "fingerprint": "fingerprint", "duration_ns": "duration_ns",
-              "config": "config", "counters": "summary.counters"}
+              "fingerprint": "fingerprint", "config": "config",
+              "counters": "summary.counters"}
 _FIELD_TYPES = get_type_hints(RunRecord)
 # the names DualPi2.counters() reports, read off a fresh queue
 _COUNTER_NAMES = DualPi2(AqmConfig(), Rng(0), 1).counters().keys()
@@ -176,7 +174,7 @@ def _meta(record: RunRecord) -> dict:
         "seed": record.seed,
         "rng": {"algorithm": record.rng_algorithm, "seed": record.seed},
         "fingerprint": record.fingerprint,
-        "duration_ns": record.duration_ns,
+        "duration_ns": record.config["duration_ns"],
         "config": record.config,
         "summary": {
             "avg_throughput_mbps": record.avg_throughput_mbps,
@@ -187,16 +185,21 @@ def _meta(record: RunRecord) -> dict:
 
 
 def _flows_lines(record: RunRecord) -> list[str]:
-    """flows.csv's lines: the header, then each flow with its derived rate."""
+    """flows.csv's lines: the header, then each flow with its derived
+    bytes and rate."""
+    mtu = record.config["link"]["mtu"]
     return ["flow_id,kind,bytes,mbps"] + [
-        f"{f.flow},{f.kind},{f.bytes},{record.mbps(f.bytes)!r}" for f in record.flows
+        f"{f.flow},{f.kind},{f.packets * mtu},{record.mbps(f.packets)!r}"
+        for f in record.flows
     ]
 
 
 def _series_lines(record: RunRecord) -> list[str]:
-    """series.csv's lines: the header, then one row per sample."""
-    return [_SERIES_HEADER] + [f"{t},{qp},{qb},{marks},{drops}"
-                               for t, qp, qb, marks, drops in record.samples.tolist()]
+    """series.csv's lines: the header, then one row per sample with its
+    derived qocc_bytes."""
+    mtu = record.config["link"]["mtu"]
+    return [_SERIES_HEADER] + [f"{t},{qp},{qp * mtu},{marks},{drops}"
+                               for t, qp, marks, drops in record.samples.tolist()]
 
 
 def write_run_dir(record: RunRecord, path: str) -> tuple[str, ...]:
@@ -258,8 +261,8 @@ def _read_ascii(path: str) -> str:
 def _series_row_error(path: str, lines: list[str], exc: ValueError) -> ValueError:
     """The error of np.loadtxt's exc on series.csv's lines, naming path:line
     of the first non-empty line after the header that np.loadtxt, reading
-    it alone, does not take for 5 integers."""
-    width = len(TraceSample._fields)
+    it alone, does not take for one integer a column."""
+    width = _SERIES_HEADER.count(",") + 1
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             if not line or np.loadtxt([line], delimiter=",", dtype=np.int64,
@@ -276,17 +279,18 @@ def load_run_dir(path: str) -> RunRecord:
     """Read a run directory that satisfies the module docstring's list;
     anything else raises ValueError naming the file (and line, in a CSV)."""
     meta_path, series_path, flows_path = (os.path.join(path, n) for n in RUN_FILES)
+    sizes = {"mtu": "config.link.mtu", "duration_ns": "config.duration_ns"}
     try:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
         fields = typed_fields(meta, _META_KEYS, _FIELD_TYPES)
-        mtu = typed_fields(meta, {"mtu": "config.link.mtu"}, {"mtu": int})["mtu"]
-        if not 0 < mtu < 1 << 63:
-            raise ValueError(f"config.link.mtu is {mtu}, not a positive int64")
+        config = typed_fields(meta, sizes, dict.fromkeys(sizes, int))
+        for name, dotted in sizes.items():
+            if not 0 < config[name] < 1 << 63:
+                raise ValueError(f"{dotted} is {config[name]}, not a positive int64")
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    if fields["duration_ns"] <= 0:
-        raise ValueError(f"{meta_path}: duration_ns is not positive")
+    mtu = config["mtu"]
     series_text = _read_ascii(series_path)
     series = series_text.split("\n")
     if not any(series[1:]):
@@ -294,43 +298,44 @@ def load_run_dir(path: str) -> RunRecord:
         raise ValueError(f"{series_path} has no data rows")
     try:
         # comments=None: a '#' line is malformed input, not a comment
-        samples = np.loadtxt(series, delimiter=",", dtype=np.int64, ndmin=2,
-                             comments=None, skiprows=1)
+        parsed = np.loadtxt(series, delimiter=",", dtype=np.int64, ndmin=2,
+                            comments=None, skiprows=1)
     except ValueError as exc:
         # numpy counts rows its own way; name the file's line instead
         raise _series_row_error(series_path, series, exc) from None
-    declared = (meta["summary"].get("samples"), len(TraceSample._fields))
-    if samples.shape != declared:
-        raise ValueError(f"{series_path} holds {samples.shape} rows x "
+    declared = (meta["summary"].get("samples"), _SERIES_HEADER.count(",") + 1)
+    if parsed.shape != declared:
+        raise ValueError(f"{series_path} holds {parsed.shape} rows x "
                          f"columns, meta.json declares {declared}")
-    lines = _read_ascii(flows_path).split("\n")
-    flows = []
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        try:
-            flow, kind, nbytes, _ = line.split(",")
-            flows.append(FlowSummary(flow, kind, int(nbytes)))
-        except ValueError as exc:
-            raise ValueError(f"{flows_path}:{lineno}: malformed ({exc})") from None
-    record = RunRecord(flows=flows, samples=samples, **fields)
-    _check_lines(flows_path, lines, _flows_lines(record))
-    for lineno, f in enumerate(flows, start=2):
-        if f.bytes % mtu:
-            raise ValueError(f"{flows_path}:{lineno}: {lines[lineno - 1]!r} "
-                             f"delivers bytes that are not a multiple of mtu {mtu}")
-    # each row holds at least the writer's characters for its values, so a
-    # file of the writer's length is its text: 10 characters a row (5 digits,
-    # 4 commas, a newline) plus further digits, counted exactly (log10
-    # misrounds near 10**k); a negative value falls to the line-by-line check
-    size = (len(_SERIES_HEADER) + 1 + 10 * len(samples)
-            + int(np.searchsorted(_POW10, samples, side="right").sum()))
-    if series[0] != _SERIES_HEADER or series[-1] != "" or len(series_text) != size:
-        _check_lines(series_path, series, _series_lines(record))
-    _, qocc_pkts, qocc_bytes, ecn_marks, drops = samples.T
+    _, qocc_pkts, qocc_bytes, ecn_marks, drops = parsed.T
     pkts, rest = np.divmod(qocc_bytes, mtu)  # exact; qocc_pkts * mtu may wrap
     wrong = np.flatnonzero((pkts != qocc_pkts) | (rest != 0))
     if wrong.size:
         raise ValueError(f"{series_path}:{wrong[0] + 2}: {series[wrong[0] + 1]!r} "
                          f"breaks qocc_bytes = mtu {mtu} x qocc_pkts")
+    lines = _read_ascii(flows_path).split("\n")
+    flows = []
+    for lineno, line in enumerate(lines[1:-1], start=2):
+        try:
+            flow, kind, nbytes, _ = line.split(",")
+            packets, rest = divmod(int(nbytes), mtu)
+        except ValueError as exc:
+            raise ValueError(f"{flows_path}:{lineno}: malformed ({exc})") from None
+        if rest:
+            raise ValueError(f"{flows_path}:{lineno}: {line!r} delivers bytes "
+                             f"that are not a multiple of mtu {mtu}")
+        flows.append(FlowSummary(flow, kind, packets))
+    # the record keeps the measured columns; the writer derives qocc_bytes
+    record = RunRecord(flows=flows, samples=np.delete(parsed, 2, axis=1), **fields)
+    _check_lines(flows_path, lines, _flows_lines(record))
+    # each row holds at least the writer's characters for its values, so a
+    # file of the writer's length is its text: 10 characters a row (5 digits,
+    # 4 commas, a newline) plus further digits, counted exactly (log10
+    # misrounds near 10**k); a negative value falls to the line-by-line check
+    size = (len(_SERIES_HEADER) + 1 + 10 * len(parsed)
+            + int(np.searchsorted(_POW10, parsed, side="right").sum()))
+    if series[0] != _SERIES_HEADER or series[-1] != "" or len(series_text) != size:
+        _check_lines(series_path, series, _series_lines(record))
     expected = _meta(record)
     if meta != expected:
         raise ValueError(f"{meta_path}: {', '.join(differing(meta, expected))}: "

@@ -142,16 +142,18 @@ class DualPi2Oracle(DualPi2):
 
     Same draws, in the same order, as the production ``dequeue``: one per
     C-head trial, one per L packet the step does not mark. Where DualPi2
-    counts packets, this class keeps a byte tally per queue, each packet
-    being mtu bytes: a packet is admitted unless the tallies plus its
-    bytes would exceed limit_bytes, and the credit moves by the packet's
-    bytes times the protection share on every packet served.
+    counts packets, this class keeps its own mtu and a byte tally per
+    queue, each packet being mtu bytes: a packet is admitted unless the
+    tallies plus its bytes would exceed limit_bytes, and the credit moves
+    by the packet's bytes times the protection share on every packet
+    served.
     """
 
-    __slots__ = ("c_bytes", "l_bytes")
+    __slots__ = ("mtu", "c_bytes", "l_bytes")
 
     def __init__(self, cfg, rng, mtu):
         super().__init__(cfg, rng, mtu)
+        self.mtu = mtu
         self.c_bytes = 0
         self.l_bytes = 0
 
@@ -339,7 +341,6 @@ def run_scenario_oracle(cfg, seed: int) -> RunOutput:
     if duration % tupdate:
         collector.take(duration, aqm)
     return RunOutput(
-        duration_ns=duration,
         samples=collector.samples,
         aqm=aqm,
         receiver=receiver,

@@ -66,7 +66,7 @@ class TestClassifier:
             a = mkaqm()
             assert a.enqueue(mkpkt(0, ecn), 0) is None
             assert (len(a._l), len(a._c)) == ((1, 0) if to_l else (0, 1)), ecn
-            assert a.backlog_bytes == 1500
+            assert 1500 * a.backlog_pkts == 1500
             assert a.drops_overflow == 0
 
     def test_enqueue_routes_by_codepoint(self):
@@ -78,7 +78,7 @@ class TestClassifier:
         assert [p.seq for p in a._l] == [0, 1]
         assert [p.seq for p in a._c] == [2, 3]
         assert a.backlog_pkts == 4
-        assert a.backlog_bytes == 6000
+        assert 1500 * a.backlog_pkts == 6000
         assert a.enq_total == 4
         assert a.drops_overflow == 0
 
@@ -88,14 +88,15 @@ class TestOverflow:
         a = mkaqm(limit_bytes=3000)
         a.enqueue(mkpkt(0), 0)
         a.enqueue(mkpkt(1), 0)
-        assert (a.backlog_bytes, a.backlog_pkts, a.drops_overflow) == (3000, 2, 0)
+        assert (1500 * a.backlog_pkts, a.backlog_pkts, a.drops_overflow) == (
+            3000, 2, 0)
         # third 1500-byte packet would make 4500 > 3000
         a.enqueue(mkpkt(2), 0)
         assert a.drops_overflow == 1
         assert a.drops_total == 1
         assert a.enq_total == 3
         assert a.backlog_pkts == 2
-        assert a.backlog_bytes == 3000
+        assert 1500 * a.backlog_pkts == 3000
 
     def test_limit_shared_between_queues(self):
         a = mkaqm(limit_bytes=3000)
@@ -112,7 +113,7 @@ class TestOverflow:
         a = mkaqm(limit_bytes=3000)
         a.enqueue(mkpkt(0), 0)
         a.enqueue(mkpkt(1), 0)
-        assert a.backlog_bytes == 3000
+        assert 1500 * a.backlog_pkts == 3000
         assert a.backlog_pkts == 2
         assert a.drops_overflow == 0
 
@@ -409,7 +410,7 @@ class TestDraws:
                 assert (got and (got.seq, got.ecn)) == (want and (want.seq, want.ecn))
             now += traffic.randrange(2 * NS_PER_MS)
         assert a.counters() == b.counters()
-        assert (a.credit, a.backlog_bytes) == (b.credit, b.backlog_bytes)
+        assert (a.credit, mtu * a.backlog_pkts) == (b.credit, b.backlog_bytes)
         assert a.rng.random() == b.rng.random()
 
 
@@ -454,7 +455,7 @@ class TestPacketRule:
                 [p.seq for p in b._c], [p.seq for p in b._l])
             assert a.counters() == b.counters()
             assert a.credit.hex() == b.credit.hex()
-            assert a.backlog_bytes == b.backlog_bytes
+            assert mtu * a.backlog_pkts == b.backlog_bytes
             now += traffic.randrange(3 * NS_PER_MS)
         assert a.rng.random() == b.rng.random()
 
@@ -497,8 +498,8 @@ class TestScheduler:
         n = 200_000
         self.fill(a, n, n)
         c_pkts = sum(a.dequeue(0).ecn is Ecn.ECT0 for _ in range(n))
-        # every packet is a.mtu bytes
-        share = a.mtu * c_pkts / (a.mtu * n)
+        # every packet is the 1500 bytes mkaqm passes as mtu
+        share = 1500 * c_pkts / (1500 * n)
         assert 0.09 <= share <= 0.11
 
     def test_share_tracks_other_protection_values(self):
@@ -507,7 +508,7 @@ class TestScheduler:
             n = 50_000
             self.fill(a, n, n)
             c_pkts = sum(a.dequeue(0).ecn is Ecn.ECT0 for _ in range(n))
-            assert a.mtu * c_pkts / (a.mtu * n) == pytest.approx(w, abs=0.02)
+            assert 1500 * c_pkts / (1500 * n) == pytest.approx(w, abs=0.02)
 
 
 class TestConservation:

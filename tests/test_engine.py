@@ -277,15 +277,17 @@ class TestTopology:
         assert first[1] >= int(2.5 * NS_PER_SEC)
 
     def test_link_rate_caps_throughput(self):
-        out = run_scenario(scenario(duration_s=10.0), seed=1)
+        cfg = scenario(duration_s=10.0)
+        out = run_scenario(cfg, seed=1)
         st = out.receiver.flows[0]
-        mbps = st.arrivals * out.aqm.mtu * 8 / 10.0 / 1e6
+        mbps = st.arrivals * cfg.link.mtu * 8 / 10.0 / 1e6
         assert mbps <= 12.0 + 1e-9
 
     def test_smooth_mode_also_capped(self):
-        out = run_scenario(scenario(duration_s=10.0, mode="smooth"), seed=1)
+        cfg = scenario(duration_s=10.0, mode="smooth")
+        out = run_scenario(cfg, seed=1)
         st = out.receiver.flows[0]
-        assert st.arrivals * out.aqm.mtu * 8 / 10.0 / 1e6 <= 12.0 + 1e-9
+        assert st.arrivals * cfg.link.mtu * 8 / 10.0 / 1e6 <= 12.0 + 1e-9
 
 
 class TestLossPath:
@@ -300,7 +302,7 @@ class TestLossPath:
         assert out.aqm.drops_overflow > 0
         st = out.receiver.flows[0]
         # still delivers a sizable share of the link
-        assert st.arrivals * out.aqm.mtu * 8 / 10.0 / 1e6 > 6.0
+        assert st.arrivals * cfg.link.mtu * 8 / 10.0 / 1e6 > 6.0
 
 
 # Run directories pinned by sha256. The digests were taken from the heap
@@ -461,7 +463,7 @@ class TestOracleGrid:
         assert got.samples == want.samples
         a, b = got.aqm, want.aqm
         assert a.counters() == b.counters()
-        assert (a.p_prime, a.credit, a.backlog_bytes) == (
+        assert (a.p_prime, a.credit, cfg.link.mtu * a.backlog_pkts) == (
             b.p_prime, b.credit, b.backlog_bytes)
         assert got.receiver.flows == want.receiver.flows
         assert [sender_slots(x) for x in got.senders] == [

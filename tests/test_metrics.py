@@ -18,23 +18,28 @@ from dualq.metrics import (
 )
 
 
+# two controller samples, at 16 and 32 ms
+CONFIG = {"duration_ns": 32_000_000, "link": {"mtu": 1500},
+          "aqm": {"tupdate_ns": 16_000_000}}
+CONFIG_30S = {**CONFIG, "duration_ns": 30_000_000_000}
+
+
 def small_record(**kw):
     defaults = dict(
         run_id="r0",
         seed=1,
         rng_algorithm="mt19937",
         fingerprint="ab" * 32,
-        duration_ns=30_000_000_000,
-        config={"duration_ns": 30_000_000_000, "link": {"mtu": 1500}},
-        flows=[FlowSummary("a", "cubic", 45_000_000)],
+        config=CONFIG,
+        flows=[FlowSummary("a", "cubic", 30_000)],
         # balanced: 2 packets still queued, 1 AQM drop and 3 marks, as
         # the series says
         counters={"enqueued": 30_003, "dequeued": 30_000, "drops": 1,
                   "drops_overflow": 0, "drops_aqm": 1,
                   "ecn_marks_l": 2, "ecn_marks_c": 1},
         samples=np.array([
-            [16_000_000, 1, 1500, 0, 0],
-            [32_000_000, 2, 3000, 3, 1],
+            [16_000_000, 1, 0, 0],
+            [32_000_000, 2, 3, 1],
         ], dtype=np.int64),
     )
     defaults.update(kw)
@@ -43,17 +48,19 @@ def small_record(**kw):
 
 class TestThroughput:
     def test_45mb_in_30s_is_12mbps(self):
-        rec = small_record()
+        # 30,000 packets of 1500 bytes
+        rec = small_record(config=CONFIG_30S)
         assert rec.avg_throughput_mbps == pytest.approx(12.0, rel=1e-12)
 
     def test_cumulative_is_sum_of_flows(self):
         rec = small_record(
+            config=CONFIG_30S,
             flows=[
-                FlowSummary("a", "cubic", 30_000_000),
-                FlowSummary("b", "scalable", 15_000_000),
+                FlowSummary("a", "cubic", 20_000),
+                FlowSummary("b", "scalable", 10_000),
             ]
         )
-        per_flow = sum(rec.mbps(f.bytes) for f in rec.flows)
+        per_flow = sum(rec.mbps(f.packets) for f in rec.flows)
         assert rec.avg_throughput_mbps == pytest.approx(per_flow, rel=1e-12)
 
     def test_series_columns(self):
@@ -73,9 +80,9 @@ class TestSummarize:
         assert rec.samples.dtype == np.int64
         assert rec.samples.tolist() == [list(s) for s in out.samples]
         assert rec.counters == out.aqm.counters()
-        total = sum(f.bytes for f in rec.flows)
+        total = sum(f.packets for f in rec.flows)
         assert rec.avg_throughput_mbps == pytest.approx(
-            total * 8 / 2.0 / 1e6, rel=1e-12
+            total * cfg.link.mtu * 8 / 2.0 / 1e6, rel=1e-12
         )
 
 
@@ -106,12 +113,12 @@ class TestRoundTrip:
 
     def test_float_round_trip_exact(self, tmp_path):
         # mbps uses repr: parsing it back must give the derived float
-        rec = small_record(flows=[FlowSummary("a", "cubic", 12_345_000)])
+        rec = small_record(flows=[FlowSummary("a", "cubic", 8_230)])
         d = tmp_path / "run"
         write_run_dir(rec, str(d))
         back = load_run_dir(str(d))
         stored = float((d / "flows.csv").read_text().splitlines()[1].split(",")[3])
-        assert stored == rec.mbps(12_345_000) == back.mbps(back.flows[0].bytes)
+        assert stored == rec.mbps(8_230) == back.mbps(back.flows[0].packets)
 
     def test_meta_is_valid_sorted_json(self, tmp_path):
         rec = small_record()
@@ -143,25 +150,31 @@ class TestRoundTrip:
 
     def test_load_rejects_qocc_bytes_off_mtu_times_qocc_pkts(self, tmp_path):
         # every packet is mtu bytes, so a byte backlog one off the packet
-        # backlog times mtu is named by its line; the text is still the
-        # writer's for the values it holds
-        rec = small_record()
-        rec.samples[1, 2] += 1
+        # backlog times mtu is named by its line; a record cannot hold it,
+        # so the row is edited in the file, as the writer's text for its
+        # values
         d = tmp_path / "run"
-        write_run_dir(rec, str(d))
+        write_run_dir(small_record(), str(d))
+        series = d / "series.csv"
+        series.write_text(series.read_text().replace("32000000,2,3000,",
+                                                     "32000000,2,3001,"))
         with pytest.raises(ValueError, match=r"series\.csv:3: '32000000,2,3001,3,1' "
                                              r"breaks qocc_bytes = mtu 1500 x "
                                              r"qocc_pkts$"):
             load_run_dir(str(d))
 
     def test_load_rejects_flow_bytes_off_a_multiple_of_mtu(self, tmp_path):
-        # every delivered packet is mtu bytes; the row is otherwise the
-        # writer's text for the values it holds
-        rec = small_record(flows=[FlowSummary("a", "cubic", 30_000_000),
-                                  FlowSummary("b", "cubic", 15_000_001)])
+        # every delivered packet is mtu bytes; a record cannot hold the
+        # row, so it is edited in the file, as the writer's text for its
+        # values
+        rec = small_record(flows=[FlowSummary("a", "cubic", 20_000),
+                                  FlowSummary("b", "cubic", 10_000)])
         d = tmp_path / "run"
         write_run_dir(rec, str(d))
-        row = (d / "flows.csv").read_text().splitlines()[2]
+        flows = d / "flows.csv"
+        lines = flows.read_text().splitlines()
+        row = f"b,cubic,15000001,{15_000_001 * 8.0 / (32_000_000 * 1e-9) / 1e6!r}"
+        flows.write_text("\n".join(lines[:2] + [row]) + "\n")
         with pytest.raises(ValueError) as exc:
             load_run_dir(str(d))
         assert str(exc.value) == (f"{d / 'flows.csv'}:3: {row!r} delivers bytes "
@@ -170,9 +183,13 @@ class TestRoundTrip:
     @pytest.mark.parametrize("link", [{}, {"mtu": "1500"}, {"mtu": True},
                                       {"mtu": 0}, {"mtu": 1 << 63}])
     def test_load_rejects_meta_without_an_int_mtu(self, tmp_path, link):
-        rec = small_record(config={"duration_ns": 30_000_000_000, "link": link})
+        # the writer derives bytes from the mtu, so the meta.json it wrote
+        # is edited to hold the bad one
         d = tmp_path / "run"
-        write_run_dir(rec, str(d))
+        write_run_dir(small_record(), str(d))
+        meta = json.loads((d / "meta.json").read_text())
+        meta["config"]["link"] = link
+        (d / "meta.json").write_text(canonical_json(meta))
         with pytest.raises(ValueError, match=r"meta\.json: config\.link\.mtu is "):
             load_run_dir(str(d))
 

@@ -735,11 +735,10 @@ class TestMetricExtraction:
             seed=0,
             rng_algorithm="mt19937",
             fingerprint="f",
-            duration_ns=1_000_000_000,
-            config={},
-            flows=[FlowSummary("a", "cubic", 1_250_000)],
+            config={"duration_ns": 1_000_000_000, "link": {"mtu": 1250}},
+            flows=[FlowSummary("a", "cubic", 1_000)],
             counters={},
-            samples=np.array([[16_000_000, 3, 4500, 2, 1]], dtype=np.int64),
+            samples=np.array([[16_000_000, 3, 2, 1]], dtype=np.int64),
         )
         tput = extract_observations([rec], "throughput")
         assert tput.shape == (1,)
