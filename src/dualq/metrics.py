@@ -17,13 +17,18 @@ row format), so identical runs produce byte-identical directories.
 each file once, for writer and loader both. A loaded run must satisfy:
 
 * each stored field has its RunRecord type (``int`` refuses ``bool``),
-  and config.link.mtu and config.duration_ns are positive int64s;
+  and config.link.mtu, config.duration_ns and config.aqm.tupdate_ns are
+  positive int64s;
 * every series.csv row has qocc_bytes = mtu * qocc_pkts and every
   flows.csv row's bytes are a multiple of mtu: every packet is mtu bytes;
-* meta.json, as parsed values, and flows.csv and series.csv, as text,
-  equal what the writer gives for the record they describe, so every
-  derived value (``duration_ns``, ``rng.seed``, ``summary.samples`` and
-  every rate) is checked and series.csv holds ``summary.samples`` rows;
+* meta.json, as parsed values of the writer's JSON types (``1``, ``1.0``
+  and ``true`` differ), and flows.csv and series.csv, as text, equal
+  what the writer gives for the record they describe, so every derived
+  value (``duration_ns``, ``rng.seed``, ``summary.samples`` and every
+  rate) is checked and series.csv holds ``summary.samples`` rows;
+* series.csv's t_ns are the engine's sample times: k * tupdate_ns for
+  k = 1 .. duration_ns // tupdate_ns, then duration_ns if tupdate_ns
+  does not divide it;
 * the counters are exactly DualPi2.counters()'s ints, and enqueued =
   dequeued + drops + the final qocc_pkts, drops = drops_overflow +
   drops_aqm = the series' drops, and ecn_marks_l + ecn_marks_c = the
@@ -214,11 +219,16 @@ def write_run_dir(record: RunRecord, path: str) -> tuple[str, ...]:
 
 
 def differing(found, want, at=()) -> list[str]:
-    """The dotted keys at which two parsed JSON values differ (... is absent)."""
+    """The dotted keys at which two parsed JSON values differ, a list entry
+    keyed by its index (... is absent); leaves of different types differ,
+    so 1, 1.0 and true are three values."""
     if isinstance(found, dict) and isinstance(want, dict):
         return [key for name in sorted(found.keys() | want.keys()) for key in
                 differing(found.get(name, ...), want.get(name, ...), at + (name,))]
-    return [] if found == want else [".".join(at)]
+    if isinstance(found, list) and isinstance(want, list):
+        return [key for i, (f, w) in enumerate(zip_longest(found, want, fillvalue=...))
+                for key in differing(f, w, at + (str(i),))]
+    return [] if type(found) is type(want) and found == want else [".".join(at)]
 
 
 def typed_fields(doc, keys: dict[str, str], types: dict) -> dict:
@@ -279,7 +289,8 @@ def load_run_dir(path: str) -> RunRecord:
     """Read a run directory that satisfies the module docstring's list;
     anything else raises ValueError naming the file (and line, in a CSV)."""
     meta_path, series_path, flows_path = (os.path.join(path, n) for n in RUN_FILES)
-    sizes = {"mtu": "config.link.mtu", "duration_ns": "config.duration_ns"}
+    sizes = {"mtu": "config.link.mtu", "duration_ns": "config.duration_ns",
+             "tupdate_ns": "config.aqm.tupdate_ns"}
     try:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
@@ -327,6 +338,10 @@ def load_run_dir(path: str) -> RunRecord:
         flows.append(FlowSummary(flow, kind, packets))
     # the record keeps the measured columns; the writer derives qocc_bytes
     record = RunRecord(flows=flows, samples=np.delete(parsed, 2, axis=1), **fields)
+    keys = differing(meta, _meta(record))
+    if keys:
+        raise ValueError(f"{meta_path}: {', '.join(keys)}: "
+                         "not what the writer derives from the run's fields")
     _check_lines(flows_path, lines, _flows_lines(record))
     # each row holds at least the writer's characters for its values, so a
     # file of the writer's length is its text: 10 characters a row (5 digits,
@@ -336,10 +351,18 @@ def load_run_dir(path: str) -> RunRecord:
             + int(np.searchsorted(_POW10, parsed, side="right").sum()))
     if series[0] != _SERIES_HEADER or series[-1] != "" or len(series_text) != size:
         _check_lines(series_path, series, _series_lines(record))
-    expected = _meta(record)
-    if meta != expected:
-        raise ValueError(f"{meta_path}: {', '.join(differing(meta, expected))}: "
-                         "not what the writer derives from the run's fields")
+    # the engine samples at k x tupdate for k = 1 .. duration // tupdate, then at
+    # the horizon if tupdate does not divide it; listed to one past the rows read
+    duration, tupdate = config["duration_ns"], config["tupdate_ns"]
+    due = (list(range(tupdate, duration + 1, tupdate)[:len(parsed) + 1])
+           + [duration] * (duration % tupdate != 0))
+    got = parsed[:, 0].tolist()
+    if got != due:
+        lineno = 2 + next((i for i, (t, d) in enumerate(zip(got, due)) if t != d),
+                          min(len(got), len(due)))
+        raise ValueError(f"{series_path}:{lineno}: {series[lineno - 1]!r} breaks "
+                         f"the sample schedule: t_ns = k x tupdate_ns {tupdate} up "
+                         f"to duration_ns {duration}, then duration_ns")
     c = record.counters
     if c.keys() != _COUNTER_NAMES or any(type(v) is not int for v in c.values()):
         raise ValueError(f"{meta_path}: summary.counters must map exactly "

@@ -187,11 +187,11 @@ def verify_corpus(corpus_dir: str) -> dict:
     if not 0 < runs <= len(files):  # which also bounds the manifest rebuilt
         raise RunnerError(f"{manifest_path}: runs is {runs}, not between 1 and "
                           f"the {len(files)} files listed")
-    expected = _manifest(**fields)
-    if manifest != expected:
-        raise RunnerError(f"{manifest_path}: {', '.join(differing(manifest, expected))}"
-                          f": not what the writer writes for runs {runs} and "
-                          f"seed_base {fields['seed_base']}")
+    wrong = differing(manifest, _manifest(**fields))
+    if wrong:
+        raise RunnerError(f"{manifest_path}: {', '.join(wrong)}: not what the "
+                          f"writer writes for runs {runs} and seed_base "
+                          f"{fields['seed_base']}")
     bad = []
     for rel, digest in files.items():
         try:

@@ -660,9 +660,13 @@ class TestCorpusRuns:
         (lambda m: m["rng"].update(seed=99), "rng.seed"),
         (lambda m: m["summary"].update(avg_throughput_mbps=1.0),
          "summary.avg_throughput_mbps"),
+        # derived values of the wrong JSON type: True == 1 == 1.0 in Python
+        (lambda m: m["rng"].update(seed=True), "rng.seed"),
+        (lambda m: m["summary"].update(samples=float(m["summary"]["samples"])),
+         "summary.samples"),
     ], ids=["extra-key", "extra-summary-key", "duration-str", "seed-bool",
             "run-id-int", "rng-algorithm-null", "config-list", "duration-zero",
-            "rng-seed", "avg-throughput"])
+            "rng-seed", "avg-throughput", "rng-seed-bool", "samples-float"])
     def test_meta_the_writer_would_not_write_is_data_error(
             self, tmp_path, capsys, command, change, what):
         # each loaded silently, or crashed with a TypeError (exit 1)
@@ -706,6 +710,86 @@ class TestCorpusRuns:
                             f"{flows}:{line}", "1.5")
 
     @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    def test_meta_duration_off_the_config_is_data_error(self, tmp_path, capsys,
+                                                        command):
+        # a low 1 s run whose meta.json says 2 s, with its summary and
+        # flows.csv rates recomputed for 2 s, loaded at half its throughput
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2, "--duration", "1") == EXIT_OK
+        flows = corpus / "run-00001" / "flows.csv"
+        lines = flows.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+
+        def mbps(nbytes):
+            return nbytes * 8.0 / (2_000_000_000 * 1e-9) / 1e6
+
+        flows.write_text("\n".join([lines[0]] + [
+            f"{flow},{kind},{b},{mbps(int(b))!r}" for flow, kind, b, _ in rows
+        ]) + "\n")
+        rehash(corpus, "run-00001/flows.csv")
+
+        def change(meta):
+            assert meta["config"]["duration_ns"] == 1_000_000_000
+            meta["duration_ns"] = 2_000_000_000
+            meta["summary"]["avg_throughput_mbps"] = mbps(
+                sum(int(b) for _, _, b, _ in rows))
+
+        path = self.edit_meta(corpus, change)
+        self.assert_refused(tmp_path, capsys, command, corpus, str(path),
+                            "duration_ns, summary.avg_throughput_mbps")
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    def test_series_off_the_sample_schedule_is_data_error(self, tmp_path, capsys,
+                                                          command):
+        # samples fall at k x tupdate (16 ms) up to the horizon, then at the
+        # horizon when 16 ms does not divide it; each edit below loaded
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        series = corpus / "run-00001" / "series.csv"
+        text = series.read_text()
+        rows = [row.split(",") for row in text.splitlines()[1:]]
+        assert [int(row[0]) for row in rows[-2:]] == [496_000_000, 500_000_000]
+
+        # an off-schedule t_ns column: 3, 10, 17, ...
+        lines = text.splitlines()
+        series.write_text("\n".join(lines[:1] + [
+            ",".join([str(3 + 7 * k)] + row[1:]) for k, row in enumerate(rows)
+        ]) + "\n")
+        rehash(corpus, "run-00001/series.csv")
+        self.assert_refused(tmp_path, capsys, command, corpus, f"{series}:2",
+                            "sample schedule")
+
+        # no sample at the 500 ms horizon, with meta.json and its counters
+        # restated for the rows left
+        series.write_text("\n".join(lines[:-1]) + "\n")
+        rehash(corpus, "run-00001/series.csv")
+        _, _, _, marks, drops = map(int, rows[-1])
+
+        def change(meta):
+            meta["summary"]["samples"] -= 1
+            c = meta["summary"]["counters"]
+            for parts, delta in ((("drops_aqm", "drops_overflow"), drops),
+                                 (("ecn_marks_l", "ecn_marks_c"), marks)):
+                for part in parts:
+                    take = min(delta, c[part])
+                    c[part] -= take
+                    delta -= take
+            c["drops"] = c["drops_aqm"] + c["drops_overflow"]
+            c["enqueued"] = c["dequeued"] + c["drops"] + int(rows[-2][1])
+
+        self.edit_meta(corpus, change)
+        self.assert_refused(tmp_path, capsys, command, corpus,
+                            f"{series}:{len(rows) + 1}", "sample schedule")
+
+        # 512 ms is 32 x 16 ms: the last tick is the horizon, sampled once
+        exact = tmp_path / "exact"
+        assert batch(exact, 2, "--duration", "0.512") == EXIT_OK
+        records = load_corpus(str(exact))
+        assert [r.samples[-2:, 0].tolist() for r in records] == [
+            [496_000_000, 512_000_000]] * 2
+        assert [len(r.samples) for r in records] == [32, 32]
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
     @pytest.mark.parametrize("change, what", [
         (lambda m: m.update(seed=99, rng={"algorithm": "mt19937", "seed": 99}),
          "seed"),
@@ -729,8 +813,10 @@ class TestCorpusRuns:
         (lambda m, corpus: m.update(runs=True), "runs"),
         (lambda m, corpus: m.update(runs=0), "runs"),
         (list_notes, "files.run-00000/notes.txt"),
+        # seeds 0 and 1 as JSON values of other types, each named by index
+        (lambda m, corpus: m.update(seeds=[0.0, True]), "seeds.0, seeds.1"),
     ], ids=["unhashed-edit", "kind", "seed-base", "extra-key", "runs-bool",
-            "runs-zero", "extra-file"])
+            "runs-zero", "extra-file", "seeds-float-bool"])
     def test_manifest_the_writer_would_not_write_is_data_error(
             self, tmp_path, capsys, monkeypatch, command, change, what):
         # each loaded: the manifest's own fields were never checked

@@ -1,9 +1,12 @@
 """Sampling, run records, and the on-disk run format."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualq.config import build_scenario, preset_sections
 from dualq.engine import run_scenario
@@ -192,6 +195,61 @@ class TestRoundTrip:
         (d / "meta.json").write_text(canonical_json(meta))
         with pytest.raises(ValueError, match=r"meta\.json: config\.link\.mtu is "):
             load_run_dir(str(d))
+
+
+@st.composite
+def records(draw):
+    """A record the engine could have written: samples on the controller
+    schedule, counters that balance with them, any mtu and packet counts."""
+    mtu = draw(st.sampled_from([1, 576, 1500, 9000]))
+    tupdate = draw(st.integers(2, 10**9))
+    ticks = draw(st.integers(0, 30))
+    # a duration that tupdate divides, or one that leaves a horizon sample
+    duration = ticks * tupdate + draw(st.sampled_from([0, 1, tupdate - 1]))
+    if duration == 0:
+        duration = tupdate
+    times = list(range(tupdate, duration + 1, tupdate))
+    if duration % tupdate:
+        times.append(duration)
+    column = st.lists(st.integers(0, 10**6), min_size=len(times),
+                      max_size=len(times))
+    qocc, marks, drops = draw(column), draw(column), draw(column)
+    drops_aqm = draw(st.integers(0, sum(drops)))
+    marks_l = draw(st.integers(0, sum(marks)))
+    dequeued = draw(st.integers(0, 10**12))
+    kinds = st.sampled_from(["scalable", "cubic", "reno"])
+    return small_record(
+        seed=draw(st.integers(0, 2**31)),
+        config={"duration_ns": duration, "link": {"mtu": mtu},
+                "aqm": {"tupdate_ns": tupdate}},
+        flows=[FlowSummary(f"f{i}", kind, packets) for i, (kind, packets) in
+               enumerate(draw(st.lists(st.tuples(kinds, st.integers(0, 10**12)),
+                                       min_size=1, max_size=3)))],
+        counters={"enqueued": dequeued + sum(drops) + qocc[-1],
+                  "dequeued": dequeued, "drops": sum(drops),
+                  "drops_overflow": sum(drops) - drops_aqm, "drops_aqm": drops_aqm,
+                  "ecn_marks_l": marks_l, "ecn_marks_c": sum(marks) - marks_l},
+        samples=np.array([times, qocc, marks, drops], dtype=np.int64).T.copy(),
+    )
+
+
+class TestRoundTripProperty:
+    @given(rec=records())
+    @settings(max_examples=60, deadline=None)
+    def test_load_gives_the_record_and_rewrite_the_bytes(self, rec):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+            write_run_dir(rec, first)
+            back = load_run_dir(first)
+            assert back.samples.dtype == np.int64
+            assert np.array_equal(back.samples, rec.samples)
+            assert ({k: v for k, v in vars(back).items() if k != "samples"}
+                    == {k: v for k, v in vars(rec).items() if k != "samples"})
+            write_run_dir(back, second)
+            for name in ("meta.json", "series.csv", "flows.csv"):
+                with open(os.path.join(first, name), "rb") as a, \
+                        open(os.path.join(second, name), "rb") as b:
+                    assert a.read() == b.read()
 
 
 class TestCanonicalJson:
