@@ -9,6 +9,13 @@ seed each) --repeat times and reports, per case, the median wall time
 of one ``runner.run_one`` (the engine plus the in-memory summary),
 events/s and delivered packets/s at that median.
 
+The host's speed drifts by more than a 10% engine change, so each case
+also reports its median scaled to the reference speed, as perfbench
+does: a ``perfbench/reference.py`` pass runs before each case's first
+timed run and after every timed run, and ``SpeedLog.scaled`` scales each
+run by the passes around it. Compare scaled_s across builds; wall_s is
+the raw time.
+
 Events are what the engine handles one at a time: packet arrivals,
 controller updates, flow wake-ups and link services (one per
 millisecond while backlogged on a bursty link, one per packet on a
@@ -33,8 +40,9 @@ from dualq.aqm import DualPi2
 from dualq.link import DeliveryTrace
 from dualq.runner import run_one
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "tests"))
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "perfbench")]
+from reference import SpeedLog  # noqa: E402
 from test_engine import golden_digests, golden_scenario, run_dir_digests  # noqa: E402
 
 CASES = [f"{preset}-{mode}" for preset in ("low", "medium", "high")
@@ -88,24 +96,29 @@ def main():
                         help="timed runs per case; the median is reported")
     args = parser.parse_args()
 
-    print(f"{'case':<14} {'wall_s':>7} {'events':>8} {'events/s':>9} "
-          f"{'pkts':>7} {'pkt/s':>8}")
+    print(f"{'case':<14} {'wall_s':>7} {'scaled_s':>8} {'events':>8} "
+          f"{'events/s':>9} {'pkts':>7} {'pkt/s':>8}")
     mismatched = []
+    speed = SpeedLog()
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
             cfg, seed = golden_scenario(name)
-            walls = []
+            spans = []
+            speed.sample()
             for _ in range(args.repeat):
                 t0 = time.perf_counter()
                 record = run_one(cfg, seed, "run-00000")
-                walls.append(time.perf_counter() - t0)
+                t1 = time.perf_counter()
+                speed.sample()
+                spans.append((t0, t1, t1 - t0))
                 if run_dir_digests(record, tmp) != golden_digests(name):
                     mismatched.append(name)
-            wall = statistics.median(walls)
+            wall = statistics.median(w for _, _, w in spans)
+            scaled = statistics.median(speed.scaled(*span) for span in spans)
             events = count_events(cfg, seed, name.split("-")[1])
             pkts = record.counters["dequeued"]
-            print(f"{name:<14} {wall:>7.3f} {events:>8} {events / wall:>9.0f} "
-                  f"{pkts:>7} {pkts / wall:>8.0f}")
+            print(f"{name:<14} {wall:>7.3f} {scaled:>8.3f} {events:>8} "
+                  f"{events / wall:>9.0f} {pkts:>7} {pkts / wall:>8.0f}")
     if mismatched:
         raise SystemExit("run directories differ from the golden digests: "
                          + ", ".join(sorted(set(mismatched))))
