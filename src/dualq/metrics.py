@@ -222,6 +222,8 @@ def differing(found, want, at=()) -> list[str]:
     """The dotted keys at which two parsed JSON values differ, a list entry
     keyed by its index (... is absent); leaves of different types differ,
     so 1, 1.0 and true are three values."""
+    if found is want:  # as the loader's record holds meta.json's config
+        return []
     if isinstance(found, dict) and isinstance(want, dict):
         return [key for name in sorted(found.keys() | want.keys()) for key in
                 differing(found.get(name, ...), want.get(name, ...), at + (name,))]
@@ -289,14 +291,14 @@ def load_run_dir(path: str) -> RunRecord:
     """Read a run directory that satisfies the module docstring's list;
     anything else raises ValueError naming the file (and line, in a CSV)."""
     meta_path, series_path, flows_path = (os.path.join(path, n) for n in RUN_FILES)
-    sizes = {"mtu": "config.link.mtu", "duration_ns": "config.duration_ns",
-             "tupdate_ns": "config.aqm.tupdate_ns"}
+    config_keys = {"mtu": "config.link.mtu", "duration_ns": "config.duration_ns",
+                   "tupdate_ns": "config.aqm.tupdate_ns"}
     try:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
         fields = typed_fields(meta, _META_KEYS, _FIELD_TYPES)
-        config = typed_fields(meta, sizes, dict.fromkeys(sizes, int))
-        for name, dotted in sizes.items():
+        config = typed_fields(meta, config_keys, dict.fromkeys(config_keys, int))
+        for name, dotted in config_keys.items():
             if not 0 < config[name] < 1 << 63:
                 raise ValueError(f"{dotted} is {config[name]}, not a positive int64")
     except ValueError as exc:
@@ -337,7 +339,7 @@ def load_run_dir(path: str) -> RunRecord:
                              f"that are not a multiple of mtu {mtu}")
         flows.append(FlowSummary(flow, kind, packets))
     # the record keeps the measured columns; the writer derives qocc_bytes
-    record = RunRecord(flows=flows, samples=np.delete(parsed, 2, axis=1), **fields)
+    record = RunRecord(flows=flows, samples=parsed[:, [0, 1, 3, 4]], **fields)
     keys = differing(meta, _meta(record))
     if keys:
         raise ValueError(f"{meta_path}: {', '.join(keys)}: "
@@ -354,12 +356,14 @@ def load_run_dir(path: str) -> RunRecord:
     # the engine samples at k x tupdate for k = 1 .. duration // tupdate, then at
     # the horizon if tupdate does not divide it; listed to one past the rows read
     duration, tupdate = config["duration_ns"], config["tupdate_ns"]
-    due = (list(range(tupdate, duration + 1, tupdate)[:len(parsed) + 1])
-           + [duration] * (duration % tupdate != 0))
-    got = parsed[:, 0].tolist()
-    if got != due:
-        lineno = 2 + next((i for i, (t, d) in enumerate(zip(got, due)) if t != d),
-                          min(len(got), len(due)))
+    ticks = min(duration // tupdate, len(parsed) + 1)
+    due = tupdate * np.arange(1, ticks + 1, dtype=np.int64)  # <= duration
+    if duration % tupdate:
+        due = np.append(due, duration)
+    rows = min(len(due), len(parsed))
+    late = np.flatnonzero(parsed[:rows, 0] != due[:rows])
+    if late.size or len(due) != len(parsed):
+        lineno = (late[0] if late.size else rows) + 2
         raise ValueError(f"{series_path}:{lineno}: {series[lineno - 1]!r} breaks "
                          f"the sample schedule: t_ns = k x tupdate_ns {tupdate} up "
                          f"to duration_ns {duration}, then duration_ns")
