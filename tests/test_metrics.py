@@ -233,6 +233,25 @@ def records(draw):
     )
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("section", [None, "aqm"])
+    @pytest.mark.parametrize("value", [None, "16000000", True, 0, 1 << 63])
+    def test_load_rejects_a_duration_or_tupdate_not_a_positive_int64(
+            self, tmp_path, section, value):
+        # the loader reads both from the config to check the series and
+        # the rates; they were never type-checked
+        d = tmp_path / "run"
+        write_run_dir(small_record(), str(d))
+        meta = json.loads((d / "meta.json").read_text())
+        owner = meta["config"][section] if section else meta["config"]
+        key = "tupdate_ns" if section else "duration_ns"
+        owner[key] = value
+        (d / "meta.json").write_text(canonical_json(meta))
+        dotted = ".".join(filter(None, ("config", section, key)))
+        with pytest.raises(ValueError, match=rf"meta\.json: {dotted} is "):
+            load_run_dir(str(d))
+
+
 class TestRoundTripProperty:
     @given(rec=records())
     @settings(max_examples=60, deadline=None)
