@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .core import NS_PER_MS, Ecn, Packet, Rng
+from .core import AT, ECN, NS_PER_MS, Ecn, Rng
 
 # enum member lookups cost several times a global load on the per-packet path
 _CE = Ecn.CE
@@ -118,8 +118,8 @@ class DualPi2:
         self.next_update_ns = cfg.tupdate_ns
         # bytes the C queue is owed; positive means C is behind its share
         self.credit = 0.0
-        self._c: deque[Packet] = deque()
-        self._l: deque[Packet] = deque()
+        self._c: deque[list] = deque()
+        self._l: deque[list] = deque()
         self.enq_total = 0
         self.deq_total = 0
         self.drops_overflow = 0
@@ -141,7 +141,7 @@ class DualPi2:
     def qdelay_ns(self, now: int) -> int:
         """Sojourn time of the C-queue head, 0 when the queue is empty."""
         if self._c:
-            return now - self._c[0].enqueued_at
+            return now - self._c[0][AT]
         return 0
 
     def counters(self) -> dict[str, int]:
@@ -158,7 +158,7 @@ class DualPi2:
     # ------------------------------------------------------------------
     # ingress
 
-    def enqueue(self, pkt: Packet, now: int) -> None:
+    def enqueue(self, pkt: list, now: int) -> None:
         """Classify and queue one packet, or drop it on buffer overflow.
 
         ECT(1) (0b01) and CE (0b11) identify scalable traffic and go to
@@ -171,8 +171,8 @@ class DualPi2:
         if len(self._c) + len(self._l) >= self._limit_pkts:
             self.drops_overflow += 1
             return
-        pkt.enqueued_at = now
-        if pkt.ecn & 1:
+        pkt[AT] = now
+        if pkt[ECN] & 1:
             self._l.append(pkt)
         else:
             self._c.append(pkt)
@@ -214,7 +214,7 @@ class DualPi2:
     # ------------------------------------------------------------------
     # egress
 
-    def dequeue(self, now: int) -> Packet | None:
+    def dequeue(self, now: int) -> list | None:
         """Pick the next packet for the link, applying AQM actions.
 
         Scheduling: when both queues are backlogged the C queue is
@@ -242,8 +242,8 @@ class DualPi2:
             while queue_c:
                 pkt = queue_c.popleft()
                 if draw() < p_c:
-                    if cfg.ecn_classic_enabled and pkt.ecn == _ECT0:
-                        pkt.ecn = _CE
+                    if cfg.ecn_classic_enabled and pkt[ECN] == _ECT0:
+                        pkt[ECN] = _CE
                         self.ecn_marks_c += 1
                     else:
                         self.drops_aqm += 1
@@ -260,10 +260,10 @@ class DualPi2:
         elif not queue_l:
             return None
         pkt = queue_l.popleft()
-        if (now - pkt.enqueued_at > cfg.step_thresh_ns
+        if (now - pkt[AT] > cfg.step_thresh_ns
                 or self.rng.random() < cfg.coupling_k * self.p_prime):
-            if pkt.ecn != _CE:
-                pkt.ecn = _CE
+            if pkt[ECN] != _CE:
+                pkt[ECN] = _CE
                 self.ecn_marks_l += 1
         self.deq_total += 1
         if queue_c:

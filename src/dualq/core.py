@@ -1,4 +1,4 @@
-"""Shared primitives: time units, ECN codepoints, packets, seeded RNG.
+"""Shared primitives: time units, ECN codepoints, the packet layout, seeded RNG.
 
 Time is integer nanoseconds everywhere. Floats appear only inside the
 controller arithmetic and in reported summaries, never in the clock, so
@@ -33,27 +33,14 @@ class Ecn(enum.IntEnum):
     CE = 0b11
 
 
-class Packet:
-    """One packet in flight.
-
-    A plain slotted class rather than a dataclass: packets are created
-    and destroyed millions of times per run and attribute access is on
-    the hot path. ``flow`` is the sending flow's index in the
-    scenario's flow list and ``seq`` its flow-local sequence number.
-    A packet carries no size: every packet is the link's mtu, as in
-    Mahimahi, whose delivery opportunities are one MTU each.
-    """
-
-    __slots__ = ("flow", "seq", "ecn", "enqueued_at")
-
-    def __init__(self, flow: int, seq: int, ecn: Ecn):
-        self.flow = flow
-        self.seq = seq
-        self.ecn = ecn
-        self.enqueued_at = -1
-
-    def __repr__(self):
-        return f"Packet(flow={self.flow}, seq={self.seq}, ecn={self.ecn.name})"
+# A packet in flight is a mutable list [flow, seq, ecn, at] indexed by these
+# constants: pump builds one with a list display for each packet sent, which
+# costs less than any constructor call, and the AQM marks CE in place. flow
+# is the sender's index in the scenario's flow list, seq its flow-local
+# sequence number, at its arrival time at the bottleneck (send time + fwd),
+# which the AQM stamps again as the enqueue time, the same instant. A packet
+# has no size: each is the link's mtu, as a Mahimahi delivery opportunity is.
+FLOW, SEQ, ECN, AT = range(4)
 
 
 class Rng:

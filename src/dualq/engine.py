@@ -9,15 +9,16 @@ Topology (one direction of interest):
 Every event source is already in time order, so the loop merges them
 instead of keeping one priority queue:
 
-* packet arrivals sit in a FIFO, in time order (see below);
+* packet arrivals sit in a FIFO in the order of ``pkt[AT]``, the
+  arrival time the engine writes as it queues them (see below);
 * the link and the controller each have at most one pending event, a
   scalar next time (``inf`` when none is pending);
 * flow wake-ups, one per flow at its start time, sit in a small heap.
 
 Acks are not events. When a link service delivers a packet at t, its
-sender (``senders[pkt.flow]``) runs ``on_loss``, ``on_ack`` and ``pump``
+sender (``senders[pkt[FLOW]]``) runs ``on_loss``, ``on_ack`` and ``pump``
 at once with now = at = t + rev, and the packets it sends are queued to
-arrive at at + fwd. That is exactly what an ack FIFO, served after
+arrive at at + fwd, their AT. That is exactly what an ack FIFO, served after
 same-instant arrivals, would compute:
 
 * a sender's state is touched only by its own acks, losses and
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop
 
 from .aqm import DualPi2
-from .core import NS_PER_MS, Rng
+from .core import AT, FLOW, NS_PER_MS, SEQ, Rng
 from .link import LinkMode, SmoothPacer
 from .metrics import SampleCollector
 from .traffic import Receiver, make_sender
@@ -99,7 +100,7 @@ def run_scenario(cfg, seed: int) -> RunOutput:
     enqueue = aqm.enqueue
     dequeue = aqm.dequeue
 
-    arrivals: deque = deque()  # (t, pkt)
+    arrivals: deque = deque()  # packets, by their arrival time AT
     push_arrival = arrivals.append
     queue_c = aqm._c
     queue_l = aqm._l
@@ -119,8 +120,8 @@ def run_scenario(cfg, seed: int) -> RunOutput:
         if upd_t < t:
             t = upd_t
             src = 1
-        if arrivals and arrivals[0][0] < t:
-            t = arrivals[0][0]
+        if arrivals and arrivals[0][AT] < t:
+            t = arrivals[0][AT]
             src = 2
         if wake_t < t:
             t = wake_t
@@ -129,7 +130,7 @@ def run_scenario(cfg, seed: int) -> RunOutput:
             break
 
         if src == 2:
-            enqueue(arrivals.popleft()[1], t)
+            enqueue(arrivals.popleft(), t)
             if link_t == _NONE and (queue_c or queue_l):
                 if smooth:
                     link_t = next_free_ns if next_free_ns > t else t
@@ -150,12 +151,13 @@ def run_scenario(cfg, seed: int) -> RunOutput:
                 if smooth:
                     next_free_ns = t + pacer.next_interval_ns()
                 if acked:
-                    sender = senders[pkt.flow]
+                    sender = senders[pkt[FLOW]]
                     for missing in lost:
                         sender.on_loss(missing, at)
-                    sender.on_ack(pkt.seq, ce, at)
+                    sender.on_ack(pkt[SEQ], ce, at)
                     for sent in sender.pump(at):
-                        push_arrival((arrive, sent))
+                        sent[AT] = arrive
+                        push_arrival(sent)
             if queue_c or queue_l:
                 link_t = next_free_ns if smooth else t + NS_PER_MS
             else:
@@ -174,10 +176,11 @@ def run_scenario(cfg, seed: int) -> RunOutput:
             at = t + fwd
             # after every queued arrival at or before at
             i = len(arrivals)
-            while i and arrivals[i - 1][0] > at:
+            while i and arrivals[i - 1][AT] > at:
                 i -= 1
             for pkt in reversed(sender.pump(t)):
-                arrivals.insert(i, (at, pkt))
+                pkt[AT] = at
+                arrivals.insert(i, pkt)
 
     if duration % tupdate:
         collector.take(duration, aqm)

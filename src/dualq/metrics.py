@@ -19,6 +19,7 @@ each file once, for writer and loader both. A loaded run must satisfy:
 * each stored field has its RunRecord type (``int`` refuses ``bool``),
   and config.link.mtu, config.duration_ns and config.aqm.tupdate_ns are
   positive int64s;
+* no series.csv value, flows.csv byte count or counter is negative;
 * every series.csv row has qocc_bytes = mtu * qocc_pkts and every
   flows.csv row's bytes are a multiple of mtu: every packet is mtu bytes;
 * meta.json, as parsed values of the writer's JSON types (``1``, ``1.0``
@@ -334,9 +335,10 @@ def load_run_dir(path: str) -> RunRecord:
             packets, rest = divmod(int(nbytes), mtu)
         except ValueError as exc:
             raise ValueError(f"{flows_path}:{lineno}: malformed ({exc})") from None
-        if rest:
-            raise ValueError(f"{flows_path}:{lineno}: {line!r} delivers bytes "
-                             f"that are not a multiple of mtu {mtu}")
+        if packets < 0 or rest:
+            raise ValueError(f"{flows_path}:{lineno}: {line!r} delivers " + (
+                "a negative count of bytes" if packets < 0 else
+                f"bytes that are not a multiple of mtu {mtu}"))
         flows.append(FlowSummary(flow, kind, packets))
     # the record keeps the measured columns; the writer derives qocc_bytes
     record = RunRecord(flows=flows, samples=parsed[:, [0, 1, 3, 4]], **fields)
@@ -348,10 +350,15 @@ def load_run_dir(path: str) -> RunRecord:
     # each row holds at least the writer's characters for its values, so a
     # file of the writer's length is its text: 10 characters a row (5 digits,
     # 4 commas, a newline) plus further digits, counted exactly (log10
-    # misrounds near 10**k); a negative value falls to the line-by-line check
+    # misrounds near 10**k); a minus sign goes uncounted, so a file holding a
+    # negative value, which no time or count is, is longer and lands here
     size = (len(_SERIES_HEADER) + 1 + 10 * len(parsed)
             + int(np.searchsorted(_POW10, parsed, side="right").sum()))
     if series[0] != _SERIES_HEADER or series[-1] != "" or len(series_text) != size:
+        if parsed.min() < 0:
+            row = np.flatnonzero(parsed.min(axis=1) < 0)[0]
+            raise ValueError(f"{series_path}:{row + 2}: {series[row + 1]!r} holds "
+                             "a negative value")
         _check_lines(series_path, series, _series_lines(record))
     # the engine samples at k x tupdate for k = 1 .. duration // tupdate, then at
     # the horizon if tupdate does not divide it; listed to one past the rows read
@@ -368,9 +375,10 @@ def load_run_dir(path: str) -> RunRecord:
                          f"the sample schedule: t_ns = k x tupdate_ns {tupdate} up "
                          f"to duration_ns {duration}, then duration_ns")
     c = record.counters
-    if c.keys() != _COUNTER_NAMES or any(type(v) is not int for v in c.values()):
+    if c.keys() != _COUNTER_NAMES or any(type(v) is not int or v < 0
+                                         for v in c.values()):
         raise ValueError(f"{meta_path}: summary.counters must map exactly "
-                         f"{', '.join(_COUNTER_NAMES)} to ints")
+                         f"{', '.join(_COUNTER_NAMES)} to non-negative ints")
     broken = [identity for identity, holds in (
         ("enqueued = dequeued + drops + final qocc_pkts",
          c["enqueued"] == c["dequeued"] + c["drops"] + int(qocc_pkts[-1])),

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import Ecn, Packet
+from .core import ECN, FLOW, SEQ, Ecn
 
 # enum member lookups cost several times a global load on the per-packet path
 _CE = Ecn.CE
@@ -90,9 +90,9 @@ class _SenderBase:
         self.acked_total = 0
         self.signals_total = 0
 
-    def pump(self, now: int) -> list[Packet]:
+    def pump(self, now: int) -> list[list]:
         """Emit packets until the window is full; none outside [start, stop)."""
-        out: list[Packet] = []
+        out: list[list] = []
         stop = self.stop_ns
         if now < self.start_ns or (stop is not None and now >= stop):
             return out
@@ -105,7 +105,7 @@ class _SenderBase:
         ecn = self.ecn
         while len(outstanding) < limit:
             outstanding[seq] = now
-            out.append(Packet(flow, seq, ecn))
+            out.append([flow, seq, ecn, -1])  # the engine sets AT
             seq += 1
         self.next_seq = seq
         return out
@@ -286,15 +286,15 @@ class Receiver:
     __slots__ = ("flows",)
 
     def __init__(self, n_flows: int):
-        # indexed by Packet.flow, i.e. by sender index
+        # indexed by a packet's FLOW, i.e. by sender index
         self.flows = [FlowStats() for _ in range(n_flows)]
 
-    def on_deliver(self, pkt: Packet) -> tuple[bool, tuple[int, ...]]:
+    def on_deliver(self, pkt: list) -> tuple[bool, tuple[int, ...]]:
         """Account one delivery; return (ce_echo, sequences now lost)."""
-        st = self.flows[pkt.flow]
+        st = self.flows[pkt[FLOW]]
         arrivals = st.arrivals = st.arrivals + 1
-        ce = pkt.ecn == _CE
-        seq = pkt.seq
+        ce = pkt[ECN] == _CE
+        seq = pkt[SEQ]
         highest = st.highest_seq
         gaps = st.gaps
         if seq > highest:

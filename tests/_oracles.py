@@ -18,7 +18,7 @@ from heapq import heapify, heappop
 import numpy as np
 
 from dualq.aqm import DualPi2
-from dualq.core import NS_PER_MS, Ecn, Rng
+from dualq.core import AT, ECN, FLOW, NS_PER_MS, SEQ, Ecn, Rng
 from dualq.engine import RunOutput
 from dualq.link import LinkMode, SmoothPacer
 from dualq.metrics import SampleCollector
@@ -167,8 +167,8 @@ class DualPi2Oracle(DualPi2):
         if self.c_bytes + self.l_bytes + size > self.cfg.limit_bytes:
             self.drops_overflow += 1
             return
-        pkt.enqueued_at = now
-        if pkt.ecn & 1:
+        pkt[AT] = now
+        if pkt[ECN] & 1:
             self._l.append(pkt)
             self.l_bytes += size
         else:
@@ -204,8 +204,8 @@ class DualPi2Oracle(DualPi2):
             pkt = self._c.popleft()
             self.c_bytes -= self.mtu
             if self.rng.random() < p_c:
-                if self.cfg.ecn_classic_enabled and pkt.ecn == Ecn.ECT0:
-                    pkt.ecn = Ecn.CE
+                if self.cfg.ecn_classic_enabled and pkt[ECN] == Ecn.ECT0:
+                    pkt[ECN] = Ecn.CE
                     self.ecn_marks_c += 1
                 else:
                     self.drops_aqm += 1
@@ -217,15 +217,15 @@ class DualPi2Oracle(DualPi2):
     def _take_l(self, now):
         pkt = self._l.popleft()
         self.l_bytes -= self.mtu
-        if now - pkt.enqueued_at > self.cfg.step_thresh_ns:
+        if now - pkt[AT] > self.cfg.step_thresh_ns:
             mark = True
         else:
             p_cl = self.cfg.coupling_k * self.p_prime
             if p_cl > 1.0:
                 p_cl = 1.0
             mark = self.rng.random() < p_cl
-        if mark and pkt.ecn != Ecn.CE:
-            pkt.ecn = Ecn.CE
+        if mark and pkt[ECN] != Ecn.CE:
+            pkt[ECN] = Ecn.CE
             self.ecn_marks_l += 1
         self.deq_total += 1
         return pkt
@@ -316,7 +316,7 @@ def run_scenario_oracle(cfg, seed: int) -> RunOutput:
                     break
                 budget -= 1
                 ce, lost = on_deliver(pkt)
-                push_ack((at, pkt.flow, pkt.seq, ce, lost))
+                push_ack((at, pkt[FLOW], pkt[SEQ], ce, lost))
                 if smooth:
                     next_free_ns = t + pacer.next_interval_ns()
             if aqm.backlog_pkts:

@@ -21,7 +21,7 @@ import pytest
 from dualq import engine
 from dualq.aqm import AqmConfig, DualPi2
 from dualq.config import apply_overrides, build_scenario, preset_sections
-from dualq.core import Ecn, NS_PER_MS, Packet, Rng
+from dualq.core import AT, ECN, Ecn, NS_PER_MS, Rng
 from dualq.runner import run_batch, run_one
 from dualq.stats.testing import (
     bootstrap_exceedance,
@@ -93,12 +93,12 @@ def test_criterion_02_pi2_fixed_point_and_clamping():
     a = DualPi2(AqmConfig(), Rng(1), 1500)
     a.p_prime = 0.25
     a.prev_qdelay_ns = a.cfg.target_ns
-    probe = Packet(0, 0, Ecn.ECT0)
+    probe = [0, 0, Ecn.ECT0, -1]
     now = a.cfg.tupdate_ns
     drift = 0
     for _ in range(10_000):
         a._c.clear()
-        probe.enqueued_at = now - a.cfg.target_ns
+        probe[AT] = now - a.cfg.target_ns
         a._c.append(probe)
         if a.pi2_update(now) != 0.25:
             drift += 1
@@ -114,7 +114,7 @@ def test_criterion_02_pi2_fixed_point_and_clamping():
             now += b.cfg.tupdate_ns
             b._c.clear()
             qdelay = rng.randint(0, 200 * NS_PER_MS)
-            probe.enqueued_at = now - qdelay
+            probe[AT] = now - qdelay
             b._c.append(probe)
             p = b.pi2_update(now)
             if not 0.0 <= p <= 1.0:
@@ -138,7 +138,7 @@ class RecordingAqm(DualPi2):
     def dequeue(self, now):
         pkt = super().dequeue(now)
         if pkt is not None:
-            self.seen.append((now - pkt.enqueued_at, pkt.ecn))
+            self.seen.append((now - pkt[AT], pkt[ECN]))
         return pkt
 
 
@@ -237,7 +237,7 @@ def test_criterion_07_wrr_byte_share():
     aqm = DualPi2(AqmConfig(limit_bytes=10**12), Rng(5), mtu)
 
     def feed(ecn, i):
-        aqm.enqueue(Packet(0, i, ecn), 0)
+        aqm.enqueue([0, i, ecn, -1], 0)
 
     feed(Ecn.NOT_ECT, 0)
     feed(Ecn.ECT1, 1)
@@ -245,7 +245,7 @@ def test_criterion_07_wrr_byte_share():
     for i in range(2, 1_000_002):
         pkt = aqm.dequeue(0)
         total_pkts += 1
-        if pkt.ecn is Ecn.NOT_ECT:
+        if pkt[ECN] is Ecn.NOT_ECT:
             c_pkts += 1
             feed(Ecn.NOT_ECT, i)
         else:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualq.aqm import AqmConfig, DualPi2
-from dualq.core import NS_PER_MS, Ecn, Packet, Rng, ms_to_ns
+from dualq.core import AT, ECN, NS_PER_MS, SEQ, Ecn, Rng, ms_to_ns
 
 
 def mkpkt(i=0, ecn=Ecn.ECT0):
-    return Packet(0, i, ecn)
+    return [0, i, ecn, -1]
 
 
 def mkaqm(rng_seed=1, mtu=1500, **kw):
@@ -75,8 +75,8 @@ class TestClassifier:
         a.enqueue(mkpkt(1, Ecn.CE), 0)
         a.enqueue(mkpkt(2, Ecn.NOT_ECT), 0)
         a.enqueue(mkpkt(3, Ecn.ECT0), 0)
-        assert [p.seq for p in a._l] == [0, 1]
-        assert [p.seq for p in a._c] == [2, 3]
+        assert [p[SEQ] for p in a._l] == [0, 1]
+        assert [p[SEQ] for p in a._c] == [2, 3]
         assert a.backlog_pkts == 4
         assert 1500 * a.backlog_pkts == 6000
         assert a.enq_total == 4
@@ -147,7 +147,7 @@ class TestController:
         now = a.cfg.tupdate_ns
         for _ in range(10_000):
             a._c.clear()
-            pkt.enqueued_at = now - a.cfg.target_ns
+            pkt[AT] = now - a.cfg.target_ns
             a._c.append(pkt)
             assert a.pi2_update(now) == 0.25
             now += a.cfg.tupdate_ns
@@ -193,7 +193,7 @@ class TestController:
         qd_ns = ms_to_ns(qd_ms)
         if qd_ns > 0:
             pkt = mkpkt(0, Ecn.ECT0)
-            pkt.enqueued_at = 0
+            pkt[AT] = 0
             a._c.append(pkt)
             p = a.pi2_update(max(qd_ns, a.cfg.tupdate_ns))
         else:
@@ -224,7 +224,7 @@ class TestClassicAction:
         a.p_prime = 1.0
         a.enqueue(mkpkt(0, Ecn.ECT0), 0)
         pkt = a.dequeue(0)
-        assert pkt.ecn is Ecn.CE
+        assert pkt[ECN] is Ecn.CE
         assert a.ecn_marks_c == 1
         assert a.drops_total == 0
 
@@ -255,7 +255,7 @@ class TestClassicAction:
         got = a.dequeue(0)
         assert got is not None
         # everything ahead of the survivor was dropped
-        assert a.drops_aqm == got.seq
+        assert a.drops_aqm == got[SEQ]
 
     def test_squared_law_frequency(self):
         # p' = 0.3 -> drop probability must track 0.09, not 0.3
@@ -278,10 +278,10 @@ class TestL4sAction:
         a.enqueue(mkpkt(0, Ecn.ECT1), 0)
         # exactly at threshold: no step mark, coupling p is 0
         pkt = a.dequeue(a.cfg.step_thresh_ns)
-        assert pkt.ecn is Ecn.ECT1
+        assert pkt[ECN] is Ecn.ECT1
         a.enqueue(mkpkt(1, Ecn.ECT1), 0)
         pkt = a.dequeue(a.cfg.step_thresh_ns + 1)
-        assert pkt.ecn is Ecn.CE
+        assert pkt[ECN] is Ecn.CE
         assert a.ecn_marks_l == 1
 
     def test_l_packets_never_dropped_by_marking(self):
@@ -323,7 +323,7 @@ class TestL4sAction:
         a.p_prime = 1.0
         a.enqueue(mkpkt(0, Ecn.CE), 0)
         pkt = a.dequeue(0)
-        assert pkt.ecn is Ecn.CE
+        assert pkt[ECN] is Ecn.CE
         assert a.ecn_marks_l == 0
 
     def test_coupling_draw_skipped_when_step_marks(self):
@@ -372,7 +372,7 @@ class TestDraws:
         for i in range(5):
             a.enqueue(mkpkt(i, Ecn.ECT1), 0)
         for _ in range(5):
-            assert a.dequeue(a.cfg.step_thresh_ns + 1).ecn is Ecn.CE
+            assert a.dequeue(a.cfg.step_thresh_ns + 1)[ECN] is Ecn.CE
         assert a.rng.random() == Rng(4).random()
 
     def test_edge_probabilities(self):
@@ -403,11 +403,11 @@ class TestDraws:
         now = 0
         for i in range(600):
             ecn = traffic.choice(list(Ecn))
-            a.enqueue(Packet(0, i, ecn), now)
-            b.enqueue(Packet(0, i, ecn), now)
+            a.enqueue([0, i, ecn, -1], now)
+            b.enqueue([0, i, ecn, -1], now)
             for _ in range(traffic.randrange(3)):
                 got, want = a.dequeue(now), b.dequeue(now)
-                assert (got and (got.seq, got.ecn)) == (want and (want.seq, want.ecn))
+                assert (got and (got[SEQ], got[ECN])) == (want and (want[SEQ], want[ECN]))
             now += traffic.randrange(2 * NS_PER_MS)
         assert a.counters() == b.counters()
         assert (a.credit, mtu * a.backlog_pkts) == (b.credit, b.backlog_bytes)
@@ -446,13 +446,13 @@ class TestPacketRule:
         for i in range(200):
             if traffic.random() < 0.6:
                 ecn = traffic.choice(list(Ecn))
-                a.enqueue(Packet(0, i, ecn), now)
-                b.enqueue(Packet(0, i, ecn), now)
+                a.enqueue([0, i, ecn, -1], now)
+                b.enqueue([0, i, ecn, -1], now)
             else:
                 got, want = a.dequeue(now), b.dequeue(now)
-                assert (got and (got.seq, got.ecn)) == (want and (want.seq, want.ecn))
-            assert ([p.seq for p in a._c], [p.seq for p in a._l]) == (
-                [p.seq for p in b._c], [p.seq for p in b._l])
+                assert (got and (got[SEQ], got[ECN])) == (want and (want[SEQ], want[ECN]))
+            assert ([p[SEQ] for p in a._c], [p[SEQ] for p in a._l]) == (
+                [p[SEQ] for p in b._c], [p[SEQ] for p in b._l])
             assert a.counters() == b.counters()
             assert a.credit.hex() == b.credit.hex()
             assert mtu * a.backlog_pkts == b.backlog_bytes
@@ -471,15 +471,15 @@ class TestScheduler:
         a = mkaqm()
         self.fill(a, 3, 3)
         first = a.dequeue(0)
-        assert first.ecn in (Ecn.ECT1, Ecn.CE)
+        assert first[ECN] in (Ecn.ECT1, Ecn.CE)
 
     def test_single_backlog_serves_it(self):
         a = mkaqm()
         self.fill(a, 3, 0)
-        assert a.dequeue(0).ecn is Ecn.ECT0
+        assert a.dequeue(0)[ECN] is Ecn.ECT0
         a2 = mkaqm()
         self.fill(a2, 0, 3)
-        assert a2.dequeue(0).ecn in (Ecn.ECT1, Ecn.CE)
+        assert a2.dequeue(0)[ECN] in (Ecn.ECT1, Ecn.CE)
 
     def test_single_backlog_resets_credit(self):
         a = mkaqm()
@@ -497,7 +497,7 @@ class TestScheduler:
         a = mkaqm(limit_bytes=10**15)
         n = 200_000
         self.fill(a, n, n)
-        c_pkts = sum(a.dequeue(0).ecn is Ecn.ECT0 for _ in range(n))
+        c_pkts = sum(a.dequeue(0)[ECN] is Ecn.ECT0 for _ in range(n))
         # every packet is the 1500 bytes mkaqm passes as mtu
         share = 1500 * c_pkts / (1500 * n)
         assert 0.09 <= share <= 0.11
@@ -507,7 +507,7 @@ class TestScheduler:
             a = mkaqm(classic_protection=w, limit_bytes=10**15)
             n = 50_000
             self.fill(a, n, n)
-            c_pkts = sum(a.dequeue(0).ecn is Ecn.ECT0 for _ in range(n))
+            c_pkts = sum(a.dequeue(0)[ECN] is Ecn.ECT0 for _ in range(n))
             assert 1500 * c_pkts / (1500 * n) == pytest.approx(w, abs=0.02)
 
 

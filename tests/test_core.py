@@ -1,16 +1,20 @@
-"""Time units, ECN codepoints, packets, and the seeded RNG."""
+"""Time units, ECN codepoints, the packet layout, and the seeded RNG."""
 
 import pytest
 
 from dualq.core import (
+    AT,
+    ECN,
+    FLOW,
     NS_PER_MS,
     NS_PER_SEC,
+    SEQ,
     Ecn,
-    Packet,
     Rng,
     ms_to_ns,
     s_to_ns,
 )
+from dualq.traffic import FlowConfig, make_sender
 
 
 class TestTime:
@@ -38,16 +42,12 @@ class TestEcn:
 
 class TestPacket:
     def test_fields(self):
-        p = Packet(2, 9, Ecn.ECT1)
-        assert p.flow == 2
-        assert p.seq == 9
-        assert p.ecn is Ecn.ECT1
-        assert p.enqueued_at == -1
-
-    def test_slots(self):
-        p = Packet(0, 1, Ecn.ECT0)
-        with pytest.raises(AttributeError):
-            p.bogus = 1
+        # pump writes a packet's fields in the order the constants name;
+        # the arrival time stays -1 until the engine queues the packet
+        assert sorted((FLOW, SEQ, ECN, AT)) == list(range(4))
+        p = make_sender(FlowConfig("s", "scalable"), 2).pump(0)[9]
+        assert len(p) == 4
+        assert (p[FLOW], p[SEQ], p[ECN], p[AT]) == (2, 9, Ecn.ECT1, -1)
 
 
 class TestRng:

@@ -7,11 +7,11 @@ import pytest
 
 from dualq.aqm import DualPi2
 from dualq.config import apply_overrides, build_scenario, preset_sections
-from dualq.core import NS_PER_MS, NS_PER_SEC
+from dualq.core import AT, FLOW, NS_PER_MS, NS_PER_SEC, SEQ
 from dualq.engine import run_scenario
 from dualq.metrics import write_run_dir
 from dualq.runner import run_one
-from dualq.traffic import ClassicSender, ScalableSender
+from dualq.traffic import INIT_CWND, ClassicSender, ScalableSender
 
 from _oracles import run_scenario_oracle
 
@@ -62,7 +62,7 @@ def delivery_log(monkeypatch, cfg, seed):
     def wrapper(self, now):
         pkt = dequeue(self, now)
         if pkt is not None:
-            log.append((now, pkt.flow, pkt.seq))
+            log.append((now, pkt[FLOW], pkt[SEQ]))
         return pkt
 
     monkeypatch.setattr(DualPi2, "dequeue", wrapper)
@@ -122,7 +122,7 @@ class TestTieOrder:
                 # a sender's first pump is its wake-up, every later one an ack's
                 kind = 0 if self.index in pumps else 1
                 pumps[self.index] = pumps.get(self.index, 0) + 1
-                sent.update(((p.flow, p.seq), (now, kind)) for p in out)
+                sent.update(((p[FLOW], p[SEQ]), (now, kind)) for p in out)
                 return out
 
             def logged_ack(self, seq, ce, now):
@@ -137,7 +137,7 @@ class TestTieOrder:
         enqueue = DualPi2.enqueue
 
         def logged_enqueue(self, pkt, now):
-            enqueued.append((now, pkt.flow, pkt.seq))
+            enqueued.append((now, pkt[FLOW], pkt[SEQ]))
             return enqueue(self, pkt, now)
 
         monkeypatch.setattr(DualPi2, "enqueue", logged_enqueue)
@@ -160,6 +160,41 @@ class TestTieOrder:
                 ties += len({kind for _, kind in keys}) == 2
             assert ties > 0, fwd_ms
             assert first_ack == {0: 1, 1: 1}, fwd_ms
+
+    @pytest.mark.parametrize("mode, sets", [
+        # a wake-up inserts its window among arrivals that acks queued
+        ("bursty", ("delay.fwd_ms=10", "delay.rev_ms=10", "flow.cubic1.start_s=0.5")),
+        ("bursty", ("delay.fwd_ms=0", "delay.rev_ms=10", "flow.cubic1.start_s=0.3")),
+        ("smooth", ("delay.fwd_ms=0.5", "delay.rev_ms=0.25",
+                    "flow.cubic1.start_s=0.3")),
+    ])
+    def test_arrival_time_is_send_time_plus_fwd(self, monkeypatch, mode, sets):
+        # the engine orders its arrivals FIFO by each packet's AT, which it
+        # writes when it queues the packet; the AQM reads AT as the
+        # enqueue time, so both must be the send time plus fwd
+        sent = {}  # (flow, seq) -> send time
+        checked = []  # flows of the packets enqueued
+
+        for cls in (ScalableSender, ClassicSender):
+            def logged_pump(self, now, _pump=cls.pump):
+                out = _pump(self, now)
+                sent.update(((p[FLOW], p[SEQ]), now) for p in out)
+                return out
+
+            monkeypatch.setattr(cls, "pump", logged_pump)
+        enqueue = DualPi2.enqueue
+
+        def logged_enqueue(self, pkt, now):
+            assert pkt[AT] == now == sent[(pkt[FLOW], pkt[SEQ])] + fwd
+            checked.append(pkt[FLOW])
+            return enqueue(self, pkt, now)
+
+        monkeypatch.setattr(DualPi2, "enqueue", logged_enqueue)
+        cfg = scenario(flows=("scalable", "cubic"), duration_s=1.0, mode=mode,
+                       sets=sets)
+        fwd = cfg.delay.fwd_ns
+        run_scenario(cfg, seed=1)
+        assert set(checked) == {0, 1}
 
     def test_nothing_runs_past_horizon(self, monkeypatch):
         horizon = int(0.8 * NS_PER_SEC)
@@ -303,6 +338,20 @@ class TestLossPath:
         st = out.receiver.flows[0]
         # still delivers a sizable share of the link
         assert st.arrivals * cfg.link.mtu * 8 / 10.0 / 1e6 > 6.0
+
+
+    @pytest.mark.xfail(strict=True, reason="no retransmission timer: a flow "
+                       "that loses its whole window stalls (ROADMAP item 6)")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_flow_stalls_after_losing_its_window(self, seed):
+        # 8 cubic flows share a 6-packet buffer without classic ECN; flows
+        # 1-7 lose their whole initial window, get no ack and no loss
+        # signal, and keep all of it outstanding to the end, while flow 0
+        # sends thousands of packets
+        cfg = scenario(flows=("cubic",) * 8, duration_s=5.0,
+                       sets=("aqm.ecn_classic=false", "aqm.limit_bytes=9000"))
+        out = run_scenario(cfg, seed)
+        assert all(s.next_seq > INIT_CWND for s in out.senders)
 
 
 # Run directories pinned by sha256. The digests were taken from the heap

@@ -197,6 +197,41 @@ class TestRoundTrip:
             load_run_dir(str(d))
 
 
+class TestNegativeCounts:
+    """Every count the engine writes is a count: the writer writes a record
+    with a negative one as consistently as any other, and the loader must
+    refuse it, naming the file and, in a CSV, the line."""
+
+    @pytest.mark.parametrize("column, values, line", [
+        # the series' sums and final backlog stay those the counters balance
+        (1, [-1, 2], 2),  # qocc_pkts
+        (2, [4, -1], 3),  # ecn_marks
+        (3, [2, -1], 3),  # drops
+    ])
+    def test_series_count(self, tmp_path, column, values, line):
+        samples = small_record().samples.copy()
+        samples[:, column] = values
+        d = tmp_path / "run"
+        write_run_dir(small_record(samples=samples), str(d))
+        with pytest.raises(ValueError, match=rf"series\.csv:{line}: .* negative"):
+            load_run_dir(str(d))
+
+    def test_flow_bytes(self, tmp_path):
+        d = tmp_path / "run"
+        write_run_dir(small_record(flows=[FlowSummary("a", "cubic", 30_000),
+                                          FlowSummary("b", "cubic", -351)]), str(d))
+        with pytest.raises(ValueError, match=r"flows\.csv:3: .* negative"):
+            load_run_dir(str(d))
+
+    def test_counter(self, tmp_path):
+        # drops = drops_overflow + drops_aqm = the series' drops still holds
+        counters = {**small_record().counters, "drops_overflow": -1, "drops_aqm": 2}
+        d = tmp_path / "run"
+        write_run_dir(small_record(counters=counters), str(d))
+        with pytest.raises(ValueError, match=r"meta\.json: .*negative"):
+            load_run_dir(str(d))
+
+
 @st.composite
 def records(draw):
     """A record the engine could have written: samples on the controller

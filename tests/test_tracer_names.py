@@ -11,6 +11,7 @@ import os
 import sys
 
 import dualq.cli  # noqa: F401  (imports every module the tracer wraps)
+from dualq.config import build_scenario, preset_sections
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 
@@ -50,6 +51,29 @@ def test_corpus_load_is_traced(tmp_path, monkeypatch):
     for name in ("runner.load_corpus", "runner.verify_corpus", "runner.hash",
                  "metrics.load_run_dir"):
         assert tracer.calls[name][0] >= 1, name
+
+
+def test_packet_path_is_traced(monkeypatch):
+    # perfbench's per-packet figures count calls of the wrapped methods; a
+    # packet path that went round them would zero those figures silently
+    sections = preset_sections("low", params="default", flows=("scalable", "cubic"),
+                               duration_s=0.5, mode="bursty")
+    cfg = build_scenario(sections)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "dualq" or name.startswith("dualq.")}
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        out = modules["dualq.runner"].run_scenario(cfg, 1)
+    finally:
+        tracer.uninstall()
+    calls = tracer.calls
+    assert out.aqm.deq_total > 0
+    assert calls["aqm.enqueue"][0] == out.aqm.enq_total
+    assert calls["traffic.on_deliver"][0] == out.aqm.deq_total
+    assert calls["traffic.pump"][2] == sum(s.next_seq for s in out.senders)
 
 
 def test_distances_are_traced(tmp_path, monkeypatch):

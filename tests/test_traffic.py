@@ -2,7 +2,7 @@
 
 import pytest
 
-from dualq.core import NS_PER_MS, Ecn, Packet
+from dualq.core import ECN, FLOW, NS_PER_MS, SEQ, Ecn
 from dualq.traffic import (
     CUBIC_BETA,
     CUBIC_C,
@@ -37,9 +37,9 @@ class TestPump:
     def test_sequences_and_ids(self):
         s = make_sender(FlowConfig("s", "scalable"), 3)
         pkts = s.pump(0)
-        assert [p.seq for p in pkts] == list(range(10))
-        assert all(p.flow == s.index == 3 for p in pkts)
-        assert all(p.ecn is Ecn.ECT1 for p in pkts)
+        assert [p[SEQ] for p in pkts] == list(range(10))
+        assert all(p[FLOW] == s.index == 3 for p in pkts)
+        assert all(p[ECN] is Ecn.ECT1 for p in pkts)
 
     def test_respects_start_and_stop(self):
         s = make_sender(
@@ -52,7 +52,7 @@ class TestPump:
 
     def test_classic_sends_ect0(self):
         pkts = classic("reno").pump(0)
-        assert all(p.ecn is Ecn.ECT0 for p in pkts)
+        assert all(p[ECN] is Ecn.ECT0 for p in pkts)
 
 
 class TestScalableLaw:
@@ -251,7 +251,7 @@ class TestCubicLaw:
 
 class TestReceiver:
     def pkt(self, seq, flow=0, ecn=Ecn.ECT1):
-        return Packet(flow, seq, ecn)
+        return [flow, seq, ecn, -1]
 
     def test_counts_arrivals_and_ce(self):
         r = Receiver(1)
