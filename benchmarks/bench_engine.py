@@ -16,12 +16,13 @@ timed run and after every timed run, and ``SpeedLog.scaled`` scales each
 run by the passes around it. Compare scaled_s across builds; wall_s is
 the raw time.
 
-Events are what the engine handles one at a time: packet arrivals,
-controller updates, flow wake-ups and link services (one per
-millisecond while backlogged on a bursty link, one per packet on a
-smooth one). Acks are not events: each runs inside the link service
-that delivers its packet. Events are counted in one extra, untimed run
-with counting wrappers on the functions each event calls.
+Events are what the engine handles one at a time: the link services
+(one per millisecond while backlogged on a bursty link, one per packet
+on a smooth one), controller updates and flow wake-ups its loop chooses
+among, and the packet arrivals it drains from its FIFO into the AQM
+before each of them. Acks are not events: each runs inside the link
+service that delivers its packet. Events are counted in one extra,
+untimed run with counting wrappers on the functions each event calls.
 
 Every timed run is written as a run directory and its sha256 digests
 must equal the golden test's, or the script exits non-zero.

@@ -6,20 +6,18 @@ Topology (one direction of interest):
        ^                                                 |
        +------------------rev delay----------(ack)-------+
 
-Every event source is already in time order, so the loop merges them
+The loop chooses among three event sources, each already in time order,
 instead of keeping one priority queue:
 
-* packet arrivals sit in a FIFO in the order of ``pkt[AT]``, the
-  arrival time the engine writes as it queues them (see below);
 * the link and the controller each have at most one pending event, a
   scalar next time (``inf`` when none is pending);
 * flow wake-ups, one per flow at its start time, sit in a small heap.
 
 Acks are not events. When a link service delivers a packet at t, its
 sender (``senders[pkt[FLOW]]``) runs ``on_loss``, ``on_ack`` and ``pump``
-at once with now = at = t + rev, and the packets it sends are queued to
-arrive at at + fwd, their AT. That is exactly what an ack FIFO, served after
-same-instant arrivals, would compute:
+at once with now = at = t + rev, and ``pump`` stamps the packets it sends
+to arrive at at + fwd, their AT. That is exactly what an ack FIFO, served
+after same-instant arrivals, would compute:
 
 * a sender's state is touched only by its own acks, losses and
   wake-up, and reaches the rest of the run only through the packets it
@@ -32,6 +30,14 @@ same-instant arrivals, would compute:
   arrival at or before tw + fwd. Every ack at or before tw has run by
   then, so wake-ups still follow same-instant acks.
 
+Arrivals are not events either. They wait in one FIFO, in the order of
+their AT, and before the loop handles an event at t it enqueues each one
+before t, and each one at t too when the event is a wake-up. An arrival
+touches only the queue and, when it finds the link idle, the link's next
+time, so this is the order of a loop that merged arrivals as events:
+an arrival that starts the link at or before t makes that link service
+the event, and draining stops at its instant.
+
 Simultaneous events run in a fixed order:
 
     link delivery < controller update < packet arrival < flow wake-up
@@ -42,9 +48,10 @@ the same-instant arrivals. Within one source, events at the same
 instant keep the order they were created in.
 
 The run stops at the first event later than the horizon, or at the
-horizon itself when it is an arrival or a wake-up: a link delivery and a
-controller update at exactly the horizon still run, and an ack is
-handled only before the horizon. Samples are taken at every
+horizon itself when it is a wake-up: a link delivery and a controller
+update at exactly the horizon still run, every arrival before the horizon
+is enqueued and none at or after it, and an ack is handled only before
+the horizon. Samples are taken at every
 controller update, and the final sample is always taken at the horizon,
 so it is the frozen end state of the run: when the duration is not a
 multiple of tupdate, one more sample is taken at the horizon after the
@@ -101,7 +108,7 @@ def run_scenario(cfg, seed: int) -> RunOutput:
     dequeue = aqm.dequeue
 
     arrivals: deque = deque()  # packets, by their arrival time AT
-    push_arrival = arrivals.append
+    push_arrivals = arrivals.extend
     queue_c = aqm._c
     queue_l = aqm._l
     wakes = [(sender.start_ns, i) for i, sender in enumerate(senders)]
@@ -120,24 +127,28 @@ def run_scenario(cfg, seed: int) -> RunOutput:
         if upd_t < t:
             t = upd_t
             src = 1
-        if arrivals and arrivals[0][AT] < t:
-            t = arrivals[0][AT]
-            src = 2
         if wake_t < t:
             t = wake_t
-            src = 3
-        if t > duration or (t == duration and src > 1):
-            break
-
-        if src == 2:
-            enqueue(arrivals.popleft(), t)
+            src = 2
+        # queue the arrivals before t (at t too before a wake-up), none at or
+        # past the horizon; one that starts the link at or before t makes the
+        # link the event, and the arrivals at its instant follow it
+        lim = t + (src == 2) if t < duration else duration
+        while arrivals and arrivals[0][AT] < lim:
+            pkt = arrivals.popleft()
+            a = pkt[AT]
+            enqueue(pkt, a)
             if link_t == _NONE and (queue_c or queue_l):
                 if smooth:
-                    link_t = next_free_ns if next_free_ns > t else t
+                    link_t = next_free_ns if next_free_ns > a else a
                 else:
-                    link_t = (t // NS_PER_MS + 1) * NS_PER_MS
+                    link_t = (a // NS_PER_MS + 1) * NS_PER_MS
+                if link_t <= t:
+                    t, src, lim = link_t, 0, min(lim, link_t)
+        if t > duration or (t == duration and src == 2):
+            break
 
-        elif src == 0:
+        if src == 0:
             at = t + rev
             acked = at < duration
             arrive = at + fwd
@@ -152,12 +163,11 @@ def run_scenario(cfg, seed: int) -> RunOutput:
                     next_free_ns = t + pacer.next_interval_ns()
                 if acked:
                     sender = senders[pkt[FLOW]]
-                    for missing in lost:
-                        sender.on_loss(missing, at)
+                    if lost:
+                        for missing in lost:
+                            sender.on_loss(missing, at)
                     sender.on_ack(pkt[SEQ], ce, at)
-                    for sent in sender.pump(at):
-                        sent[AT] = arrive
-                        push_arrival(sent)
+                    push_arrivals(sender.pump(at, arrive))
             if queue_c or queue_l:
                 link_t = next_free_ns if smooth else t + NS_PER_MS
             else:
@@ -178,8 +188,7 @@ def run_scenario(cfg, seed: int) -> RunOutput:
             i = len(arrivals)
             while i and arrivals[i - 1][AT] > at:
                 i -= 1
-            for pkt in reversed(sender.pump(t)):
-                pkt[AT] = at
+            for pkt in reversed(sender.pump(t, at)):
                 arrivals.insert(i, pkt)
 
     if duration % tupdate:

@@ -17,9 +17,12 @@ row format), so identical runs produce byte-identical directories.
 each file once, for writer and loader both. A loaded run must satisfy:
 
 * each stored field has its RunRecord type (``int`` refuses ``bool``),
-  and config.link.mtu, config.duration_ns and config.aqm.tupdate_ns are
-  positive int64s;
+  and config.link.mtu, config.duration_ns, config.aqm.tupdate_ns and
+  config.aqm.limit_bytes are positive int64s;
+* series.csv has no blank line but its last;
 * no series.csv value, flows.csv byte count or counter is negative;
+* no series.csv row queues more than limit_bytes // mtu packets, the
+  most the AQM admits;
 * every series.csv row has qocc_bytes = mtu * qocc_pkts and every
   flows.csv row's bytes are a multiple of mtu: every packet is mtu bytes;
 * meta.json, as parsed values of the writer's JSON types (``1``, ``1.0``
@@ -293,7 +296,8 @@ def load_run_dir(path: str) -> RunRecord:
     anything else raises ValueError naming the file (and line, in a CSV)."""
     meta_path, series_path, flows_path = (os.path.join(path, n) for n in RUN_FILES)
     config_keys = {"mtu": "config.link.mtu", "duration_ns": "config.duration_ns",
-                   "tupdate_ns": "config.aqm.tupdate_ns"}
+                   "tupdate_ns": "config.aqm.tupdate_ns",
+                   "limit_bytes": "config.aqm.limit_bytes"}
     try:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
@@ -310,6 +314,12 @@ def load_run_dir(path: str) -> RunRecord:
     if not any(series[1:]):
         # np.loadtxt would warn on stderr and report its own shape
         raise ValueError(f"{series_path} has no data rows")
+    samples = meta["summary"].get("samples")
+    # np.loadtxt skips a blank line, and its row numbers with it; a file of
+    # the declared rows plus header and final newline that holds one anyway
+    # is a row short, which the shape check below rejects
+    if (series[-1] or len(series) - 2 != samples) and "\n\n" in series_text:
+        raise ValueError(f"{series_path}:{series.index('', 1) + 1}: blank line")
     try:
         # comments=None: a '#' line is malformed input, not a comment
         parsed = np.loadtxt(series, delimiter=",", dtype=np.int64, ndmin=2,
@@ -317,7 +327,7 @@ def load_run_dir(path: str) -> RunRecord:
     except ValueError as exc:
         # numpy counts rows its own way; name the file's line instead
         raise _series_row_error(series_path, series, exc) from None
-    declared = (meta["summary"].get("samples"), _SERIES_HEADER.count(",") + 1)
+    declared = (samples, _SERIES_HEADER.count(",") + 1)
     if parsed.shape != declared:
         raise ValueError(f"{series_path} holds {parsed.shape} rows x "
                          f"columns, meta.json declares {declared}")
@@ -327,6 +337,11 @@ def load_run_dir(path: str) -> RunRecord:
     if wrong.size:
         raise ValueError(f"{series_path}:{wrong[0] + 2}: {series[wrong[0] + 1]!r} "
                          f"breaks qocc_bytes = mtu {mtu} x qocc_pkts")
+    limit = config["limit_bytes"] // mtu
+    if qocc_pkts.max() > limit:
+        row = np.flatnonzero(qocc_pkts > limit)[0]
+        raise ValueError(f"{series_path}:{row + 2}: {series[row + 1]!r} queues more "
+                         f"than the buffer's limit_bytes // mtu = {limit} packets")
     lines = _read_ascii(flows_path).split("\n")
     flows = []
     for lineno, line in enumerate(lines[1:-1], start=2):

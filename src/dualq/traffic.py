@@ -90,8 +90,9 @@ class _SenderBase:
         self.acked_total = 0
         self.signals_total = 0
 
-    def pump(self, now: int) -> list[list]:
-        """Emit packets until the window is full; none outside [start, stop)."""
+    def pump(self, now: int, at: int) -> list[list]:
+        """Emit packets, arriving at the bottleneck at ``at``, until the
+        window is full; none outside [start, stop)."""
         out: list[list] = []
         stop = self.stop_ns
         if now < self.start_ns or (stop is not None and now >= stop):
@@ -105,7 +106,7 @@ class _SenderBase:
         ecn = self.ecn
         while len(outstanding) < limit:
             outstanding[seq] = now
-            out.append([flow, seq, ecn, -1])  # the engine sets AT
+            out.append([flow, seq, ecn, at])
             seq += 1
         self.next_seq = seq
         return out

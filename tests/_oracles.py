@@ -304,7 +304,7 @@ def run_scenario_oracle(cfg, seed: int) -> RunOutput:
                 sender.on_loss(missing, t)
             sender.on_ack(seq, ce, t)
             at = t + fwd
-            for pkt in sender.pump(t):
+            for pkt in sender.pump(t, at):
                 push_arrival((at, pkt))
 
         elif src == 0:
@@ -335,7 +335,7 @@ def run_scenario_oracle(cfg, seed: int) -> RunOutput:
             sender = senders[heappop(wakes)[1]]
             wake_t = wakes[0][0] if wakes else _NONE
             at = t + fwd
-            for pkt in sender.pump(t):
+            for pkt in sender.pump(t, at):
                 push_arrival((at, pkt))
 
     if duration % tupdate:

@@ -42,12 +42,12 @@ class TestEcn:
 
 class TestPacket:
     def test_fields(self):
-        # pump writes a packet's fields in the order the constants name;
-        # the arrival time stays -1 until the engine queues the packet
+        # pump writes a packet's fields in the order the constants name,
+        # with the arrival time it is given
         assert sorted((FLOW, SEQ, ECN, AT)) == list(range(4))
-        p = make_sender(FlowConfig("s", "scalable"), 2).pump(0)[9]
+        p = make_sender(FlowConfig("s", "scalable"), 2).pump(0, 7)[9]
         assert len(p) == 4
-        assert (p[FLOW], p[SEQ], p[ECN], p[AT]) == (2, 9, Ecn.ECT1, -1)
+        assert (p[FLOW], p[SEQ], p[ECN], p[AT]) == (2, 9, Ecn.ECT1, 7)
 
 
 class TestRng:

@@ -117,8 +117,8 @@ class TestTieOrder:
         def logged(cls):
             pump, on_ack = cls.pump, cls.on_ack
 
-            def logged_pump(self, now):
-                out = pump(self, now)
+            def logged_pump(self, now, at):
+                out = pump(self, now, at)
                 # a sender's first pump is its wake-up, every later one an ack's
                 kind = 0 if self.index in pumps else 1
                 pumps[self.index] = pumps.get(self.index, 0) + 1
@@ -176,8 +176,8 @@ class TestTieOrder:
         checked = []  # flows of the packets enqueued
 
         for cls in (ScalableSender, ClassicSender):
-            def logged_pump(self, now, _pump=cls.pump):
-                out = _pump(self, now)
+            def logged_pump(self, now, at, _pump=cls.pump):
+                out = _pump(self, now, at)
                 sent.update(((p[FLOW], p[SEQ]), now) for p in out)
                 return out
 
@@ -195,6 +195,28 @@ class TestTieOrder:
         fwd = cfg.delay.fwd_ns
         run_scenario(cfg, seed=1)
         assert set(checked) == {0, 1}
+
+    def test_wake_up_after_same_instant_arrivals(self, monkeypatch):
+        # a flow that starts at an instant holding arrivals, sent a round
+        # trip earlier by the other flow's acks, pumps after they are queued
+        log = []
+        enqueue, pump = DualPi2.enqueue, ClassicSender.pump
+
+        def logged_enqueue(self, pkt, now):
+            log.append((now, "arr"))
+            return enqueue(self, pkt, now)
+
+        def logged_pump(self, now, at):
+            if self.next_seq == 0:
+                log.append((now, "wake"))
+            return pump(self, now, at)
+
+        monkeypatch.setattr(DualPi2, "enqueue", logged_enqueue)
+        monkeypatch.setattr(ClassicSender, "pump", logged_pump)
+        run_scenario(scenario(flows=("scalable", "cubic"), duration_s=1.1,
+                              sets=("flow.cubic1.start_s=1.01",)), seed=21)
+        kinds = kinds_by_time(log)[1_010_000_000]
+        assert kinds[0] == "arr" and kinds[-1] == "wake"
 
     def test_nothing_runs_past_horizon(self, monkeypatch):
         horizon = int(0.8 * NS_PER_SEC)
@@ -477,6 +499,10 @@ for _mode in ("bursty", "smooth"):
         f"low-{_mode}-subms": ("low", _SC, _mode,
                                ("delay.fwd_ms=0.3", "delay.rev_ms=0.45")),
         f"medium-{_mode}-staggered": ("medium", _SC, _mode, _STAGGER),
+        # a horizon off the update and millisecond grids, with sends acked
+        # before it that arrive after it
+        f"low-{_mode}-horizon-subms": ("low", _SC, _mode, (
+            "run.duration_s=3.9866", "delay.fwd_ms=10.3", "delay.rev_ms=10.45")),
     })
 ORACLE_GRID.update({
     "low-bursty-staggered-rev0": ("low", _SC, "bursty",
@@ -485,6 +511,14 @@ ORACLE_GRID.update({
                               ("aqm.ecn_classic=false", "aqm.limit_bytes=9000")),
     "medium-smooth-noecn-9000": ("medium", _SC, "smooth",
                                  ("aqm.ecn_classic=false", "aqm.limit_bytes=9000")),
+    # an idle smooth link that an arrival starts at its own instant: the
+    # packets the other flow's wake-up sent for that instant, L-queue ones
+    # among them, must follow the service
+    "low-smooth-idle-subms": ("low", ("cubic", "scalable"), "smooth",
+                              ("delay.fwd_ms=0.25", "delay.rev_ms=0.75")),
+    # a flow starts at an instant that holds arrivals sent a round trip ago
+    "low-bursty-start-on-arrivals": ("low", _SC, "bursty",
+                                     ("flow.cubic1.start_s=1.01",)),
     "low-trace": ("low", _SC, "bursty", ("link.trace_file={trace}",)),
     "low-trace-subms": ("low", ("scalable", "reno"), "bursty",
                         ("link.trace_file={trace}", "delay.fwd_ms=0.5",

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualq.config import build_scenario, preset_sections
+from dualq.config import apply_overrides, build_scenario, preset_sections
 from dualq.engine import run_scenario
 from dualq.core import Rng
+from dualq.runner import run_one
 from dualq.metrics import (
     FlowSummary,
     RunRecord,
@@ -21,9 +22,9 @@ from dualq.metrics import (
 )
 
 
-# two controller samples, at 16 and 32 ms
+# two controller samples, at 16 and 32 ms; a buffer of 5 packets
 CONFIG = {"duration_ns": 32_000_000, "link": {"mtu": 1500},
-          "aqm": {"tupdate_ns": 16_000_000}}
+          "aqm": {"tupdate_ns": 16_000_000, "limit_bytes": 7_500}}
 CONFIG_30S = {**CONFIG, "duration_ns": 30_000_000_000}
 
 
@@ -232,6 +233,85 @@ class TestNegativeCounts:
             load_run_dir(str(d))
 
 
+class TestBlankLine:
+    """np.loadtxt skips a blank line and numbers its rows without it, so a
+    blank line anywhere but the end is itself the error, named by its line;
+    behind it, a bad row would be named by the line before its own."""
+
+    @pytest.mark.parametrize("at, edit, line", [
+        # after the header, in front of a row whose qocc_bytes is off
+        (1, ("32000000,2,3000,", "32000000,2,3001,"), 2),
+        # after the header, in front of a negative value
+        (1, ("32000000,2,3000,3,1", "32000000,2,3000,3,-1"), 2),
+        # between the rows, and a second one at the end
+        (2, ("", ""), 3),
+        (3, ("", ""), 4),
+    ])
+    def test_named_by_its_own_line(self, tmp_path, at, edit, line):
+        d = tmp_path / "run"
+        write_run_dir(small_record(), str(d))
+        series = d / "series.csv"
+        lines = series.read_text().replace(*edit).split("\n")
+        lines.insert(at, "")
+        series.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=rf"series\.csv:{line}: blank line$"):
+            load_run_dir(str(d))
+
+    def test_named_without_the_final_newline(self, tmp_path):
+        # the header, a blank line and the two rows: as many lines as the
+        # writer's file, but the last is a row
+        d = tmp_path / "run"
+        write_run_dir(small_record(), str(d))
+        series = d / "series.csv"
+        lines = series.read_text().split("\n")
+        series.write_text("\n".join(lines[:1] + [""] + lines[1:-1]))
+        with pytest.raises(ValueError, match=r"series\.csv:2: blank line$"):
+            load_run_dir(str(d))
+
+
+class TestBufferBound:
+    """The AQM admits at most limit_bytes // mtu packets, so no sample
+    queues more."""
+
+    def test_one_packet_over_is_named_by_its_line(self, tmp_path):
+        # CONFIG's buffer holds 5 packets; the writer keeps qocc_bytes =
+        # mtu x qocc_pkts and the counters balance the final backlog
+        samples = small_record().samples.copy()
+        samples[1, 1] = 6
+        counters = {**small_record().counters, "enqueued": 30_007}
+        d = tmp_path / "run"
+        write_run_dir(small_record(samples=samples, counters=counters), str(d))
+        with pytest.raises(ValueError, match=r"series\.csv:3: '32000000,6,9000,3,1' "
+                                             r"queues more than the buffer's "
+                                             r"limit_bytes // mtu = 5 packets$"):
+            load_run_dir(str(d))
+
+    def test_a_run_at_the_limit_loads(self, tmp_path):
+        # a 20,000-byte buffer holds 13 packets; with tupdate off the
+        # millisecond grid, some samples fall between link services and
+        # find the buffer full
+        sections = preset_sections("low", params="default",
+                                   flows=("scalable", "cubic"), duration_s=1.0,
+                                   mode="bursty")
+        apply_overrides(sections, ["aqm.limit_bytes=20000", "aqm.tupdate_ms=16.5"])
+        record = run_one(build_scenario(sections), 8, "run-00000")
+        assert record.samples[:, 1].max() == 13
+        d = tmp_path / "run"
+        write_run_dir(record, str(d))
+        assert np.array_equal(load_run_dir(str(d)).samples, record.samples)
+
+    @pytest.mark.parametrize("value", [None, "20000", True, 0, 1 << 63])
+    def test_limit_bytes_is_a_positive_int64(self, tmp_path, value):
+        d = tmp_path / "run"
+        write_run_dir(small_record(), str(d))
+        meta = json.loads((d / "meta.json").read_text())
+        meta["config"]["aqm"]["limit_bytes"] = value
+        (d / "meta.json").write_text(canonical_json(meta))
+        with pytest.raises(ValueError,
+                           match=r"meta\.json: config\.aqm\.limit_bytes is "):
+            load_run_dir(str(d))
+
+
 @st.composite
 def records(draw):
     """A record the engine could have written: samples on the controller
@@ -249,6 +329,9 @@ def records(draw):
     column = st.lists(st.integers(0, 10**6), min_size=len(times),
                       max_size=len(times))
     qocc, marks, drops = draw(column), draw(column), draw(column)
+    # a buffer that holds the largest backlog, with up to two packets spare
+    most = mtu * max(qocc, default=0)
+    limit_bytes = draw(st.integers(max(most, 1), most + 2 * mtu))
     drops_aqm = draw(st.integers(0, sum(drops)))
     marks_l = draw(st.integers(0, sum(marks)))
     dequeued = draw(st.integers(0, 10**12))
@@ -256,7 +339,7 @@ def records(draw):
     return small_record(
         seed=draw(st.integers(0, 2**31)),
         config={"duration_ns": duration, "link": {"mtu": mtu},
-                "aqm": {"tupdate_ns": tupdate}},
+                "aqm": {"tupdate_ns": tupdate, "limit_bytes": limit_bytes}},
         flows=[FlowSummary(f"f{i}", kind, packets) for i, (kind, packets) in
                enumerate(draw(st.lists(st.tuples(kinds, st.integers(0, 10**12)),
                                        min_size=1, max_size=3)))],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dualq.core import ECN, FLOW, NS_PER_MS, SEQ, Ecn
+from dualq.core import AT, ECN, FLOW, NS_PER_MS, SEQ, Ecn
 from dualq.traffic import (
     CUBIC_BETA,
     CUBIC_C,
@@ -30,28 +30,29 @@ def ack_all(sender, now, ce=False):
 class TestPump:
     def test_window_fills_once(self):
         s = scalable()
-        pkts = s.pump(0)
+        pkts = s.pump(0, 0)
         assert len(pkts) == 10  # initial window
-        assert s.pump(0) == []
+        assert s.pump(0, 0) == []
 
     def test_sequences_and_ids(self):
         s = make_sender(FlowConfig("s", "scalable"), 3)
-        pkts = s.pump(0)
+        pkts = s.pump(0, 5)
         assert [p[SEQ] for p in pkts] == list(range(10))
         assert all(p[FLOW] == s.index == 3 for p in pkts)
         assert all(p[ECN] is Ecn.ECT1 for p in pkts)
+        assert all(p[AT] == 5 for p in pkts)
 
     def test_respects_start_and_stop(self):
         s = make_sender(
             FlowConfig("s", "scalable", start_ns=100, stop_ns=200), 0
         )
-        assert s.pump(0) == []
-        assert len(s.pump(100)) == 10
+        assert s.pump(0, 0) == []
+        assert len(s.pump(100, 100)) == 10
         ack_all(s, 150)
-        assert s.pump(250) == []
+        assert s.pump(250, 250) == []
 
     def test_classic_sends_ect0(self):
-        pkts = classic("reno").pump(0)
+        pkts = classic("reno").pump(0, 0)
         assert all(p[ECN] is Ecn.ECT0 for p in pkts)
 
 
@@ -63,23 +64,23 @@ class TestScalableLaw:
 
     def test_slow_start_doubles_per_rtt(self):
         s = scalable()
-        s.pump(0)
+        s.pump(0, 0)
         ack_all(s, 20 * NS_PER_MS)
         assert s.cwnd == pytest.approx(20.0)
-        s.pump(20 * NS_PER_MS)
+        s.pump(20 * NS_PER_MS, 20 * NS_PER_MS)
         ack_all(s, 40 * NS_PER_MS)
         assert s.cwnd == pytest.approx(40.0)
 
     def test_slow_start_exits_on_first_mark(self):
         s = scalable()
-        s.pump(0)
+        s.pump(0, 0)
         s.on_ack(0, True, 20 * NS_PER_MS)
         assert s.slow_start is False
 
     def test_unmarked_round_adds_one(self):
         s = self.steady()
         s.cwnd = 30.0
-        s.pump(0)
+        s.pump(0, 0)
         ack_all(s, 20 * NS_PER_MS, ce=False)
         assert s.cwnd == pytest.approx(31.0)
 
@@ -87,7 +88,7 @@ class TestScalableLaw:
         s = self.steady()
         s.cwnd = 40.0
         s.mark_ewma = 1.0
-        s.pump(0)
+        s.pump(0, 0)
         ack_all(s, 20 * NS_PER_MS, ce=True)
         # ewma stays 1 (fraction 1), cwnd scales by 1 - 1/2
         assert s.mark_ewma == pytest.approx(1.0)
@@ -96,7 +97,7 @@ class TestScalableLaw:
     def test_ewma_gain_is_one_sixteenth(self):
         s = self.steady()
         s.cwnd = 16.0
-        s.pump(0)
+        s.pump(0, 0)
         # mark exactly half the round
         seqs = sorted(s.outstanding)
         for i, seq in enumerate(seqs):
@@ -108,7 +109,7 @@ class TestScalableLaw:
         s = self.steady()
         s.cwnd = 10.0
         s.mark_ewma = 1.0
-        s.pump(0)
+        s.pump(0, 0)
         seqs = sorted(s.outstanding)
         for seq in seqs[:-1]:
             s.on_ack(seq, True, 20 * NS_PER_MS)
@@ -121,7 +122,7 @@ class TestScalableLaw:
         s = self.steady()
         s.cwnd = 8.0
         s.mark_ewma = 1.0
-        s.pump(0)
+        s.pump(0, 0)
         seqs = sorted(s.outstanding)
         s.on_loss(seqs[0], NS_PER_MS)
         for seq in seqs[1:]:
@@ -133,13 +134,13 @@ class TestScalableLaw:
         s = self.steady()
         s.cwnd = 1.0
         s.mark_ewma = 1.0
-        s.pump(0)
+        s.pump(0, 0)
         ack_all(s, NS_PER_MS, ce=True)
         assert s.cwnd >= 1.0
 
     def test_unknown_ack_ignored(self):
         s = scalable()
-        s.pump(0)
+        s.pump(0, 0)
         before = s.cwnd
         s.on_ack(999, True, NS_PER_MS)
         assert s.cwnd == before
@@ -148,7 +149,7 @@ class TestScalableLaw:
 class TestRenoLaw:
     def test_slow_start_then_congestion_avoidance(self):
         s = classic("reno")
-        s.pump(0)
+        s.pump(0, 0)
         ack_all(s, 20 * NS_PER_MS)
         assert s.cwnd == pytest.approx(20.0)
 
@@ -156,7 +157,7 @@ class TestRenoLaw:
         s = classic("reno")
         s.slow_start = False
         s.cwnd = 30.0
-        s.pump(0)
+        s.pump(0, 0)
         seqs = sorted(s.outstanding)
         s.on_ack(seqs[0], True, NS_PER_MS)
         assert s.cwnd == pytest.approx(15.0)
@@ -165,7 +166,7 @@ class TestRenoLaw:
         s = classic("reno")
         s.slow_start = False
         s.cwnd = 32.0
-        s.pump(0)
+        s.pump(0, 0)
         seqs = sorted(s.outstanding)
         for seq in seqs:
             s.on_ack(seq, True, NS_PER_MS)
@@ -176,7 +177,7 @@ class TestRenoLaw:
         s = classic("reno")
         s.slow_start = False
         s.cwnd = 10.0
-        s.pump(0)
+        s.pump(0, 0)
         ack_all(s, 20 * NS_PER_MS)
         # ten acks at 1/cwnd each add roughly one packet
         assert 10.9 <= s.cwnd <= 11.1
@@ -185,7 +186,7 @@ class TestRenoLaw:
         s = classic("reno")
         s.slow_start = False
         s.cwnd = 20.0
-        s.pump(0)
+        s.pump(0, 0)
         s.on_loss(sorted(s.outstanding)[0], NS_PER_MS)
         assert s.cwnd == pytest.approx(10.0)
 
@@ -195,7 +196,7 @@ class TestCubicLaw:
         s = classic("cubic")
         s.slow_start = False
         s.cwnd = 100.0
-        s.pump(0)
+        s.pump(0, 0)
         s.on_ack(sorted(s.outstanding)[0], True, NS_PER_MS)
         assert s.cwnd == pytest.approx(70.0)
         assert s.w_max == pytest.approx(100.0)
@@ -204,7 +205,7 @@ class TestCubicLaw:
         s = classic("cubic")
         s.slow_start = False
         s.cwnd = 100.0
-        s.pump(0)
+        s.pump(0, 0)
         s.on_ack(sorted(s.outstanding)[0], True, NS_PER_MS)
         expected_k = (100.0 * (1 - CUBIC_BETA) / CUBIC_C) ** (1.0 / 3.0)
         assert s.k_s == pytest.approx(expected_k)
@@ -213,7 +214,7 @@ class TestCubicLaw:
         s = classic("cubic")
         s.slow_start = False
         s.cwnd = 100.0
-        s.pump(0)
+        s.pump(0, 0)
         seqs = sorted(s.outstanding)
         t0 = NS_PER_MS
         s.on_ack(seqs[0], True, t0)
@@ -221,7 +222,7 @@ class TestCubicLaw:
         # re-fill and ack later; cwnd must match C*(t-K)^3 + w_max
         for t_s in (1.0, 2.0, k, k + 1.0, k + 3.0):
             now = t0 + round(t_s * 1e9)
-            s.pump(now)
+            s.pump(now, now)
             nxt = sorted(s.outstanding)[0]
             s.on_ack(nxt, False, now)
             expected = CUBIC_C * (t_s - k) ** 3 + 100.0
@@ -231,11 +232,11 @@ class TestCubicLaw:
         s = classic("cubic")
         s.slow_start = False
         s.cwnd = 50.0
-        s.pump(0)
+        s.pump(0, 0)
         s.on_ack(sorted(s.outstanding)[0], True, 0)
         # at t = K the curve value is exactly w_max
         now = round(s.k_s * 1e9)
-        s.pump(now)
+        s.pump(now, now)
         s.on_ack(sorted(s.outstanding)[0], False, now)
         assert s.cwnd == pytest.approx(50.0, rel=1e-9)
 
@@ -243,7 +244,7 @@ class TestCubicLaw:
         s = classic("cubic")
         s.slow_start = False
         s.cwnd = 64.0
-        s.pump(0)
+        s.pump(0, 0)
         for seq in sorted(s.outstanding):
             s.on_ack(seq, True, NS_PER_MS)
         assert s.cwnd == pytest.approx(64.0 * CUBIC_BETA)
