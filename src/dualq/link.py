@@ -144,6 +144,16 @@ class SmoothPacer:
         return step
 
 
+def most_deliveries(rate_bps: int, mode, mtu: int, duration_ns: int) -> int:
+    """Packets a link of mode (a LinkMode or its value) delivers at most in
+    duration_ns: BURSTY serves opportunities(k) at k ms for k >= 1, SMOOTH
+    its i-th packet floor(i * mtu * 8e9 / rate_bps) ns or more after 0."""
+    if LinkMode(mode) is LinkMode.SMOOTH:
+        return ((duration_ns + 1) * rate_bps - 1) // (mtu * 8 * NS_PER_SEC) + 1
+    den = mtu * 8 * 1000  # the opportunities of ms 1 .. k telescope
+    return (duration_ns // NS_PER_MS + 1) * rate_bps // den - rate_bps // den
+
+
 @dataclass(frozen=True)
 class DelayConfig:
     """One-way propagation delays, nanoseconds."""

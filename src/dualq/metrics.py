@@ -14,29 +14,28 @@ config; only the files hold bytes. A run directory has three files:
 Serialization is canonical (sorted keys, repr floats, newline-free
 row format), so identical runs produce byte-identical directories.
 ``_meta``, ``_series_lines`` and ``_flows_lines`` state the format of
-each file once, for writer and loader both. A loaded run must satisfy:
+each file once, for writer and loader both. The loader reads the
+counters drops_overflow and ecn_marks_l and derives the other five:
+dequeued = the flows' packets, drops = the series' drops, drops_aqm =
+drops - drops_overflow, ecn_marks_c = the series' marks - ecn_marks_l,
+enqueued = dequeued + drops + the final qocc_pkts. A loaded run has:
 
-* each stored field has its RunRecord type (``int`` refuses ``bool``),
-  and config.link.mtu, config.duration_ns, config.aqm.tupdate_ns and
-  config.aqm.limit_bytes are positive int64s;
-* series.csv has no blank line but its last;
-* no series.csv value, flows.csv byte count or counter is negative;
-* no series.csv row queues more than limit_bytes // mtu packets, the
-  most the AQM admits;
-* every series.csv row has qocc_bytes = mtu * qocc_pkts and every
-  flows.csv row's bytes are a multiple of mtu: every packet is mtu bytes;
+* each field read of its type (``int`` refuses ``bool``); the mtu,
+  duration_ns, tupdate_ns, limit_bytes and, without a trace file,
+  rate_bps positive int64s, and the link's mode bursty or smooth;
+* series.csv as the writer's text, else ``_series_fault`` names the
+  first line the writer would not write; no row queuing more than
+  limit_bytes // mtu packets, the most the AQM admits;
+* flows.csv's bytes non-negative multiples of mtu;
 * meta.json, as parsed values of the writer's JSON types (``1``, ``1.0``
-  and ``true`` differ), and flows.csv and series.csv, as text, equal
-  what the writer gives for the record they describe, so every derived
-  value (``duration_ns``, ``rng.seed``, ``summary.samples`` and every
-  rate) is checked and series.csv holds ``summary.samples`` rows;
-* series.csv's t_ns are the engine's sample times: k * tupdate_ns for
+  and ``true`` differ), and flows.csv, as text, what the writer gives
+  for the record they describe: every derived value (the counters,
+  ``duration_ns``, ``rng.seed``, ``summary.samples``, every rate);
+* series.csv's t_ns at the engine's sample times: k * tupdate_ns for
   k = 1 .. duration_ns // tupdate_ns, then duration_ns if tupdate_ns
   does not divide it;
-* the counters are exactly DualPi2.counters()'s ints, and enqueued =
-  dequeued + drops + the final qocc_pkts, drops = drops_overflow +
-  drops_aqm = the series' drops, and ecn_marks_l + ecn_marks_c = the
-  series' marks.
+* no negative counter, and without a trace file dequeued at most what
+  the link delivers in duration_ns (``link.most_deliveries``).
 """
 
 from __future__ import annotations
@@ -46,12 +45,12 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import NamedTuple, get_type_hints
+from math import inf
+from typing import NamedTuple, NoReturn, get_type_hints
 
 import numpy as np
 
-from .aqm import AqmConfig, DualPi2
-from .core import Rng
+from .link import most_deliveries
 
 
 class TraceSample(NamedTuple):
@@ -161,13 +160,12 @@ RUN_FILES = (META_NAME, SERIES_NAME, FLOWS_NAME)
 
 _SERIES_HEADER = "t_ns,qocc_pkts,qocc_bytes,ecn_marks,drops"
 
-# where meta.json keeps each RunRecord field it stores (see _meta)
+# where meta.json keeps each RunRecord field the loader reads (see _meta)
 _META_KEYS = {"run_id": "run_id", "seed": "seed", "rng_algorithm": "rng.algorithm",
-              "fingerprint": "fingerprint", "config": "config",
-              "counters": "summary.counters"}
+              "fingerprint": "fingerprint", "config": "config"}
 _FIELD_TYPES = get_type_hints(RunRecord)
-# the names DualPi2.counters() reports, read off a fresh queue
-_COUNTER_NAMES = DualPi2(AqmConfig(), Rng(0), 1).counters().keys()
+_STORED_KEYS = {"drops_overflow": "summary.counters.drops_overflow",
+                "ecn_marks_l": "summary.counters.ecn_marks_l"}
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
@@ -228,10 +226,10 @@ def differing(found, want, at=()) -> list[str]:
     so 1, 1.0 and true are three values."""
     if found is want:  # as the loader's record holds meta.json's config
         return []
-    if isinstance(found, dict) and isinstance(want, dict):
+    if type(found) is dict is type(want):
         return [key for name in sorted(found.keys() | want.keys()) for key in
                 differing(found.get(name, ...), want.get(name, ...), at + (name,))]
-    if isinstance(found, list) and isinstance(want, list):
+    if type(found) is list is type(want):
         return [key for i, (f, w) in enumerate(zip_longest(found, want, fillvalue=...))
                 for key in differing(f, w, at + (str(i),))]
     return [] if type(found) is type(want) and found == want else [".".join(at)]
@@ -252,9 +250,19 @@ def typed_fields(doc, keys: dict[str, str], types: dict) -> dict:
     return fields
 
 
-def _check_lines(path: str, lines: list[str], written: list[str]) -> None:
-    """Raise ValueError at the first line of path that is not the writer's."""
-    for lineno, (line, want) in enumerate(zip_longest(lines, written + [""]), start=1):
+def _positive(doc, *keys: str) -> list[int]:
+    """The ints at dotted keys in the JSON doc; ValueError unless positive int64s."""
+    values = typed_fields(doc, dict(zip(keys, keys)), dict.fromkeys(keys, int))
+    for key, value in values.items():
+        if not 0 < value < 1 << 63:
+            raise ValueError(f"{key} is {value}, not a positive int64")
+    return list(values.values())
+
+
+def _check_lines(path: str, lines: list[str], written: list[str], start=1) -> None:
+    """Raise ValueError at the first of lines, path's from line start on,
+    that is not the writer's."""
+    for lineno, (line, want) in enumerate(zip_longest(lines, written), start=start):
         if line != want:
             raise ValueError(f"{path}:{lineno}: {line!r}, where the writer "
                              f"derives {want!r} from the run's fields")
@@ -274,70 +282,70 @@ def _read_ascii(path: str) -> str:
                          "ASCII") from None
 
 
-def _series_row_error(path: str, lines: list[str], exc: ValueError) -> ValueError:
-    """The error of np.loadtxt's exc on series.csv's lines, naming path:line
-    of the first non-empty line after the header that np.loadtxt, reading
-    it alone, does not take for one integer a column."""
-    width = _SERIES_HEADER.count(",") + 1
-    for lineno, line in enumerate(lines[1:], start=2):
+def _series_fault(path: str, lines: list[str], mtu: int) -> NoReturn:
+    """Raise ValueError naming the first of series.csv's lines that the
+    writer would not write, or its final line if no row is at fault."""
+    _check_lines(path, lines[:1], [_SERIES_HEADER])
+    for lineno, line in enumerate(lines[1:] if lines[-1] else lines[1:-1], start=2):
+        at = f"{path}:{lineno}: {line!r}"
+        if not line:
+            raise ValueError(f"{path}:{lineno}: blank line")
         try:
-            if not line or np.loadtxt([line], delimiter=",", dtype=np.int64,
-                                      comments=None).size == width:
-                continue
+            values = [int(value) for value in line.split(",")]
         except ValueError:
-            pass
-        return ValueError(f"{path}:{lineno}: {line!r} is not {width} "
-                          "comma-separated integers")
-    return ValueError(f"{path}: malformed ({exc})")
+            values = []
+        if len(values) != len(TraceSample._fields) + 1 or max(values) >= 1 << 63:
+            raise ValueError(f"{at} is not 5 comma-separated integers")
+        if min(values) < 0:
+            raise ValueError(f"{at} holds a negative value")
+        if values[2] != mtu * values[1]:
+            raise ValueError(f"{at} breaks qocc_bytes = mtu {mtu} x qocc_pkts")
+        _check_lines(path, [line], [",".join(map(str, values))], lineno)
+    raise ValueError(f"{path}:{len(lines)}: {lines[-1]!r} does not end in a newline")
 
 
 def load_run_dir(path: str) -> RunRecord:
     """Read a run directory that satisfies the module docstring's list;
     anything else raises ValueError naming the file (and line, in a CSV)."""
     meta_path, series_path, flows_path = (os.path.join(path, n) for n in RUN_FILES)
-    config_keys = {"mtu": "config.link.mtu", "duration_ns": "config.duration_ns",
-                   "tupdate_ns": "config.aqm.tupdate_ns",
-                   "limit_bytes": "config.aqm.limit_bytes"}
     try:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
         fields = typed_fields(meta, _META_KEYS, _FIELD_TYPES)
-        config = typed_fields(meta, config_keys, dict.fromkeys(config_keys, int))
-        for name, dotted in config_keys.items():
-            if not 0 < config[name] < 1 << 63:
-                raise ValueError(f"{dotted} is {config[name]}, not a positive int64")
+        mtu, duration, tupdate, limit_bytes = _positive(
+            meta, "config.link.mtu", "config.duration_ns", "config.aqm.tupdate_ns",
+            "config.aqm.limit_bytes")
+        link = meta["config"]["link"]  # a dict, as it holds the mtu
+        most = inf if link.get("trace_file") is not None else most_deliveries(
+            *_positive(meta, "config.link.rate_bps"), link.get("mode"), mtu, duration)
+        stored = typed_fields(meta, _STORED_KEYS, dict.fromkeys(_STORED_KEYS, int))
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    mtu = config["mtu"]
     series_text = _read_ascii(series_path)
     series = series_text.split("\n")
-    if not any(series[1:]):
-        # np.loadtxt would warn on stderr and report its own shape
+    if not any(series[1:]):  # np.loadtxt would warn and report its own shape
         raise ValueError(f"{series_path} has no data rows")
-    samples = meta["summary"].get("samples")
-    # np.loadtxt skips a blank line, and its row numbers with it; a file of
-    # the declared rows plus header and final newline that holds one anyway
-    # is a row short, which the shape check below rejects
-    if (series[-1] or len(series) - 2 != samples) and "\n\n" in series_text:
-        raise ValueError(f"{series_path}:{series.index('', 1) + 1}: blank line")
     try:
         # comments=None: a '#' line is malformed input, not a comment
         parsed = np.loadtxt(series, delimiter=",", dtype=np.int64, ndmin=2,
                             comments=None, skiprows=1)
-    except ValueError as exc:
-        # numpy counts rows its own way; name the file's line instead
-        raise _series_row_error(series_path, series, exc) from None
-    declared = (samples, _SERIES_HEADER.count(",") + 1)
-    if parsed.shape != declared:
-        raise ValueError(f"{series_path} holds {parsed.shape} rows x "
-                         f"columns, meta.json declares {declared}")
-    _, qocc_pkts, qocc_bytes, ecn_marks, drops = parsed.T
-    pkts, rest = np.divmod(qocc_bytes, mtu)  # exact; qocc_pkts * mtu may wrap
-    wrong = np.flatnonzero((pkts != qocc_pkts) | (rest != 0))
-    if wrong.size:
-        raise ValueError(f"{series_path}:{wrong[0] + 2}: {series[wrong[0] + 1]!r} "
-                         f"breaks qocc_bytes = mtu {mtu} x qocc_pkts")
-    limit = config["limit_bytes"] // mtu
+        _, qocc_pkts, qocc_bytes, ecn_marks, drops = parsed.T
+        pkts, rest = np.divmod(qocc_bytes, mtu)  # exact; qocc_pkts * mtu may wrap
+        # a row holds at least the writer's characters for its values, so a file
+        # of the writer's length is its text: 10 a row (5 digits, 4 commas, a
+        # newline) and further digits, counted exactly (log10 misrounds near 10**k)
+        size = (len(_SERIES_HEADER) + 1 + 10 * len(parsed)
+                + int(np.searchsorted(_POW10, parsed, side="right").sum()))
+        if (series[0] != _SERIES_HEADER or series[-1] or len(series_text) != size
+                or np.count_nonzero((pkts != qocc_pkts) | rest)):
+            raise ValueError("not the writer's text")
+    except ValueError:
+        _series_fault(series_path, series, mtu)
+    # series.csv is the writer's text: row r is the file's line r + 2
+    if len(parsed) != meta["summary"].get("samples"):
+        raise ValueError(f"{series_path} holds {parsed.shape} rows x columns, "
+                         f"meta.json declares {(meta['summary'].get('samples'), 5)}")
+    limit = limit_bytes // mtu
     if qocc_pkts.max() > limit:
         row = np.flatnonzero(qocc_pkts > limit)[0]
         raise ValueError(f"{series_path}:{row + 2}: {series[row + 1]!r} queues more "
@@ -355,29 +363,21 @@ def load_run_dir(path: str) -> RunRecord:
                 "a negative count of bytes" if packets < 0 else
                 f"bytes that are not a multiple of mtu {mtu}"))
         flows.append(FlowSummary(flow, kind, packets))
+    dequeued, dropped = sum(f.packets for f in flows), int(drops.sum())
+    counters = {**stored, "enqueued": dequeued + dropped + int(qocc_pkts[-1]),
+                "dequeued": dequeued, "drops": dropped,
+                "drops_aqm": dropped - stored["drops_overflow"],
+                "ecn_marks_c": int(ecn_marks.sum()) - stored["ecn_marks_l"]}
     # the record keeps the measured columns; the writer derives qocc_bytes
-    record = RunRecord(flows=flows, samples=parsed[:, [0, 1, 3, 4]], **fields)
+    record = RunRecord(flows=flows, counters=counters, samples=parsed[:, [0, 1, 3, 4]],
+                       **fields)
     keys = differing(meta, _meta(record))
     if keys:
         raise ValueError(f"{meta_path}: {', '.join(keys)}: "
                          "not what the writer derives from the run's fields")
-    _check_lines(flows_path, lines, _flows_lines(record))
-    # each row holds at least the writer's characters for its values, so a
-    # file of the writer's length is its text: 10 characters a row (5 digits,
-    # 4 commas, a newline) plus further digits, counted exactly (log10
-    # misrounds near 10**k); a minus sign goes uncounted, so a file holding a
-    # negative value, which no time or count is, is longer and lands here
-    size = (len(_SERIES_HEADER) + 1 + 10 * len(parsed)
-            + int(np.searchsorted(_POW10, parsed, side="right").sum()))
-    if series[0] != _SERIES_HEADER or series[-1] != "" or len(series_text) != size:
-        if parsed.min() < 0:
-            row = np.flatnonzero(parsed.min(axis=1) < 0)[0]
-            raise ValueError(f"{series_path}:{row + 2}: {series[row + 1]!r} holds "
-                             "a negative value")
-        _check_lines(series_path, series, _series_lines(record))
+    _check_lines(flows_path, lines, _flows_lines(record) + [""])
     # the engine samples at k x tupdate for k = 1 .. duration // tupdate, then at
     # the horizon if tupdate does not divide it; listed to one past the rows read
-    duration, tupdate = config["duration_ns"], config["tupdate_ns"]
     ticks = min(duration // tupdate, len(parsed) + 1)
     due = tupdate * np.arange(1, ticks + 1, dtype=np.int64)  # <= duration
     if duration % tupdate:
@@ -389,21 +389,10 @@ def load_run_dir(path: str) -> RunRecord:
         raise ValueError(f"{series_path}:{lineno}: {series[lineno - 1]!r} breaks "
                          f"the sample schedule: t_ns = k x tupdate_ns {tupdate} up "
                          f"to duration_ns {duration}, then duration_ns")
-    c = record.counters
-    if c.keys() != _COUNTER_NAMES or any(type(v) is not int or v < 0
-                                         for v in c.values()):
-        raise ValueError(f"{meta_path}: summary.counters must map exactly "
-                         f"{', '.join(_COUNTER_NAMES)} to non-negative ints")
-    broken = [identity for identity, holds in (
-        ("enqueued = dequeued + drops + final qocc_pkts",
-         c["enqueued"] == c["dequeued"] + c["drops"] + int(qocc_pkts[-1])),
-        ("drops = drops_overflow + drops_aqm = series drops",
-         c["drops"] == c["drops_overflow"] + c["drops_aqm"] == int(drops.sum())),
-        ("ecn_marks_l + ecn_marks_c = series ecn_marks",
-         c["ecn_marks_l"] + c["ecn_marks_c"] == int(ecn_marks.sum())),
-    ) if not holds]
-    if broken:
-        raise ValueError(f"{meta_path}: summary.counters break {'; '.join(broken)}")
+    for name, value in counters.items():
+        if value < 0 or name == "dequeued" and value > most:
+            raise ValueError(f"{meta_path}: summary.counters.{name} is {value}, " + (
+                "negative" if value < 0 else f"more than the link's {most} deliveries"))
     return record
 
 

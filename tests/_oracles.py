@@ -7,6 +7,9 @@ program, so agreement between the two is evidence, not tautology.
 the DTW oracle's shape, for the tests that compare the two.
 ``run_scenario_oracle`` is the event engine as it was before acks were
 handled at delivery: acks are a fifth event source with their own FIFO.
+``run_record_oracle`` lists the invariants a run record breaks, each
+stated on its own, and counts the link's services one by one
+(``deliveries_oracle``) instead of in closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from dualq.aqm import DualPi2
 from dualq.core import AT, ECN, FLOW, NS_PER_MS, SEQ, Ecn, Rng
 from dualq.engine import RunOutput
-from dualq.link import LinkMode, SmoothPacer
+from dualq.link import DeliveryTrace, LinkMode, SmoothPacer
 from dualq.metrics import SampleCollector
 from dualq.stats._dtw_np import dtw_packed
 from dualq.stats.dtw import dtw_norm, packed_route
@@ -346,3 +349,59 @@ def run_scenario_oracle(cfg, seed: int) -> RunOutput:
         receiver=receiver,
         senders=senders,
     )
+
+
+def deliveries_oracle(rate_bps: int, mode: str, mtu: int, duration_ns: int) -> int:
+    """The most packets a link without a trace file delivers by
+    duration_ns, counted service by service: a bursty link serves
+    opportunities(k) at each k ms from 1 ms on, a smooth one a packet at 0
+    and then one each pacer interval."""
+    if mode == "smooth":
+        pacer = SmoothPacer(rate_bps, mtu)
+        t = served = 0
+        while t <= duration_ns:
+            served += 1
+            t += pacer.next_interval_ns()
+        return served
+    trace = DeliveryTrace(rate_bps, mtu)
+    return sum(trace.opportunities(ms) for ms in range(1, duration_ns // NS_PER_MS + 1))
+
+
+COUNTER_NAMES = {"enqueued", "dequeued", "drops", "drops_overflow", "drops_aqm",
+                 "ecn_marks_l", "ecn_marks_c"}
+
+
+def run_record_oracle(record) -> list[str]:
+    """The invariants of a run the engine wrote that record breaks, by name;
+    [] if it keeps them all."""
+    cfg = record.config
+    link, aqm = cfg["link"], cfg["aqm"]
+    duration, tupdate, mtu = cfg["duration_ns"], aqm["tupdate_ns"], link["mtu"]
+    t_ns, qocc, marks, drops = (record.samples[:, i].tolist() for i in range(4))
+    due = [k * tupdate for k in range(1, duration // tupdate + 1)]
+    if duration % tupdate:
+        due.append(duration)
+    c = record.counters
+    packets = [f.packets for f in record.flows]
+    if set(c) != COUNTER_NAMES or any(type(v) is not int for v in c.values()):
+        return ["the seven integer counters"]
+    broken = [name for name, holds in (
+        ("sample schedule", t_ns == due),
+        ("enqueued = dequeued + drops + final qocc_pkts",
+         c["enqueued"] == c["dequeued"] + c["drops"] + qocc[-1]),
+        ("drops = drops_overflow + drops_aqm = series drops",
+         c["drops"] == c["drops_overflow"] + c["drops_aqm"] == sum(drops)),
+        ("ecn_marks_l + ecn_marks_c = series marks",
+         c["ecn_marks_l"] + c["ecn_marks_c"] == sum(marks)),
+        ("dequeued = the flows' packets", c["dequeued"] == sum(packets)),
+        ("non-negative counts", min(qocc + marks + drops + packets
+                                    + list(c.values())) >= 0),
+        ("qocc_pkts <= limit_bytes // mtu", max(qocc) <= aqm["limit_bytes"] // mtu),
+    ) if not holds]
+    if link.get("trace_file") is None:
+        rate, mode = link.get("rate_bps"), link.get("mode")
+        if type(rate) is not int or rate <= 0 or mode not in ("bursty", "smooth"):
+            broken.append("a positive int rate_bps and a bursty or smooth mode")
+        elif c["dequeued"] > deliveries_oracle(rate, mode, mtu, duration):
+            broken.append("delivery bound")
+    return broken

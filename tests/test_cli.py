@@ -12,7 +12,7 @@ import pytest
 from dualq.cli import (
     EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_UNDEFINED, SWEEP_PARAMS, main,
 )
-from dualq.metrics import canonical_json
+from dualq.metrics import canonical_json, load_run_dir, write_run_dir
 from dualq.runner import RunnerError, load_corpus, verify_corpus
 from dualq.stats import _dtw_py, dtw
 from dualq.stats.testing import build_distances, extract_observations
@@ -679,20 +679,39 @@ class TestCorpusRuns:
     @pytest.mark.parametrize("change, what", [
         (lambda m: m["summary"].update(counters={"enqueued": 1}), "counters"),
         (lambda m: m["summary"]["counters"].update(drops_aqm=0.0), "counters"),
-        (counters_plus(enqueued=1), "enqueued = "),
-        (counters_plus(drops_overflow=1), "drops = drops_overflow"),
+        (counters_plus(enqueued=1), "summary.counters.enqueued"),
+        (counters_plus(drops_overflow=1), "summary.counters.drops_aqm"),
         # drop counters that agree with each other but not with the series
         (counters_plus(enqueued=1, drops=1, drops_aqm=1),
-         "series drops"),
-        (counters_plus(ecn_marks_c=1), "series ecn_marks"),
+         "summary.counters.drops, "),
+        (counters_plus(ecn_marks_c=1), "summary.counters.ecn_marks_c"),
+        # counters that balance among themselves but exceed the flows' packets
+        (counters_plus(enqueued=1, dequeued=1), "summary.counters.dequeued"),
     ], ids=["names", "float", "ledger", "drop-split", "drop-deltas",
-            "mark-deltas"])
+            "mark-deltas", "beyond-flows"])
     def test_unbalanced_counters_are_data_error(self, tmp_path, capsys, command,
                                                 change, what):
         corpus = tmp_path / "corpus"
         assert batch(corpus, 2) == EXIT_OK
         path = self.edit_meta(corpus, change)
         self.assert_refused(tmp_path, capsys, command, corpus, str(path), what)
+
+    @pytest.mark.parametrize("command", ["validate", "bootstrap"])
+    def test_flows_beyond_the_dequeued_count_are_data_error(self, tmp_path, capsys,
+                                                            command):
+        # run-00001 (low, 0.5 s, seed 1) with its first flow's packets x10,
+        # written back by the writer, which recomputes every rate: it loaded
+        # at 87.8 Mbps on a 12 Mbps link, 3,657 packets against dequeued 489
+        corpus = tmp_path / "corpus"
+        assert batch(corpus, 2) == EXIT_OK
+        run = corpus / "run-00001"
+        record = load_run_dir(str(run))
+        record.flows[0].packets *= 10
+        write_run_dir(record, str(run))
+        for name in ("meta.json", "flows.csv"):
+            rehash(corpus, f"run-00001/{name}")
+        self.assert_refused(tmp_path, capsys, command, corpus,
+                            str(run / "meta.json"), "summary.counters.dequeued")
 
     @pytest.mark.parametrize("command", ["validate", "bootstrap"])
     @pytest.mark.parametrize("line", [2, 3])

@@ -9,7 +9,7 @@ from dualq.aqm import DualPi2
 from dualq.config import apply_overrides, build_scenario, preset_sections
 from dualq.core import AT, FLOW, NS_PER_MS, NS_PER_SEC, SEQ
 from dualq.engine import run_scenario
-from dualq.metrics import write_run_dir
+from dualq.metrics import load_run_dir, write_run_dir
 from dualq.runner import run_one
 from dualq.traffic import INIT_CWND, ClassicSender, ScalableSender
 
@@ -474,6 +474,8 @@ class TestGolden:
         cfg, seed = golden_scenario(name)
         record = run_one(cfg, seed, "run-00000")
         assert run_dir_digests(record, tmp_path) == golden_digests(name)
+        # the loader derives five counters and bounds the deliveries
+        assert load_run_dir(str(tmp_path)).counters == record.counters
 
 
 # The oracle grid: each case runs through the production engine and

@@ -10,7 +10,10 @@ from dualq.link import (
     LinkConfig,
     LinkMode,
     SmoothPacer,
+    most_deliveries,
 )
+
+from _oracles import deliveries_oracle
 
 
 class TestConstantRateTrace:
@@ -114,3 +117,21 @@ class TestConfigs:
         LinkConfig(mode=LinkMode.BURSTY, trace_file="t.trace").validate()
         with pytest.raises(ValueError, match="trace_file"):
             LinkConfig(mode=LinkMode.SMOOTH, trace_file="t.trace").validate()
+
+
+class TestMostDeliveries:
+    @given(rate=st.integers(1, 10**9), mode=st.sampled_from(["bursty", "smooth"]),
+           mtu=st.sampled_from([1, 576, 1500, 9000]),
+           duration=st.integers(1, 50_000_000))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_counts_every_service(self, rate, mode, mtu, duration):
+        # the service-by-service count stays short: at most 6,251 services
+        rate = min(rate, 10**6 * mtu)
+        assert most_deliveries(rate, mode, mtu, duration) == deliveries_oracle(
+            rate, mode, mtu, duration)
+
+    @pytest.mark.parametrize("mode, most", [(LinkMode.BURSTY, 30_000),
+                                            (LinkMode.SMOOTH, 30_001)])
+    def test_12mbps_for_30s(self, mode, most):
+        # one packet a millisecond from 1 ms on; smooth service starts at 0
+        assert most_deliveries(12_000_000, mode, 1500, 30 * NS_PER_SEC) == most

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import tempfile
 
 import numpy as np
@@ -11,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 from dualq.config import apply_overrides, build_scenario, preset_sections
 from dualq.engine import run_scenario
 from dualq.core import Rng
+from dualq.link import most_deliveries
 from dualq.runner import run_one
 from dualq.metrics import (
+    META_NAME,
+    RUN_FILES,
     FlowSummary,
     RunRecord,
     canonical_json,
@@ -21,11 +26,17 @@ from dualq.metrics import (
     write_run_dir,
 )
 
+from _oracles import run_record_oracle
 
-# two controller samples, at 16 and 32 ms; a buffer of 5 packets
-CONFIG = {"duration_ns": 32_000_000, "link": {"mtu": 1500},
+
+# two controller samples, at 16 and 32 ms; a buffer of 5 packets; a 12 Gbps
+# link, which delivers at most 32,000 packets in the 32 ms
+CONFIG = {"duration_ns": 32_000_000,
+          "link": {"mtu": 1500, "rate_bps": 12_000_000_000, "mode": "bursty"},
           "aqm": {"tupdate_ns": 16_000_000, "limit_bytes": 7_500}}
-CONFIG_30S = {**CONFIG, "duration_ns": 30_000_000_000}
+# 30 s on a 12 Mbps link: exactly 30,000 packets at most
+CONFIG_30S = {**CONFIG, "duration_ns": 30_000_000_000,
+              "link": {**CONFIG["link"], "rate_bps": 12_000_000}}
 
 
 def small_record(**kw):
@@ -117,7 +128,9 @@ class TestRoundTrip:
 
     def test_float_round_trip_exact(self, tmp_path):
         # mbps uses repr: parsing it back must give the derived float
-        rec = small_record(flows=[FlowSummary("a", "cubic", 8_230)])
+        rec = small_record(flows=[FlowSummary("a", "cubic", 8_230)],
+                           counters={**small_record().counters, "enqueued": 8_233,
+                                     "dequeued": 8_230})
         d = tmp_path / "run"
         write_run_dir(rec, str(d))
         back = load_run_dir(str(d))
@@ -233,6 +246,81 @@ class TestNegativeCounts:
             load_run_dir(str(d))
 
 
+class TestCountersFromTheRun:
+    """The loader derives five of the seven counters from flows.csv and
+    series.csv, so a stored counter that the run does not give is refused."""
+
+    def test_flows_beyond_the_dequeued_count(self, tmp_path):
+        # a low 0.5 s run whose first flow's packets were multiplied by 10
+        # and written back by the writer, which recomputes every rate: it
+        # loaded at 87.8 Mbps on a 12 Mbps link, flows.csv holding 3,657
+        # packets against dequeued 489
+        sections = preset_sections("low", flows=("scalable", "cubic"),
+                                   duration_s=0.5)
+        record = run_one(build_scenario(sections), 1, "run-00001")
+        record.flows[0].packets *= 10
+        d = tmp_path / "run"
+        write_run_dir(record, str(d))
+        with pytest.raises(ValueError, match=r"meta\.json: .*summary\.counters\."
+                                             r"dequeued"):
+            load_run_dir(str(d))
+
+
+class TestDeliveryBound:
+    """On a link without a trace file, no run delivers more packets than the
+    link serves in its duration: 30,000 in CONFIG_30S's 30 s at 12 Mbps on a
+    bursty link, one more on a smooth one, which serves at 0 too."""
+
+    @staticmethod
+    def record(mode, packets, **link):
+        # small_record's two samples, at 15 and 30 s
+        config = {**CONFIG_30S, "link": {**CONFIG_30S["link"], "mode": mode, **link},
+                  "aqm": {**CONFIG_30S["aqm"], "tupdate_ns": 15 * 10**9}}
+        samples = small_record().samples.copy()
+        samples[:, 0] = [15 * 10**9, 30 * 10**9]
+        counters = {**small_record().counters, "enqueued": packets + 3,
+                    "dequeued": packets}
+        return small_record(config=config, counters=counters, samples=samples,
+                            flows=[FlowSummary("a", "cubic", packets)])
+
+    @pytest.mark.parametrize("mode, most", [("bursty", 30_000), ("smooth", 30_001)])
+    def test_a_record_at_the_bound_loads(self, tmp_path, mode, most):
+        d = tmp_path / "run"
+        write_run_dir(self.record(mode, most), str(d))
+        assert load_run_dir(str(d)).counters["dequeued"] == most
+
+    @pytest.mark.parametrize("mode, most", [("bursty", 30_000), ("smooth", 30_001)])
+    def test_one_packet_over_is_refused(self, tmp_path, mode, most):
+        d = tmp_path / "run"
+        write_run_dir(self.record(mode, most + 1), str(d))
+        with pytest.raises(ValueError, match=rf"meta\.json: summary\.counters\."
+                                             rf"dequeued is {most + 1}, more than "
+                                             rf"the link's {most} deliveries$"):
+            load_run_dir(str(d))
+
+    def test_a_trace_file_sets_the_service_not_the_rate(self, tmp_path):
+        # rate_bps may then be anything the config takes, 0 included
+        d = tmp_path / "run"
+        write_run_dir(self.record("bursty", 30_001, rate_bps=0,
+                                  trace_file="sha256:" + "0" * 64), str(d))
+        assert load_run_dir(str(d)).counters["dequeued"] == 30_001
+
+    @pytest.mark.parametrize("link, what", [
+        ({"rate_bps": 12e6}, r"config\.link\.rate_bps is 12000000\.0, not int"),
+        ({"rate_bps": 0}, r"config\.link\.rate_bps is 0, not a positive int64"),
+        ({"mode": "fluid"}, r"'fluid' is not a valid LinkMode"),
+        ({"mode": None}, r"None is not a valid LinkMode"),
+    ])
+    def test_rate_and_mode_are_checked(self, tmp_path, link, what):
+        d = tmp_path / "run"
+        write_run_dir(small_record(), str(d))
+        meta = json.loads((d / "meta.json").read_text())
+        meta["config"]["link"].update(link)
+        (d / "meta.json").write_text(canonical_json(meta))
+        with pytest.raises(ValueError, match=rf"meta\.json: {what}$"):
+            load_run_dir(str(d))
+
+
 class TestBlankLine:
     """np.loadtxt skips a blank line and numbers its rows without it, so a
     blank line anywhere but the end is itself the error, named by its line;
@@ -315,7 +403,8 @@ class TestBufferBound:
 @st.composite
 def records(draw):
     """A record the engine could have written: samples on the controller
-    schedule, counters that balance with them, any mtu and packet counts."""
+    schedule, flows that a link of the config's rate and mode can deliver,
+    counters that balance with both, any mtu and packet counts."""
     mtu = draw(st.sampled_from([1, 576, 1500, 9000]))
     tupdate = draw(st.integers(2, 10**9))
     ticks = draw(st.integers(0, 30))
@@ -334,15 +423,20 @@ def records(draw):
     limit_bytes = draw(st.integers(max(most, 1), most + 2 * mtu))
     drops_aqm = draw(st.integers(0, sum(drops)))
     marks_l = draw(st.integers(0, sum(marks)))
-    dequeued = draw(st.integers(0, 10**12))
+    link = {"mtu": mtu, "rate_bps": draw(st.integers(1, 10**12)),
+            "mode": draw(st.sampled_from(["bursty", "smooth"]))}
+    # each of up to three flows delivers at most a third of what the link can
+    share = most_deliveries(link["rate_bps"], link["mode"], mtu, duration) // 3
     kinds = st.sampled_from(["scalable", "cubic", "reno"])
+    flows = [FlowSummary(f"f{i}", kind, packets) for i, (kind, packets) in
+             enumerate(draw(st.lists(st.tuples(kinds, st.integers(0, share)),
+                                     min_size=1, max_size=3)))]
+    dequeued = sum(f.packets for f in flows)
     return small_record(
         seed=draw(st.integers(0, 2**31)),
-        config={"duration_ns": duration, "link": {"mtu": mtu},
+        config={"duration_ns": duration, "link": link,
                 "aqm": {"tupdate_ns": tupdate, "limit_bytes": limit_bytes}},
-        flows=[FlowSummary(f"f{i}", kind, packets) for i, (kind, packets) in
-               enumerate(draw(st.lists(st.tuples(kinds, st.integers(0, 10**12)),
-                                       min_size=1, max_size=3)))],
+        flows=flows,
         counters={"enqueued": dequeued + sum(drops) + qocc[-1],
                   "dequeued": dequeued, "drops": sum(drops),
                   "drops_overflow": sum(drops) - drops_aqm, "drops_aqm": drops_aqm,
@@ -387,6 +481,100 @@ class TestRoundTripProperty:
                 with open(os.path.join(first, name), "rb") as a, \
                         open(os.path.join(second, name), "rb") as b:
                     assert a.read() == b.read()
+
+
+def _leaves(doc, at=()):
+    """The key paths of doc's numbers, strings, booleans and nulls."""
+    if isinstance(doc, dict):
+        return [p for key, value in doc.items() for p in _leaves(value, at + (key,))]
+    if isinstance(doc, list):
+        return [p for i, value in enumerate(doc) for p in _leaves(value, at + (i,))]
+    return [at]
+
+
+def _retyped(value):
+    """value as a JSON value of another type: true as 1, 1 as 1.0, and so on."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else str(value)
+    return 0 if value is None else None
+
+
+@st.composite
+def one_value_changed(draw, text, name):
+    """text with one value changed: a digit, a sign, a JSON type (in a CSV,
+    a value written as a float), or a line dropped or duplicated."""
+    kind = draw(st.sampled_from(["digit", "sign", "type", "drop", "duplicate"]))
+    if kind in ("drop", "duplicate"):
+        lines = text.split("\n")
+        i = draw(st.integers(0, len(lines) - 2))  # the last line is ""
+        lines[i:i + 1] = [] if kind == "drop" else [lines[i]] * 2
+        return "\n".join(lines)
+    if kind == "type" and name == META_NAME:
+        meta = json.loads(text)
+        *keys, last = draw(st.sampled_from(_leaves(meta)))
+        owner = meta
+        for key in keys:
+            owner = owner[key]
+        owner[last] = _retyped(owner[last])
+        return canonical_json(meta)
+    number = draw(st.sampled_from(list(re.finditer(r"\d+", text))))
+    start, end = number.span()
+    if kind == "digit":
+        at = draw(st.integers(start, end - 1))
+        digit = draw(st.sampled_from([d for d in "0123456789" if d != text[at]]))
+        return text[:at] + digit + text[at + 1:]
+    if kind == "sign":
+        if text[start - 1] == "-":
+            return text[:start - 1] + text[start:]
+        return text[:start] + "-" + text[start:]
+    return text[:end] + ".0" + text[end:]
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    """Three engine runs written once: low bursty scalable+cubic, medium
+    smooth cubic+reno without classic ECN, and a low bursty 1 s run whose
+    20,000-byte buffer overflows."""
+    root = tmp_path_factory.mktemp("runs")
+    cases = [("low", ("scalable", "cubic"), "bursty", 0.5, []),
+             ("medium", ("cubic", "reno"), "smooth", 0.5, ["aqm.ecn_classic=false"]),
+             ("low", ("scalable", "cubic"), "bursty", 1.0, ["aqm.limit_bytes=20000"])]
+    dirs = []
+    for i, (preset, flows, mode, duration, sets) in enumerate(cases):
+        sections = preset_sections(preset, flows=flows, mode=mode, duration_s=duration)
+        apply_overrides(sections, sets)
+        dirs.append(str(root / f"run-{i:05d}"))
+        write_run_dir(run_one(build_scenario(sections), i, f"run-{i:05d}"), dirs[-1])
+    return dirs
+
+
+class TestOneValueChanged:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_refused_by_a_file_or_a_run_the_engine_could_write(self, run_dirs, data):
+        # a rule that spans files names one of them: a flows.csv count that
+        # stays a multiple of mtu is named at meta.json, whose totals it
+        # breaks, a smaller meta.json limit_bytes at the series.csv row it
+        # cuts; so the error must name a file of the run, any of the three
+        source = data.draw(st.sampled_from(run_dirs))
+        name = data.draw(st.sampled_from(RUN_FILES))
+        with open(os.path.join(source, name), encoding="ascii") as fh:
+            changed = data.draw(one_value_changed(fh.read(), name))
+        with tempfile.TemporaryDirectory() as tmp:
+            run = os.path.join(tmp, "run")
+            shutil.copytree(source, run)
+            with open(os.path.join(run, name), "w", encoding="ascii") as fh:
+                fh.write(changed)
+            try:
+                record = load_run_dir(run)
+            except ValueError as exc:
+                assert any(os.path.join(run, n) in str(exc) for n in RUN_FILES), exc
+            else:
+                assert run_record_oracle(record) == []
 
 
 class TestCanonicalJson:
