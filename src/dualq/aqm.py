@@ -50,7 +50,7 @@ class AqmConfig:
     classic_protection: float = 0.10
     ecn_classic_enabled: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("alpha", "beta", "coupling_k"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -106,7 +106,6 @@ class DualPi2:
     )
 
     def __init__(self, cfg: AqmConfig, rng: Rng, mtu: int):
-        cfg.validate()
         self.cfg = cfg
         self.rng = rng
         self._limit_pkts = cfg.limit_bytes // mtu

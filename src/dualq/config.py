@@ -14,7 +14,9 @@ An absent key keeps its field's default; an unknown key is an error.
 
 Any value can be overridden on the command line with
 ``--set section.key=value``; overrides are applied textually before
-validation so they behave exactly like edits to the file.
+parsing so they behave exactly like edits to the file. Each config
+dataclass checks its rules in ``__post_init__``, so a config is valid
+once built, by ``dataclasses.replace`` too.
 """
 
 from __future__ import annotations
@@ -77,10 +79,7 @@ class ScenarioConfig:
     flows: tuple[FlowConfig, ...]
     duration_ns: int = 30 * NS_PER_SEC
 
-    def validate(self) -> None:
-        self.link.validate()
-        self.delay.validate()
-        self.aqm.validate()
+    def __post_init__(self) -> None:
         if self.duration_ns <= 0:
             raise ConfigError(f"duration must be positive, got {self.duration_ns} ns")
         if not self.flows:
@@ -88,8 +87,6 @@ class ScenarioConfig:
         names = [f.name for f in self.flows]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate flow names: {names}")
-        for f in self.flows:
-            f.validate()
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -272,50 +269,37 @@ def _fields(sections: Sections, name: str, table: dict) -> dict:
 
 
 def build_scenario(sections: Sections) -> ScenarioConfig:
-    """Turn section dictionaries into a validated ScenarioConfig."""
+    """Turn section dictionaries into a ScenarioConfig, or raise ConfigError."""
     for name in sections:
         if name not in ("run", "link", "delay", "aqm") and not name.startswith("flow."):
             raise ConfigError(f"unknown config section [{name}]")
-
-    link = LinkConfig(**_fields(sections, "link", LINK_KEYS))
-
-    delay = _fields(sections, "delay", DELAY_KEYS)
-    if "rtt_ns" in delay:
-        rtt_ns = delay.pop("rtt_ns")
-        if delay:
-            raise ConfigError("give either delay.rtt_ms or fwd_ms/rev_ms, not both")
-        delay = {"fwd_ns": rtt_ns // 2, "rev_ns": rtt_ns - rtt_ns // 2}
-
-    aqm = _fields(sections, "aqm", AQM_KEYS)
-    if aqm.get("limit_bytes") is None:
-        aqm["limit_bytes"] = default_limit_bytes(link.rate_bps)
-
-    flows = []
-    for name in sections:
-        if not name.startswith("flow."):
-            continue
-        fname = name[len("flow."):]
-        fields = _fields(sections, name, FLOW_KEYS)
-        kind = fields.get("kind")
-        if kind not in SENDER_KINDS:
-            raise ConfigError(
-                f"flow {fname!r}: kind must be one of {SENDER_KINDS}, got {kind!r}"
-            )
-        flows.append(FlowConfig(name=fname, **fields))
-    flows.sort(key=lambda f: (f.start_ns, f.name))
-
-    cfg = ScenarioConfig(
-        link=link,
-        delay=DelayConfig(**delay),
-        aqm=AqmConfig(**aqm),
-        flows=tuple(flows),
-        **_fields(sections, "run", RUN_KEYS),
-    )
     try:
-        cfg.validate()
-    except (ValueError, ConfigError) as exc:
+        link = _fields(sections, "link", LINK_KEYS)
+
+        delay = _fields(sections, "delay", DELAY_KEYS)
+        if "rtt_ns" in delay:
+            rtt_ns = delay.pop("rtt_ns")
+            if delay:
+                raise ConfigError("give either delay.rtt_ms or fwd_ms/rev_ms, not both")
+            delay = {"fwd_ns": rtt_ns // 2, "rev_ns": rtt_ns - rtt_ns // 2}
+
+        aqm = _fields(sections, "aqm", AQM_KEYS)
+
+        # built before the parts, so a bad kind is reported before a bad link,
+        # delay or aqm value; a flow without a kind is refused by FlowConfig
+        flows = [FlowConfig(name=name[len("flow."):],
+                            **{"kind": None, **_fields(sections, name, FLOW_KEYS)})
+                 for name in sections if name.startswith("flow.")]
+        flows.sort(key=lambda f: (f.start_ns, f.name))
+        run = _fields(sections, "run", RUN_KEYS)
+
+        link = LinkConfig(**link)
+        if aqm.get("limit_bytes") is None:
+            aqm["limit_bytes"] = default_limit_bytes(link.rate_bps)
+        return ScenarioConfig(link=link, delay=DelayConfig(**delay),
+                              aqm=AqmConfig(**aqm), flows=tuple(flows), **run)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def parse_flow_shorthand(spec: str) -> tuple[str, ...]:

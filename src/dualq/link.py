@@ -107,7 +107,7 @@ class LinkConfig:
             return DeliveryTrace.from_file(self.trace_file, self.mtu)
         return DeliveryTrace(self.rate_bps, self.mtu)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.trace_file is None and self.rate_bps <= 0:
             raise ValueError(f"rate_bps must be positive, got {self.rate_bps}")
         if self.mtu <= 0:
@@ -161,7 +161,7 @@ class DelayConfig:
     fwd_ns: int = 10 * NS_PER_MS
     rev_ns: int = 10 * NS_PER_MS
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.fwd_ns < 0 or self.rev_ns < 0:
             raise ValueError(
                 f"propagation delays cannot be negative: {self.fwd_ns}, {self.rev_ns}"

@@ -26,7 +26,8 @@ enqueued = dequeued + drops + the final qocc_pkts. A loaded run has:
 * series.csv as the writer's text, else ``_series_fault`` names the
   first line the writer would not write; no row queuing more than
   limit_bytes // mtu packets, the most the AQM admits;
-* flows.csv's bytes non-negative multiples of mtu;
+* flows.csv's bytes non-negative multiples of mtu, one row for each
+  config.flows entry, a list of objects with a str name and kind;
 * meta.json, as parsed values of the writer's JSON types (``1``, ``1.0``
   and ``true`` differ), and flows.csv, as text, what the writer gives
   for the record they describe: every derived value (the counters,
@@ -319,6 +320,12 @@ def load_run_dir(path: str) -> RunRecord:
         most = inf if link.get("trace_file") is not None else most_deliveries(
             *_positive(meta, "config.link.rate_bps"), link.get("mode"), mtu, duration)
         stored = typed_fields(meta, _STORED_KEYS, dict.fromkeys(_STORED_KEYS, int))
+        named = meta["config"].get("flows")  # flows.csv's names and kinds, in order
+        if not (isinstance(named, list) and named and all(
+                isinstance(f, dict) and isinstance(f.get("name"), str)
+                and isinstance(f.get("kind"), str) for f in named)):
+            raise ValueError(f"config.flows is {named!r}, not a non-empty list of "
+                             "flows with a str name and kind")
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
     series_text = _read_ascii(series_path)
@@ -351,10 +358,10 @@ def load_run_dir(path: str) -> RunRecord:
         raise ValueError(f"{series_path}:{row + 2}: {series[row + 1]!r} queues more "
                          f"than the buffer's limit_bytes // mtu = {limit} packets")
     lines = _read_ascii(flows_path).split("\n")
-    flows = []
-    for lineno, line in enumerate(lines[1:-1], start=2):
+    rows, counts = lines[1:-1], []
+    for lineno, line in enumerate(rows, start=2):
         try:
-            flow, kind, nbytes, _ = line.split(",")
+            _, _, nbytes, _ = line.split(",")
             packets, rest = divmod(int(nbytes), mtu)
         except ValueError as exc:
             raise ValueError(f"{flows_path}:{lineno}: malformed ({exc})") from None
@@ -362,7 +369,11 @@ def load_run_dir(path: str) -> RunRecord:
             raise ValueError(f"{flows_path}:{lineno}: {line!r} delivers " + (
                 "a negative count of bytes" if packets < 0 else
                 f"bytes that are not a multiple of mtu {mtu}"))
-        flows.append(FlowSummary(flow, kind, packets))
+        counts.append(packets)
+    if len(rows) != len(named):
+        raise ValueError(f"{flows_path}:{min(len(rows), len(named)) + 2}: {len(rows)} "
+                         f"rows, where config.flows lists {len(named)} flows")
+    flows = [FlowSummary(f["name"], f["kind"], n) for f, n in zip(named, counts)]
     dequeued, dropped = sum(f.packets for f in flows), int(drops.sum())
     counters = {**stored, "enqueued": dequeued + dropped + int(qocc_pkts[-1]),
                 "dequeued": dequeued, "drops": dropped,

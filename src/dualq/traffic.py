@@ -42,11 +42,10 @@ class FlowConfig:
     start_ns: int = 0
     stop_ns: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in SENDER_KINDS:
-            raise ValueError(
-                f"unknown sender kind {self.kind!r}, expected one of {SENDER_KINDS}"
-            )
+            raise ValueError(f"flow {self.name!r}: kind must be one of "
+                             f"{SENDER_KINDS}, got {self.kind!r}")
         if self.start_ns < 0:
             raise ValueError(f"start_ns cannot be negative, got {self.start_ns}")
         if self.stop_ns is not None and self.stop_ns <= self.start_ns:
@@ -196,8 +195,6 @@ class ClassicSender(_SenderBase):
 
     def __init__(self, cfg: FlowConfig, index: int):
         super().__init__(cfg, index)
-        if cfg.kind not in ("reno", "cubic"):
-            raise ValueError(f"not a classic sender kind: {cfg.kind!r}")
         self.ssthresh = float("inf")
         self.w_max = 0.0
         self.epoch_start_ns: int | None = None
@@ -260,7 +257,6 @@ class ClassicSender(_SenderBase):
 
 
 def make_sender(cfg: FlowConfig, index: int) -> _SenderBase:
-    cfg.validate()
     if cfg.kind == "scalable":
         return ScalableSender(cfg, index)
     return ClassicSender(cfg, index)

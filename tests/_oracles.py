@@ -394,6 +394,9 @@ def run_record_oracle(record) -> list[str]:
         ("ecn_marks_l + ecn_marks_c = series marks",
          c["ecn_marks_l"] + c["ecn_marks_c"] == sum(marks)),
         ("dequeued = the flows' packets", c["dequeued"] == sum(packets)),
+        ("the flows config.flows lists, in order",
+         [(f.flow, f.kind) for f in record.flows]
+         == [(f.get("name"), f.get("kind")) for f in cfg.get("flows", [])]),
         ("non-negative counts", min(qocc + marks + drops + packets
                                     + list(c.values())) >= 0),
         ("qocc_pkts <= limit_bytes // mtu", max(qocc) <= aqm["limit_bytes"] // mtu),

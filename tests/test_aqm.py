@@ -55,7 +55,7 @@ class TestConfig:
     )
     def test_validation_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
-            AqmConfig(**{field: value}).validate()
+            AqmConfig(**{field: value})
 
 
 class TestClassifier:

@@ -1,6 +1,7 @@
 """Scenario assembly: presets, INI sections, overrides, fingerprints."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from dualq.config import (
     sections_from_ini,
 )
 from dualq.core import NS_PER_MS, NS_PER_SEC
-from dualq.link import LinkMode
+from dualq.link import DelayConfig, LinkConfig, LinkMode
+from dualq.traffic import FlowConfig
 
 
 class TestPresets:
@@ -167,6 +169,23 @@ class TestBuildScenario:
         with pytest.raises(ConfigError, match="kind"):
             build_scenario({"flow.a": {"kind": "bbr"}})
 
+    @pytest.mark.parametrize("flow, kind", [({}, "None"), ({"kind": "bbr"}, "'bbr'")])
+    def test_flow_kind_message_names_the_flow(self, flow, kind):
+        with pytest.raises(ConfigError) as exc:
+            build_scenario({"flow.a": {"start_s": "0", **flow}})
+        assert str(exc.value) == ("flow 'a': kind must be one of "
+                                  f"('scalable', 'reno', 'cubic'), got {kind}")
+
+    @pytest.mark.parametrize("sections, message", [
+        ({"link": {"mtu": "0"}, "flow.a": {"kind": "bbr"}},
+         "flow 'a': kind must be one of ('scalable', 'reno', 'cubic'), got 'bbr'"),
+        ({"aqm": {"coupling_k": "0.5", "limit_bytes": "0"}, "flow.a": {"kind": "cubic"}},
+         "coupling_k must be >= 1, got 0.5"),
+    ], ids=["kind-before-link", "coupling-before-limit"])
+    def test_first_of_two_errors(self, sections, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_scenario(sections)
+
     def test_no_flows(self):
         with pytest.raises(ConfigError):
             build_scenario({"link": {"rate_bps": "12000000"}})
@@ -242,6 +261,30 @@ class TestBuildScenario:
         )
         assert cfg.flows[0].start_ns == NS_PER_SEC
         assert cfg.flows[0].stop_ns == 9 * NS_PER_SEC
+
+
+class TestCheckedWhenBuilt:
+    """Every config is checked when it is built, so a scenario passed
+    through dataclasses.replace is refused by the rule it breaks. Each of
+    these ran from a low 0.5 s scalable+cubic scenario, or crashed in it:
+    the negative delay delivered 505 packets where the link serves at most
+    500, and mtu 0 raised ZeroDivisionError."""
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda: {"delay": DelayConfig(-5_000_000, 0)}, ValueError,
+         "propagation delays cannot be negative: -5000000, 0"),
+        (lambda: {"duration_ns": 0}, ConfigError, "duration must be positive, got 0 ns"),
+        (lambda: {"flows": ()}, ConfigError, "at least one flow is required"),
+        (lambda: {"flows": (FlowConfig("a", "scalable"), FlowConfig("a", "cubic"))},
+         ConfigError, "duplicate flow names: ['a', 'a']"),
+        (lambda: {"link": LinkConfig(mtu=0)}, ValueError, "mtu must be positive, got 0"),
+    ], ids=["negative-delay", "zero-duration", "no-flows", "duplicate-names",
+            "zero-mtu"])
+    def test_replace_is_refused(self, change, error, message):
+        cfg = build_scenario(preset_sections("low", flows=("scalable", "cubic"),
+                                             duration_s=0.5))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            replace(cfg, **change())
 
 
 class TestFingerprint:

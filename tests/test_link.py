@@ -101,9 +101,9 @@ class TestSmoothPacer:
 
 class TestConfigs:
     def test_delay_validation(self):
-        DelayConfig(0, 0).validate()
+        DelayConfig(0, 0)
         with pytest.raises(ValueError):
-            DelayConfig(-1, 0).validate()
+            DelayConfig(-1, 0)
 
     def test_link_make_trace(self):
         link = LinkConfig(rate_bps=12_000_000, mode=LinkMode.BURSTY)
@@ -111,12 +111,12 @@ class TestConfigs:
 
     def test_link_validation(self):
         with pytest.raises(ValueError):
-            LinkConfig(rate_bps=0).validate()
+            LinkConfig(rate_bps=0)
         with pytest.raises(ValueError):
-            LinkConfig(rate_bps=10**6, mtu=0).validate()
-        LinkConfig(mode=LinkMode.BURSTY, trace_file="t.trace").validate()
+            LinkConfig(rate_bps=10**6, mtu=0)
+        LinkConfig(mode=LinkMode.BURSTY, trace_file="t.trace")
         with pytest.raises(ValueError, match="trace_file"):
-            LinkConfig(mode=LinkMode.SMOOTH, trace_file="t.trace").validate()
+            LinkConfig(mode=LinkMode.SMOOTH, trace_file="t.trace")
 
 
 class TestMostDeliveries:

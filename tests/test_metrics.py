@@ -40,6 +40,8 @@ CONFIG_30S = {**CONFIG, "duration_ns": 30_000_000_000,
 
 
 def small_record(**kw):
+    """A run record; unless kw's config lists them, its config lists its
+    flows, as a run the engine writes."""
     defaults = dict(
         run_id="r0",
         seed=1,
@@ -58,6 +60,9 @@ def small_record(**kw):
         ], dtype=np.int64),
     )
     defaults.update(kw)
+    if "flows" not in defaults["config"]:
+        defaults["config"] = {**defaults["config"], "flows": [
+            {"name": f.flow, "kind": f.kind} for f in defaults["flows"]]}
     return RunRecord(**defaults)
 
 
@@ -266,6 +271,44 @@ class TestCountersFromTheRun:
             load_run_dir(str(d))
 
 
+class TestConfigEcho:
+    """A run is tied to the config meta.json echoes: flows.csv lists
+    config.flows' flows, in order. Each edit below loaded on a low 0.5 s
+    scalable+cubic run (seed 1)."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        sections = preset_sections("low", flows=("scalable", "cubic"),
+                                   duration_s=0.5)
+        d = tmp_path / "run"
+        write_run_dir(run_one(build_scenario(sections), 1, "run-00001"), str(d))
+        return d
+
+    def test_a_renamed_flow_row_is_refused(self, run):
+        flows = run / "flows.csv"
+        assert flows.read_text().split("\n")[1].startswith("cubic1,cubic,")
+        flows.write_text(flows.read_text().replace("cubic1,cubic,", "reno7,reno,"))
+        with pytest.raises(ValueError, match=r"flows\.csv:2: 'reno7,reno,"):
+            load_run_dir(str(run))
+
+    def test_an_appended_row_is_refused(self, run):
+        flows = run / "flows.csv"
+        flows.write_text(flows.read_text() + "reno9,reno,0,0.0\n")
+        with pytest.raises(ValueError, match=r"flows\.csv:4: 3 rows, where "
+                                             r"config\.flows lists 2 flows$"):
+            load_run_dir(str(run))
+
+    @pytest.mark.parametrize("flows", [None, [], ["a"], [{"name": "a", "kind": 1}]])
+    def test_config_flows_are_named_flows(self, tmp_path, flows):
+        d = tmp_path / "run"
+        write_run_dir(small_record(), str(d))
+        meta = json.loads((d / META_NAME).read_text())
+        meta["config"]["flows"] = flows
+        (d / META_NAME).write_text(canonical_json(meta))
+        with pytest.raises(ValueError, match=r"meta\.json: config\.flows is "):
+            load_run_dir(str(d))
+
+
 class TestDeliveryBound:
     """On a link without a trace file, no run delivers more packets than the
     link serves in its duration: 30,000 in CONFIG_30S's 30 s at 12 Mbps on a
@@ -435,7 +478,8 @@ def records(draw):
     return small_record(
         seed=draw(st.integers(0, 2**31)),
         config={"duration_ns": duration, "link": link,
-                "aqm": {"tupdate_ns": tupdate, "limit_bytes": limit_bytes}},
+                "aqm": {"tupdate_ns": tupdate, "limit_bytes": limit_bytes},
+                "flows": [{"name": f.flow, "kind": f.kind} for f in flows]},
         flows=flows,
         counters={"enqueued": dequeued + sum(drops) + qocc[-1],
                   "dequeued": dequeued, "drops": sum(drops),

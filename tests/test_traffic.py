@@ -302,12 +302,12 @@ class TestReceiver:
 class TestFlowConfig:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
-            FlowConfig("x", "vegas").validate()
+            FlowConfig("x", "vegas")
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            FlowConfig("x", "reno", start_ns=10, stop_ns=5).validate()
+            FlowConfig("x", "reno", start_ns=10, stop_ns=5)
 
     def test_rejects_awkward_names(self):
         with pytest.raises(ValueError):
-            FlowConfig("a,b", "reno").validate()
+            FlowConfig("a,b", "reno")
