@@ -97,8 +97,6 @@ class DualPi2:
         "credit",
         "_c",
         "_l",
-        "enq_total",
-        "deq_total",
         "drops_overflow",
         "drops_aqm",
         "ecn_marks_l",
@@ -119,8 +117,6 @@ class DualPi2:
         self.credit = 0.0
         self._c: deque[list] = deque()
         self._l: deque[list] = deque()
-        self.enq_total = 0
-        self.deq_total = 0
         self.drops_overflow = 0
         self.drops_aqm = 0
         self.ecn_marks_l = 0
@@ -143,17 +139,6 @@ class DualPi2:
             return now - self._c[0][AT]
         return 0
 
-    def counters(self) -> dict[str, int]:
-        return {
-            "enqueued": self.enq_total,
-            "dequeued": self.deq_total,
-            "drops": self.drops_total,
-            "drops_overflow": self.drops_overflow,
-            "drops_aqm": self.drops_aqm,
-            "ecn_marks_l": self.ecn_marks_l,
-            "ecn_marks_c": self.ecn_marks_c,
-        }
-
     # ------------------------------------------------------------------
     # ingress
 
@@ -166,7 +151,6 @@ class DualPi2:
         would overflow it is dropped at the tail no matter which queue
         it was headed for.
         """
-        self.enq_total += 1
         if len(self._c) + len(self._l) >= self._limit_pkts:
             self.drops_overflow += 1
             return
@@ -247,7 +231,6 @@ class DualPi2:
                     else:
                         self.drops_aqm += 1
                         continue
-                self.deq_total += 1
                 if queue_l:
                     self.credit -= self._debit
                 else:
@@ -264,7 +247,6 @@ class DualPi2:
             if pkt[ECN] != _CE:
                 pkt[ECN] = _CE
                 self.ecn_marks_l += 1
-        self.deq_total += 1
         if queue_c:
             self.credit += self._accrual
         else:

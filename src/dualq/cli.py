@@ -231,8 +231,8 @@ def cmd_emulate(args) -> int:
     print(f"run written to {out_dir}")
     print(f"  seed {args.seed}  fingerprint {record.fingerprint[:16]}")
     print(f"  avg throughput {record.avg_throughput_mbps:.3f} Mbps")
-    for f in record.flows:
-        print(f"  flow {f.flow} ({f.kind}): {record.mbps(f.packets):.3f} Mbps")
+    for f, packets in zip(record.config["flows"], record.packets):
+        print(f"  flow {f['name']} ({f['kind']}): {record.mbps(packets):.3f} Mbps")
     return EXIT_OK
 
 

@@ -29,7 +29,8 @@ class LinkMode(enum.Enum):
 
 
 class DeliveryTrace:
-    """Delivery opportunities per millisecond.
+    """Delivery opportunities per millisecond, at a positive rate_bps and
+    mtu (LinkConfig checks both).
 
     Either synthesized from a constant rate or loaded from a trace file
     containing one integer millisecond timestamp per line (repeated
@@ -40,10 +41,6 @@ class DeliveryTrace:
     __slots__ = ("rate_bps", "_den", "_counts", "_period_ms")
 
     def __init__(self, rate_bps: int, mtu: int):
-        if rate_bps <= 0:
-            raise ValueError(f"rate_bps must be positive, got {rate_bps}")
-        if mtu <= 0:
-            raise ValueError(f"mtu must be positive, got {mtu}")
         self.rate_bps = rate_bps
         # opportunities in ms t = floor((t+1)*rate/den) - floor(t*rate/den)
         self._den = mtu * 8 * 1000
@@ -121,7 +118,8 @@ class LinkConfig:
 
 
 class SmoothPacer:
-    """Exact per-packet service interval for SMOOTH mode.
+    """Exact per-packet service interval for SMOOTH mode, at a positive
+    rate_bps (LinkConfig checks it).
 
     interval = mtu*8/rate seconds, kept exact by carrying the integer
     remainder of (bits * 1e9) / rate from one packet to the next, so n
@@ -132,8 +130,6 @@ class SmoothPacer:
     __slots__ = ("_bits_ns", "_rate", "_carry")
 
     def __init__(self, rate_bps: int, mtu: int):
-        if rate_bps <= 0:
-            raise ValueError(f"rate_bps must be positive, got {rate_bps}")
         self._bits_ns = mtu * 8 * NS_PER_SEC
         self._rate = rate_bps
         self._carry = 0

@@ -1,7 +1,13 @@
 """Measurement sampling, run summaries, and on-disk run format.
 
-A RunRecord counts packets and takes the mtu and the duration from its
-config; only the files hold bytes. A run directory has three files:
+A RunRecord keeps only what the run counts: the packets each
+config.flows entry delivered, drops_overflow, ecn_marks_l and the
+samples; the mtu and the duration are its config's, and only the files
+hold bytes. Its ``counters`` derive the other five, for writer and
+loader alike: dequeued = the flows' packets, drops = the series' drops,
+drops_aqm = drops - drops_overflow, ecn_marks_c = the series' marks -
+ecn_marks_l, enqueued = dequeued + drops + the final qocc_pkts. A run
+directory has three files:
 
 * ``meta.json``: config echo, seed, RNG algorithm, config fingerprint,
   config.duration_ns again, and the summary (throughput, counters).
@@ -15,10 +21,7 @@ Serialization is canonical (sorted keys, repr floats, newline-free
 row format), so identical runs produce byte-identical directories.
 ``_meta``, ``_series_lines`` and ``_flows_lines`` state the format of
 each file once, for writer and loader both. The loader reads the
-counters drops_overflow and ecn_marks_l and derives the other five:
-dequeued = the flows' packets, drops = the series' drops, drops_aqm =
-drops - drops_overflow, ecn_marks_c = the series' marks - ecn_marks_l,
-enqueued = dequeued + drops + the final qocc_pkts. A loaded run has:
+stored counters and the flows' packets, and a loaded run has:
 
 * each field read of its type (``int`` refuses ``bool``); the mtu,
   duration_ns, tupdate_ns, limit_bytes and, without a trace file,
@@ -66,9 +69,9 @@ class TraceSample(NamedTuple):
 class SampleCollector:
     """Samples AQM counters at every controller update.
 
-    Marks and drops are stored as interval deltas; their sums equal
-    the AQM's cumulative counters at the final sample by construction,
-    which the conservation checks exploit.
+    Marks and drops are stored as interval deltas; their sums equal the
+    AQM's ecn_marks_l + ecn_marks_c and drops_total at the final sample
+    by construction, which RunRecord.counters exploits.
     """
 
     __slots__ = ("samples", "_marks_prev", "_drops_prev")
@@ -92,26 +95,20 @@ class SampleCollector:
 
 
 @dataclass
-class FlowSummary:
-    flow: str
-    kind: str
-    packets: int
-
-
-@dataclass
 class RunRecord:
-    """One run's results in memory; mirrors the on-disk format.
-
-    ``samples`` is an int64 (samples, 4) array, one column per
-    TraceSample field; ``config`` holds the link's mtu and the duration."""
+    """One run's counts in memory (see the module docstring): ``packets``
+    holds one per ``config["flows"]`` entry, in order; ``samples`` is an
+    int64 (samples, 4) array, one column per TraceSample field; ``config``
+    holds the link's mtu and the duration."""
 
     run_id: str
     seed: int
     rng_algorithm: str
     fingerprint: str
     config: dict
-    flows: list[FlowSummary]
-    counters: dict
+    packets: list[int]
+    drops_overflow: int
+    ecn_marks_l: int
     samples: np.ndarray
 
     def mbps(self, packets: int) -> float:
@@ -121,7 +118,18 @@ class RunRecord:
 
     @property
     def avg_throughput_mbps(self) -> float:
-        return self.mbps(sum(f.packets for f in self.flows))
+        return self.mbps(sum(self.packets))
+
+    @property
+    def counters(self):
+        """The seven summary counters: the two stored, then the five derived."""
+        _, _, marks, drops = self.samples.sum(axis=0).tolist()
+        dequeued = sum(self.packets)
+        return {"drops_overflow": self.drops_overflow, "ecn_marks_l": self.ecn_marks_l,
+                "enqueued": dequeued + drops + int(self.samples[-1, 1]),
+                "dequeued": dequeued, "drops": drops,
+                "drops_aqm": drops - self.drops_overflow,
+                "ecn_marks_c": marks - self.ecn_marks_l}
 
     def series(self, column: str) -> np.ndarray:
         """One sample column as a float array, in time order."""
@@ -132,18 +140,15 @@ class RunRecord:
 def summarize(run_id: str, seed: int, rng_algorithm: str, fingerprint: str,
               config: dict, output) -> RunRecord:
     """Condense a RunOutput into a RunRecord."""
-    flows = [
-        FlowSummary(flow=sender.flow, kind=sender.kind, packets=st.arrivals)
-        for sender, st in zip(output.senders, output.receiver.flows)
-    ]
     return RunRecord(
         run_id=run_id,
         seed=seed,
         rng_algorithm=rng_algorithm,
         fingerprint=fingerprint,
         config=config,
-        flows=flows,
-        counters=output.aqm.counters(),
+        packets=[st.arrivals for st in output.receiver.flows],
+        drops_overflow=output.aqm.drops_overflow,
+        ecn_marks_l=output.aqm.ecn_marks_l,
         samples=np.fromiter(
             chain.from_iterable(output.samples), np.int64,
             count=len(TraceSample._fields) * len(output.samples),
@@ -163,10 +168,10 @@ _SERIES_HEADER = "t_ns,qocc_pkts,qocc_bytes,ecn_marks,drops"
 
 # where meta.json keeps each RunRecord field the loader reads (see _meta)
 _META_KEYS = {"run_id": "run_id", "seed": "seed", "rng_algorithm": "rng.algorithm",
-              "fingerprint": "fingerprint", "config": "config"}
+              "fingerprint": "fingerprint", "config": "config",
+              "drops_overflow": "summary.counters.drops_overflow",
+              "ecn_marks_l": "summary.counters.ecn_marks_l"}
 _FIELD_TYPES = get_type_hints(RunRecord)
-_STORED_KEYS = {"drops_overflow": "summary.counters.drops_overflow",
-                "ecn_marks_l": "summary.counters.ecn_marks_l"}
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
@@ -193,12 +198,12 @@ def _meta(record: RunRecord) -> dict:
 
 
 def _flows_lines(record: RunRecord) -> list[str]:
-    """flows.csv's lines: the header, then each flow with its derived
-    bytes and rate."""
+    """flows.csv's lines: the header, then each config.flows entry with
+    its derived bytes and rate."""
     mtu = record.config["link"]["mtu"]
     return ["flow_id,kind,bytes,mbps"] + [
-        f"{f.flow},{f.kind},{f.packets * mtu},{record.mbps(f.packets)!r}"
-        for f in record.flows
+        f"{f['name']},{f['kind']},{n * mtu},{record.mbps(n)!r}"
+        for f, n in zip(record.config["flows"], record.packets, strict=True)
     ]
 
 
@@ -319,7 +324,6 @@ def load_run_dir(path: str) -> RunRecord:
         link = meta["config"]["link"]  # a dict, as it holds the mtu
         most = inf if link.get("trace_file") is not None else most_deliveries(
             *_positive(meta, "config.link.rate_bps"), link.get("mode"), mtu, duration)
-        stored = typed_fields(meta, _STORED_KEYS, dict.fromkeys(_STORED_KEYS, int))
         named = meta["config"].get("flows")  # flows.csv's names and kinds, in order
         if not (isinstance(named, list) and named and all(
                 isinstance(f, dict) and isinstance(f.get("name"), str)
@@ -336,7 +340,7 @@ def load_run_dir(path: str) -> RunRecord:
         # comments=None: a '#' line is malformed input, not a comment
         parsed = np.loadtxt(series, delimiter=",", dtype=np.int64, ndmin=2,
                             comments=None, skiprows=1)
-        _, qocc_pkts, qocc_bytes, ecn_marks, drops = parsed.T
+        _, qocc_pkts, qocc_bytes, _, _ = parsed.T
         pkts, rest = np.divmod(qocc_bytes, mtu)  # exact; qocc_pkts * mtu may wrap
         # a row holds at least the writer's characters for its values, so a file
         # of the writer's length is its text: 10 a row (5 digits, 4 commas, a
@@ -373,16 +377,10 @@ def load_run_dir(path: str) -> RunRecord:
     if len(rows) != len(named):
         raise ValueError(f"{flows_path}:{min(len(rows), len(named)) + 2}: {len(rows)} "
                          f"rows, where config.flows lists {len(named)} flows")
-    flows = [FlowSummary(f["name"], f["kind"], n) for f, n in zip(named, counts)]
-    dequeued, dropped = sum(f.packets for f in flows), int(drops.sum())
-    counters = {**stored, "enqueued": dequeued + dropped + int(qocc_pkts[-1]),
-                "dequeued": dequeued, "drops": dropped,
-                "drops_aqm": dropped - stored["drops_overflow"],
-                "ecn_marks_c": int(ecn_marks.sum()) - stored["ecn_marks_l"]}
     # the record keeps the measured columns; the writer derives qocc_bytes
-    record = RunRecord(flows=flows, counters=counters, samples=parsed[:, [0, 1, 3, 4]],
-                       **fields)
-    keys = differing(meta, _meta(record))
+    record = RunRecord(packets=counts, samples=parsed[:, [0, 1, 3, 4]], **fields)
+    derived = _meta(record)
+    keys = differing(meta, derived)
     if keys:
         raise ValueError(f"{meta_path}: {', '.join(keys)}: "
                          "not what the writer derives from the run's fields")
@@ -400,7 +398,7 @@ def load_run_dir(path: str) -> RunRecord:
         raise ValueError(f"{series_path}:{lineno}: {series[lineno - 1]!r} breaks "
                          f"the sample schedule: t_ns = k x tupdate_ns {tupdate} up "
                          f"to duration_ns {duration}, then duration_ns")
-    for name, value in counters.items():
+    for name, value in derived["summary"]["counters"].items():
         if value < 0 or name == "dequeued" and value > most:
             raise ValueError(f"{meta_path}: summary.counters.{name} is {value}, " + (
                 "negative" if value < 0 else f"more than the link's {most} deliveries"))

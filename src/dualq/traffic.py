@@ -60,7 +60,6 @@ class _SenderBase:
     """Window bookkeeping shared by both families."""
 
     __slots__ = (
-        "flow",
         "kind",
         "index",
         "start_ns",
@@ -75,7 +74,6 @@ class _SenderBase:
     )
 
     def __init__(self, cfg: FlowConfig, index: int):
-        self.flow = cfg.name
         self.kind = cfg.kind
         self.index = index
         self.start_ns = cfg.start_ns

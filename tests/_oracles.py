@@ -139,6 +139,33 @@ def bootstrap_replicates_oracle(ds, B: int, rng) -> np.ndarray:
     return reps
 
 
+def aqm_counts(aqm) -> dict[str, int]:
+    """The four counters a DualPi2 keeps, by name."""
+    return {name: getattr(aqm, name) for name in
+            ("drops_overflow", "drops_aqm", "ecn_marks_l", "ecn_marks_c")}
+
+
+class CountingAqm(DualPi2):
+    """DualPi2 counting the packets offered (enqueue calls) and delivered
+    (packets dequeue returns); a test runs the engine with it by
+    monkeypatching ``dualq.engine.DualPi2``."""
+
+    __slots__ = ("offered", "delivered")
+
+    def __init__(self, cfg, rng, mtu):
+        super().__init__(cfg, rng, mtu)
+        self.offered = self.delivered = 0
+
+    def enqueue(self, pkt, now):
+        self.offered += 1
+        super().enqueue(pkt, now)
+
+    def dequeue(self, now):
+        pkt = super().dequeue(now)
+        self.delivered += pkt is not None
+        return pkt
+
+
 class DualPi2Oracle(DualPi2):
     """DualPi2 with the scheduler and the two queue actions as three steps,
     on byte arithmetic.
@@ -149,16 +176,19 @@ class DualPi2Oracle(DualPi2):
     queue, each packet being mtu bytes: a packet is admitted unless the
     tallies plus its bytes would exceed limit_bytes, and the credit moves
     by the packet's bytes times the protection share on every packet
-    served.
+    served. It also counts the packets offered (enq_total) and served
+    (deq_total), which DualPi2 leaves to the run record to derive.
     """
 
-    __slots__ = ("mtu", "c_bytes", "l_bytes")
+    __slots__ = ("mtu", "c_bytes", "l_bytes", "enq_total", "deq_total")
 
     def __init__(self, cfg, rng, mtu):
         super().__init__(cfg, rng, mtu)
         self.mtu = mtu
         self.c_bytes = 0
         self.l_bytes = 0
+        self.enq_total = 0
+        self.deq_total = 0
 
     @property
     def backlog_bytes(self):
@@ -382,7 +412,7 @@ def run_record_oracle(record) -> list[str]:
     if duration % tupdate:
         due.append(duration)
     c = record.counters
-    packets = [f.packets for f in record.flows]
+    packets = record.packets
     if set(c) != COUNTER_NAMES or any(type(v) is not int for v in c.values()):
         return ["the seven integer counters"]
     broken = [name for name, holds in (
@@ -394,9 +424,8 @@ def run_record_oracle(record) -> list[str]:
         ("ecn_marks_l + ecn_marks_c = series marks",
          c["ecn_marks_l"] + c["ecn_marks_c"] == sum(marks)),
         ("dequeued = the flows' packets", c["dequeued"] == sum(packets)),
-        ("the flows config.flows lists, in order",
-         [(f.flow, f.kind) for f in record.flows]
-         == [(f.get("name"), f.get("kind")) for f in cfg.get("flows", [])]),
+        ("one packet count per config.flows entry",
+         len(packets) == len(cfg.get("flows", []))),
         ("non-negative counts", min(qocc + marks + drops + packets
                                     + list(c.values())) >= 0),
         ("qocc_pkts <= limit_bytes // mtu", max(qocc) <= aqm["limit_bytes"] // mtu),

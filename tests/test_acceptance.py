@@ -22,6 +22,7 @@ from dualq import engine
 from dualq.aqm import AqmConfig, DualPi2
 from dualq.config import apply_overrides, build_scenario, preset_sections
 from dualq.core import AT, ECN, Ecn, NS_PER_MS, Rng
+from dualq.metrics import summarize
 from dualq.runner import run_batch, run_one
 from dualq.stats.testing import (
     bootstrap_exceedance,
@@ -33,7 +34,7 @@ from dualq.stats.testing import (
     percentile_ci,
 )
 
-from _oracles import dtw_oracle, kernel_alignment
+from _oracles import CountingAqm, dtw_oracle, kernel_alignment
 from test_cli import tree_digest
 
 
@@ -160,10 +161,12 @@ def test_criterion_03_step_marking_soundness(monkeypatch):
     )
 
 
-def test_criterion_04_conservation():
+def test_criterion_04_conservation(monkeypatch):
     # exercise single/dual flows, both link modes, and an overflow regime;
     # durations are multiples of tupdate so the last sample lands on the
-    # horizon and the interval deltas must add up to the final counters
+    # horizon and the interval deltas must add up to the final counters,
+    # and the run record derives the offered and delivered packets
+    monkeypatch.setattr(engine, "DualPi2", CountingAqm)
     matrix = [
         scenario("low", duration_s=4.0),
         scenario("low", flows=("scalable", "cubic"), duration_s=4.0),
@@ -174,15 +177,18 @@ def test_criterion_04_conservation():
     failures = []
     for i, cfg in enumerate(matrix):
         out = engine.run_scenario(cfg, seed=3)
-        c = out.aqm.counters()
-        if c["enqueued"] != c["dequeued"] + c["drops"] + out.aqm.backlog_pkts:
+        a = out.aqm
+        if a.offered != a.delivered + a.drops_total + a.backlog_pkts:
             failures.append(f"run{i}: packet ledger")
-        rec = run_one(cfg, 3, run_id=f"m{i}")
+        rec = summarize(f"m{i}", 3, Rng.algorithm, cfg.fingerprint(), cfg.to_dict(), out)
+        c = rec.counters
+        if (c["enqueued"], c["dequeued"]) != (a.offered, a.delivered):
+            failures.append(f"run{i}: derived counters")
         marks = rec.series("ecn_marks").sum()
         drops = rec.series("drops").sum()
-        if marks != rec.counters["ecn_marks_l"] + rec.counters["ecn_marks_c"]:
+        if marks != a.ecn_marks_l + a.ecn_marks_c:
             failures.append(f"run{i}: mark deltas")
-        if drops != rec.counters["drops"]:
+        if drops != a.drops_total:
             failures.append(f"run{i}: drop deltas")
     assert report(
         4,

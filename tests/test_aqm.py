@@ -79,7 +79,6 @@ class TestClassifier:
         assert [p[SEQ] for p in a._c] == [2, 3]
         assert a.backlog_pkts == 4
         assert 1500 * a.backlog_pkts == 6000
-        assert a.enq_total == 4
         assert a.drops_overflow == 0
 
 
@@ -94,7 +93,7 @@ class TestOverflow:
         a.enqueue(mkpkt(2), 0)
         assert a.drops_overflow == 1
         assert a.drops_total == 1
-        assert a.enq_total == 3
+        assert a.backlog_pkts + a.drops_total == 3  # the packets offered
         assert a.backlog_pkts == 2
         assert 1500 * a.backlog_pkts == 3000
 
@@ -394,13 +393,13 @@ class TestDraws:
     def test_matches_three_step_oracle(self, seed, p_prime, ecn_classic, mtu):
         import random as pyrandom
 
-        from _oracles import DualPi2Oracle
+        from _oracles import DualPi2Oracle, aqm_counts
 
         cfg = AqmConfig(limit_bytes=40_000, ecn_classic_enabled=ecn_classic)
         a, b = DualPi2(cfg, Rng(seed), mtu), DualPi2Oracle(cfg, Rng(seed), mtu)
         a.p_prime = b.p_prime = p_prime
         traffic = pyrandom.Random(seed + 1)
-        now = 0
+        now = served = 0
         for i in range(600):
             ecn = traffic.choice(list(Ecn))
             a.enqueue([0, i, ecn, -1], now)
@@ -408,8 +407,10 @@ class TestDraws:
             for _ in range(traffic.randrange(3)):
                 got, want = a.dequeue(now), b.dequeue(now)
                 assert (got and (got[SEQ], got[ECN])) == (want and (want[SEQ], want[ECN]))
+                served += got is not None
             now += traffic.randrange(2 * NS_PER_MS)
-        assert a.counters() == b.counters()
+        assert aqm_counts(a) == aqm_counts(b)
+        assert (b.enq_total, b.deq_total) == (600, served)
         assert (a.credit, mtu * a.backlog_pkts) == (b.credit, b.backlog_bytes)
         assert a.rng.random() == b.rng.random()
 
@@ -429,7 +430,7 @@ class TestPacketRule:
                                  ecn_classic, p_prime):
         import random as pyrandom
 
-        from _oracles import DualPi2Oracle
+        from _oracles import DualPi2Oracle, aqm_counts
 
         k = data.draw(st.integers(0, 12), label="k")
         limit = data.draw(st.one_of(
@@ -442,18 +443,21 @@ class TestPacketRule:
         a, b = DualPi2(cfg, Rng(seed), mtu), DualPi2Oracle(cfg, Rng(seed), mtu)
         a.p_prime = b.p_prime = p_prime
         traffic = pyrandom.Random(seed + 1)
-        now = 0
+        now = offered = served = 0
         for i in range(200):
             if traffic.random() < 0.6:
                 ecn = traffic.choice(list(Ecn))
                 a.enqueue([0, i, ecn, -1], now)
                 b.enqueue([0, i, ecn, -1], now)
+                offered += 1
             else:
                 got, want = a.dequeue(now), b.dequeue(now)
                 assert (got and (got[SEQ], got[ECN])) == (want and (want[SEQ], want[ECN]))
+                served += got is not None
             assert ([p[SEQ] for p in a._c], [p[SEQ] for p in a._l]) == (
                 [p[SEQ] for p in b._c], [p[SEQ] for p in b._l])
-            assert a.counters() == b.counters()
+            assert aqm_counts(a) == aqm_counts(b)
+            assert (b.enq_total, b.deq_total) == (offered, served)
             assert a.credit.hex() == b.credit.hex()
             assert mtu * a.backlog_pkts == b.backlog_bytes
             now += traffic.randrange(3 * NS_PER_MS)
@@ -520,12 +524,12 @@ class TestConservation:
         a = mkaqm(rng_seed=seed, limit_bytes=30_000)
         a.p_prime = 0.4
         traffic_rng = pyrandom.Random(seed + 1)
-        now = 0
+        now = served = 0
         for i in range(2000):
             ecn = traffic_rng.choice([Ecn.ECT0, Ecn.ECT1, Ecn.NOT_ECT])
             a.enqueue(mkpkt(i, ecn), now)
             if traffic_rng.random() < 0.5:
-                a.dequeue(now)
+                served += a.dequeue(now) is not None
             now += 100_000
-        assert a.enq_total == a.deq_total + a.drops_total + a.backlog_pkts
+        assert 2000 == served + a.drops_total + a.backlog_pkts
         assert a.drops_total == a.drops_overflow + a.drops_aqm

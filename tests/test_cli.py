@@ -699,17 +699,19 @@ class TestCorpusRuns:
     @pytest.mark.parametrize("command", ["validate", "bootstrap"])
     def test_flows_beyond_the_dequeued_count_are_data_error(self, tmp_path, capsys,
                                                             command):
-        # run-00001 (low, 0.5 s, seed 1) with its first flow's packets x10,
-        # written back by the writer, which recomputes every rate: it loaded
-        # at 87.8 Mbps on a 12 Mbps link, 3,657 packets against dequeued 489
+        # run-00001 (low, 0.5 s, seed 1) with the flows.csv the writer gives
+        # for its first flow's packets x10, every rate recomputed: such a run
+        # loaded at 87.8 Mbps on a 12 Mbps link, 3,657 packets against
+        # dequeued 489. Its meta.json is kept, as the writer would derive
+        # dequeued from the new counts
         corpus = tmp_path / "corpus"
         assert batch(corpus, 2) == EXIT_OK
         run = corpus / "run-00001"
         record = load_run_dir(str(run))
-        record.flows[0].packets *= 10
-        write_run_dir(record, str(run))
-        for name in ("meta.json", "flows.csv"):
-            rehash(corpus, f"run-00001/{name}")
+        record.packets[0] *= 10
+        write_run_dir(record, str(tmp_path / "x10"))
+        shutil.copy(tmp_path / "x10" / "flows.csv", run / "flows.csv")
+        rehash(corpus, "run-00001/flows.csv")
         self.assert_refused(tmp_path, capsys, command, corpus,
                             str(run / "meta.json"), "summary.counters.dequeued")
 

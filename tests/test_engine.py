@@ -7,13 +7,13 @@ import pytest
 
 from dualq.aqm import DualPi2
 from dualq.config import apply_overrides, build_scenario, preset_sections
-from dualq.core import AT, FLOW, NS_PER_MS, NS_PER_SEC, SEQ
+from dualq.core import AT, FLOW, NS_PER_MS, NS_PER_SEC, SEQ, Rng
 from dualq.engine import run_scenario
-from dualq.metrics import load_run_dir, write_run_dir
+from dualq.metrics import load_run_dir, summarize, write_run_dir
 from dualq.runner import run_one
 from dualq.traffic import INIT_CWND, ClassicSender, ScalableSender
 
-from _oracles import run_scenario_oracle
+from _oracles import CountingAqm, aqm_counts, run_scenario_oracle
 
 
 def scenario(preset="low", flows=("cubic",), duration_s=5.0, params="default",
@@ -253,21 +253,22 @@ class TestSampling:
 
 
 class TestConservation:
-    def test_final_sample_is_end_state(self):
+    def test_final_sample_is_end_state(self, monkeypatch):
         # 3 s is not a multiple of tupdate: the final sample must still
         # hold every packet enqueued and neither dequeued nor dropped
+        monkeypatch.setattr("dualq.engine.DualPi2", CountingAqm)
         cfg = scenario("medium", ("scalable", "cubic"), duration_s=3.0)
         out = run_scenario(cfg, seed=1000)
         a = out.aqm
         assert out.samples[-1].t_ns == 3 * NS_PER_SEC
-        assert a.enq_total == a.deq_total + a.drops_total + out.samples[-1].qocc_pkts
+        assert a.offered == a.delivered + a.drops_total + out.samples[-1].qocc_pkts
 
     @pytest.mark.parametrize("flows", [("cubic",), ("scalable",), ("scalable", "cubic")])
     @pytest.mark.parametrize("mode", ["bursty", "smooth"])
-    def test_packet_conservation(self, flows, mode):
-        out = run_scenario(scenario(flows=flows, mode=mode), seed=7)
-        a = out.aqm
-        assert a.enq_total == a.deq_total + a.drops_total + a.backlog_pkts
+    def test_packet_conservation(self, monkeypatch, flows, mode):
+        monkeypatch.setattr("dualq.engine.DualPi2", CountingAqm)
+        a = run_scenario(scenario(flows=flows, mode=mode), seed=7).aqm
+        assert a.offered == a.delivered + a.drops_total + a.backlog_pkts
 
     def test_sample_deltas_sum_to_counters(self):
         out = run_scenario(scenario(flows=("scalable", "cubic")), seed=3)
@@ -289,7 +290,8 @@ class TestDeterminism:
         a = run_scenario(cfg, seed=11)
         b = run_scenario(cfg, seed=11)
         assert a.samples == b.samples
-        assert a.aqm.counters() == b.aqm.counters()
+        assert (aqm_counts(a.aqm), a.aqm.backlog_pkts) == (
+            aqm_counts(b.aqm), b.aqm.backlog_pkts)
         assert [s.arrivals for s in a.receiver.flows] == [
             s.arrivals for s in b.receiver.flows
         ]
@@ -547,7 +549,12 @@ class TestOracleGrid:
         want = run_scenario_oracle(cfg, seed=21)
         assert got.samples == want.samples
         a, b = got.aqm, want.aqm
-        assert a.counters() == b.counters()
+        assert aqm_counts(a) == aqm_counts(b)
+        # the record derives the counters the oracle counts itself
+        record = summarize("run-00000", 21, Rng.algorithm, cfg.fingerprint(),
+                           cfg.to_dict(), got)
+        assert record.counters == {"enqueued": b.enq_total, "dequeued": b.deq_total,
+                                   "drops": b.drops_total, **aqm_counts(b)}
         assert (a.p_prime, a.credit, cfg.link.mtu * a.backlog_pkts) == (
             b.p_prime, b.credit, b.backlog_bytes)
         assert got.receiver.flows == want.receiver.flows

@@ -18,7 +18,6 @@ from dualq.runner import run_one
 from dualq.metrics import (
     META_NAME,
     RUN_FILES,
-    FlowSummary,
     RunRecord,
     canonical_json,
     load_run_dir,
@@ -40,20 +39,20 @@ CONFIG_30S = {**CONFIG, "duration_ns": 30_000_000_000,
 
 
 def small_record(**kw):
-    """A run record; unless kw's config lists them, its config lists its
-    flows, as a run the engine writes."""
+    """A run record; unless kw's config lists them, its config lists one
+    cubic flow per packet count, named a, b, ..., as a run the engine
+    writes."""
     defaults = dict(
         run_id="r0",
         seed=1,
         rng_algorithm="mt19937",
         fingerprint="ab" * 32,
         config=CONFIG,
-        flows=[FlowSummary("a", "cubic", 30_000)],
-        # balanced: 2 packets still queued, 1 AQM drop and 3 marks, as
-        # the series says
-        counters={"enqueued": 30_003, "dequeued": 30_000, "drops": 1,
-                  "drops_overflow": 0, "drops_aqm": 1,
-                  "ecn_marks_l": 2, "ecn_marks_c": 1},
+        packets=[30_000],
+        # the series' 1 drop is an AQM drop and 2 of its 3 marks L marks;
+        # 2 packets are still queued
+        drops_overflow=0,
+        ecn_marks_l=2,
         samples=np.array([
             [16_000_000, 1, 0, 0],
             [32_000_000, 2, 3, 1],
@@ -62,7 +61,8 @@ def small_record(**kw):
     defaults.update(kw)
     if "flows" not in defaults["config"]:
         defaults["config"] = {**defaults["config"], "flows": [
-            {"name": f.flow, "kind": f.kind} for f in defaults["flows"]]}
+            {"name": "abcdefgh"[i], "kind": "cubic"}
+            for i in range(len(defaults["packets"]))]}
     return RunRecord(**defaults)
 
 
@@ -73,14 +73,8 @@ class TestThroughput:
         assert rec.avg_throughput_mbps == pytest.approx(12.0, rel=1e-12)
 
     def test_cumulative_is_sum_of_flows(self):
-        rec = small_record(
-            config=CONFIG_30S,
-            flows=[
-                FlowSummary("a", "cubic", 20_000),
-                FlowSummary("b", "scalable", 10_000),
-            ]
-        )
-        per_flow = sum(rec.mbps(f.packets) for f in rec.flows)
+        rec = small_record(config=CONFIG_30S, packets=[20_000, 10_000])
+        per_flow = sum(rec.mbps(n) for n in rec.packets)
         assert rec.avg_throughput_mbps == pytest.approx(per_flow, rel=1e-12)
 
     def test_series_columns(self):
@@ -99,8 +93,16 @@ class TestSummarize:
         assert rec.rng_algorithm == "mt19937"
         assert rec.samples.dtype == np.int64
         assert rec.samples.tolist() == [list(s) for s in out.samples]
-        assert rec.counters == out.aqm.counters()
-        total = sum(f.packets for f in rec.flows)
+        a = out.aqm
+        assert rec.packets == [f.arrivals for f in out.receiver.flows]
+        assert (rec.drops_overflow, rec.ecn_marks_l) == (a.drops_overflow,
+                                                         a.ecn_marks_l)
+        # the derived counters, but enqueued, which test_engine's
+        # TestConservation counts
+        c = rec.counters
+        assert (c["dequeued"], c["drops"], c["drops_aqm"], c["ecn_marks_c"]) == (
+            sum(rec.packets), a.drops_total, a.drops_aqm, a.ecn_marks_c)
+        total = sum(rec.packets)
         assert rec.avg_throughput_mbps == pytest.approx(
             total * cfg.link.mtu * 8 / 2.0 / 1e6, rel=1e-12
         )
@@ -118,7 +120,8 @@ class TestRoundTrip:
         assert back.fingerprint == rec.fingerprint
         assert back.samples.dtype == np.int64
         assert np.array_equal(back.samples, rec.samples)
-        assert back.flows == rec.flows
+        assert back.packets == rec.packets
+        assert (back.drops_overflow, back.ecn_marks_l) == (0, 2)
         assert back.counters == rec.counters
         assert back.config == rec.config
 
@@ -133,14 +136,12 @@ class TestRoundTrip:
 
     def test_float_round_trip_exact(self, tmp_path):
         # mbps uses repr: parsing it back must give the derived float
-        rec = small_record(flows=[FlowSummary("a", "cubic", 8_230)],
-                           counters={**small_record().counters, "enqueued": 8_233,
-                                     "dequeued": 8_230})
+        rec = small_record(packets=[8_230])
         d = tmp_path / "run"
         write_run_dir(rec, str(d))
         back = load_run_dir(str(d))
         stored = float((d / "flows.csv").read_text().splitlines()[1].split(",")[3])
-        assert stored == rec.mbps(8_230) == back.mbps(back.flows[0].packets)
+        assert stored == rec.mbps(8_230) == back.mbps(back.packets[0])
 
     def test_meta_is_valid_sorted_json(self, tmp_path):
         rec = small_record()
@@ -189,8 +190,7 @@ class TestRoundTrip:
         # every delivered packet is mtu bytes; a record cannot hold the
         # row, so it is edited in the file, as the writer's text for its
         # values
-        rec = small_record(flows=[FlowSummary("a", "cubic", 20_000),
-                                  FlowSummary("b", "cubic", 10_000)])
+        rec = small_record(packets=[20_000, 10_000])
         d = tmp_path / "run"
         write_run_dir(rec, str(d))
         flows = d / "flows.csv"
@@ -237,16 +237,15 @@ class TestNegativeCounts:
 
     def test_flow_bytes(self, tmp_path):
         d = tmp_path / "run"
-        write_run_dir(small_record(flows=[FlowSummary("a", "cubic", 30_000),
-                                          FlowSummary("b", "cubic", -351)]), str(d))
+        write_run_dir(small_record(packets=[30_000, -351]), str(d))
         with pytest.raises(ValueError, match=r"flows\.csv:3: .* negative"):
             load_run_dir(str(d))
 
     def test_counter(self, tmp_path):
-        # drops = drops_overflow + drops_aqm = the series' drops still holds
-        counters = {**small_record().counters, "drops_overflow": -1, "drops_aqm": 2}
+        # the writer derives drops_aqm = 2, so that drops = drops_overflow
+        # + drops_aqm = the series' drops still holds
         d = tmp_path / "run"
-        write_run_dir(small_record(counters=counters), str(d))
+        write_run_dir(small_record(drops_overflow=-1), str(d))
         with pytest.raises(ValueError, match=r"meta\.json: .*negative"):
             load_run_dir(str(d))
 
@@ -256,16 +255,19 @@ class TestCountersFromTheRun:
     series.csv, so a stored counter that the run does not give is refused."""
 
     def test_flows_beyond_the_dequeued_count(self, tmp_path):
-        # a low 0.5 s run whose first flow's packets were multiplied by 10
-        # and written back by the writer, which recomputes every rate: it
+        # a low 0.5 s run beside the flows.csv the writer gives for its first
+        # flow's packets multiplied by 10, every rate recomputed: such a run
         # loaded at 87.8 Mbps on a 12 Mbps link, flows.csv holding 3,657
-        # packets against dequeued 489
+        # packets against dequeued 489. The run's own meta.json is kept, as
+        # the writer would derive dequeued from the new counts
         sections = preset_sections("low", flows=("scalable", "cubic"),
                                    duration_s=0.5)
         record = run_one(build_scenario(sections), 1, "run-00001")
-        record.flows[0].packets *= 10
         d = tmp_path / "run"
         write_run_dir(record, str(d))
+        record.packets[0] *= 10
+        write_run_dir(record, str(tmp_path / "x10"))
+        shutil.copy(tmp_path / "x10" / "flows.csv", d / "flows.csv")
         with pytest.raises(ValueError, match=r"meta\.json: .*summary\.counters\."
                                              r"dequeued"):
             load_run_dir(str(d))
@@ -321,10 +323,7 @@ class TestDeliveryBound:
                   "aqm": {**CONFIG_30S["aqm"], "tupdate_ns": 15 * 10**9}}
         samples = small_record().samples.copy()
         samples[:, 0] = [15 * 10**9, 30 * 10**9]
-        counters = {**small_record().counters, "enqueued": packets + 3,
-                    "dequeued": packets}
-        return small_record(config=config, counters=counters, samples=samples,
-                            flows=[FlowSummary("a", "cubic", packets)])
+        return small_record(config=config, samples=samples, packets=[packets])
 
     @pytest.mark.parametrize("mode, most", [("bursty", 30_000), ("smooth", 30_001)])
     def test_a_record_at_the_bound_loads(self, tmp_path, mode, most):
@@ -406,12 +405,11 @@ class TestBufferBound:
 
     def test_one_packet_over_is_named_by_its_line(self, tmp_path):
         # CONFIG's buffer holds 5 packets; the writer keeps qocc_bytes =
-        # mtu x qocc_pkts and the counters balance the final backlog
+        # mtu x qocc_pkts and derives an enqueued that balances the backlog
         samples = small_record().samples.copy()
         samples[1, 1] = 6
-        counters = {**small_record().counters, "enqueued": 30_007}
         d = tmp_path / "run"
-        write_run_dir(small_record(samples=samples, counters=counters), str(d))
+        write_run_dir(small_record(samples=samples), str(d))
         with pytest.raises(ValueError, match=r"series\.csv:3: '32000000,6,9000,3,1' "
                                              r"queues more than the buffer's "
                                              r"limit_bytes // mtu = 5 packets$"):
@@ -447,7 +445,7 @@ class TestBufferBound:
 def records(draw):
     """A record the engine could have written: samples on the controller
     schedule, flows that a link of the config's rate and mode can deliver,
-    counters that balance with both, any mtu and packet counts."""
+    stored counters within the series' sums, any mtu and packet counts."""
     mtu = draw(st.sampled_from([1, 576, 1500, 9000]))
     tupdate = draw(st.integers(2, 10**9))
     ticks = draw(st.integers(0, 30))
@@ -471,20 +469,17 @@ def records(draw):
     # each of up to three flows delivers at most a third of what the link can
     share = most_deliveries(link["rate_bps"], link["mode"], mtu, duration) // 3
     kinds = st.sampled_from(["scalable", "cubic", "reno"])
-    flows = [FlowSummary(f"f{i}", kind, packets) for i, (kind, packets) in
-             enumerate(draw(st.lists(st.tuples(kinds, st.integers(0, share)),
-                                     min_size=1, max_size=3)))]
-    dequeued = sum(f.packets for f in flows)
+    flows = draw(st.lists(st.tuples(kinds, st.integers(0, share)),
+                          min_size=1, max_size=3))
     return small_record(
         seed=draw(st.integers(0, 2**31)),
         config={"duration_ns": duration, "link": link,
                 "aqm": {"tupdate_ns": tupdate, "limit_bytes": limit_bytes},
-                "flows": [{"name": f.flow, "kind": f.kind} for f in flows]},
-        flows=flows,
-        counters={"enqueued": dequeued + sum(drops) + qocc[-1],
-                  "dequeued": dequeued, "drops": sum(drops),
-                  "drops_overflow": sum(drops) - drops_aqm, "drops_aqm": drops_aqm,
-                  "ecn_marks_l": marks_l, "ecn_marks_c": sum(marks) - marks_l},
+                "flows": [{"name": f"f{i}", "kind": kind}
+                          for i, (kind, _) in enumerate(flows)]},
+        packets=[packets for _, packets in flows],
+        drops_overflow=sum(drops) - drops_aqm,
+        ecn_marks_l=marks_l,
         samples=np.array([times, qocc, marks, drops], dtype=np.int64).T.copy(),
     )
 

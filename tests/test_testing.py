@@ -728,7 +728,7 @@ class TestMetricExtraction:
         }
 
     def test_extract_scalar_and_series(self):
-        from dualq.metrics import FlowSummary, RunRecord
+        from dualq.metrics import RunRecord
 
         rec = RunRecord(
             run_id="r",
@@ -736,8 +736,9 @@ class TestMetricExtraction:
             rng_algorithm="mt19937",
             fingerprint="f",
             config={"duration_ns": 1_000_000_000, "link": {"mtu": 1250}},
-            flows=[FlowSummary("a", "cubic", 1_000)],
-            counters={},
+            packets=[1_000],
+            drops_overflow=0,
+            ecn_marks_l=0,
             samples=np.array([[16_000_000, 3, 2, 1]], dtype=np.int64),
         )
         tput = extract_observations([rec], "throughput")

@@ -12,6 +12,8 @@ import sys
 
 import dualq.cli  # noqa: F401  (imports every module the tracer wraps)
 from dualq.config import build_scenario, preset_sections
+from dualq.core import Rng
+from dualq.metrics import summarize
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 
@@ -70,9 +72,11 @@ def test_packet_path_is_traced(monkeypatch):
     finally:
         tracer.uninstall()
     calls = tracer.calls
-    assert out.aqm.deq_total > 0
-    assert calls["aqm.enqueue"][0] == out.aqm.enq_total
-    assert calls["traffic.on_deliver"][0] == out.aqm.deq_total
+    counters = summarize("run-00000", 1, Rng.algorithm, cfg.fingerprint(),
+                         cfg.to_dict(), out).counters
+    assert counters["dequeued"] > 0
+    assert calls["aqm.enqueue"][0] == counters["enqueued"]
+    assert calls["traffic.on_deliver"][0] == counters["dequeued"]
     assert calls["traffic.pump"][2] == sum(s.next_seq for s in out.senders)
 
 
